@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race race-nommap bench bench-streaming bench-segments bench-persist bench-prepare bench-ingest bench-scan bench-obs bench-shard smoke-metrics smoke-shard serve
+.PHONY: check fmt vet build test race race-nommap benchmark-module bench bench-streaming bench-segments bench-persist bench-prepare bench-ingest bench-scan bench-obs bench-shard smoke-metrics smoke-shard serve
 
-check: fmt vet build race race-nommap
+check: fmt vet build race race-nommap benchmark-module
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -27,6 +27,15 @@ race:
 # fallback exercises on platforms without mmap.
 race-nommap:
 	$(GO) test -race -tags aiql_nommap ./internal/durable/... ./internal/eventstore/...
+
+# The end-to-end benchmark (benchmark/, see BENCHMARK.json) is a Go
+# module of its own that imports internal/ through a replace directive,
+# so the root ./... patterns never reach it: vet and test it here, so a
+# change to an internal API that breaks it fails the gate instead of the
+# benchmark pipeline.
+benchmark-module:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # run-bench <package> <bench regex> <benchtime> <output json>: run one
 # benchmark group and convert its output into the named JSON report for

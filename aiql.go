@@ -329,6 +329,9 @@ func (s *Stmt) Columns() []string { return s.p.Columns() }
 // Kind returns the statement's query family.
 func (s *Stmt) Kind() string { return s.p.Kind() }
 
+// Distinct reports whether the statement drops duplicate result rows.
+func (s *Stmt) Distinct() bool { return s.p.Distinct() }
+
 // Source returns the statement's original query text.
 func (s *Stmt) Source() string { return s.p.Source() }
 

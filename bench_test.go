@@ -286,10 +286,10 @@ func BenchmarkSchedulingNoReordering(b *testing.B) {
 
 // BenchmarkSchedulingNoParallelism disables partition-parallel scans.
 func BenchmarkSchedulingNoParallelism(b *testing.B) {
-	benchScheduling(b, engine.Config{DisableParallel: true})
+	benchScheduling(b, engine.Config{ScanWorkers: 1})
 }
 
 // BenchmarkSchedulingNeither disables both.
 func BenchmarkSchedulingNeither(b *testing.B) {
-	benchScheduling(b, engine.Config{DisableReordering: true, DisableParallel: true})
+	benchScheduling(b, engine.Config{DisableReordering: true, ScanWorkers: 1})
 }

@@ -54,13 +54,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"github.com/aiql/aiql/internal/catalog"
@@ -72,6 +75,10 @@ import (
 
 	aiql "github.com/aiql/aiql"
 )
+
+// shutdownGrace is how long in-flight requests get to finish after a
+// termination signal before their connections are closed.
+const shutdownGrace = 10 * time.Second
 
 // fatal logs the error through the structured logger and exits.
 func fatal(args ...any) {
@@ -242,7 +249,29 @@ func main() {
 	}
 	slog.Info("serving", "datasets", len(cat.Names()), "addr", *addr,
 		"version", obs.Build().Version, "slow_query_ms", slowLog.ThresholdMS())
-	if err := http.ListenAndServe(*addr, obs.AccessLog(logger, mux)); err != nil {
+
+	// SIGINT/SIGTERM: stop accepting, give in-flight requests a grace
+	// period (open SSE streams are cut when it expires), then close the
+	// catalog so every store flushes its WAL state and releases its
+	// directory lock before the process exits.
+	srv := &http.Server{Addr: *addr, Handler: obs.AccessLog(logger, mux)}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.ListenAndServe() }()
+	select {
+	case err := <-serveErr:
+		cat.Close()
+		fatal(err)
+	case <-ctx.Done():
+	}
+	slog.Info("shutting down")
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := srv.Shutdown(grace); err != nil {
+		srv.Close()
+	}
+	if err := cat.Close(); err != nil {
 		fatal(err)
 	}
 }

@@ -98,7 +98,13 @@ type Catalog struct {
 	sets        map[string]*Dataset
 	order       []string // registration order
 	defaultName string
+	closed      bool
 }
+
+// errClosed answers lookups on a closed catalog. It wraps aiql.ErrClosed,
+// so the API reports it like a write racing a hot-swap: 503
+// dataset_reloading.
+var errClosed = fmt.Errorf("catalog: closed: %w", aiql.ErrClosed)
 
 // New creates an empty catalog.
 func New(cfg Config) *Catalog {
@@ -266,6 +272,9 @@ func (c *Catalog) Resolve(dataset string) (*service.Service, error) {
 func (c *Catalog) Get(name string) (*Dataset, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	if c.closed {
+		return nil, errClosed
+	}
 	if name == "" {
 		name = c.defaultName
 	}
@@ -329,8 +338,11 @@ func (c *Catalog) Load(name, path string) (*Dataset, error) {
 	c.loadMu.Lock()
 	defer c.loadMu.Unlock()
 	c.mu.RLock()
-	old := c.sets[name]
+	old, closed := c.sets[name], c.closed
 	c.mu.RUnlock()
+	if closed {
+		return nil, errClosed
+	}
 	if old != nil && old.svc.Sharded() {
 		// A sharded dataset is a coordinator over member stores, not a
 		// snapshot; hot-swapping it under live fan-outs would strand the
@@ -380,6 +392,37 @@ func (c *Catalog) Load(name, path string) (*Dataset, error) {
 		old.svc.DB().Close()
 	}
 	return d, nil
+}
+
+// Close shuts the catalog down: every dataset's service is closed — its
+// database with compactor, WAL and directory lock, and for a sharded
+// dataset the coordinator with its local members — so another process
+// (or a later Open) can take the store directories over. Queries in
+// flight finish on their pinned snapshots; afterwards Resolve and Load
+// fail with aiql.ErrClosed. Close is idempotent and returns the first
+// error met.
+func (c *Catalog) Close() error {
+	// Hold loadMu so no hot-swap reopens a directory mid-shutdown.
+	c.loadMu.Lock()
+	defer c.loadMu.Unlock()
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil
+	}
+	c.closed = true
+	sets := make([]*Dataset, 0, len(c.order))
+	for _, name := range c.order {
+		sets = append(sets, c.sets[name])
+	}
+	c.mu.Unlock()
+	var first error
+	for _, d := range sets {
+		if err := d.svc.Close(); err != nil && first == nil {
+			first = fmt.Errorf("catalog: close %q: %w", d.name, err)
+		}
+	}
+	return first
 }
 
 // Stats returns every dataset's statistics blob, in sorted name order,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -425,5 +426,62 @@ func TestShardedDatasetGuards(t *testing.T) {
 	}
 	if _, err := svc.Ingest(context.Background(), "agent", []aiql.Record{{}}); err == nil {
 		t.Fatal("coordinator accepted ingest")
+	}
+}
+
+// TestCatalogCloseReleasesMembers: Close tears a sharded dataset down
+// through its coordinator to the local members — a member directory's
+// LOCK flock is released, so the store can be reopened — and leaves
+// the catalog answering lookups with the closed (dataset_reloading)
+// error. A durable unsharded dataset closes the same way, and a second
+// Close is a no-op.
+func TestCatalogCloseReleasesMembers(t *testing.T) {
+	recs := shardCorpus()
+	early, late := splitByDay(recs, shardDay(11))
+	earlyDir, lateDir, plainDir := t.TempDir(), t.TempDir(), t.TempDir()
+	writeMemberDir(t, earlyDir, early)
+	writeMemberDir(t, lateDir, late)
+	writeMemberDir(t, plainDir, recs)
+
+	cat := New(Config{CompactInterval: time.Hour})
+	if _, err := cat.AddSharded(shard.DatasetSpec{
+		Dataset: "sharded",
+		Members: []shard.MemberSpec{
+			{Name: "early", Dir: earlyDir, To: "05/11/2018"},
+			{Name: "late", Dir: lateDir, From: "05/11/2018"},
+		},
+	}, ShardOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.AddDir("plain", plainDir); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := aiql.OpenDir(earlyDir); err == nil {
+		db.Close()
+		t.Fatal("member directory opened twice while the catalog holds it")
+	}
+
+	if err := cat.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := cat.Close(); err != nil {
+		t.Fatalf("second close: %v", err)
+	}
+	for _, dir := range []string{earlyDir, lateDir, plainDir} {
+		db, err := aiql.OpenDir(dir)
+		if err != nil {
+			t.Fatalf("reopen %s after catalog close: %v", dir, err)
+		}
+		db.Close()
+	}
+	_, err := cat.Resolve("sharded")
+	if !errors.Is(err, aiql.ErrClosed) {
+		t.Fatalf("Resolve after close: %v, want aiql.ErrClosed", err)
+	}
+	if body := service.ErrorBody(err); body.Code != service.CodeDatasetReloading {
+		t.Fatalf("closed-catalog error code %q, want %q", body.Code, service.CodeDatasetReloading)
+	}
+	if _, err := cat.Load("plain", plainDir); !errors.Is(err, aiql.ErrClosed) {
+		t.Fatalf("Load after close: %v, want aiql.ErrClosed", err)
 	}
 }

@@ -213,7 +213,8 @@ func (g *generator) adminNoise() []eventstore.Record {
 	if scale < 4 {
 		scale = 4
 	}
-	span := int(g.cfg.Duration / time.Minute)
+	// A sub-minute timeline still has one minute to place noise in.
+	span := max(1, int(g.cfg.Duration/time.Minute))
 	randMin := func() (int, int, int) { // hour, min, sec
 		m := g.rnd(span)
 		return m / 60, m % 60, g.rnd(60)

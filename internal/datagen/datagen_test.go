@@ -3,6 +3,7 @@ package datagen
 import (
 	"context"
 	"testing"
+	"time"
 
 	"github.com/aiql/aiql/internal/eventstore"
 	"github.com/aiql/aiql/internal/sysmon"
@@ -34,6 +35,21 @@ func TestDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical streams")
+	}
+}
+
+// TestShortDurations: a timeline shorter than a minute used to panic
+// (rand.Intn(0) placing admin noise); every span generates, and the
+// background events stay inside the configured timeline.
+func TestShortDurations(t *testing.T) {
+	for _, d := range []time.Duration{time.Second, 59 * time.Second, time.Minute, 90 * time.Minute} {
+		recs := Generate(Config{Seed: 5, Hosts: 6, Events: 500, Duration: d})
+		if len(recs) < 500 {
+			t.Errorf("Duration %s: %d records, want at least the 500 background events", d, len(recs))
+		}
+		if len(recs) > 0 && recs[0].StartTS < DefaultStart.UnixNano() {
+			t.Errorf("Duration %s: first record precedes the timeline start", d)
+		}
 	}
 }
 

@@ -63,7 +63,7 @@ func TestExecuteCancellation(t *testing.T) {
 	total := int64(store.Len())
 
 	t.Run("already cancelled context returns promptly without scanning", func(t *testing.T) {
-		for _, cfg := range []Config{{}, {DisableParallel: true}} {
+		for _, cfg := range []Config{{}, {ScanWorkers: 1}} {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			start := time.Now()
@@ -96,7 +96,7 @@ func TestExecuteCancellation(t *testing.T) {
 	})
 
 	t.Run("mid-scan cancellation aborts before visiting every event", func(t *testing.T) {
-		for _, cfg := range []Config{{}, {DisableParallel: true}} {
+		for _, cfg := range []Config{{}, {ScanWorkers: 1}} {
 			ctx := newCountdownCtx(4)
 			res, err := NewWithConfig(store, cfg).Execute(ctx, wideQuery)
 			if !errors.Is(err, context.Canceled) {

@@ -37,7 +37,7 @@ return p, count(evt) as c
 group by p
 having c > 0`,
 	}
-	for _, cfg := range []Config{{}, {DisableParallel: true}} {
+	for _, cfg := range []Config{{}, {ScanWorkers: 1}} {
 		eng := NewWithConfig(store, cfg)
 		for qi, src := range queries {
 			want, err := eng.Execute(context.Background(), src)
@@ -133,7 +133,7 @@ func TestCursorLimitWithDistinct(t *testing.T) {
 // store visited — and must not surface an error.
 func TestCursorCloseAbortsScan(t *testing.T) {
 	store := buildWideStore(t, 60000)
-	for _, cfg := range []Config{{}, {DisableParallel: true}} {
+	for _, cfg := range []Config{{}, {ScanWorkers: 1}} {
 		eng := NewWithConfig(store, cfg)
 		cur, err := eng.ExecuteCursor(context.Background(), wideQuery, CursorOptions{})
 		if err != nil {

@@ -29,8 +29,6 @@ type Config struct {
 	// DisableReordering executes event patterns in syntactic order
 	// instead of pruning-power order.
 	DisableReordering bool
-	// DisableParallel scans partitions sequentially.
-	DisableParallel bool
 	// ScanCacheBytes, when positive, enables the segment scan cache with
 	// the given byte budget: per-pattern filtered scan results over
 	// sealed segments are cached by (filter fingerprint, segment id) and

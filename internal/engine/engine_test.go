@@ -113,7 +113,7 @@ return distinct r`)
 
 func TestSchedulingMatchesWithAndWithoutReordering(t *testing.T) {
 	s := buildAttackStore(t, eventstore.DefaultOptions())
-	for _, cfg := range []Config{{}, {DisableReordering: true}, {DisableParallel: true}, {DisableReordering: true, DisableParallel: true}} {
+	for _, cfg := range []Config{{}, {DisableReordering: true}, {ScanWorkers: 1}, {DisableReordering: true, ScanWorkers: 1}} {
 		e := NewWithConfig(s, cfg)
 		res, err := e.Execute(context.Background(), query1)
 		if err != nil {

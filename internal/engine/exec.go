@@ -151,10 +151,10 @@ func (e *Engine) runMultievent(ctx context.Context, snap *eventstore.Snapshot, q
 // join → projection → emit without collecting events or bindings. Scan
 // units are filtered in parallel on the worker pool but consumed
 // strictly in unit order (see forEachUnitOrdered), so emission order,
-// limit pushdown, and the visited-event accounting are identical to the
-// sequential path; with parallelism disabled the reference sequential
-// walk runs instead. Sealed-segment batches come from the scan cache
-// when it holds them.
+// limit pushdown, and the visited-event accounting do not depend on how
+// many helpers run — with none (ScanWorkers: 1) the same loop is a plain
+// sequential walk. Sealed-segment batches come from the scan cache when
+// it holds them.
 func (e *Engine) streamFinal(ctx context.Context, snap *eventstore.Snapshot, filter *eventstore.EventFilter, pp *patternPlan, j *joiner, proj *projector, stats *ExecStats, emit emitFunc, limitHint int) error {
 	var (
 		ferr     error
@@ -191,45 +191,6 @@ func (e *Engine) streamFinal(ctx context.Context, snap *eventstore.Snapshot, fil
 	}
 
 	units := snap.Units(filter)
-
-	if e.cfg.DisableParallel {
-		// Reference sequential walk. Collection touches only the
-		// snapshot's immutable data; the join → project → emit work
-		// happens with no locks held, so a consumer that stalls
-		// mid-stream cannot block writers or other queries. Cache
-		// lookups stay per-unit here: a satisfied limit stops the walk,
-		// and prefetching lookups for units never consumed would skew
-		// the reuse counters.
-		cache := e.scache.Load()
-		var fp scanFP
-		if cache != nil {
-			fp = scanFingerprint(filter, pp.evtPreds)
-		}
-		for i := range units {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("engine: query aborted: %w", err)
-			}
-			batch, visited, complete, hit := e.unitBatch(ctx, cache, &units[i], filter, fp, pp.evtPreds, true)
-			stats.ScannedEvents += visited
-			countReuse(stats, cache, &units[i], hit)
-			for k := range batch {
-				if !handle(&batch[k]) {
-					if ferr != nil {
-						return ferr
-					}
-					return nil
-				}
-			}
-			if !complete {
-				return fmt.Errorf("engine: query aborted: %w", ctx.Err())
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("engine: query aborted: %w", err)
-		}
-		return nil
-	}
-
 	err := e.forEachUnitOrdered(ctx, units, filter, pp.evtPreds, stats, limitHint, func(batch []sysmon.Event) bool {
 		for k := range batch {
 			if !handle(&batch[k]) {
@@ -250,99 +211,16 @@ func (e *Engine) streamFinal(ctx context.Context, snap *eventstore.Snapshot, fil
 // scans do.
 const joinCheckInterval = 8192
 
-// unitCheckInterval is how many visited events a unit scan processes
-// between context-cancellation checks.
-const unitCheckInterval = 2048
-
-// unitBatch returns one scan unit's events passing the filter and the
-// per-event predicates. Sealed units consult the segment scan cache:
-// a hit returns the cached batch with zero events visited; a miss scans
-// the unit and, if the scan ran to completion, caches the batch for
-// reuse by every later execution with the same fingerprint. complete is
-// false when ctx aborted the scan mid-unit (the partial batch is never
-// cached); hit reports whether the batch came from the cache.
-func (e *Engine) unitBatch(ctx context.Context, cache *scanCache, u *eventstore.ScanUnit, filter *eventstore.EventFilter, fp scanFP, preds []evtPred, tryGet bool) (batch []sysmon.Event, visited int64, complete, hit bool) {
-	cacheable := cache != nil && u.Sealed()
-	if cacheable && tryGet {
-		if b, ok := cache.get(fp, u.SegmentID()); ok {
-			return b, 0, true, true
-		}
-	}
-	complete = true
-	u.Scan(filter, func(ev *sysmon.Event) bool {
-		visited++
-		if visited%unitCheckInterval == 0 && ctx.Err() != nil {
-			complete = false
-			return false
-		}
-		if evtPredsOK(preds, ev) {
-			batch = append(batch, *ev)
-		}
-		return true
-	})
-	if complete && cacheable {
-		cache.put(fp, u.SegmentID(), batch)
-	}
-	return batch, visited, complete, false
-}
-
-// countReuse updates the per-execution segment-reuse counters for one
-// sealed-unit batch outcome.
-func countReuse(stats *ExecStats, cache *scanCache, u *eventstore.ScanUnit, hit bool) {
-	if cache == nil || !u.Sealed() {
-		return
-	}
-	if hit {
-		stats.SegmentHits++
-	} else {
-		stats.SegmentMisses++
-	}
-}
-
 // scanPattern collects the events matching a pattern plan's filter and
 // per-event predicates over the snapshot, reusing cached sealed-segment
 // batches when the scan cache holds them. Unit scans run in parallel on
-// the worker pool but batches concatenate in deterministic unit order —
-// the exact order the sequential walk produces — so downstream joins
-// see identical input either way. A cancelled ctx aborts the scan
-// early; the scanned count then reflects only the events actually
-// visited (the caller checks ctx.Err()).
+// the worker pool but batches concatenate in deterministic unit order,
+// so downstream joins see identical input however many helpers ran. A
+// cancelled ctx aborts the scan early; the scanned count then reflects
+// only the events actually visited (the caller checks ctx.Err()).
 func (e *Engine) scanPattern(ctx context.Context, snap *eventstore.Snapshot, filter *eventstore.EventFilter, pp *patternPlan, stats *ExecStats) []sysmon.Event {
 	units := snap.Units(filter)
 	var events []sysmon.Event
-
-	if e.cfg.DisableParallel {
-		cache := e.scache.Load()
-		var fp scanFP
-		if cache != nil {
-			fp = scanFingerprint(filter, pp.evtPreds)
-		}
-		cached := cache.getAll(fp, units)
-		for i := range units {
-			if ctx.Err() != nil {
-				break
-			}
-			var (
-				batch    []sysmon.Event
-				visited  int64
-				complete = true
-				hit      bool
-			)
-			if cached != nil && cached[i] != nil {
-				batch, hit = cached[i], true
-			} else {
-				batch, visited, complete, hit = e.unitBatch(ctx, cache, &units[i], filter, fp, pp.evtPreds, false)
-			}
-			events = append(events, batch...)
-			stats.ScannedEvents += visited
-			countReuse(stats, cache, &units[i], hit)
-			if !complete {
-				break
-			}
-		}
-		return events
-	}
-
 	e.forEachUnitOrdered(ctx, units, filter, pp.evtPreds, stats, 0, func(batch []sysmon.Event) bool {
 		events = append(events, batch...)
 		return true

@@ -54,8 +54,8 @@ func TestResultInvariantUnderScheduling(t *testing.T) {
 	configs := []Config{
 		{},
 		{DisableReordering: true},
-		{DisableParallel: true},
-		{DisableReordering: true, DisableParallel: true},
+		{ScanWorkers: 1},
+		{DisableReordering: true, ScanWorkers: 1},
 	}
 	for qi, src := range invarianceQueries {
 		var want [][]string

@@ -103,6 +103,10 @@ func (p *Prepared) Kind() string { return p.kind }
 // Columns returns the result header the statement produces.
 func (p *Prepared) Columns() []string { return p.info.Columns }
 
+// Distinct reports whether execution drops duplicate result rows
+// (`return distinct` on a multievent or dependency query).
+func (p *Prepared) Distinct() bool { return p.mq != nil && p.mq.Distinct }
+
 // Params returns the typed parameter signature in first-appearance
 // order. The returned slice must not be mutated.
 func (p *Prepared) Params() []ParamSpec { return p.params }

@@ -61,9 +61,10 @@ func scanBenchFilter() *eventstore.EventFilter {
 	}
 }
 
-// BenchmarkScanColdSequential is the pre-batching reference: the
-// row-at-a-time callback loop the engine's DisableParallel path runs,
-// one matches() call per event.
+// BenchmarkScanColdSequential is the pre-batching reference:
+// ScanUnit.Scan, the store's row-at-a-time callback loop the batch
+// kernel is cross-checked against, one matches() call per event. The
+// engine itself never runs it.
 func BenchmarkScanColdSequential(b *testing.B) {
 	store := scanBenchSetup(b)
 	filter := scanBenchFilter()

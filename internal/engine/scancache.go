@@ -143,64 +143,15 @@ func entryBytes(events []sysmon.Event) int64 {
 	return int64(len(events))*int64(unsafe.Sizeof(sysmon.Event{})) + overhead
 }
 
-func (c *scanCache) get(fp scanFP, seg uint64) ([]sysmon.Event, bool) {
-	if c == nil {
-		return nil, false
-	}
-	key := scanCacheKey{fp: fp, seg: seg}
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	entry := el.Value.(*scanCacheEntry)
-	entry.used = true
-	events := entry.events
-	c.mu.Unlock()
-	c.hits.Add(1)
-	return events, true
-}
-
-// getAll looks up every sealed unit's batch under one lock acquisition
+// peekAll looks up every sealed unit's batch under one lock acquisition
 // — the warm path touches hundreds of segments, so per-unit locking
 // would dominate a fully cached scan. out[i] is nil when unit i is a
 // memtable tail or has no cached batch (cached empty batches are
-// normalized to a non-nil sentinel by put). Hit/miss counters update
-// for sealed units only.
-func (c *scanCache) getAll(fp scanFP, units []eventstore.ScanUnit) [][]sysmon.Event {
-	if c == nil {
-		return nil
-	}
-	out := make([][]sysmon.Event, len(units))
-	var hits, misses uint64
-	c.mu.Lock()
-	for i := range units {
-		if !units[i].Sealed() {
-			continue
-		}
-		if el, ok := c.entries[scanCacheKey{fp: fp, seg: units[i].SegmentID()}]; ok {
-			entry := el.Value.(*scanCacheEntry)
-			entry.used = true
-			out[i] = entry.events
-			hits++
-		} else {
-			misses++
-		}
-	}
-	c.mu.Unlock()
-	c.hits.Add(hits)
-	c.misses.Add(misses)
-	return out
-}
-
-// peekAll is getAll without the hit/miss accounting: the parallel
-// ordered-merge executor prefetches every sealed unit's batch up front
-// but attributes a hit or miss only when a unit's result is actually
-// consumed (via note), so the reuse counters always match what the
-// sequential walk would have reported — even when a satisfied limit
-// stops the merge before every prefetched unit is consumed.
+// normalized to a non-nil sentinel by put). It does no hit/miss
+// accounting: the ordered-merge executor prefetches up front but
+// attributes a hit or miss only when a unit's result is actually
+// consumed (via note), so the reuse counters never count units a
+// satisfied limit left unconsumed.
 func (c *scanCache) peekAll(fp scanFP, units []eventstore.ScanUnit) [][]sysmon.Event {
 	if c == nil {
 		return nil
@@ -236,7 +187,7 @@ func (c *scanCache) note(hit bool) {
 }
 
 // emptyBatch is the shared non-nil value cached for scans that matched
-// nothing, so getAll can use nil for "not cached".
+// nothing, so peekAll can use nil for "not cached".
 var emptyBatch = make([]sysmon.Event, 0)
 
 func (c *scanCache) put(fp scanFP, seg uint64, events []sysmon.Event) {

@@ -50,18 +50,12 @@ const (
 )
 
 // CompiledFilter carries an EventFilter together with its derived
-// lookup structures (op table, agent set, single-value fast paths, and
-// the mask/want pair for the packed key column), computed once per
-// scan instead of once per unit.
+// lookup structures (op table, agent set, and the mask/want pair for the
+// packed key column), computed once per scan instead of once per unit.
 type CompiledFilter struct {
 	f      *EventFilter
 	ops    *[sysmon.NumOperations]bool
 	agents map[uint32]struct{}
-
-	oneAgent    uint32
-	hasOneAgent bool
-	oneOp       sysmon.Operation
-	hasOneOp    bool
 
 	// mask/want fold every single-valued scalar predicate into one
 	// masked compare over the key column; multi-valued agent/op sets
@@ -75,23 +69,17 @@ type CompiledFilter struct {
 // filter must not be mutated while the compiled form is in use.
 func (f *EventFilter) Compile() *CompiledFilter {
 	cf := &CompiledFilter{f: f, ops: f.opSet(), agents: f.agentSet()}
-	if len(f.Agents) == 1 {
-		cf.oneAgent, cf.hasOneAgent = f.Agents[0], true
-	}
-	if len(f.Ops) == 1 && int(f.Ops[0]) < sysmon.NumOperations {
-		cf.oneOp, cf.hasOneOp = f.Ops[0], true
-	}
 	switch {
-	case cf.hasOneAgent:
+	case len(f.Agents) == 1:
 		cf.mask |= scanKeyAgentMask
-		cf.want |= uint64(cf.oneAgent) << 32
+		cf.want |= uint64(f.Agents[0]) << 32
 	case cf.agents != nil:
 		cf.needAgents = true
 	}
 	switch {
-	case cf.hasOneOp:
+	case len(f.Ops) == 1 && int(f.Ops[0]) < sysmon.NumOperations:
 		cf.mask |= scanKeyOpMask
-		cf.want |= uint64(cf.oneOp) << 16
+		cf.want |= uint64(f.Ops[0]) << 16
 	case cf.ops != nil:
 		cf.needOps = true
 	}
@@ -112,7 +100,9 @@ func (f *EventFilter) Compile() *CompiledFilter {
 // Sealed segments with built indexes take the posting-list path when
 // bestPostingList applies (the list is already sparse, so a bitmap
 // buys nothing); everything else goes through the block-filtered
-// dense path.
+// dense path. Both read the unit through its colView, so neither knows
+// whether the events sit in a memtable, on the heap or behind a mapped
+// segment file.
 func (u *ScanUnit) CollectBatch(ctx context.Context, cf *CompiledFilter, keep func(*sysmon.Event) bool) (batch []sysmon.Event, visited int64, complete bool) {
 	return u.CollectBatchInto(ctx, cf, keep, nil)
 }
@@ -122,6 +112,10 @@ func (u *ScanUnit) CollectBatch(ctx context.Context, cf *CompiledFilter, keep fu
 // not retain batches — no scan cache to fill — reuse one scratch
 // buffer across units instead of allocating per unit.
 func (u *ScanUnit) CollectBatchInto(ctx context.Context, cf *CompiledFilter, keep func(*sysmon.Event) bool, buf []sysmon.Event) (batch []sysmon.Event, visited int64, complete bool) {
+	var (
+		list    []int32
+		posting bool
+	)
 	if g := u.seg; g != nil {
 		if g.fileBacked() {
 			// Resolve a lazily restored segment before choosing a path:
@@ -130,19 +124,17 @@ func (u *ScanUnit) CollectBatchInto(ctx context.Context, cf *CompiledFilter, kee
 			g.fileReader()
 		}
 		if g.indexed && (g.ready.Load() || (g.fileBacked() && g.postingApplicable(cf.f) && g.ensureIndexes())) {
-			if list, ok := g.bestPostingList(cf.f); ok {
-				if events := g.loadedEvents(); events != nil {
-					return collectPostings(ctx, events, list, cf, keep, buf)
-				}
-				return collectPostingsCols(ctx, g, list, cf, keep, buf)
-			}
+			list, posting = g.bestPostingList(cf.f)
 		}
-		if events := g.loadedEvents(); events != nil {
-			return collectBlocksKeys(ctx, events, g.keyColumn(), cf, keep, buf)
-		}
-		return collectBlocksCols(ctx, g, cf, keep, buf)
 	}
-	return collectBlocks(ctx, u.mem.events, cf, keep, buf)
+	v, ok := u.view(!posting)
+	if !ok {
+		return buf, 0, true // column unreadable; recorded by keyColumn/tsColumn
+	}
+	if posting {
+		return collectPosting(ctx, &v, list, cf, keep, buf)
+	}
+	return collectDense(ctx, &v, cf, keep, buf)
 }
 
 // colCursor streams one column of a reader-backed segment by absolute
@@ -215,13 +207,14 @@ func (c *colCursor) u32(pos int) uint32 {
 	return binary.LittleEndian.Uint32(b[(pos&(batchBlockEvents-1))*4:])
 }
 
-// gatherEvent assembles one whole event from the per-attribute columns:
+// colGather assembles whole events from the per-attribute columns:
 // agent, op, and object type unpack from the scan key; the remaining
 // fields gather from their column cursors.
 type colGather struct {
 	g                           *Segment
 	ts                          []int64
 	id, sub, obj, end, amt, seq colCursor
+	ev                          sysmon.Event // scratch returned by event
 }
 
 func newColGather(g *Segment, ts []int64) *colGather {
@@ -237,8 +230,10 @@ func newColGather(g *Segment, ts []int64) *colGather {
 	}
 }
 
-func (cg *colGather) event(pos int, key uint64) sysmon.Event {
-	return sysmon.Event{
+// event gathers the event at pos into the scratch event, which stays
+// valid until the next call.
+func (cg *colGather) event(pos int, key uint64) *sysmon.Event {
+	cg.ev = sysmon.Event{
 		ID:      cg.id.u64(pos),
 		AgentID: uint32(key >> 32),
 		Subject: sysmon.EntityID(cg.sub.u32(pos)),
@@ -250,6 +245,7 @@ func (cg *colGather) event(pos int, key uint64) sysmon.Event {
 		Amount:  cg.amt.u64(pos),
 		Seq:     cg.seq.u64(pos),
 	}
+	return &cg.ev
 }
 
 // cursorErr returns the first decode failure across the gather's
@@ -263,16 +259,117 @@ func (cg *colGather) cursorErr() error {
 	return nil
 }
 
-// collectPostings walks a merged posting list (position-sorted, so the
-// output stays time-ordered), re-checking the full filter per entry:
-// posting lists are keyed on one endpoint only.
-func collectPostings(ctx context.Context, events []sysmon.Event, list []int32, cf *CompiledFilter, keep func(*sysmon.Event) bool, buf []sysmon.Event) (batch []sysmon.Event, visited int64, complete bool) {
+// colView is a scan unit's storage layout reduced to the few questions
+// a filter asks of it — the one place that knows whether an attribute
+// comes from an AoS event array (memtable tails, heap-sealed and
+// materialized segments) or from a reader-backed segment's column
+// vectors. Exactly one of events/gather is set.
+type colView struct {
+	n      int
+	events []sysmon.Event
+	// keys is the packed scan-key column. AoS units without one
+	// (memtable tails, posting-path scans that never read it) leave it
+	// nil; the dense driver then packs each block's keys into scratch.
+	keys   []uint64
+	ts     []int64 // start timestamps; columnar backing only
+	gather *colGather
+}
+
+// view resolves the unit's layout. withKeys asks for the key column of
+// an AoS-backed segment, which is built on first use and therefore
+// skipped when the caller (the posting path) never reads it. ok is false
+// when a reader-backed segment's key or timestamp column is unreadable:
+// the error is already recorded and the data reads as absent.
+func (u *ScanUnit) view(withKeys bool) (v colView, ok bool) {
+	g := u.seg
+	if g == nil {
+		return colView{n: len(u.mem.events), events: u.mem.events}, true
+	}
+	if events := g.loadedEvents(); events != nil {
+		v = colView{n: len(events), events: events}
+		if withKeys {
+			v.keys = g.keyColumn()
+		}
+		return v, true
+	}
+	keys, ts := g.keyColumn(), g.tsColumn()
+	if keys == nil || len(ts) != len(keys) {
+		return colView{}, false
+	}
+	return colView{n: len(keys), keys: keys, ts: ts, gather: newColGather(g, ts)}, true
+}
+
+// timeSlice returns the position range [lo, hi) of events whose start
+// timestamps fall in [from, to).
+func (v *colView) timeSlice(from, to int64) (int, int) {
+	if v.gather == nil {
+		return timeSlice(v.events, from, to)
+	}
+	return timeSliceTS(v.ts, from, to)
+}
+
+func (v *colView) subject(pos int) sysmon.EntityID {
+	if v.gather == nil {
+		return v.events[pos].Subject
+	}
+	return sysmon.EntityID(v.gather.sub.u32(pos))
+}
+
+func (v *colView) object(pos int) sysmon.EntityID {
+	if v.gather == nil {
+		return v.events[pos].Object
+	}
+	return sysmon.EntityID(v.gather.obj.u32(pos))
+}
+
+func (v *colView) amount(pos int) uint64 {
+	if v.gather == nil {
+		return v.events[pos].Amount
+	}
+	return v.gather.amt.u64(pos)
+}
+
+// event returns the whole event at pos: a pointer into the AoS array,
+// or into the gather's scratch event (valid until the next call) for
+// the columnar backing.
+func (v *colView) event(pos int) *sysmon.Event {
+	if v.gather == nil {
+		return &v.events[pos]
+	}
+	return v.gather.event(pos, v.keys[pos])
+}
+
+// failed reports whether a column decode has failed since the view was
+// built, recording the error with the owning store. The drivers check
+// it at block boundaries and treat the unreadable data as absent.
+func (v *colView) failed() bool {
+	if v.gather == nil {
+		return false
+	}
+	err := v.gather.cursorErr()
+	if err != nil {
+		v.gather.g.fail(err)
+	}
+	return err != nil
+}
+
+// collectPosting walks a merged posting list (position-sorted, so the
+// output stays time-ordered and column cursors stream forward),
+// re-checking the full filter per entry: posting lists are keyed on one
+// endpoint only. On a decode error the batch built so far stands.
+func collectPosting(ctx context.Context, v *colView, list []int32, cf *CompiledFilter, keep func(*sysmon.Event) bool, buf []sysmon.Event) (batch []sysmon.Event, visited int64, complete bool) {
 	batch = buf
 	for n, pos := range list {
 		if n%scanCheckInterval == scanCheckInterval-1 && ctx.Err() != nil {
 			return batch, visited, false
 		}
-		ev := &events[pos]
+		if int(pos) >= v.n {
+			continue
+		}
+		ev := v.event(int(pos))
+		if v.failed() {
+			return batch, visited, true
+		}
 		if !cf.f.matches(ev, cf.ops, cf.agents) {
 			continue
 		}
@@ -284,332 +381,80 @@ func collectPostings(ctx context.Context, events []sysmon.Event, list []int32, c
 	return batch, visited, true
 }
 
-// collectBlocks runs the dense path: time-slice the sorted run, then
-// filter each block through selection-bitmap predicate passes. Events
-// inside the slice already satisfy From/To (the run is sorted by
-// StartTS), so the time predicates need no pass.
-func collectBlocks(ctx context.Context, events []sysmon.Event, cf *CompiledFilter, keep func(*sysmon.Event) bool, buf []sysmon.Event) (batch []sysmon.Event, visited int64, complete bool) {
+// collectDense runs the dense path: time-slice the sorted run, then
+// filter each block's packed scan keys into a selection bitmap and
+// assemble whole events only for the survivors. Events inside the slice
+// already satisfy From/To (the run is sorted by StartTS), so the time
+// predicates need no pass. On a decode error the remaining data reads
+// as absent: the blocks collected before it stand.
+func collectDense(ctx context.Context, v *colView, cf *CompiledFilter, keep func(*sysmon.Event) bool, buf []sysmon.Event) (batch []sysmon.Event, visited int64, complete bool) {
 	batch = buf
-	lo, hi := timeSlice(events, cf.f.From, cf.f.To)
-	var sel blockBitmap
+	lo, hi := v.timeSlice(cf.f.From, cf.f.To)
+	var (
+		sel    blockBitmap
+		packed [batchBlockEvents]uint64
+	)
 	for base := lo; base < hi; base += batchBlockEvents {
 		if ctx.Err() != nil {
 			return batch, visited, false
 		}
-		n := hi - base
-		if n > batchBlockEvents {
-			n = batchBlockEvents
+		n := min(hi-base, batchBlockEvents)
+		keys := packed[:n]
+		if v.keys != nil {
+			keys = v.keys[base : base+n]
+		} else if cf.mask != 0 || cf.needAgents || cf.needOps {
+			// No key column (a memtable tail): pack this block's keys so
+			// the scalar predicates stream 8 bytes per event like
+			// everywhere else.
+			blk := v.events[base : base+n]
+			for i := range blk {
+				keys[i] = scanKey(blk[i].AgentID, blk[i].Op, blk[i].ObjType)
+			}
 		}
-		blk := events[base : base+n]
-		live := filterBlock(blk, cf, &sel)
+		live := filterKeys(keys, base, v, cf, &sel)
+		if v.failed() {
+			return batch, visited, true
+		}
 		if live == 0 {
 			continue
 		}
-		visited += int64(live)
 		// Grow for this block's survivors in one step: the append loop
 		// below would otherwise reallocate along the doubling chain,
 		// which dominates the cold path's allocation cost.
 		batch = slices.Grow(batch, live)
-		words := (n + 63) / 64
-		for w := 0; w < words; w++ {
-			for b := sel[w]; b != 0; b &= b - 1 {
-				ev := &blk[w<<6+bits.TrailingZeros64(b)]
-				if keep == nil || keep(ev) {
-					batch = append(batch, *ev)
-				}
-			}
-		}
-	}
-	return batch, visited, true
-}
-
-// collectBlocksKeys is the sealed-segment dense path: like
-// collectBlocks, but the scalar predicates run over the segment's
-// packed key column — one masked compare per event streaming 8 bytes
-// instead of the 56-byte struct — and only surviving events are read
-// from the event array.
-func collectBlocksKeys(ctx context.Context, events []sysmon.Event, keys []uint64, cf *CompiledFilter, keep func(*sysmon.Event) bool, buf []sysmon.Event) (batch []sysmon.Event, visited int64, complete bool) {
-	batch = buf
-	lo, hi := timeSlice(events, cf.f.From, cf.f.To)
-	var sel blockBitmap
-	for base := lo; base < hi; base += batchBlockEvents {
-		if ctx.Err() != nil {
-			return batch, visited, false
-		}
-		n := hi - base
-		if n > batchBlockEvents {
-			n = batchBlockEvents
-		}
-		blk := events[base : base+n]
-		live := filterBlockKeys(blk, keys[base:base+n], cf, &sel)
-		if live == 0 {
-			continue
-		}
-		visited += int64(live)
-		// Grow for this block's survivors in one step: the append loop
-		// below would otherwise reallocate along the doubling chain.
-		batch = slices.Grow(batch, live)
-		words := (n + 63) / 64
-		for w := 0; w < words; w++ {
-			for b := sel[w]; b != 0; b &= b - 1 {
-				ev := &blk[w<<6+bits.TrailingZeros64(b)]
-				if keep == nil || keep(ev) {
-					batch = append(batch, *ev)
-				}
-			}
-		}
-	}
-	return batch, visited, true
-}
-
-// collectBlocksCols is the dense path over a reader-backed (v2)
-// segment that has never been materialized: the scalar predicates run
-// over the mmap'd scan-key column exactly like collectBlocksKeys, but
-// residual set probes and survivor materialization gather from the
-// per-attribute column vectors instead of an AoS event array — the
-// 56-byte structs are assembled only for events that pass everything
-// else. On a decode error the remaining data reads as absent: the
-// error is recorded with the store and the batch built so far stands.
-func collectBlocksCols(ctx context.Context, g *Segment, cf *CompiledFilter, keep func(*sysmon.Event) bool, buf []sysmon.Event) (batch []sysmon.Event, visited int64, complete bool) {
-	batch = buf
-	keys := g.keyColumn()
-	ts := g.tsColumn()
-	if keys == nil || len(ts) != len(keys) {
-		return batch, 0, true // column unreadable; recorded by keyColumn
-	}
-	lo, hi := timeSliceTS(ts, cf.f.From, cf.f.To)
-	gather := newColGather(g, ts)
-	var sel blockBitmap
-	var ev sysmon.Event
-	for base := lo; base < hi; base += batchBlockEvents {
-		if ctx.Err() != nil {
-			return batch, visited, false
-		}
-		n := hi - base
-		if n > batchBlockEvents {
-			n = batchBlockEvents
-		}
-		live := filterBlockKeysCols(keys[base:base+n], base, gather, cf, &sel)
-		if err := gather.cursorErr(); err != nil {
-			g.fail(err)
-			return batch, visited, true
-		}
-		if live == 0 {
-			continue
-		}
-		visited += int64(live)
-		batch = slices.Grow(batch, live)
 		mark := len(batch)
-		words := (n + 63) / 64
-		for w := 0; w < words; w++ {
+		for w := 0; w < (n+63)/64; w++ {
 			for b := sel[w]; b != 0; b &= b - 1 {
-				pos := base + w<<6 + bits.TrailingZeros64(b)
-				ev = gather.event(pos, keys[pos])
-				if keep == nil || keep(&ev) {
-					batch = append(batch, ev)
+				ev := v.event(base + w<<6 + bits.TrailingZeros64(b))
+				if keep == nil || keep(ev) {
+					batch = append(batch, *ev)
 				}
 			}
 		}
-		if err := gather.cursorErr(); err != nil {
-			g.fail(err)
-			return batch[:mark], visited - int64(live), true
+		if v.failed() {
+			return batch[:mark], visited, true
 		}
+		visited += int64(live)
 	}
 	return batch, visited, true
 }
 
-// collectPostingsCols walks a merged posting list gathering candidate
-// events from the column vectors, re-checking the full filter per
-// entry: posting lists are keyed on one endpoint only. Positions in a
-// posting list ascend, so the cursors stream forward here too.
-func collectPostingsCols(ctx context.Context, g *Segment, list []int32, cf *CompiledFilter, keep func(*sysmon.Event) bool, buf []sysmon.Event) (batch []sysmon.Event, visited int64, complete bool) {
-	batch = buf
-	keys := g.keyColumn()
-	ts := g.tsColumn()
-	if keys == nil || len(ts) != len(keys) {
-		return batch, 0, true
-	}
-	gather := newColGather(g, ts)
-	var ev sysmon.Event
-	for n, pos := range list {
-		if n%scanCheckInterval == scanCheckInterval-1 && ctx.Err() != nil {
-			return batch, visited, false
-		}
-		if int(pos) >= len(keys) {
-			continue
-		}
-		ev = gather.event(int(pos), keys[pos])
-		if err := gather.cursorErr(); err != nil {
-			g.fail(err)
-			return batch, visited, true
-		}
-		if !cf.f.matches(&ev, cf.ops, cf.agents) {
-			continue
-		}
-		visited++
-		if keep == nil || keep(&ev) {
-			batch = append(batch, ev)
-		}
-	}
-	return batch, visited, true
-}
-
-// filterBlockKeysCols is filterBlockKeys with the residual probes
-// (entity sets, amount bound) reading the column vectors at absolute
-// positions instead of an AoS block. The dense masked-compare pass over
-// the key column is shared verbatim.
-func filterBlockKeysCols(keys []uint64, base int, gather *colGather, cf *CompiledFilter, sel *blockBitmap) int {
+// filterKeys narrows the selection bitmap for one block of packed scan
+// keys (keys[i] belongs to the event at position base+i) and returns
+// the surviving count. Every single-valued scalar predicate (agent, op,
+// object type) folds into one dense branchless masked compare
+// (maskKeys); the survivors then take one residual pass per remaining
+// predicate, cheapest first, so each pass only touches what the earlier
+// ones left: multi-valued op and agent sets against the key itself,
+// entity sets and the amount bound against the view's columns.
+// Predicate semantics mirror EventFilter.matches exactly (minus From/To,
+// which the caller's time slice already guarantees).
+func filterKeys(keys []uint64, base int, v *colView, cf *CompiledFilter, sel *blockBitmap) int {
 	n := len(keys)
 	words := (n + 63) / 64
-	any := filterKeysDense(keys, cf, sel)
-	if any == 0 {
-		return 0
-	}
-
-	if cf.needAgents {
-		any = 0
-		for w := 0; w < words; w++ {
-			b := sel[w]
-			for r := b; r != 0; r &= r - 1 {
-				tz := bits.TrailingZeros64(r)
-				if _, ok := cf.agents[uint32(keys[w<<6+tz]>>32)]; !ok {
-					b &^= 1 << uint(tz)
-				}
-			}
-			sel[w] = b
-			any |= b
-		}
-		if any == 0 {
-			return 0
-		}
-	}
-
-	if cf.needOps {
-		any = 0
-		for w := 0; w < words; w++ {
-			b := sel[w]
-			for r := b; r != 0; r &= r - 1 {
-				tz := bits.TrailingZeros64(r)
-				if !cf.ops[sysmon.Operation(keys[w<<6+tz]>>16)&0xFFFF] {
-					b &^= 1 << uint(tz)
-				}
-			}
-			sel[w] = b
-			any |= b
-		}
-		if any == 0 {
-			return 0
-		}
-	}
-
-	f := cf.f
-	if f.Subjects != nil {
-		any = 0
-		for w := 0; w < words; w++ {
-			b := sel[w]
-			for r := b; r != 0; r &= r - 1 {
-				tz := bits.TrailingZeros64(r)
-				if !f.Subjects.Has(sysmon.EntityID(gather.sub.u32(base + w<<6 + tz))) {
-					b &^= 1 << uint(tz)
-				}
-			}
-			sel[w] = b
-			any |= b
-		}
-		if any == 0 {
-			return 0
-		}
-	}
-
-	if f.Objects != nil {
-		any = 0
-		for w := 0; w < words; w++ {
-			b := sel[w]
-			for r := b; r != 0; r &= r - 1 {
-				tz := bits.TrailingZeros64(r)
-				if !f.Objects.Has(sysmon.EntityID(gather.obj.u32(base + w<<6 + tz))) {
-					b &^= 1 << uint(tz)
-				}
-			}
-			sel[w] = b
-			any |= b
-		}
-		if any == 0 {
-			return 0
-		}
-	}
-
-	if f.MinAmount != 0 {
-		for w := 0; w < words; w++ {
-			b := sel[w]
-			for r := b; r != 0; r &= r - 1 {
-				tz := bits.TrailingZeros64(r)
-				if gather.amt.u64(base+w<<6+tz) < f.MinAmount {
-					b &^= 1 << uint(tz)
-				}
-			}
-			sel[w] = b
-		}
-	}
-
-	live := 0
-	for w := 0; w < words; w++ {
-		live += bits.OnesCount64(sel[w])
-	}
-	return live
-}
-
-// filterKeysDense runs the masked-compare pass of the key column into
-// the selection bitmap (the first, dense stage shared by the AoS-block
-// and columnar key paths), returning an any-survivors word.
-func filterKeysDense(keys []uint64, cf *CompiledFilter, sel *blockBitmap) uint64 {
-	n := len(keys)
-	words := (n + 63) / 64
-	var any uint64
 	if cf.mask != 0 {
-		mask, want := cf.mask, cf.want
-		base, w := 0, 0
-		// Full words unrolled 4-wide into independent accumulators:
-		// the compare chains have no carried dependency, so the CPU
-		// overlaps them — measurably faster than the rolled loop.
-		for ; base+64 <= n; base, w = base+64, w+1 {
-			run := keys[base : base+64 : base+64]
-			var m0, m1, m2, m3 uint64
-			for i := 0; i < 64; i += 4 {
-				var b0, b1, b2, b3 uint64
-				if run[i]&mask == want {
-					b0 = 1
-				}
-				if run[i+1]&mask == want {
-					b1 = 1
-				}
-				if run[i+2]&mask == want {
-					b2 = 1
-				}
-				if run[i+3]&mask == want {
-					b3 = 1
-				}
-				m0 |= b0 << uint(i)
-				m1 |= b1 << uint(i+1)
-				m2 |= b2 << uint(i+2)
-				m3 |= b3 << uint(i+3)
-			}
-			m := m0 | m1 | m2 | m3
-			sel[w] = m
-			any |= m
-		}
-		if base < n {
-			run := keys[base:n]
-			var m uint64
-			for i := range run {
-				var bit uint64
-				if run[i]&mask == want {
-					bit = 1
-				}
-				m |= bit << uint(i)
-			}
-			sel[w] = m
-			any |= m
+		if maskKeys(keys, cf.mask, cf.want, sel) == 0 {
+			return 0
 		}
 	} else {
 		for w := 0; w < words; w++ {
@@ -618,28 +463,30 @@ func filterKeysDense(keys []uint64, cf *CompiledFilter, sel *blockBitmap) uint64
 		if tail := n & 63; tail != 0 {
 			sel[words-1] = 1<<uint(tail) - 1
 		}
-		any = 1
 	}
-	return any
-}
 
-// filterBlockKeys narrows the selection bitmap using the packed key
-// column: every single-valued scalar predicate (agent, op, object
-// type) folds into one dense branchless masked compare; multi-valued
-// agent/op sets probe the key column for survivors only; entity sets
-// and the amount bound then touch the surviving events. Predicate
-// semantics mirror EventFilter.matches exactly (minus From/To, which
-// the caller's time slice already guarantees).
-func filterBlockKeys(blk []sysmon.Event, keys []uint64, cf *CompiledFilter, sel *blockBitmap) int {
-	n := len(keys)
-	words := (n + 63) / 64
-	any := filterKeysDense(keys, cf, sel)
-	if any == 0 {
-		return 0
+	if cf.needOps {
+		// An op set's outcome is data-random, so a per-survivor branch
+		// would mispredict constantly: re-test every key of each live
+		// word branchlessly instead.
+		ops := cf.ops
+		for w := 0; w < words; w++ {
+			if sel[w] == 0 {
+				continue
+			}
+			var m uint64
+			for k, key := range keys[w<<6 : min(w<<6+64, n)] {
+				var bit uint64
+				if ops[(key>>16)&0xFFFF] {
+					bit = 1
+				}
+				m |= bit << uint(k)
+			}
+			sel[w] &= m
+		}
 	}
 
 	if cf.needAgents {
-		any = 0
 		for w := 0; w < words; w++ {
 			b := sel[w]
 			for r := b; r != 0; r &= r - 1 {
@@ -649,74 +496,39 @@ func filterBlockKeys(blk []sysmon.Event, keys []uint64, cf *CompiledFilter, sel 
 				}
 			}
 			sel[w] = b
-			any |= b
-		}
-		if any == 0 {
-			return 0
 		}
 	}
-
-	if cf.needOps {
-		any = 0
-		for w := 0; w < words; w++ {
-			b := sel[w]
-			for r := b; r != 0; r &= r - 1 {
-				tz := bits.TrailingZeros64(r)
-				if !cf.ops[sysmon.Operation(keys[w<<6+tz]>>16)&0xFFFF] {
-					b &^= 1 << uint(tz)
-				}
-			}
-			sel[w] = b
-			any |= b
-		}
-		if any == 0 {
-			return 0
-		}
-	}
-
 	f := cf.f
 	if f.Subjects != nil {
-		any = 0
 		for w := 0; w < words; w++ {
 			b := sel[w]
 			for r := b; r != 0; r &= r - 1 {
 				tz := bits.TrailingZeros64(r)
-				if !f.Subjects.Has(blk[w<<6+tz].Subject) {
+				if !f.Subjects.Has(v.subject(base + w<<6 + tz)) {
 					b &^= 1 << uint(tz)
 				}
 			}
 			sel[w] = b
-			any |= b
-		}
-		if any == 0 {
-			return 0
 		}
 	}
-
 	if f.Objects != nil {
-		any = 0
 		for w := 0; w < words; w++ {
 			b := sel[w]
 			for r := b; r != 0; r &= r - 1 {
 				tz := bits.TrailingZeros64(r)
-				if !f.Objects.Has(blk[w<<6+tz].Object) {
+				if !f.Objects.Has(v.object(base + w<<6 + tz)) {
 					b &^= 1 << uint(tz)
 				}
 			}
 			sel[w] = b
-			any |= b
-		}
-		if any == 0 {
-			return 0
 		}
 	}
-
 	if f.MinAmount != 0 {
 		for w := 0; w < words; w++ {
 			b := sel[w]
 			for r := b; r != 0; r &= r - 1 {
 				tz := bits.TrailingZeros64(r)
-				if blk[w<<6+tz].Amount < f.MinAmount {
+				if v.amount(base+w<<6+tz) < f.MinAmount {
 					b &^= 1 << uint(tz)
 				}
 			}
@@ -731,245 +543,53 @@ func filterBlockKeys(blk []sysmon.Event, keys []uint64, cf *CompiledFilter, sel 
 	return live
 }
 
-// filterBlock narrows the selection bitmap with one pass per active
-// predicate, cheapest scalar comparisons first so later set probes
-// only touch survivors, and returns the surviving count. Predicate
-// semantics mirror EventFilter.matches exactly (minus From/To, which
-// the caller's time slice already guarantees).
-func filterBlock(blk []sysmon.Event, cf *CompiledFilter, sel *blockBitmap) int {
-	n := len(blk)
-	words := (n + 63) / 64
-	for w := 0; w < words; w++ {
-		sel[w] = ^uint64(0)
-	}
-	if tail := n & 63; tail != 0 {
-		sel[words-1] = 1<<uint(tail) - 1
-	}
-	f := cf.f
-	any := uint64(1)
-
-	// The first active pass sees an all-ones bitmap, where iterating
-	// set bits costs more than just visiting every event: the scalar
-	// predicates (agent, op, object type) get dense branchless kernels
-	// that build each selection word directly, and whichever of them
-	// runs first takes its dense form. Later passes see a thinned
-	// bitmap, so they iterate set bits.
-	dense := true
-
-	if cf.hasOneAgent {
-		any = denseOneAgent(blk, cf.oneAgent, sel)
-		dense = false
-	} else if cf.agents != nil {
-		any = 0
-		for w := 0; w < words; w++ {
-			b := sel[w]
-			for r := b; r != 0; r &= r - 1 {
-				tz := bits.TrailingZeros64(r)
-				if _, ok := cf.agents[blk[w<<6+tz].AgentID]; !ok {
-					b &^= 1 << uint(tz)
-				}
-			}
-			sel[w] = b
-			any |= b
-		}
-		dense = false
-	}
-	if any == 0 {
-		return 0
-	}
-
-	if cf.hasOneOp {
-		if dense {
-			any = denseOneOp(blk, cf.oneOp, sel)
-		} else {
-			any = 0
-			for w := 0; w < words; w++ {
-				b := sel[w]
-				for r := b; r != 0; r &= r - 1 {
-					tz := bits.TrailingZeros64(r)
-					if blk[w<<6+tz].Op != cf.oneOp {
-						b &^= 1 << uint(tz)
-					}
-				}
-				sel[w] = b
-				any |= b
-			}
-		}
-		dense = false
-	} else if cf.ops != nil {
-		if dense {
-			any = denseOps(blk, cf.ops, sel)
-		} else {
-			any = 0
-			for w := 0; w < words; w++ {
-				b := sel[w]
-				for r := b; r != 0; r &= r - 1 {
-					tz := bits.TrailingZeros64(r)
-					if !cf.ops[blk[w<<6+tz].Op] {
-						b &^= 1 << uint(tz)
-					}
-				}
-				sel[w] = b
-				any |= b
-			}
-		}
-		dense = false
-	}
-	if any == 0 {
-		return 0
-	}
-
-	if f.ObjType != sysmon.EntityInvalid {
-		if dense {
-			any = denseObjType(blk, f.ObjType, sel)
-		} else {
-			any = 0
-			for w := 0; w < words; w++ {
-				b := sel[w]
-				for r := b; r != 0; r &= r - 1 {
-					tz := bits.TrailingZeros64(r)
-					if blk[w<<6+tz].ObjType != f.ObjType {
-						b &^= 1 << uint(tz)
-					}
-				}
-				sel[w] = b
-				any |= b
-			}
-		}
-		dense = false
-	}
-	if any == 0 {
-		return 0
-	}
-
-	if f.Subjects != nil {
-		any = 0
-		for w := 0; w < words; w++ {
-			b := sel[w]
-			for r := b; r != 0; r &= r - 1 {
-				tz := bits.TrailingZeros64(r)
-				if !f.Subjects.Has(blk[w<<6+tz].Subject) {
-					b &^= 1 << uint(tz)
-				}
-			}
-			sel[w] = b
-			any |= b
-		}
-	}
-	if any == 0 {
-		return 0
-	}
-
-	if f.Objects != nil {
-		any = 0
-		for w := 0; w < words; w++ {
-			b := sel[w]
-			for r := b; r != 0; r &= r - 1 {
-				tz := bits.TrailingZeros64(r)
-				if !f.Objects.Has(blk[w<<6+tz].Object) {
-					b &^= 1 << uint(tz)
-				}
-			}
-			sel[w] = b
-			any |= b
-		}
-	}
-	if any == 0 {
-		return 0
-	}
-
-	if f.MinAmount != 0 {
-		for w := 0; w < words; w++ {
-			b := sel[w]
-			for r := b; r != 0; r &= r - 1 {
-				tz := bits.TrailingZeros64(r)
-				if blk[w<<6+tz].Amount < f.MinAmount {
-					b &^= 1 << uint(tz)
-				}
-			}
-			sel[w] = b
-		}
-	}
-
-	live := 0
-	for w := 0; w < words; w++ {
-		live += bits.OnesCount64(sel[w])
-	}
-	return live
-}
-
-// The dense kernels build a selection word per 64 events with a
-// branchless compare-and-or, so the first predicate pass costs about
-// one comparison per event with no bitmap bookkeeping. They are
-// deliberately monomorphic: a shared kernel taking a predicate closure
-// would pay an uninlinable call per event, which is the cost the block
-// path exists to avoid.
-
-func denseOneAgent(blk []sysmon.Event, agent uint32, sel *blockBitmap) uint64 {
+// maskKeys is filterKeys' dense stage: one branchless masked compare per
+// key, building each selection word directly, and returns the OR of the
+// words (zero: nothing survived). It stays out of line on purpose —
+// inlined into filterKeys the four accumulators spill to the stack and
+// the pass runs measurably slower.
+func maskKeys(keys []uint64, mask, want uint64, sel *blockBitmap) uint64 {
+	n := len(keys)
 	var any uint64
-	for base, w := 0, 0; base < len(blk); base, w = base+64, w+1 {
-		run := blk[base:min(base+64, len(blk))]
-		var m uint64
-		for i := range run {
-			var bit uint64
-			if run[i].AgentID == agent {
-				bit = 1
+	i, w := 0, 0
+	// Full words run as four independent 16-key chains, each shifting
+	// its outcome in from the top: constant shifts and no dependency
+	// between chains, so the CPU overlaps them — measurably faster than
+	// one rolled loop shifting each bit to its position.
+	for ; i+64 <= n; i, w = i+64, w+1 {
+		run := keys[i : i+64 : i+64]
+		var m0, m1, m2, m3 uint64
+		for k := 0; k < 16; k++ {
+			var b0, b1, b2, b3 uint64
+			if run[k]&mask == want {
+				b0 = 1
 			}
-			m |= bit << uint(i)
+			if run[k+16]&mask == want {
+				b1 = 1
+			}
+			if run[k+32]&mask == want {
+				b2 = 1
+			}
+			if run[k+48]&mask == want {
+				b3 = 1
+			}
+			m0 = m0>>1 | b0<<63
+			m1 = m1>>1 | b1<<63
+			m2 = m2>>1 | b2<<63
+			m3 = m3>>1 | b3<<63
 		}
+		m := m0>>48 | m1>>32 | m2>>16 | m3
 		sel[w] = m
 		any |= m
 	}
-	return any
-}
-
-func denseOneOp(blk []sysmon.Event, op sysmon.Operation, sel *blockBitmap) uint64 {
-	var any uint64
-	for base, w := 0, 0; base < len(blk); base, w = base+64, w+1 {
-		run := blk[base:min(base+64, len(blk))]
+	if i < n {
 		var m uint64
-		for i := range run {
+		for k, key := range keys[i:n] {
 			var bit uint64
-			if run[i].Op == op {
+			if key&mask == want {
 				bit = 1
 			}
-			m |= bit << uint(i)
-		}
-		sel[w] = m
-		any |= m
-	}
-	return any
-}
-
-func denseOps(blk []sysmon.Event, ops *[sysmon.NumOperations]bool, sel *blockBitmap) uint64 {
-	var any uint64
-	for base, w := 0, 0; base < len(blk); base, w = base+64, w+1 {
-		run := blk[base:min(base+64, len(blk))]
-		var m uint64
-		for i := range run {
-			var bit uint64
-			if ops[run[i].Op] {
-				bit = 1
-			}
-			m |= bit << uint(i)
-		}
-		sel[w] = m
-		any |= m
-	}
-	return any
-}
-
-func denseObjType(blk []sysmon.Event, t sysmon.EntityType, sel *blockBitmap) uint64 {
-	var any uint64
-	for base, w := 0, 0; base < len(blk); base, w = base+64, w+1 {
-		run := blk[base:min(base+64, len(blk))]
-		var m uint64
-		for i := range run {
-			var bit uint64
-			if run[i].ObjType == t {
-				bit = 1
-			}
-			m |= bit << uint(i)
+			m |= bit << uint(k)
 		}
 		sel[w] = m
 		any |= m

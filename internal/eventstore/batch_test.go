@@ -10,99 +10,184 @@ import (
 	"github.com/aiql/aiql/internal/sysmon"
 )
 
-// buildBatchStore commits a randomized event mix — several agents,
-// ops across every family, varied amounts — leaving part of it sealed
-// (key-column batch path) and part in memtables (struct batch path).
-func buildBatchStore(t *testing.T, sealed, unsealed int) *Store {
-	t.Helper()
-	s := New(DefaultOptions())
-	rng := rand.New(rand.NewSource(11))
+// batchLayouts are the storage layouts a scan unit can present to the
+// batch kernel. Each builds a store holding the same randomized event
+// mix — several agents, ops across every family, varied amounts, chunks
+// big enough to span more than one 1024-event block — so every filter
+// shape is cross-checked over every layout the column view abstracts.
+var batchLayouts = []struct {
+	name  string
+	build func(t *testing.T) *Store
+	// columnar layouts must serve every batch scan from the column
+	// vectors: no segment may have materialized its AoS array.
+	columnar bool
+}{
+	// Unsealed memtable tails: no key column (packed per block), and the
+	// second batch lands out of order, so the tails are merge products.
+	{"memtable", func(t *testing.T) *Store {
+		s := New(DefaultOptions())
+		addBatchEvents(s, 11, 8000)
+		addBatchEvents(s, 12, 4000)
+		if s.NumSegments() != 0 {
+			t.Fatalf("memtable layout sealed %d segments", s.NumSegments())
+		}
+		return s
+	}, false},
+	// Freshly sealed segments: AoS on the heap plus a built key column.
+	{"heap", func(t *testing.T) *Store {
+		s := New(DefaultOptions())
+		addBatchEvents(s, 11, 8000)
+		addBatchEvents(s, 12, 4000)
+		s.Flush()
+		return s
+	}, false},
+	// Reopened v2 segment files: mmap'd column vectors (the pread
+	// fallback under -tags aiql_nommap), never materialized.
+	{"reopened", func(t *testing.T) *Store {
+		opts := DefaultOptions()
+		opts.Dir = t.TempDir()
+		s, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addBatchEvents(s, 11, 8000)
+		addBatchEvents(s, 12, 4000)
+		s.Flush()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err = Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}, true},
+}
+
+// addBatchEvents commits n randomized events spread over two hours, so
+// four agents yield eight chunks of well over a block each.
+func addBatchEvents(s *Store, seed int64, n int) {
+	rng := rand.New(rand.NewSource(seed))
 	exes := []string{"bash", "vim", "curl", "python", "sshd"}
 	ops := []sysmon.Operation{
 		sysmon.OpStart, sysmon.OpRead, sysmon.OpWrite, sysmon.OpDelete,
 		sysmon.OpConnect, sysmon.OpSend,
 	}
-	add := func(n int) {
-		recs := make([]Record, 0, n)
-		for i := 0; i < n; i++ {
-			r := mkRecord(uint32(1+rng.Intn(4)), exes[rng.Intn(len(exes))],
-				ops[rng.Intn(len(ops))], "obj.txt", rng.Intn(600))
-			r.Amount = uint64(rng.Intn(200))
-			recs = append(recs, r)
-		}
-		s.AppendAll(recs)
+	recs := make([]Record, 0, n)
+	for i := 0; i < n; i++ {
+		r := mkRecord(uint32(1+rng.Intn(4)), exes[rng.Intn(len(exes))],
+			ops[rng.Intn(len(ops))], "obj.txt", rng.Intn(120))
+		r.Amount = uint64(rng.Intn(200))
+		recs = append(recs, r)
 	}
-	add(sealed)
-	s.Flush()
-	add(unsealed)
-	return s
+	s.AppendAll(recs)
 }
 
-// TestCollectBatchMatchesScan cross-checks the bitmap batch collector
-// — dense masked-compare over the packed key column, residual sparse
-// probes, posting-list path, memtable kernels — against the
-// row-at-a-time Scan reference for every filter shape. Any divergence
-// in membership or order is a correctness bug in the vectorized path.
+// TestCollectBatchMatchesScan cross-checks the batch kernel — dense
+// masked compare over the packed key column, residual probes through
+// the column view, posting-list path — against the row-at-a-time Scan
+// reference for every filter shape over every storage layout. Any
+// divergence in membership or order is a correctness bug in the
+// vectorized path.
 func TestCollectBatchMatchesScan(t *testing.T) {
-	s := buildBatchStore(t, 3000, 500)
-	from := base.Add(100 * time.Minute).UnixNano()
-	to := base.Add(400 * time.Minute).UnixNano()
-	bash := s.Dict().MatchEntities(sysmon.EntityProcess, "exe_name", like.Compile("bash"))
-
-	filters := []*EventFilter{
-		{},
-		{Agents: []uint32{2}},    // single agent: folded into the dense mask
-		{Agents: []uint32{1, 3}}, // agent set: residual sparse probe
-		{Ops: []sysmon.Operation{sysmon.OpDelete}},               // single op: dense mask
-		{Ops: []sysmon.Operation{sysmon.OpRead, sysmon.OpWrite}}, // op set: sparse probe
-		{ObjType: sysmon.EntityFile},
-		{MinAmount: 120},
-		{From: from, To: to},
-		{Agents: []uint32{2}, Ops: []sysmon.Operation{sysmon.OpWrite}, ObjType: sysmon.EntityFile},
-		{Agents: []uint32{1, 4}, Ops: []sysmon.Operation{sysmon.OpSend, sysmon.OpConnect}, MinAmount: 40, From: from},
-		{Subjects: bash}, // posting-list path on indexed segments
-		{Subjects: bash, From: from, To: to},
-		{Objects: NewIDSet()}, // empty set: must match nothing
-	}
+	from := base.Add(25 * time.Minute).UnixNano()
+	to := base.Add(95 * time.Minute).UnixNano()
 	keeps := []func(*sysmon.Event) bool{
 		nil,
 		func(ev *sysmon.Event) bool { return ev.Amount%2 == 0 },
 	}
-
-	for fi, f := range filters {
-		for ki, keep := range keeps {
-			units := s.Snapshot().Units(f)
-			cf := f.Compile()
-			var got, want []uint64
-			var visited int64
-			for i := range units {
-				batch, v, complete := units[i].CollectBatch(context.Background(), cf, keep)
-				if !complete {
-					t.Fatalf("filter %d keep %d: batch collect incomplete without cancellation", fi, ki)
+	for _, layout := range batchLayouts {
+		t.Run(layout.name, func(t *testing.T) {
+			s := layout.build(t)
+			bash := s.Dict().MatchEntities(sysmon.EntityProcess, "exe_name", like.Compile("bash"))
+			objs := s.Dict().MatchEntities(sysmon.EntityFile, "name", like.Compile("%obj.txt"))
+			// Past 512 members no posting list applies, so a widened set
+			// is probed per survivor on the dense path — on sealed
+			// segments too.
+			widen := func(set *IDSet) *IDSet {
+				wide := NewIDSet(set.IDs()...)
+				for i := 0; i < 600; i++ {
+					wide.Add(sysmon.EntityID(1<<30 + i))
 				}
-				visited += v
-				for j := range batch {
-					got = append(got, batch[j].ID)
-				}
-				units[i].Scan(f, func(ev *sysmon.Event) bool {
-					if keep == nil || keep(ev) {
-						want = append(want, ev.ID)
+				return wide
+			}
+			filters := []*EventFilter{
+				{},
+				{Agents: []uint32{2}},    // single agent: folded into the dense mask
+				{Agents: []uint32{1, 3}}, // agent set: residual probe
+				{Ops: []sysmon.Operation{sysmon.OpDelete}},               // single op: dense mask
+				{Ops: []sysmon.Operation{sysmon.OpRead, sysmon.OpWrite}}, // op set: dense re-test
+				{ObjType: sysmon.EntityFile},
+				{MinAmount: 120},
+				{From: from, To: to},
+				{Agents: []uint32{2}, Ops: []sysmon.Operation{sysmon.OpWrite}, ObjType: sysmon.EntityFile},
+				{Agents: []uint32{1, 4}, Ops: []sysmon.Operation{sysmon.OpSend, sysmon.OpConnect}, MinAmount: 40, From: from},
+				{Subjects: bash}, // posting-list path on indexed segments
+				{Subjects: bash, From: from, To: to},
+				{Subjects: bash, Objects: objs, Ops: []sysmon.Operation{sysmon.OpRead, sysmon.OpWrite}, MinAmount: 60},
+				{Subjects: widen(bash), Ops: []sysmon.Operation{sysmon.OpWrite}},
+				{Objects: widen(objs), Agents: []uint32{2, 3}, MinAmount: 30},
+				{Objects: NewIDSet()}, // empty set: must match nothing
+			}
+			// The Scan reference materializes reader-backed segments, so
+			// every batch collect runs before the first reference scan.
+			type result struct {
+				events  []sysmon.Event
+				visited int64
+			}
+			var got []result
+			for fi, f := range filters {
+				cf := f.Compile()
+				for ki, keep := range keeps {
+					var r result
+					units := s.Snapshot().Units(f)
+					for i := range units {
+						batch, v, complete := units[i].CollectBatch(context.Background(), cf, keep)
+						if !complete {
+							t.Fatalf("filter %d keep %d: batch collect incomplete without cancellation", fi, ki)
+						}
+						r.events = append(r.events, batch...)
+						r.visited += v
+						if layout.columnar && (!units[i].Sealed() || units[i].seg.loadedEvents() != nil) {
+							t.Fatalf("filter %d keep %d: unit %d (segment %d) is not column-backed", fi, ki, i, units[i].SegmentID())
+						}
 					}
-					return true
-				})
-			}
-			if len(got) != len(want) {
-				t.Fatalf("filter %d keep %d: batch path found %d events, scan found %d", fi, ki, len(got), len(want))
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Fatalf("filter %d keep %d: event %d differs: batch %d, scan %d", fi, ki, j, got[j], want[j])
+					got = append(got, r)
 				}
 			}
-			if visited < int64(len(want)) {
-				t.Errorf("filter %d keep %d: visited %d < matched %d", fi, ki, visited, len(want))
+			matched := 0
+			for fi, f := range filters {
+				for ki, keep := range keeps {
+					var want []sysmon.Event
+					units := s.Snapshot().Units(f)
+					for i := range units {
+						units[i].Scan(f, func(ev *sysmon.Event) bool {
+							if keep == nil || keep(ev) {
+								want = append(want, *ev)
+							}
+							return true
+						})
+					}
+					r := got[fi*len(keeps)+ki]
+					if len(r.events) != len(want) {
+						t.Fatalf("filter %d keep %d: batch path found %d events, scan found %d", fi, ki, len(r.events), len(want))
+					}
+					for j := range want {
+						if r.events[j] != want[j] {
+							t.Fatalf("filter %d keep %d: event %d differs:\nbatch %+v\nscan  %+v", fi, ki, j, r.events[j], want[j])
+						}
+					}
+					if r.visited < int64(len(want)) {
+						t.Errorf("filter %d keep %d: visited %d < matched %d", fi, ki, r.visited, len(want))
+					}
+					matched += len(want)
+				}
 			}
-		}
+			if matched == 0 {
+				t.Fatal("no filter matched anything: the cross-check compared empty results")
+			}
+		})
 	}
 }
 
@@ -111,7 +196,9 @@ func TestCollectBatchMatchesScan(t *testing.T) {
 // suffices, so a sequential walk can recycle one allocation across
 // every unit.
 func TestCollectBatchIntoReusesBuffer(t *testing.T) {
-	s := buildBatchStore(t, 2000, 0)
+	s := New(DefaultOptions())
+	addBatchEvents(s, 11, 2000)
+	s.Flush()
 	f := &EventFilter{Ops: []sysmon.Operation{sysmon.OpDelete}}
 	cf := f.Compile()
 	units := s.Snapshot().Units(f)

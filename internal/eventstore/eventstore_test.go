@@ -160,37 +160,6 @@ func TestEstimateNeverUndercounts(t *testing.T) {
 	}
 }
 
-func TestScanParallelMatchesSequential(t *testing.T) {
-	s := New(DefaultOptions())
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 1000; i++ {
-		s.Append(mkRecord(uint32(1+rng.Intn(4)), "bash", sysmon.OpRead, "f.txt", rng.Intn(600)))
-	}
-	s.Flush()
-	f := &EventFilter{Ops: []sysmon.Operation{sysmon.OpRead}}
-	var seq []uint64
-	s.Scan(context.Background(), f, func(ev *sysmon.Event) bool { seq = append(seq, ev.ID); return true })
-	var mu sync.Mutex
-	var par []uint64
-	s.ScanParallel(context.Background(), f, func(ev *sysmon.Event) {
-		mu.Lock()
-		par = append(par, ev.ID)
-		mu.Unlock()
-	})
-	if len(seq) != len(par) {
-		t.Fatalf("sequential %d events, parallel %d", len(seq), len(par))
-	}
-	seen := map[uint64]bool{}
-	for _, id := range seq {
-		seen[id] = true
-	}
-	for _, id := range par {
-		if !seen[id] {
-			t.Fatalf("parallel scan produced unknown event %d", id)
-		}
-	}
-}
-
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := New(DefaultOptions())
 	s.AppendAll([]Record{

@@ -225,8 +225,8 @@ func (g *Segment) tsColumn() []int64 {
 }
 
 // loadedEvents returns the AoS event array if it is resident, nil
-// otherwise — the batch path uses it to choose between the in-memory
-// kernels and the columnar gather path, without forcing a materialize.
+// otherwise — the batch path's column view uses it to pick the AoS or
+// the columnar backing, without forcing a materialize.
 func (g *Segment) loadedEvents() []sysmon.Event {
 	if !g.fileBacked() || g.evDone.Load() {
 		return g.events
@@ -499,8 +499,10 @@ func (g *Segment) overlaps(from, to int64) bool {
 // shorter of the subject/object posting lists restricted by the filter's
 // entity sets, falling back to a (time-bounded) sequential scan. The
 // callback shape needs whole events, so reader-backed segments
-// materialize here; the engine's hot path uses CollectBatch instead,
-// which gathers from columns.
+// materialize here. The engine never takes this path — it scans through
+// CollectBatch, which gathers from columns; scan stays as the
+// row-at-a-time reference the batch tests cross-check against and for
+// Snapshot.Scan/Collect consumers (export, baseline loaders).
 func (g *Segment) scan(f *EventFilter, ops *[sysmon.NumOperations]bool, agents map[uint32]struct{}, fn func(*sysmon.Event) bool) bool {
 	if g.indexed && (g.ready.Load() || (g.fileBacked() && g.postingApplicable(f) && g.ensureIndexes())) {
 		if list, ok := g.bestPostingList(f); ok {

@@ -3,11 +3,8 @@ package eventstore
 import (
 	"context"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/aiql/aiql/internal/sysmon"
-	"github.com/aiql/aiql/internal/workpool"
 )
 
 // Snapshot is an immutable, epoch-pinned view of a store: for every
@@ -235,160 +232,6 @@ func (sn *Snapshot) Collect(f *EventFilter) []sysmon.Event {
 		return true
 	})
 	return out
-}
-
-// ScanChunked scans the matching units one at a time in deterministic
-// order: each unit's events passing the filter and the keep predicate
-// are collected into a batch, then handed to merge. The snapshot holds
-// no locks, so merge may block arbitrarily long (a consumer draining
-// rows to a slow client) without stalling writers or other readers.
-// merge returning false stops the scan; batches are bounded by unit
-// size, and visited counts the events examined for the batch. Returns
-// ctx.Err() when the scan was aborted by cancellation.
-func (sn *Snapshot) ScanChunked(ctx context.Context, f *EventFilter, keep func(*sysmon.Event) bool, merge func(batch []sysmon.Event, visited int64) bool) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ops := f.opSet()
-	agents := f.agentSet()
-	for _, u := range sn.Units(f) {
-		batch, visited, complete := collectUnit(ctx, &u, f, ops, agents, keep)
-		if !merge(batch, visited) {
-			return nil
-		}
-		if !complete {
-			return ctx.Err()
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// collectUnit gathers one unit's events passing filter and keep into a
-// batch, amortizing cancellation checks; complete is false when the
-// scan was aborted by ctx.
-func collectUnit(ctx context.Context, u *ScanUnit, f *EventFilter, ops *[sysmon.NumOperations]bool, agents map[uint32]struct{}, keep func(*sysmon.Event) bool) (batch []sysmon.Event, visited int64, complete bool) {
-	complete = true
-	scanFn := func(ev *sysmon.Event) bool {
-		visited++
-		if visited%scanCheckInterval == 0 && ctx.Err() != nil {
-			complete = false
-			return false
-		}
-		if keep == nil || keep(ev) {
-			batch = append(batch, *ev)
-		}
-		return true
-	}
-	if u.seg != nil {
-		u.seg.scan(f, ops, agents, scanFn)
-	} else {
-		u.mem.scan(f, ops, agents, scanFn)
-	}
-	return batch, visited, complete
-}
-
-// ScanPartitions fans the scan out across units using up to
-// runtime.GOMAXPROCS workers: each worker collects a unit's events
-// passing both the filter and the keep predicate into a batch and hands
-// it to merge together with the number of events visited. merge may be
-// called concurrently; the caller synchronizes. Returns the number of
-// units whose scan started.
-//
-// Cancelling ctx aborts the scan early: unstarted units are skipped
-// (and excluded from the returned count) and in-flight unit scans bail
-// out at the next check interval. Partial batches are still handed to
-// merge so visited-event accounting stays truthful; the caller detects
-// cancellation via ctx.Err().
-func (sn *Snapshot) ScanPartitions(ctx context.Context, f *EventFilter, keep func(*sysmon.Event) bool, merge func(batch []sysmon.Event, visited int64)) int {
-	if ctx.Err() != nil {
-		return 0
-	}
-	units := sn.Units(f)
-	ops := f.opSet()
-	agents := f.agentSet()
-	var scanned atomic.Int64
-	scanOne := func(u *ScanUnit) {
-		scanned.Add(1)
-		batch, visited, _ := collectUnit(ctx, u, f, ops, agents, keep)
-		merge(batch, visited)
-	}
-	ForEachUnit(ctx, units, func(_ int, u *ScanUnit) { scanOne(u) })
-	return int(scanned.Load())
-}
-
-// ForEachUnit runs fn over the units, fanning out onto the process-wide
-// scan worker pool, skipping unstarted units once ctx is cancelled. fn
-// receives each unit's index and must be safe for concurrent use. The
-// calling goroutine always participates, so the fan-out makes progress
-// (sequentially, in order) even when the pool is saturated or empty.
-func ForEachUnit(ctx context.Context, units []ScanUnit, fn func(int, *ScanUnit)) {
-	if len(units) == 0 {
-		return
-	}
-	var next atomic.Int64
-	run := func() {
-		for {
-			if ctx.Err() != nil {
-				return
-			}
-			i := int(next.Add(1)) - 1
-			if i >= len(units) {
-				return
-			}
-			fn(i, &units[i])
-		}
-	}
-	pool := workpool.Default()
-	helpers := pool.Helpers()
-	if helpers > len(units)-1 {
-		helpers = len(units) - 1
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < helpers; w++ {
-		wg.Add(1)
-		if !pool.TryGo(func() { defer wg.Done(); run() }) {
-			wg.Done()
-			break
-		}
-	}
-	run()
-	wg.Wait()
-}
-
-// ScanParallel fans the scan out across units and calls fn concurrently
-// (fn must be safe for concurrent use). Returns the number of units
-// whose scan started — fewer than the matching units when ctx is
-// cancelled early.
-func (sn *Snapshot) ScanParallel(ctx context.Context, f *EventFilter, fn func(*sysmon.Event)) int {
-	if ctx.Err() != nil {
-		return 0
-	}
-	units := sn.Units(f)
-	ops := f.opSet()
-	agents := f.agentSet()
-	var scanned atomic.Int64
-	scanOne := func(u *ScanUnit) {
-		scanned.Add(1)
-		visited := 0
-		scanFn := func(ev *sysmon.Event) bool {
-			visited++
-			if visited%scanCheckInterval == 0 && ctx.Err() != nil {
-				return false
-			}
-			fn(ev)
-			return true
-		}
-		if u.seg != nil {
-			u.seg.scan(f, ops, agents, scanFn)
-		} else {
-			u.mem.scan(f, ops, agents, scanFn)
-		}
-	}
-	ForEachUnit(ctx, units, func(_ int, u *ScanUnit) { scanOne(u) })
-	return int(scanned.Load())
 }
 
 // EstimateMatches returns an upper-bound estimate of the number of

@@ -428,27 +428,9 @@ func (s *Store) Scan(ctx context.Context, f *EventFilter, fn func(*sysmon.Event)
 	return s.Snapshot().Scan(ctx, f, fn)
 }
 
-// ScanChunked scans the matching units one at a time over a fresh
-// snapshot; see Snapshot.ScanChunked.
-func (s *Store) ScanChunked(ctx context.Context, f *EventFilter, keep func(*sysmon.Event) bool, merge func(batch []sysmon.Event, visited int64) bool) error {
-	return s.Snapshot().ScanChunked(ctx, f, keep, merge)
-}
-
 // Collect returns all events matching the filter.
 func (s *Store) Collect(f *EventFilter) []sysmon.Event {
 	return s.Snapshot().Collect(f)
-}
-
-// ScanParallel fans the scan out across units of a fresh snapshot; see
-// Snapshot.ScanParallel.
-func (s *Store) ScanParallel(ctx context.Context, f *EventFilter, fn func(*sysmon.Event)) int {
-	return s.Snapshot().ScanParallel(ctx, f, fn)
-}
-
-// ScanPartitions fans the scan out across units of a fresh snapshot;
-// see Snapshot.ScanPartitions.
-func (s *Store) ScanPartitions(ctx context.Context, f *EventFilter, keep func(*sysmon.Event) bool, merge func(batch []sysmon.Event, visited int64)) int {
-	return s.Snapshot().ScanPartitions(ctx, f, keep, merge)
 }
 
 // EstimateMatches returns an upper-bound estimate of the number of events

@@ -333,8 +333,8 @@ func SchedulingVariants() []SchedulingVariant {
 	return []SchedulingVariant{
 		{Name: "optimized", Cfg: engine.Config{}},
 		{Name: "no-reordering", Cfg: engine.Config{DisableReordering: true}},
-		{Name: "no-parallelism", Cfg: engine.Config{DisableParallel: true}},
-		{Name: "neither", Cfg: engine.Config{DisableReordering: true, DisableParallel: true}},
+		{Name: "no-parallelism", Cfg: engine.Config{ScanWorkers: 1}},
+		{Name: "neither", Cfg: engine.Config{DisableReordering: true, ScanWorkers: 1}},
 	}
 }
 

@@ -22,6 +22,10 @@ type ShardQuery struct {
 	Columns []string
 	// Kind is the query family (multievent, dependency, anomaly).
 	Kind string
+	// Distinct marks a `return distinct` statement: each member
+	// deduplicates only its own rows, so the merge must drop rows equal
+	// to the one before them.
+	Distinct bool
 	// Client is the caller's fairness key, forwarded so member-side
 	// admission attributes fan-out load to the real client.
 	Client string

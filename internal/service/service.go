@@ -437,6 +437,21 @@ func NewSharded(planning *aiql.DB, shards ShardBackend, cfg Config) *Service {
 	return s
 }
 
+// Close releases what the service fronts: the shard backend (the
+// coordinator and its members) when sharded, then the database —
+// compactor, WAL and directory lock. Queries in flight finish on the
+// snapshots they pinned; later writes fail with aiql.ErrClosed.
+func (s *Service) Close() error {
+	var err error
+	if s.shards != nil {
+		err = s.shards.Close()
+	}
+	if derr := s.db.Close(); err == nil {
+		err = derr
+	}
+	return err
+}
+
 // Sharded reports whether this service coordinates a sharded dataset.
 func (s *Service) Sharded() bool { return s.shards != nil }
 
@@ -794,6 +809,7 @@ func (s *Service) shardQuery(req Request, target *execTarget) (ShardQuery, error
 		Params:     target.params,
 		Columns:    stmt.Columns(),
 		Kind:       stmt.Kind(),
+		Distinct:   stmt.Distinct(),
 		Client:     req.Client,
 		RequireAll: req.RequireAll,
 	}, nil

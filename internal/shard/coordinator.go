@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -219,8 +220,9 @@ func (c *Coordinator) Run(ctx context.Context, q service.ShardQuery) (*engine.Re
 
 // RunStream implements service.ShardBackend: scatter to every member
 // the partition map admits, k-way merge-sort the sorted member streams,
-// and emit rows as they win the merge. A positive q.Limit stops the
-// merge (and cancels members) after that many rows. Member failures
+// and emit rows as they win the merge, dropping cross-member duplicates
+// of a distinct statement. A positive q.Limit stops the merge (and
+// cancels members) after that many emitted rows. Member failures
 // degrade to warnings unless q.RequireAll, the failure is the query's
 // own fault (4xx), or every member failed.
 func (c *Coordinator) RunStream(ctx context.Context, q service.ShardQuery, header func(cols []string) error, row func([]string) error) (engine.ExecStats, []service.ShardWarning, error) {
@@ -369,15 +371,22 @@ func (c *Coordinator) RunStream(ctx context.Context, q service.ShardQuery, heade
 		}
 	}
 	if fatal == nil && throttled == nil {
+		var last []string // the row emitted before this one
 		for h.Len() > 0 {
 			it := heap.Pop(&h).(heapItem)
-			if err := row(it.row); err != nil {
-				cancel()
-				return stats, warnings, err
-			}
-			emitted++
-			if q.Limit > 0 && emitted >= q.Limit {
-				break
+			// Members deduplicate only their own rows; the merge is
+			// sorted, so a cross-member duplicate of a distinct
+			// statement is always adjacent to its twin.
+			if !q.Distinct || emitted == 0 || !slices.Equal(it.row, last) {
+				if err := row(it.row); err != nil {
+					cancel()
+					return stats, warnings, err
+				}
+				last = it.row
+				emitted++
+				if q.Limit > 0 && emitted >= q.Limit {
+					break
+				}
 			}
 			pull(it.member)
 			if fatal != nil || throttled != nil {

@@ -76,7 +76,7 @@ func shardQueryFor(t testing.TB, query string, params map[string]any) service.Sh
 	if err != nil {
 		t.Fatal(err)
 	}
-	return service.ShardQuery{Query: query, Params: params, Columns: stmt.Columns(), Kind: stmt.Kind()}
+	return service.ShardQuery{Query: query, Params: params, Columns: stmt.Columns(), Kind: stmt.Kind(), Distinct: stmt.Distinct()}
 }
 
 func TestParseConfig(t *testing.T) {
@@ -223,6 +223,80 @@ func TestScatterGatherGolden(t *testing.T) {
 	}
 	if st.Queries != 2 {
 		t.Errorf("queries = %d, want 2", st.Queries)
+	}
+}
+
+// TestDistinctAcrossMembers: `return distinct` is deduplicated across
+// members, not only within each. Both members hold events projecting
+// the same value, so each contributes the same row; the merged result —
+// buffered, streamed, and streamed under a limit, which counts rows
+// after the dedup — is byte-identical to the unsharded store's.
+func TestDistinctAcrossMembers(t *testing.T) {
+	var recs []aiql.Record
+	for i := 0; i < 12; i++ {
+		// tags repeat across the two agents: 4 distinct files, each
+		// written on both members
+		recs = append(recs, record(uint32(1+i%2), day(10)+int64(i)*int64(time.Minute), fmt.Sprintf("shared-%d", i/2%4)))
+	}
+	recs = append(recs, record(1, day(11), "only-agent1"), record(2, day(11), "only-agent2"))
+	single := buildDB(t, recs)
+	var members []Member
+	for a := uint32(1); a <= 2; a++ {
+		agent := a
+		members = append(members, Member{
+			Name:   fmt.Sprintf("agent%d", agent),
+			Source: NewLocalSource(split(t, recs, func(r aiql.Record) bool { return r.AgentID == agent })),
+		})
+	}
+	coord := NewCoordinator("events", members, Options{})
+	defer coord.Close()
+
+	const query = `proc p["%worker.exe"] write file f as evt return distinct f`
+	stmt, err := single.Prepare(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := stmt.Exec(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) != 6 {
+		t.Fatalf("unsharded distinct returned %d rows, want 6", len(want.Rows))
+	}
+	q := shardQueryFor(t, query, nil)
+	got, warns, err := coord.Run(context.Background(), q)
+	if err != nil || len(warns) != 0 {
+		t.Fatalf("buffered: err=%v warns=%v", err, warns)
+	}
+	if !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Fatalf("buffered distinct diverges from unsharded:\n got %v\nwant %v", got.Rows, want.Rows)
+	}
+	for _, limit := range []int{0, 3} {
+		q.Limit = limit
+		wantRows := want.Rows
+		if limit > 0 {
+			wantRows = wantRows[:limit]
+		}
+		var rows [][]string
+		_, warns, err := coord.RunStream(context.Background(), q,
+			func([]string) error { return nil },
+			func(r []string) error { rows = append(rows, r); return nil })
+		if err != nil || len(warns) != 0 {
+			t.Fatalf("streamed limit %d: err=%v warns=%v", limit, err, warns)
+		}
+		if !reflect.DeepEqual(rows, wantRows) {
+			t.Fatalf("streamed distinct (limit %d) diverges from unsharded:\n got %v\nwant %v", limit, rows, wantRows)
+		}
+	}
+
+	// without distinct, the twin rows are both results and all survive
+	plain := shardQueryFor(t, `proc p["%worker.exe"] write file f as evt return f`, nil)
+	all, _, err := coord.Run(context.Background(), plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all.Rows) != len(recs) {
+		t.Fatalf("non-distinct merge returned %d rows, want %d", len(all.Rows), len(recs))
 	}
 }
 
