@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race race-nommap benchmark-module bench bench-streaming bench-segments bench-persist bench-prepare bench-ingest bench-scan bench-obs bench-shard smoke-metrics smoke-shard serve
+.PHONY: check fmt vet build test race race-nommap benchmark-module bench bench-streaming bench-segments bench-persist bench-prepare bench-ingest bench-scan bench-obs bench-shard bench-hunt smoke-metrics smoke-shard serve
 
 check: fmt vet build race race-nommap benchmark-module
 
@@ -48,7 +48,7 @@ define run-bench
 	@rm -f bench.out
 endef
 
-bench: bench-streaming bench-segments bench-persist bench-prepare bench-ingest bench-scan bench-obs bench-shard
+bench: bench-streaming bench-segments bench-persist bench-prepare bench-ingest bench-scan bench-obs bench-shard bench-hunt
 
 # Streaming/caching benchmarks on the Fig4 50k-event dataset: cold vs.
 # warm cache, full drain vs. LIMIT-50 early termination.
@@ -110,6 +110,16 @@ bench-obs:
 # against.
 bench-shard:
 	$(call run-bench,./internal/shard/,BenchmarkShardColdScan,10x,BENCH_shard.json)
+
+# Hunt-path benchmarks, one per stage of plan -> scan -> emit on a
+# 40-host x 24-hour store of 960 segments: scheduling a join whose first
+# pattern resolves to 2 000 candidate processes (probes/op is bounded by
+# the segments' own distinct subjects, not by the candidate set), a cold
+# full scan of the reopened v2 store returning one, three, or all six
+# compressed columns (blocks/op scales with the columns returned), and a
+# 50k-row stream drain with allocations per row.
+bench-hunt:
+	$(call run-bench,./internal/engine/,BenchmarkPlanWideEntitySet|BenchmarkScanProjected|BenchmarkStreamDrain,10x,BENCH_hunt.json)
 
 # Boot aiqlserver on the built-in demo dataset, scrape /metrics on both
 # the API and ops listeners, and lint the expositions with promlint.

@@ -22,6 +22,10 @@ type Benchmark struct {
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
 	MsPerOp    float64 `json:"ms_per_op"`
+	// Metrics holds the line's remaining value/unit pairs by unit —
+	// B/op and allocs/op under -benchmem, and whatever the benchmark
+	// reported itself (allocs/row, probes/op, ...).
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Ratio is one asserted ns/op comparison between two benchmarks in the
@@ -79,12 +83,23 @@ func Parse(r io.Reader) (Report, error) {
 		if err1 != nil || err2 != nil {
 			continue
 		}
-		rep.Benchmarks = append(rep.Benchmarks, Benchmark{
+		bm := Benchmark{
 			Name:       fields[0],
 			Iterations: iters,
 			NsPerOp:    ns,
 			MsPerOp:    ns / 1e6,
-		})
+		}
+		for k := 4; k+1 < len(fields); k += 2 {
+			v, err := strconv.ParseFloat(fields[k], 64)
+			if err != nil {
+				break
+			}
+			if bm.Metrics == nil {
+				bm.Metrics = map[string]float64{}
+			}
+			bm.Metrics[fields[k+1]] = v
+		}
+		rep.Benchmarks = append(rep.Benchmarks, bm)
 	}
 	if err := sc.Err(); err != nil {
 		return rep, err

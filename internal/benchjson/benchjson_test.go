@@ -11,7 +11,7 @@ goarch: amd64
 pkg: github.com/aiql/aiql/internal/engine
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkScanColdSequential 	      10	    213449 ns/op	       0 B/op	       0 allocs/op
-BenchmarkScanColdWorkers4-8 	      10	     77741 ns/op	   12672 B/op	       7 allocs/op
+BenchmarkScanColdWorkers4-8 	      10	     77741 ns/op	         1.500 allocs/row	   12672 B/op	       7 allocs/op
 some stray log line
 BenchmarkBroken 	 notanumber 	 x ns/op
 PASS
@@ -35,6 +35,9 @@ func TestParse(t *testing.T) {
 	}
 	if b.MsPerOp != b.NsPerOp/1e6 {
 		t.Errorf("MsPerOp = %v, want %v", b.MsPerOp, b.NsPerOp/1e6)
+	}
+	if m := b.Metrics; len(m) != 3 || m["allocs/row"] != 1.5 || m["B/op"] != 12672 || m["allocs/op"] != 7 {
+		t.Errorf("metrics = %v, want the reported allocs/row plus -benchmem's B/op and allocs/op", m)
 	}
 }
 

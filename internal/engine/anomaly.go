@@ -92,10 +92,8 @@ func floorDiv(a, b int64) int64 {
 // as it is evaluated (groups in sorted order, windows ascending), so
 // downstream consumers see first rows before the emission loop finishes
 // and a satisfied limit stops the loop early.
-func (e *Engine) runAnomaly(ctx context.Context, snap *eventstore.Snapshot, q *ast.AnomalyQuery, info *semantic.Info, stats *ExecStats, emit emitFunc) error {
-	// reuse the multievent planner for the single pattern
-	mq := &ast.MultieventQuery{Head_: q.Head_, Patterns: []ast.EventPattern{q.Pattern}}
-	plan, err := e.buildPlan(snap, mq)
+func (e *Engine) runAnomaly(ctx context.Context, snap *eventstore.Snapshot, q *ast.AnomalyQuery, info *semantic.Info, stats *ExecStats, out *rowChunker) error {
+	plan, err := e.anomalyPlan(snap, q)
 	if err != nil {
 		return err
 	}
@@ -263,17 +261,30 @@ func (e *Engine) runAnomaly(ctx context.Context, snap *eventstore.Snapshot, q *a
 					ki++
 				}
 			}
-			key := strings.Join(row, "\t")
+			key := rowKeyString(row)
 			if _, dup := seen[key]; dup {
 				continue
 			}
 			seen[key] = struct{}{}
-			if !emit(row) {
+			if !out.emit(row) {
 				return nil
 			}
 		}
 	}
 	return nil
+}
+
+// anomalyPlan reuses the multievent planner for an anomaly query's
+// single pattern. The return and group-by expressions ride along only so
+// the planner sees what they read of an event (the scan's column
+// demand); the having clause reads aggregates, never events.
+func (e *Engine) anomalyPlan(snap *eventstore.Snapshot, q *ast.AnomalyQuery) (*queryPlan, error) {
+	mq := &ast.MultieventQuery{Head_: q.Head_, Patterns: []ast.EventPattern{q.Pattern},
+		Return: append([]ast.ReturnItem(nil), q.Return...)}
+	for _, g := range q.GroupBy {
+		mq.Return = append(mq.Return, ast.ReturnItem{Expr: g})
+	}
+	return e.compilePatterns(snap, mq, false)
 }
 
 // maxLag returns the deepest historical window access in an expression.

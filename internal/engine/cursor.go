@@ -6,10 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"github.com/aiql/aiql/internal/aiql/ast"
-	"github.com/aiql/aiql/internal/aiql/semantic"
-	"github.com/aiql/aiql/internal/obs"
 )
 
 // CursorOptions shape a streaming execution.
@@ -66,9 +62,10 @@ func (c *haltCtx) Err() error {
 }
 
 // Cursor is a pull-based iterator over a query's projected rows. The
-// producer executes the query plan on demand: rows are handed over one
-// at a time, intermediate results past the prefix joins are never
-// materialized, and closing the cursor aborts the remaining scan work.
+// producer executes the query plan on demand: rows are handed over in
+// small chunks (the first row on its own, so it is never held back),
+// intermediate results past the prefix joins are never materialized,
+// and closing the cursor aborts the remaining scan work.
 //
 // Usage follows database/sql:
 //
@@ -87,11 +84,13 @@ func (c *haltCtx) Err() error {
 // parent context is cancelled.
 type Cursor struct {
 	cols []string
-	rows chan []string
+	rows chan [][]string
 	h    *halt
 	done chan struct{}
 
-	cur []string
+	chunk [][]string // the chunk being iterated; chunk[pos:] is unread
+	pos   int
+	cur   []string
 
 	mu    sync.Mutex
 	err   error
@@ -106,12 +105,31 @@ func (c *Cursor) Columns() []string { return c.cols }
 // was produced. After it returns false, Err distinguishes exhaustion
 // from failure.
 func (c *Cursor) Next() bool {
-	row, ok := <-c.rows
-	if !ok {
-		return false
+	for c.pos >= len(c.chunk) {
+		chunk, ok := <-c.rows
+		if !ok {
+			return false
+		}
+		c.chunk, c.pos = chunk, 0
 	}
-	c.cur = row
+	c.cur = c.chunk[c.pos]
+	c.pos++
 	return true
+}
+
+// NextChunk blocks until rows are available and returns all the producer
+// handed over together — what is left of the chunk Next is iterating, or
+// else the next one — and nil once the stream has ended. A consumer that
+// batches its own output (one write and flush per chunk instead of per
+// row) iterates with it in place of Next/Row. The slice and its rows
+// are owned by the caller.
+func (c *Cursor) NextChunk() [][]string {
+	if c.pos < len(c.chunk) {
+		rest := c.chunk[c.pos:]
+		c.chunk, c.pos = nil, 0
+		return rest
+	}
+	return <-c.rows
 }
 
 // Row returns the row made current by the last successful Next. The
@@ -155,97 +173,73 @@ func (c *Cursor) Close() error {
 	}
 }
 
-// ExecuteCursor prepares and starts one AIQL query, returning a cursor
-// over its rows — the bind-then-run form of a one-shot execution.
-// Parse, semantic, and planning errors are returned immediately;
-// execution errors surface through Cursor.Err. Queries with `$name`
-// parameters need Prepare + ExecutePreparedCursor to supply bindings.
-func (e *Engine) ExecuteCursor(ctx context.Context, src string, opts CursorOptions) (*Cursor, error) {
-	psp := obs.SpanFromContext(ctx).Child("parse")
-	p, err := e.Prepare(src)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	return e.ExecutePreparedCursor(ctx, p, nil, opts)
+// rowChunkSize caps the rows a producer accumulates before handing them
+// to the cursor: large enough that the channel handoff, and a stream
+// handler's write and flush, amortize to nothing per row; small enough
+// that a chunk is a few tens of kilobytes.
+const rowChunkSize = 256
+
+// rowChunker is the producer's end of a cursor: it collects projected
+// rows into chunks and hands them over when told to — the first row at
+// once, then whenever a chunk fills, at scan-unit boundaries (flush),
+// and when the limit is reached.
+type rowChunker struct {
+	c       *Cursor
+	ctx     context.Context
+	limit   int
+	sent    int
+	pending [][]string
 }
 
-// ExecuteQueryCursor validates and starts a parsed query under ctx,
-// returning a cursor over its rows.
-func (e *Engine) ExecuteQueryCursor(ctx context.Context, q ast.Query, opts CursorOptions) (*Cursor, error) {
-	type compiled struct {
-		run  func(cctx context.Context, stats *ExecStats, emit emitFunc) error
-		cols []string
+// emit takes one projected row. It returns false when downstream demand
+// is satisfied (the limit was reached or the cursor was closed); the
+// producer then stops scanning.
+func (rc *rowChunker) emit(row []string) bool {
+	if rc.pending == nil && rc.sent > 0 {
+		rc.pending = make([][]string, 0, rowChunkSize)
 	}
-	var cp compiled
-	psp := obs.SpanFromContext(ctx).Child("plan")
-	defer psp.End()
-	// The whole execution — planning estimates included — runs against
-	// one lock-free snapshot, so concurrent appends and seals never move
-	// data under the query and a cursor iterated across a store mutation
-	// still sees the segment set that existed when execution began.
-	snap := e.store.Snapshot()
-	switch x := q.(type) {
-	case *ast.DependencyQuery:
-		if _, err := semantic.Check(x); err != nil {
-			return nil, err
-		}
-		mq, err := RewriteDependency(x)
-		if err != nil {
-			return nil, err
-		}
-		info, err := semantic.Check(mq)
-		if err != nil {
-			return nil, err
-		}
-		plan, err := e.buildPlan(snap, mq)
-		if err != nil {
-			return nil, err
-		}
-		cp.cols = info.Columns
-		cp.run = func(cctx context.Context, stats *ExecStats, emit emitFunc) error {
-			return e.runMultievent(cctx, snap, mq, info, plan, stats, emit, opts.Limit)
-		}
-	case *ast.MultieventQuery:
-		info, err := semantic.Check(x)
-		if err != nil {
-			return nil, err
-		}
-		plan, err := e.buildPlan(snap, x)
-		if err != nil {
-			return nil, err
-		}
-		cp.cols = info.Columns
-		cp.run = func(cctx context.Context, stats *ExecStats, emit emitFunc) error {
-			return e.runMultievent(cctx, snap, x, info, plan, stats, emit, opts.Limit)
-		}
-	case *ast.AnomalyQuery:
-		info, err := semantic.Check(x)
-		if err != nil {
-			return nil, err
-		}
-		cp.cols = info.Columns
-		cp.run = func(cctx context.Context, stats *ExecStats, emit emitFunc) error {
-			return e.runAnomaly(cctx, snap, x, info, stats, emit)
-		}
-	default:
-		return nil, fmt.Errorf("engine: unsupported query type %T", q)
+	rc.pending = append(rc.pending, row)
+	rc.sent++
+	if rc.limit > 0 && rc.sent >= rc.limit {
+		rc.flush()
+		return false
 	}
+	if rc.sent == 1 || len(rc.pending) >= rowChunkSize {
+		return rc.flush()
+	}
+	return true
+}
 
-	return e.startCursor(ctx, cp.cols, opts, cp.run), nil
+// flush hands the pending rows to the cursor, blocking while its buffer
+// is full; false means the cursor was closed or the context is done.
+func (rc *rowChunker) flush() bool {
+	if len(rc.pending) == 0 {
+		return true
+	}
+	select {
+	case rc.c.rows <- rc.pending:
+	case <-rc.c.h.ch:
+		return false
+	case <-rc.ctx.Done():
+		return false
+	}
+	rc.pending = nil // the consumer owns the chunk now
+	return true
 }
 
 // startCursor launches the producer goroutine for a compiled execution
 // and returns its cursor. run receives the halt-layered context, the
-// statistics sink, and the emit callback; it is the only goroutine that
-// touches them until the cursor ends.
-func (e *Engine) startCursor(ctx context.Context, cols []string, opts CursorOptions, run func(cctx context.Context, stats *ExecStats, emit emitFunc) error) *Cursor {
-	// The row channel is buffered so a fast producer is not forced into a
-	// goroutine handoff per row on full drains; the buffer stays small so
-	// memory remains bounded and backpressure still reaches the scan.
+// statistics sink (seeded with what planning already counted), and the
+// row chunker; it is the only goroutine that touches them until the
+// cursor ends.
+func (e *Engine) startCursor(ctx context.Context, cols []string, opts CursorOptions, planned ExecStats, run func(cctx context.Context, stats *ExecStats, out *rowChunker) error) *Cursor {
 	c := &Cursor{
 		cols: cols,
-		rows: make(chan []string, 256),
+		// Four chunks of lookahead: a fast producer is not parked on
+		// every handoff of a full drain, while memory stays bounded (at
+		// most 4+1 chunks of rowChunkSize rows) and backpressure still
+		// reaches the scan.
+		rows: make(chan [][]string, 4),
 		h:    newHalt(),
 		done: make(chan struct{}),
 	}
@@ -253,20 +247,10 @@ func (e *Engine) startCursor(ctx context.Context, cols []string, opts CursorOpti
 	cctx := &haltCtx{Context: ctx, h: c.h}
 	go func() {
 		defer close(c.done)
-		sent := 0
-		var stats ExecStats
-		emit := func(row []string) bool {
-			select {
-			case c.rows <- row:
-			case <-c.h.ch:
-				return false
-			case <-ctx.Done():
-				return false
-			}
-			sent++
-			return opts.Limit <= 0 || sent < opts.Limit
-		}
-		runErr := run(cctx, &stats, emit)
+		stats := planned
+		out := &rowChunker{c: c, ctx: ctx, limit: opts.Limit}
+		runErr := run(cctx, &stats, out)
+		out.flush() // rows produced before an error still reach the consumer
 		// Classify the outcome. A real execution error always wins; a
 		// cancellation that traces to the parent context is reported as
 		// an abort; a cancellation caused solely by Close is a clean

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/aiql/aiql/internal/aiql/ast"
 	"github.com/aiql/aiql/internal/eventstore"
 	"github.com/aiql/aiql/internal/obs"
 	"github.com/aiql/aiql/internal/workpool"
@@ -119,35 +118,38 @@ func (e *Engine) SetScanPool(p *workpool.Pool) {
 func (e *Engine) ScanPool() *workpool.Pool { return e.pool.Load() }
 
 // Execute compiles and runs one AIQL query — the bind-then-run form of
-// a one-shot execution (Prepare + ExecutePrepared with no bindings).
-// The context bounds execution: cancellation or an expired deadline
-// aborts partition scans and binding joins mid-flight. Queries with
-// `$name` parameters need Prepare + ExecutePrepared to supply bindings.
-func (e *Engine) Execute(ctx context.Context, src string) (*Result, error) {
-	psp := obs.SpanFromContext(ctx).Child("parse")
-	p, err := e.Prepare(src)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	return e.ExecutePrepared(ctx, p, nil)
-}
-
-// ExecuteQuery validates and runs a parsed query under ctx. It is a
-// materializing wrapper over the streaming cursor pipeline: the cursor
-// is drained to completion and the rows are put into the engine's
-// canonical sorted order, so callers see exactly the pre-streaming
-// behavior. When execution is aborted by cancellation the returned error
+// a one-shot execution (Prepare + ExecutePrepared with no bindings),
+// materialized in the engine's canonical sorted order. The context
+// bounds execution: cancellation or an expired deadline aborts
+// partition scans and binding joins mid-flight; the returned error then
 // wraps ctx.Err() and the returned Result still carries the execution
 // statistics accumulated up to the abort (scanned events, pattern
 // order), so callers can report how much work a timed-out query did.
-func (e *Engine) ExecuteQuery(ctx context.Context, q ast.Query) (*Result, error) {
+// Queries with `$name` parameters need Prepare + ExecutePrepared to
+// supply bindings.
+func (e *Engine) Execute(ctx context.Context, src string) (*Result, error) {
 	start := time.Now()
-	cur, err := e.ExecuteQueryCursor(ctx, q, CursorOptions{})
+	cur, err := e.ExecuteCursor(ctx, src, CursorOptions{})
 	if err != nil {
 		return nil, err
 	}
 	return materializeCursor(cur, start)
+}
+
+// ExecuteCursor prepares and starts one AIQL query, returning a cursor
+// over its rows. Parse, semantic, and planning errors are returned
+// immediately; execution errors surface through Cursor.Err. In a traced
+// execution the parse span covers parsing and checking only; estimating
+// and scheduling the patterns belongs to the plan span, like the rest
+// of planning.
+func (e *Engine) ExecuteCursor(ctx context.Context, src string, opts CursorOptions) (*Cursor, error) {
+	psp := obs.SpanFromContext(ctx).Child("parse")
+	p, err := e.compile(src)
+	psp.End()
+	if err != nil {
+		return nil, err
+	}
+	return e.executePlanned(ctx, p, nil, opts)
 }
 
 // materializeCursor drains a cursor to completion and puts the rows

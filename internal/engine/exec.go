@@ -2,8 +2,8 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"github.com/aiql/aiql/internal/aiql/ast"
 	"github.com/aiql/aiql/internal/aiql/semantic"
@@ -17,16 +17,48 @@ import (
 // from exhausting memory.
 const maxBindings = 4 << 20
 
-// emitFunc receives one projected row from a streaming execution. It
-// returns false when downstream demand is satisfied (the limit was
-// reached or the cursor was closed); the producer then stops scanning.
-type emitFunc func(row []string) bool
-
 // binding is one partial match: entity variable assignments plus the
 // events matched so far, stored in plan-assigned slots.
 type binding struct {
 	ents []sysmon.EntityID
 	evts []sysmon.Event
+}
+
+// bindingArena backs materialized bindings with slabs: the ents/evts
+// slices of many bindings are cut from two shared arrays instead of
+// being two heap objects per binding.
+type bindingArena struct {
+	nVars, nEvts int
+	ents         []sysmon.EntityID
+	evts         []sysmon.Event
+}
+
+// arenaSlab is how many bindings a slab holds when the count is not
+// known up front (join output).
+const arenaSlab = 1024
+
+// newBindingArena sizes the first slab for n bindings.
+func newBindingArena(sl *slots, n int) *bindingArena {
+	a := &bindingArena{nVars: len(sl.vars), nEvts: len(sl.evts)}
+	a.grow(n)
+	return a
+}
+
+func (a *bindingArena) grow(n int) {
+	a.ents = make([]sysmon.EntityID, 0, n*a.nVars)
+	a.evts = make([]sysmon.Event, 0, n*a.nEvts)
+}
+
+// alloc returns a zeroed binding whose slices are capped to their own
+// slots, so they can never grow into a neighbour's.
+func (a *bindingArena) alloc() binding {
+	if len(a.ents)+a.nVars > cap(a.ents) || len(a.evts)+a.nEvts > cap(a.evts) {
+		a.grow(arenaSlab)
+	}
+	ne, nv := len(a.ents), len(a.evts)
+	a.ents = a.ents[:ne+a.nVars]
+	a.evts = a.evts[:nv+a.nEvts]
+	return binding{ents: a.ents[ne : ne+a.nVars : ne+a.nVars], evts: a.evts[nv : nv+a.nEvts : nv+a.nEvts]}
 }
 
 // slots assigns dense indices to entity variables and event aliases.
@@ -62,7 +94,7 @@ func newSlots(plan *queryPlan) *slots {
 //
 // Cancelling ctx aborts the current scan and returns the cancellation
 // error; stats keeps the statistics accumulated so far.
-func (e *Engine) runMultievent(ctx context.Context, snap *eventstore.Snapshot, q *ast.MultieventQuery, info *semantic.Info, plan *queryPlan, stats *ExecStats, emit emitFunc, limitHint int) error {
+func (e *Engine) runMultievent(ctx context.Context, snap *eventstore.Snapshot, q *ast.MultieventQuery, info *semantic.Info, plan *queryPlan, stats *ExecStats, out *rowChunker, limitHint int) error {
 	sl := newSlots(plan)
 	var bindings []binding
 	boundVars := map[string]bool{}
@@ -94,14 +126,13 @@ func (e *Engine) runMultievent(ctx context.Context, snap *eventstore.Snapshot, q
 		if step == 0 {
 			stats.Partitions = snap.NumPartitions()
 			bindings = make([]binding, 0, len(events))
+			arena := newBindingArena(sl, len(events))
+			subjSlot, objSlot, evtSlot := sl.vars[pp.subjVar], sl.vars[pp.objVar], sl.evts[pp.alias]
 			for i := range events {
-				b := binding{
-					ents: make([]sysmon.EntityID, len(sl.vars)),
-					evts: make([]sysmon.Event, len(sl.evts)),
-				}
-				b.ents[sl.vars[pp.subjVar]] = events[i].Subject
-				b.ents[sl.vars[pp.objVar]] = events[i].Object
-				b.evts[sl.evts[pp.alias]] = events[i]
+				b := arena.alloc()
+				b.ents[subjSlot] = events[i].Subject
+				b.ents[objSlot] = events[i].Object
+				b.evts[evtSlot] = events[i]
 				bindings = append(bindings, b)
 			}
 		} else {
@@ -142,62 +173,70 @@ func (e *Engine) runMultievent(ctx context.Context, snap *eventstore.Snapshot, q
 	j := newJoiner(bindings, sl, pp, plan.rels, boundVars, boundEvts, last == 0)
 	proj := newProjector(e, q, info, sl)
 	ss := e.beginScanSpan(qsp, "scan "+pp.alias, stats)
-	err := e.streamFinal(ctx, snap, &filter, pp, j, proj, stats, emit, limitHint)
+	err := e.streamFinal(ctx, snap, &filter, pp, j, proj, stats, out, limitHint)
 	e.endScanSpan(ss, -1)
 	return err
 }
 
 // streamFinal scans the final pattern and pushes each full match through
-// join → projection → emit without collecting events or bindings. Scan
-// units are filtered in parallel on the worker pool but consumed
-// strictly in unit order (see forEachUnitOrdered), so emission order,
-// limit pushdown, and the visited-event accounting do not depend on how
-// many helpers run — with none (ScanWorkers: 1) the same loop is a plain
+// join → projection → emit without collecting events or bindings: every
+// match is composed in one scratch binding that the projector reads and
+// nobody retains, so the per-event cost is the row itself. Scan units
+// are filtered in parallel on the worker pool but consumed strictly in
+// unit order (see forEachUnitOrdered), so emission order, limit
+// pushdown, and the visited-event accounting do not depend on how many
+// helpers run — with none (ScanWorkers: 1) the same loop is a plain
 // sequential walk. Sealed-segment batches come from the scan cache when
-// it holds them.
-func (e *Engine) streamFinal(ctx context.Context, snap *eventstore.Snapshot, filter *eventstore.EventFilter, pp *patternPlan, j *joiner, proj *projector, stats *ExecStats, emit emitFunc, limitHint int) error {
+// it holds them. Pending rows are handed to the cursor at every unit
+// boundary: the next unit may take a while, and a consumer should not
+// wait on rows that already exist.
+func (e *Engine) streamFinal(ctx context.Context, snap *eventstore.Snapshot, filter *eventstore.EventFilter, pp *patternPlan, j *joiner, proj *projector, stats *ExecStats, out *rowChunker, limitHint int) error {
 	var (
 		ferr     error
 		produced int
+		scratch  = binding{
+			ents: make([]sysmon.EntityID, j.nVars),
+			evts: make([]sysmon.Event, j.nEvts),
+		}
 	)
-	// handle joins and projects one event; it returns false when the
+	// match projects and emits one full match; it returns false when the
 	// stream must stop (error recorded in ferr, or demand satisfied).
-	handle := func(ev *sysmon.Event) bool {
-		cont := true
-		j.join(ev, func(nb *binding) bool {
-			produced++
-			stats.Bindings++
-			if produced > maxBindings {
-				ferr = fmt.Errorf("engine: intermediate result exceeds %d bindings; add more selective constraints", maxBindings)
-				cont = false
-				return false
-			}
-			row, keep, err := proj.row(nb)
-			if err != nil {
-				ferr = err
-				cont = false
-				return false
-			}
-			if !keep {
-				return true
-			}
-			if !emit(row) {
-				cont = false
-				return false
-			}
-			return true
-		})
-		return cont
+	match := func(prefix *binding, ev *sysmon.Event) bool {
+		produced++
+		stats.Bindings++
+		if produced > maxBindings {
+			ferr = fmt.Errorf("engine: intermediate result exceeds %d bindings; add more selective constraints", maxBindings)
+			return false
+		}
+		j.extend(&scratch, prefix, ev)
+		row, keep, err := proj.row(&scratch)
+		if err != nil {
+			ferr = err
+			return false
+		}
+		return !keep || out.emit(row)
 	}
 
 	units := snap.Units(filter)
-	err := e.forEachUnitOrdered(ctx, units, filter, pp.evtPreds, stats, limitHint, func(batch []sysmon.Event) bool {
+	err := e.forEachUnitOrdered(ctx, units, filter, pp.evtPreds, pp.cols, stats, limitHint, func(batch []sysmon.Event) bool {
 		for k := range batch {
-			if !handle(&batch[k]) {
+			ev := &batch[k]
+			if j.first {
+				if !match(nil, ev) {
+					return false
+				}
+				continue
+			}
+			cont := true
+			j.join(ev, func(prefix *binding) bool {
+				cont = match(prefix, ev)
+				return cont
+			})
+			if !cont {
 				return false
 			}
 		}
-		return true
+		return out.flush()
 	})
 	if ferr != nil {
 		return ferr
@@ -221,7 +260,7 @@ const joinCheckInterval = 8192
 func (e *Engine) scanPattern(ctx context.Context, snap *eventstore.Snapshot, filter *eventstore.EventFilter, pp *patternPlan, stats *ExecStats) []sysmon.Event {
 	units := snap.Units(filter)
 	var events []sysmon.Event
-	e.forEachUnitOrdered(ctx, units, filter, pp.evtPreds, stats, 0, func(batch []sysmon.Event) bool {
+	e.forEachUnitOrdered(ctx, units, filter, pp.evtPreds, pp.cols, stats, 0, func(batch []sysmon.Event) bool {
 		events = append(events, batch...)
 		return true
 	})
@@ -401,20 +440,10 @@ func (j *joiner) probeCost(ev *sysmon.Event) int {
 	return len(j.index[j.evKey(ev)]) + 1
 }
 
-// join yields every new binding the event produces against the indexed
-// prefix bindings. yield returning false stops the iteration.
-func (j *joiner) join(ev *sysmon.Event, yield func(*binding) bool) {
-	if j.first {
-		nb := binding{
-			ents: make([]sysmon.EntityID, j.nVars),
-			evts: make([]sysmon.Event, j.nEvts),
-		}
-		nb.ents[j.subjSlot] = ev.Subject
-		nb.ents[j.objSlot] = ev.Object
-		nb.evts[j.evtSlot] = *ev
-		yield(&nb)
-		return
-	}
+// join yields every indexed prefix binding the event extends. yield
+// returning false stops the iteration. (The only pattern of a query has
+// no prefix: its events extend nil directly.)
+func (j *joiner) join(ev *sysmon.Event, yield func(prefix *binding) bool) {
 	for _, bi := range j.index[j.evKey(ev)] {
 		b := &j.bindings[bi]
 		// a same-variable subject+object (rare self-loop) needs both
@@ -428,23 +457,30 @@ func (j *joiner) join(ev *sysmon.Event, yield func(*binding) bool) {
 		if !temporalOK(j.checks, b, ev) {
 			continue
 		}
-		nb := binding{
-			ents: append([]sysmon.EntityID{}, b.ents...),
-			evts: append([]sysmon.Event{}, b.evts...),
-		}
-		nb.ents[j.subjSlot] = ev.Subject
-		nb.ents[j.objSlot] = ev.Object
-		nb.evts[j.evtSlot] = *ev
-		if !yield(&nb) {
+		if !yield(b) {
 			return
 		}
 	}
+}
+
+// extend composes in dst the binding that ev adds to prefix (nil for
+// the query's only or first pattern). dst's slices must have the plan's
+// slot counts; whatever they held is overwritten.
+func (j *joiner) extend(dst, prefix *binding, ev *sysmon.Event) {
+	if prefix != nil {
+		copy(dst.ents, prefix.ents)
+		copy(dst.evts, prefix.evts)
+	}
+	dst.ents[j.subjSlot] = ev.Subject
+	dst.ents[j.objSlot] = ev.Object
+	dst.evts[j.evtSlot] = *ev
 }
 
 // joinStep extends the current bindings with the events matched for one
 // prefix pattern, materializing the joined bindings for the next step.
 func joinStep(ctx context.Context, bindings []binding, events []sysmon.Event, sl *slots, pp *patternPlan, rels []ast.TemporalRel, boundVars, boundEvts map[string]bool) ([]binding, error) {
 	j := newJoiner(bindings, sl, pp, rels, boundVars, boundEvts, false)
+	arena := newBindingArena(sl, arenaSlab)
 	var out []binding
 	var jerr error
 	probes := 0
@@ -456,8 +492,10 @@ func joinStep(ctx context.Context, bindings []binding, events []sysmon.Event, sl
 				return nil, fmt.Errorf("engine: query aborted: %w", err)
 			}
 		}
-		j.join(ev, func(nb *binding) bool {
-			out = append(out, *nb)
+		j.join(ev, func(prefix *binding) bool {
+			nb := arena.alloc()
+			j.extend(&nb, prefix, ev)
+			out = append(out, nb)
 			if len(out) > maxBindings {
 				jerr = fmt.Errorf("engine: intermediate result exceeds %d bindings; add more selective constraints", maxBindings)
 				return false
@@ -502,72 +540,140 @@ func temporalOK(checks []tcheck, b *binding, ev *sysmon.Event) bool {
 }
 
 // projector renders the return clause for one binding at a time,
-// carrying the distinct-dedup state across the stream.
+// carrying the distinct-dedup state across the stream. The clause is
+// compiled once into one getter per column, so rendering a row resolves
+// no variable names.
 type projector struct {
-	e    *Engine
-	q    *ast.MultieventQuery
-	info *semantic.Info
-	sl   *slots
-	seen map[string]struct{} // non-nil iff the query is distinct
+	dict    *eventstore.Dictionary
+	getters []colGetter
+	seen    map[string]struct{} // non-nil iff the query is distinct
+	keyBuf  []byte              // scratch for the distinct key
 }
 
+type getterKind uint8
+
+const (
+	getEntAttr getterKind = iota // attribute of a bound entity
+	getEvtAttr                   // attribute of a matched event
+	getEvtID                     // bare event alias: its ID
+	getLiteral
+	getErr // unsupported expression: reported on the first row, as before
+)
+
+// colGetter renders one return column.
+type colGetter struct {
+	kind getterKind
+	slot int
+	typ  sysmon.EntityType
+	attr string
+	lit  string
+	err  error
+	// memo fronts Dictionary.Attr — a lock and an attribute switch per
+	// call — for this execution: result rows name the same few entities
+	// over and over. A column that turns out to name more than
+	// attrMemoCap distinct entities (file paths, say) drops its memo — it
+	// was mostly missing, and must not grow with the result.
+	memo map[sysmon.EntityID]string
+}
+
+const attrMemoCap = 4096
+
 func newProjector(e *Engine, q *ast.MultieventQuery, info *semantic.Info, sl *slots) *projector {
-	p := &projector{e: e, q: q, info: info, sl: sl}
+	p := &projector{dict: e.store.Dict(), getters: make([]colGetter, len(q.Return))}
+	for i := range q.Return {
+		p.getters[i] = compileGetter(q.Return[i].Expr, info, sl)
+	}
 	if q.Distinct {
 		p.seen = map[string]struct{}{}
 	}
 	return p
 }
 
+func compileGetter(expr ast.Expr, info *semantic.Info, sl *slots) colGetter {
+	fail := func(format string, args ...any) colGetter {
+		return colGetter{kind: getErr, err: fmt.Errorf(format, args...)}
+	}
+	switch x := expr.(type) {
+	case *ast.AttrExpr:
+		if t, ok := info.Vars[x.Var]; ok {
+			return colGetter{kind: getEntAttr, slot: sl.vars[x.Var], typ: t, attr: x.Attr,
+				memo: map[sysmon.EntityID]string{}}
+		}
+		if _, ok := info.Events[x.Var]; ok {
+			if !sysmon.ValidEventAttr(x.Attr) {
+				return fail("engine: unknown event attribute %q", x.Attr)
+			}
+			return colGetter{kind: getEvtAttr, slot: sl.evts[x.Var], attr: x.Attr}
+		}
+		return fail("engine: unknown variable %q", x.Var)
+	case *ast.VarExpr:
+		if _, ok := info.Events[x.Name]; ok {
+			return colGetter{kind: getEvtID, slot: sl.evts[x.Name]}
+		}
+		return fail("engine: unresolved variable %q", x.Name)
+	case *ast.NumberLit:
+		return colGetter{kind: getLiteral, lit: numfmt.Format(x.Val)}
+	case *ast.StringLit:
+		return colGetter{kind: getLiteral, lit: x.Val}
+	default:
+		return fail("engine: unsupported return expression %s", ast.ExprString(expr))
+	}
+}
+
 // row renders one binding. keep is false when the row is a distinct
 // duplicate and must be dropped.
 func (p *projector) row(b *binding) (row []string, keep bool, err error) {
-	row = make([]string, len(p.q.Return))
-	for j := range p.q.Return {
-		cell, err := p.e.projectExpr(p.q.Return[j].Expr, p.info, p.sl, b)
-		if err != nil {
-			return nil, false, err
+	row = make([]string, len(p.getters))
+	for i := range p.getters {
+		g := &p.getters[i]
+		switch g.kind {
+		case getEntAttr:
+			id := b.ents[g.slot]
+			v, ok := g.memo[id]
+			if !ok {
+				v = p.dict.Attr(g.typ, id, g.attr)
+				switch {
+				case g.memo == nil: // dropped: lookups in a nil map just miss
+				case len(g.memo) < attrMemoCap:
+					g.memo[id] = v
+				default:
+					g.memo = nil
+				}
+			}
+			row[i] = v
+		case getEvtAttr:
+			row[i], _ = sysmon.EventAttr(&b.evts[g.slot], g.attr)
+		case getEvtID:
+			row[i] = numfmt.Format(float64(b.evts[g.slot].ID))
+		case getLiteral:
+			row[i] = g.lit
+		case getErr:
+			return nil, false, g.err
 		}
-		row[j] = cell
 	}
 	if p.seen != nil {
-		k := strings.Join(row, "\t")
-		if _, dup := p.seen[k]; dup {
+		p.keyBuf = appendRowKey(p.keyBuf[:0], row)
+		if _, dup := p.seen[string(p.keyBuf)]; dup {
 			return nil, false, nil
 		}
-		p.seen[k] = struct{}{}
+		p.seen[string(p.keyBuf)] = struct{}{}
 	}
 	return row, true, nil
 }
 
-// projectExpr renders one return expression for a binding.
-func (e *Engine) projectExpr(expr ast.Expr, info *semantic.Info, sl *slots, b *binding) (string, error) {
-	switch x := expr.(type) {
-	case *ast.AttrExpr:
-		if t, ok := info.Vars[x.Var]; ok {
-			id := b.ents[sl.vars[x.Var]]
-			return e.store.Dict().Attr(t, id, x.Attr), nil
-		}
-		if _, ok := info.Events[x.Var]; ok {
-			ev := b.evts[sl.evts[x.Var]]
-			v, ok := sysmon.EventAttr(&ev, x.Attr)
-			if !ok {
-				return "", fmt.Errorf("engine: unknown event attribute %q", x.Attr)
-			}
-			return v, nil
-		}
-		return "", fmt.Errorf("engine: unknown variable %q", x.Var)
-	case *ast.VarExpr:
-		if _, ok := info.Events[x.Name]; ok {
-			ev := b.evts[sl.evts[x.Name]]
-			return numfmt.Format(float64(ev.ID)), nil
-		}
-		return "", fmt.Errorf("engine: unresolved variable %q", x.Name)
-	case *ast.NumberLit:
-		return numfmt.Format(x.Val), nil
-	case *ast.StringLit:
-		return x.Val, nil
-	default:
-		return "", fmt.Errorf("engine: unsupported return expression %s", ast.ExprString(expr))
+// appendRowKey appends an injective encoding of row — each cell behind
+// its length — so two rows share a key only when they are cell for cell
+// equal. A separator byte would not do: command lines and paths can
+// contain any byte a separator could be.
+func appendRowKey(dst []byte, row []string) []byte {
+	for _, cell := range row {
+		dst = binary.AppendUvarint(dst, uint64(len(cell)))
+		dst = append(dst, cell...)
 	}
+	return dst
+}
+
+// rowKeyString is appendRowKey as a string, for sets keyed by whole rows.
+func rowKeyString(row []string) string {
+	return string(appendRowKey(nil, row))
 }

@@ -40,10 +40,14 @@ type unitResult struct {
 // returning, so execution statistics are final). Sealed-unit batches
 // are served from the scan cache when present and fill it when
 // scanned to completion; hit/miss accounting happens at consume time
-// only, so the counters match the sequential walk exactly. A non-zero
-// limitHint shrinks the helper lookahead window, bounding the work
-// wasted past a satisfied limit.
-func (e *Engine) forEachUnitOrdered(ctx context.Context, units []eventstore.ScanUnit, filter *eventstore.EventFilter, preds []evtPred, stats *ExecStats, limitHint int, consume func(batch []sysmon.Event) bool) error {
+// only, so the counters match the sequential walk exactly. cols is what
+// the consumer and preds read of an event: a scan gathers only those
+// columns, and a cached batch is served only when it was gathered with
+// at least them — otherwise the unit is rescanned with the union of the
+// two demands and the entry replaced, so alternating consumers converge
+// on one entry that serves both. A non-zero limitHint shrinks the helper
+// lookahead window, bounding the work wasted past a satisfied limit.
+func (e *Engine) forEachUnitOrdered(ctx context.Context, units []eventstore.ScanUnit, filter *eventstore.EventFilter, preds []evtPred, cols eventstore.ColMask, stats *ExecStats, limitHint int, consume func(batch []sysmon.Event) bool) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("engine: query aborted: %w", err)
 	}
@@ -55,7 +59,7 @@ func (e *Engine) forEachUnitOrdered(ctx context.Context, units []eventstore.Scan
 	if cache != nil {
 		fp = scanFingerprint(filter, preds)
 	}
-	cached := cache.peekAll(fp, units)
+	cached := cache.peekAll(fp, units, cols)
 	cf := filter.Compile()
 	keep := func(ev *sysmon.Event) bool { return evtPredsOK(preds, ev) }
 	if len(preds) == 0 {
@@ -65,13 +69,17 @@ func (e *Engine) forEachUnitOrdered(ctx context.Context, units []eventstore.Scan
 	results := make([]unitResult, len(units))
 	scanUnit := func(i int) {
 		r := &results[i]
-		if cached != nil && cached[i] != nil {
-			r.batch, r.hit, r.complete = cached[i], true, true
-			return
+		need := cols
+		if cached != nil {
+			if cached[i].events != nil {
+				r.batch, r.hit, r.complete = cached[i].events, true, true
+				return
+			}
+			need |= cached[i].cols
 		}
-		r.batch, r.visited, r.complete = units[i].CollectBatch(ctx, cf, keep)
+		r.batch, r.visited, r.complete = units[i].CollectBatchInto(ctx, cf, keep, need, nil)
 		if r.complete && cache != nil && units[i].Sealed() {
-			cache.put(fp, units[i].SegmentID(), r.batch)
+			cache.put(fp, units[i].SegmentID(), r.batch, need)
 		}
 	}
 
@@ -113,7 +121,7 @@ func (e *Engine) forEachUnitOrdered(ctx context.Context, units []eventstore.Scan
 		for i := range units {
 			if cache == nil {
 				r := &results[i]
-				r.batch, r.visited, r.complete = units[i].CollectBatchInto(ctx, cf, keep, scratch[:0])
+				r.batch, r.visited, r.complete = units[i].CollectBatchInto(ctx, cf, keep, cols, scratch[:0])
 				scratch = r.batch[:0]
 			} else {
 				scanUnit(i)
@@ -201,7 +209,11 @@ func (e *Engine) forEachUnitOrdered(ctx context.Context, units []eventstore.Scan
 		wg.Wait()
 	}
 
-	spawn()
+	// The first unit is scanned and consumed inline before any helper
+	// exists (the loop spawns them once it is behind): a query satisfied
+	// within it pays no coordination, and an execution cut short always
+	// has the first unit's work to show, however the helpers race it for
+	// a cancellation budget.
 	for i := range units {
 		if claims[i].CompareAndSwap(false, true) {
 			scanUnit(i) // unclaimed: the consumer scans inline

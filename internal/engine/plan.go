@@ -26,6 +26,11 @@ type patternPlan struct {
 	objSet   *eventstore.IDSet
 	evtPreds []evtPred
 	estimate int
+	// cols is what anything downstream of the scan — per-event
+	// predicates, joins, temporal checks, projection, aggregation —
+	// reads of a matched event (see demandCols); the scan gathers
+	// nothing else.
+	cols eventstore.ColMask
 }
 
 // evtPred is a compiled event-attribute predicate (agentid, amount, ...).
@@ -95,6 +100,96 @@ type queryPlan struct {
 	patterns []*patternPlan // in scheduled order
 	rels     []ast.TemporalRel
 	window   ast.TimeWindow
+	// estCost is what computing the pruning-power estimates cost; zero
+	// when nothing consumed estimates.
+	estCost eventstore.EstimateCost
+}
+
+// eventAttrCol maps an event attribute to the stored column holding it;
+// agentid, optype and starttime come with every gathered event.
+func eventAttrCol(attr string) eventstore.ColMask {
+	switch attr {
+	case "id":
+		return eventstore.ColID
+	case "endtime", "end_time":
+		return eventstore.ColEndTS
+	case "amount":
+		return eventstore.ColAmount
+	case "seq":
+		return eventstore.ColSeq
+	}
+	return 0
+}
+
+// exprCols returns the columns of pat's events that evaluating expr
+// reads: attributes of the event alias, the bare alias (its ID), and
+// the endpoint an entity variable is bound from. count(evt) reads
+// nothing of the event.
+func exprCols(expr ast.Expr, pat *ast.EventPattern) eventstore.ColMask {
+	switch x := expr.(type) {
+	case *ast.AttrExpr:
+		var m eventstore.ColMask
+		if x.Var == pat.Alias {
+			m |= eventAttrCol(x.Attr)
+		}
+		if x.Var == pat.Subject.Name {
+			m |= eventstore.ColSubject
+		}
+		if x.Var == pat.Object.Name {
+			m |= eventstore.ColObject
+		}
+		return m
+	case *ast.VarExpr:
+		if x.Name == pat.Alias {
+			return eventstore.ColID
+		}
+	case *ast.CallExpr:
+		if _, bare := x.Arg.(*ast.VarExpr); x.Arg != nil && !bare {
+			return exprCols(x.Arg, pat)
+		}
+	case *ast.BinaryExpr:
+		return exprCols(x.L, pat) | exprCols(x.R, pat)
+	case *ast.UnaryExpr:
+		return exprCols(x.X, pat)
+	}
+	return 0
+}
+
+// demandCols derives the column-demand mask of pattern i: the return
+// expressions on its alias and variables, its per-event predicates, the
+// temporal relations on its alias (before() orders by start timestamp,
+// then event ID), and an endpoint whenever its variable joins — it
+// names the pattern's other endpoint or an endpoint of another pattern.
+func demandCols(q *ast.MultieventQuery, i int, rels []ast.TemporalRel, preds []evtPred) eventstore.ColMask {
+	pat := &q.Patterns[i]
+	var m eventstore.ColMask
+	for k := range q.Return {
+		m |= exprCols(q.Return[k].Expr, pat)
+	}
+	for k := range preds {
+		m |= eventAttrCol(preds[k].attr)
+	}
+	for _, rel := range rels {
+		if rel.Left == pat.Alias || rel.Right == pat.Alias {
+			m |= eventstore.ColID
+		}
+	}
+	if pat.Subject.Name == pat.Object.Name {
+		m |= eventstore.ColSubject | eventstore.ColObject
+	}
+	for k := range q.Patterns {
+		if k == i {
+			continue
+		}
+		other := &q.Patterns[k]
+		if n := pat.Subject.Name; n == other.Subject.Name || n == other.Object.Name {
+			m |= eventstore.ColSubject
+		}
+		if n := pat.Object.Name; n == other.Subject.Name || n == other.Object.Name {
+			m |= eventstore.ColObject
+		}
+	}
+	return m
 }
 
 // compileEvtPred turns an AST event filter into a predicate.
@@ -266,28 +361,6 @@ func matchNumeric(dict *eventstore.Dictionary, t sysmon.EntityType, attr string,
 	})
 }
 
-// buildPlan compiles every pattern of a multievent query into a pattern
-// plan and schedules them against one store snapshot. Scheduling follows
-// the paper's two insights: patterns with higher pruning power (lower
-// match estimates) run first, and each scan is confined to the
-// spatial/temporal partitions implied by the global constraints.
-// Estimates are only computed when something consumes them — the
-// scheduler (two or more patterns with reordering on) or an explain —
-// so single-pattern queries skip the per-unit estimation walk entirely.
-func (e *Engine) buildPlan(snap *eventstore.Snapshot, q *ast.MultieventQuery) (*queryPlan, error) {
-	needEstimates := len(q.Patterns) > 1 && !e.cfg.DisableReordering
-	return e.buildPlanEstimates(snap, q, needEstimates)
-}
-
-func (e *Engine) buildPlanEstimates(snap *eventstore.Snapshot, q *ast.MultieventQuery, needEstimates bool) (*queryPlan, error) {
-	plan, err := e.compilePatterns(snap, q, needEstimates)
-	if err != nil {
-		return nil, err
-	}
-	e.schedule(plan)
-	return plan, nil
-}
-
 // buildPlanFixed compiles the patterns and applies a previously computed
 // scheduling order (pattern indices in execution sequence) instead of
 // re-scheduling — the execute-many half of a prepared statement: no
@@ -325,6 +398,16 @@ func orderPlan(plan *queryPlan, order []int) {
 	plan.patterns = ordered
 }
 
+// compilePatterns compiles every pattern of a multievent query into a
+// pattern plan and schedules them against one store snapshot. Scheduling
+// follows the paper's two insights: patterns with higher pruning power
+// (lower match estimates) run first, and each scan is confined to the
+// spatial/temporal partitions implied by the global constraints.
+// Estimates are only computed when something consumes them
+// (needEstimates) — the scheduler, for two or more patterns with
+// reordering on, or an explain — so single-pattern queries and
+// executions of an already scheduled statement skip the per-unit
+// estimation walk entirely.
 func (e *Engine) compilePatterns(snap *eventstore.Snapshot, q *ast.MultieventQuery, needEstimates bool) (*queryPlan, error) {
 	plan := &queryPlan{}
 	if q.Head_.Window != nil {
@@ -398,8 +481,12 @@ func (e *Engine) compilePatterns(snap *eventstore.Snapshot, q *ast.MultieventQue
 			pp.evtPreds = append(pp.evtPreds, compileEvtPred(f))
 		}
 		if needEstimates {
-			pp.estimate = snap.EstimateMatches(&pp.filter)
+			var cost eventstore.EstimateCost
+			pp.estimate, cost = snap.EstimateMatches(&pp.filter)
+			plan.estCost.Units += cost.Units
+			plan.estCost.Probes += cost.Probes
 		}
+		pp.cols = demandCols(q, i, plan.rels, pp.evtPreds)
 		plan.patterns = append(plan.patterns, pp)
 	}
 	e.schedule(plan)

@@ -11,6 +11,7 @@ import (
 	"github.com/aiql/aiql/internal/aiql/ast"
 	"github.com/aiql/aiql/internal/aiql/parser"
 	"github.com/aiql/aiql/internal/aiql/semantic"
+	"github.com/aiql/aiql/internal/eventstore"
 	"github.com/aiql/aiql/internal/numfmt"
 	"github.com/aiql/aiql/internal/obs"
 	"github.com/aiql/aiql/internal/qtext"
@@ -130,6 +131,19 @@ func Fingerprint(src string) uint64 {
 // unconstrained, so the order is computed once and every execution
 // skips the parse/check/estimate passes entirely.
 func (e *Engine) Prepare(src string) (*Prepared, error) {
+	p, err := e.compile(src)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := e.schedulePrepared(p); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// compile is the front half of Prepare: parse, semantic check and
+// dependency rewrite, into a template that is not scheduled yet.
+func (e *Engine) compile(src string) (*Prepared, error) {
 	q, err := parser.Parse(src)
 	if err != nil {
 		return nil, err
@@ -162,10 +176,16 @@ func (e *Engine) Prepare(src string) (*Prepared, error) {
 		return nil, fmt.Errorf("engine: unsupported query type %T", q)
 	}
 	p.params = p.info.Params
+	return p, nil
+}
 
-	// Schedule once. The stripped copy drops parameterized constraints
-	// (their selectivity is unknowable until bind time), so estimates
-	// are conservative; the resulting order is frozen into the plan.
+// schedulePrepared is the back half of Prepare: it estimates and orders
+// the template's patterns, once, before the template is shared, and
+// reports what the estimates cost. The stripped copy drops parameterized
+// constraints (their selectivity is unknowable until bind time), so
+// estimates are conservative; the resulting order is frozen into the
+// plan.
+func (e *Engine) schedulePrepared(p *Prepared) (eventstore.EstimateCost, error) {
 	if p.mq != nil {
 		p.stripped = stripParams(cloneMultievent(p.mq))
 	} else {
@@ -176,9 +196,9 @@ func (e *Engine) Prepare(src string) (*Prepared, error) {
 	}
 	needEstimates := len(p.stripped.Patterns) > 1 && !e.cfg.DisableReordering
 	commits := e.store.Commits()
-	plan, err := e.buildPlanEstimates(e.store.Snapshot(), p.stripped, needEstimates)
+	plan, err := e.compilePatterns(e.store.Snapshot(), p.stripped, needEstimates)
 	if err != nil {
-		return nil, err
+		return eventstore.EstimateCost{}, err
 	}
 	for _, pp := range plan.patterns {
 		p.order = append(p.order, pp.idx)
@@ -187,7 +207,7 @@ func (e *Engine) Prepare(src string) (*Prepared, error) {
 		p.plan = plan
 		p.planCommits = commits
 	}
-	return p, nil
+	return plan.estCost, nil
 }
 
 // Bind substitutes params into a private copy of the template and
@@ -424,18 +444,41 @@ func (e *Engine) ExecutePrepared(ctx context.Context, p *Prepared, params Params
 // of one statement share the compiled plan while each sees its own
 // frozen segment set.
 func (e *Engine) ExecutePreparedCursor(ctx context.Context, p *Prepared, params Params, opts CursorOptions) (*Cursor, error) {
+	return e.executePlanned(ctx, p, params, opts)
+}
+
+// executePlanned is everything between a checked template and a running
+// cursor, under one plan span: scheduling when the template is fresh
+// from compile and has no pattern order yet (a one-shot execution, its
+// template still private — the span and the statistics then carry what
+// the estimates cost), binding, and compiling the pattern plans against
+// the pinned snapshot. The whole execution runs against
+// that one lock-free snapshot, so concurrent appends and seals never
+// move data under the query and a cursor iterated across a store
+// mutation still sees the segment set that existed when it began.
+func (e *Engine) executePlanned(ctx context.Context, p *Prepared, params Params, opts CursorOptions) (*Cursor, error) {
 	psp := obs.SpanFromContext(ctx).Child("plan")
 	defer psp.End()
+	var planned ExecStats
+	if p.order == nil {
+		cost, err := e.schedulePrepared(p)
+		if err != nil {
+			return nil, err
+		}
+		planned.EstimateUnits, planned.EstimateProbes = cost.Units, cost.Probes
+	}
+	psp.SetInt("estimate_units", planned.EstimateUnits)
+	psp.SetInt("estimate_probes", planned.EstimateProbes)
 	bound, err := p.Bind(params)
 	if err != nil {
 		return nil, err
 	}
 	snap := e.store.Snapshot()
 	if aq, ok := bound.(*ast.AnomalyQuery); ok {
-		run := func(cctx context.Context, stats *ExecStats, emit emitFunc) error {
-			return e.runAnomaly(cctx, snap, aq, p.info, stats, emit)
+		run := func(cctx context.Context, stats *ExecStats, out *rowChunker) error {
+			return e.runAnomaly(cctx, snap, aq, p.info, stats, out)
 		}
-		return e.startCursor(ctx, p.info.Columns, opts, run), nil
+		return e.startCursor(ctx, p.info.Columns, opts, planned, run), nil
 	}
 	mq := bound.(*ast.MultieventQuery)
 	// Parameterless statements on an unchanged store reuse the
@@ -445,16 +488,15 @@ func (e *Engine) ExecutePreparedCursor(ctx context.Context, p *Prepared, params 
 	// a literal statement skip candidate-set recomputation entirely.
 	plan := p.plan
 	if plan == nil || e.store.Commits() != p.planCommits {
-		var err error
 		plan, err = e.buildPlanFixed(snap, mq, p.order)
 		if err != nil {
 			return nil, err
 		}
 	}
-	run := func(cctx context.Context, stats *ExecStats, emit emitFunc) error {
-		return e.runMultievent(cctx, snap, mq, p.info, plan, stats, emit, opts.Limit)
+	run := func(cctx context.Context, stats *ExecStats, out *rowChunker) error {
+		return e.runMultievent(cctx, snap, mq, p.info, plan, stats, out, opts.Limit)
 	}
-	return e.startCursor(ctx, p.info.Columns, opts, run), nil
+	return e.startCursor(ctx, p.info.Columns, opts, planned, run), nil
 }
 
 // ExplainPrepared reports the statement's frozen pattern order with

@@ -26,6 +26,13 @@ type ExecStats struct {
 	Partitions    int      // hypertable chunks in the snapshot queried
 	SegmentHits   int      // sealed-segment scans served from the scan cache
 	SegmentMisses int      // sealed-segment scans that had to run
+	// EstimateUnits and EstimateProbes are what scheduling cost when this
+	// execution did it (a one-shot query of two or more patterns): the
+	// scan units asked for a pruning-power estimate and the posting-map
+	// probes they made. Zero for single-pattern queries and for
+	// executions of a statement prepared earlier.
+	EstimateUnits  int64
+	EstimateProbes int64
 	// PoolWait is coordinator time spent blocked on pooled scan helpers
 	// (zero under sequential scanning): high values mean the shared
 	// worker pool, not this query's own scanning, bounded the latency.
@@ -43,6 +50,8 @@ func (s *ExecStats) Accumulate(o ExecStats) {
 	s.Partitions += o.Partitions
 	s.SegmentHits += o.SegmentHits
 	s.SegmentMisses += o.SegmentMisses
+	s.EstimateUnits += o.EstimateUnits
+	s.EstimateProbes += o.EstimateProbes
 	s.PoolWait += o.PoolWait
 }
 
@@ -107,12 +116,12 @@ func (r *Result) Table() string {
 	return b.String()
 }
 
-// RowSet returns the rows as a set of tab-joined strings, for equality
-// checks that ignore row order and duplicates.
+// RowSet returns the rows as a set of opaque per-row keys (equal keys,
+// equal rows), for equality checks that ignore row order and duplicates.
 func (r *Result) RowSet() map[string]struct{} {
 	set := make(map[string]struct{}, len(r.Rows))
 	for _, row := range r.Rows {
-		set[strings.Join(row, "\t")] = struct{}{}
+		set[rowKeyString(row)] = struct{}{}
 	}
 	return set
 }

@@ -90,7 +90,7 @@ func benchScanExecutor(b *testing.B, cfg Config, warm bool) {
 	run := func() {
 		var stats ExecStats
 		rows := 0
-		err := e.forEachUnitOrdered(context.Background(), units, filter, nil, &stats, 0,
+		err := e.forEachUnitOrdered(context.Background(), units, filter, nil, eventstore.ColAll, &stats, 0,
 			func(batch []sysmon.Event) bool {
 				rows += len(batch)
 				return true

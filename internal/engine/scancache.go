@@ -27,6 +27,11 @@ import (
 // cancelled mid-unit scan yields a partial batch that must not be
 // served later), and segments are immutable for their lifetime, so
 // entries never go stale; they only age out of the byte-bounded LRU.
+//
+// What a scan gathers of each event is the consumer's column demand,
+// which is not part of the key: two queries sharing a pattern share its
+// entries whatever they return. An entry records the columns it was
+// gathered with and serves any scan demanding a subset of them.
 
 // scanFP fingerprints one pattern scan: every field of the (narrowed)
 // event filter plus the compiled per-event predicates. 128 bits keeps
@@ -101,7 +106,8 @@ type scanCacheKey struct {
 
 type scanCacheEntry struct {
 	key    scanCacheKey
-	events []sysmon.Event // filtered batch; shared, read-only
+	events []sysmon.Event     // filtered batch; shared, read-only
+	cols   eventstore.ColMask // the columns the batch was gathered with
 	bytes  int64
 	used   bool // second-chance bit; set on hit, cleared by the evictor
 }
@@ -143,20 +149,27 @@ func entryBytes(events []sysmon.Event) int64 {
 	return int64(len(events))*int64(unsafe.Sizeof(sysmon.Event{})) + overhead
 }
 
+// cachedBatch is peekAll's answer for one unit: events is the batch when
+// an entry can serve the demand (never nil then — put normalizes empty
+// batches to a sentinel); otherwise cols is what a present but too
+// narrow entry was gathered with, for the rescan to widen.
+type cachedBatch struct {
+	events []sysmon.Event
+	cols   eventstore.ColMask
+}
+
 // peekAll looks up every sealed unit's batch under one lock acquisition
 // — the warm path touches hundreds of segments, so per-unit locking
-// would dominate a fully cached scan. out[i] is nil when unit i is a
-// memtable tail or has no cached batch (cached empty batches are
-// normalized to a non-nil sentinel by put). It does no hit/miss
-// accounting: the ordered-merge executor prefetches up front but
-// attributes a hit or miss only when a unit's result is actually
-// consumed (via note), so the reuse counters never count units a
-// satisfied limit left unconsumed.
-func (c *scanCache) peekAll(fp scanFP, units []eventstore.ScanUnit) [][]sysmon.Event {
+// would dominate a fully cached scan. Memtable tails and uncached units
+// come back zero. It does no hit/miss accounting: the ordered-merge
+// executor prefetches up front but attributes a hit or miss only when a
+// unit's result is actually consumed (via note), so the reuse counters
+// never count units a satisfied limit left unconsumed.
+func (c *scanCache) peekAll(fp scanFP, units []eventstore.ScanUnit, cols eventstore.ColMask) []cachedBatch {
 	if c == nil {
 		return nil
 	}
-	out := make([][]sysmon.Event, len(units))
+	out := make([]cachedBatch, len(units))
 	c.mu.Lock()
 	for i := range units {
 		if !units[i].Sealed() {
@@ -164,8 +177,12 @@ func (c *scanCache) peekAll(fp scanFP, units []eventstore.ScanUnit) [][]sysmon.E
 		}
 		if el, ok := c.entries[scanCacheKey{fp: fp, seg: units[i].SegmentID()}]; ok {
 			entry := el.Value.(*scanCacheEntry)
+			if entry.cols&cols != cols {
+				out[i].cols = entry.cols
+				continue
+			}
 			entry.used = true
-			out[i] = entry.events
+			out[i].events = entry.events
 		}
 	}
 	c.mu.Unlock()
@@ -187,10 +204,10 @@ func (c *scanCache) note(hit bool) {
 }
 
 // emptyBatch is the shared non-nil value cached for scans that matched
-// nothing, so peekAll can use nil for "not cached".
+// nothing, so peekAll can use nil events for "not served".
 var emptyBatch = make([]sysmon.Event, 0)
 
-func (c *scanCache) put(fp scanFP, seg uint64, events []sysmon.Event) {
+func (c *scanCache) put(fp scanFP, seg uint64, events []sysmon.Event, cols eventstore.ColMask) {
 	if c == nil {
 		return
 	}
@@ -200,6 +217,7 @@ func (c *scanCache) put(fp scanFP, seg uint64, events []sysmon.Event) {
 	entry := &scanCacheEntry{
 		key:    scanCacheKey{fp: fp, seg: seg},
 		events: events,
+		cols:   cols,
 		bytes:  entryBytes(events),
 	}
 	if entry.bytes > c.maxBytes {
@@ -208,6 +226,9 @@ func (c *scanCache) put(fp scanFP, seg uint64, events []sysmon.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[entry.key]; ok {
+		if old := el.Value.(*scanCacheEntry); old.cols&cols == cols && old.cols != cols {
+			return // a racing wider scan got here first; it serves this demand too
+		}
 		c.bytes += entry.bytes - el.Value.(*scanCacheEntry).bytes
 		entry.used = true
 		el.Value = entry

@@ -90,12 +90,48 @@ func (f *EventFilter) Compile() *CompiledFilter {
 	return cf
 }
 
-// CollectBatch gathers the unit's events passing the filter — and the
-// keep predicate, when non-nil — into a batch, in start-timestamp
-// order. visited counts the events that passed the filter (the same
-// events the callback path would visit), and complete is false when
-// ctx aborted the scan mid-unit, in which case the partial batch must
-// not be cached.
+// ColMask names the stored event fields a scan's consumer reads. A
+// reader-backed segment keeps each of them in its own block-compressed
+// column, so a survivor costs one block decode per demanded column and
+// nothing for the rest; the agent, operation, object type and start
+// timestamp unpack from the raw key and timestamp columns and are
+// always present.
+type ColMask uint8
+
+// The maskable event fields.
+const (
+	ColID ColMask = 1 << iota
+	ColSubject
+	ColObject
+	ColEndTS
+	ColAmount
+	ColSeq
+
+	// ColAll demands whole events.
+	ColAll = ColID | ColSubject | ColObject | ColEndTS | ColAmount | ColSeq
+)
+
+// CollectBatch gathers the unit's whole events passing the filter — and
+// the keep predicate, when non-nil — into a batch: CollectBatchInto
+// with every column demanded and no buffer to reuse.
+func (u *ScanUnit) CollectBatch(ctx context.Context, cf *CompiledFilter, keep func(*sysmon.Event) bool) (batch []sysmon.Event, visited int64, complete bool) {
+	return u.CollectBatchInto(ctx, cf, keep, ColAll, nil)
+}
+
+// CollectBatchInto gathers the unit's events passing the filter — and
+// the keep predicate, when non-nil — in start-timestamp order,
+// appending into buf (which must be empty but may carry capacity, so a
+// sequential caller that retains no batch reuses one scratch buffer
+// across units). visited counts the events that passed the filter (the
+// same events the callback path would visit), and complete is false
+// when ctx aborted the scan mid-unit, in which case the partial batch
+// must not be cached.
+//
+// cols is what the consumer — keep included — reads of each event.
+// Fields outside it are unspecified: a reader-backed segment leaves
+// them zero (apart from those the filter itself had to fetch on the
+// posting path), an event array copies them along because skipping them
+// would save nothing.
 //
 // Sealed segments with built indexes take the posting-list path when
 // bestPostingList applies (the list is already sparse, so a bitmap
@@ -103,15 +139,7 @@ func (f *EventFilter) Compile() *CompiledFilter {
 // dense path. Both read the unit through its colView, so neither knows
 // whether the events sit in a memtable, on the heap or behind a mapped
 // segment file.
-func (u *ScanUnit) CollectBatch(ctx context.Context, cf *CompiledFilter, keep func(*sysmon.Event) bool) (batch []sysmon.Event, visited int64, complete bool) {
-	return u.CollectBatchInto(ctx, cf, keep, nil)
-}
-
-// CollectBatchInto is CollectBatch appending into buf (which must be
-// empty but may carry capacity), letting a sequential caller that does
-// not retain batches — no scan cache to fill — reuse one scratch
-// buffer across units instead of allocating per unit.
-func (u *ScanUnit) CollectBatchInto(ctx context.Context, cf *CompiledFilter, keep func(*sysmon.Event) bool, buf []sysmon.Event) (batch []sysmon.Event, visited int64, complete bool) {
+func (u *ScanUnit) CollectBatchInto(ctx context.Context, cf *CompiledFilter, keep func(*sysmon.Event) bool, cols ColMask, buf []sysmon.Event) (batch []sysmon.Event, visited int64, complete bool) {
 	var (
 		list    []int32
 		posting bool
@@ -127,7 +155,20 @@ func (u *ScanUnit) CollectBatchInto(ctx context.Context, cf *CompiledFilter, kee
 			list, posting = g.bestPostingList(cf.f)
 		}
 	}
-	v, ok := u.view(!posting)
+	if posting {
+		// The posting path re-checks the whole filter on each gathered
+		// event, so the gather must fetch what the filter compares.
+		if cf.f.Subjects != nil {
+			cols |= ColSubject
+		}
+		if cf.f.Objects != nil {
+			cols |= ColObject
+		}
+		if cf.f.MinAmount != 0 {
+			cols |= ColAmount
+		}
+	}
+	v, ok := u.view(!posting, cols)
 	if !ok {
 		return buf, 0, true // column unreadable; recorded by keyColumn/tsColumn
 	}
@@ -207,45 +248,62 @@ func (c *colCursor) u32(pos int) uint32 {
 	return binary.LittleEndian.Uint32(b[(pos&(batchBlockEvents-1))*4:])
 }
 
-// colGather assembles whole events from the per-attribute columns:
-// agent, op, and object type unpack from the scan key; the remaining
-// fields gather from their column cursors.
+// colGather assembles events from the per-attribute columns: agent, op,
+// and object type unpack from the scan key; of the remaining fields the
+// demanded ones gather from their column cursors and the rest stay
+// zero, their blocks never fetched.
 type colGather struct {
 	g                           *Segment
 	ts                          []int64
+	cols                        ColMask
 	id, sub, obj, end, amt, seq colCursor
 	ev                          sysmon.Event // scratch returned by event
 }
 
-func newColGather(g *Segment, ts []int64) *colGather {
+func newColGather(g *Segment, ts []int64, cols ColMask) *colGather {
 	return &colGather{
-		g:   g,
-		ts:  ts,
-		id:  newColCursor(g, durable.ColID),
-		sub: newColCursor(g, durable.ColSubject),
-		obj: newColCursor(g, durable.ColObject),
-		end: newColCursor(g, durable.ColEndTS),
-		amt: newColCursor(g, durable.ColAmount),
-		seq: newColCursor(g, durable.ColSeq),
+		g:    g,
+		ts:   ts,
+		cols: cols,
+		id:   newColCursor(g, durable.ColID),
+		sub:  newColCursor(g, durable.ColSubject),
+		obj:  newColCursor(g, durable.ColObject),
+		end:  newColCursor(g, durable.ColEndTS),
+		amt:  newColCursor(g, durable.ColAmount),
+		seq:  newColCursor(g, durable.ColSeq),
 	}
 }
 
 // event gathers the event at pos into the scratch event, which stays
 // valid until the next call.
 func (cg *colGather) event(pos int, key uint64) *sysmon.Event {
-	cg.ev = sysmon.Event{
-		ID:      cg.id.u64(pos),
+	ev := &cg.ev
+	*ev = sysmon.Event{
 		AgentID: uint32(key >> 32),
-		Subject: sysmon.EntityID(cg.sub.u32(pos)),
 		Op:      sysmon.Operation((key >> 16) & 0xFFFF),
 		ObjType: sysmon.EntityType((key >> 8) & 0xFF),
-		Object:  sysmon.EntityID(cg.obj.u32(pos)),
 		StartTS: cg.ts[pos],
-		EndTS:   int64(cg.end.u64(pos)),
-		Amount:  cg.amt.u64(pos),
-		Seq:     cg.seq.u64(pos),
 	}
-	return &cg.ev
+	cols := cg.cols
+	if cols&ColID != 0 {
+		ev.ID = cg.id.u64(pos)
+	}
+	if cols&ColSubject != 0 {
+		ev.Subject = sysmon.EntityID(cg.sub.u32(pos))
+	}
+	if cols&ColObject != 0 {
+		ev.Object = sysmon.EntityID(cg.obj.u32(pos))
+	}
+	if cols&ColEndTS != 0 {
+		ev.EndTS = int64(cg.end.u64(pos))
+	}
+	if cols&ColAmount != 0 {
+		ev.Amount = cg.amt.u64(pos)
+	}
+	if cols&ColSeq != 0 {
+		ev.Seq = cg.seq.u64(pos)
+	}
+	return ev
 }
 
 // cursorErr returns the first decode failure across the gather's
@@ -277,10 +335,11 @@ type colView struct {
 
 // view resolves the unit's layout. withKeys asks for the key column of
 // an AoS-backed segment, which is built on first use and therefore
-// skipped when the caller (the posting path) never reads it. ok is false
-// when a reader-backed segment's key or timestamp column is unreadable:
-// the error is already recorded and the data reads as absent.
-func (u *ScanUnit) view(withKeys bool) (v colView, ok bool) {
+// skipped when the caller (the posting path) never reads it; cols is
+// what event() must fill in on the columnar backing. ok is false when a
+// reader-backed segment's key or timestamp column is unreadable: the
+// error is already recorded and the data reads as absent.
+func (u *ScanUnit) view(withKeys bool, cols ColMask) (v colView, ok bool) {
 	g := u.seg
 	if g == nil {
 		return colView{n: len(u.mem.events), events: u.mem.events}, true
@@ -296,7 +355,7 @@ func (u *ScanUnit) view(withKeys bool) (v colView, ok bool) {
 	if keys == nil || len(ts) != len(keys) {
 		return colView{}, false
 	}
-	return colView{n: len(keys), keys: keys, ts: ts, gather: newColGather(g, ts)}, true
+	return colView{n: len(keys), keys: keys, ts: ts, gather: newColGather(g, ts, cols)}, true
 }
 
 // timeSlice returns the position range [lo, hi) of events whose start
@@ -329,9 +388,9 @@ func (v *colView) amount(pos int) uint64 {
 	return v.gather.amt.u64(pos)
 }
 
-// event returns the whole event at pos: a pointer into the AoS array,
-// or into the gather's scratch event (valid until the next call) for
-// the columnar backing.
+// event returns the event at pos: a pointer into the AoS array, or into
+// the gather's scratch event (valid until the next call, demanded
+// columns only) for the columnar backing.
 func (v *colView) event(pos int) *sysmon.Event {
 	if v.gather == nil {
 		return &v.events[pos]

@@ -84,18 +84,53 @@ func addBatchEvents(s *Store, seed int64, n int) {
 	s.AppendAll(recs)
 }
 
+// project zeroes the maskable fields of ev that cols leaves out.
+func project(ev sysmon.Event, cols ColMask) sysmon.Event {
+	if cols&ColID == 0 {
+		ev.ID = 0
+	}
+	if cols&ColSubject == 0 {
+		ev.Subject = 0
+	}
+	if cols&ColObject == 0 {
+		ev.Object = 0
+	}
+	if cols&ColEndTS == 0 {
+		ev.EndTS = 0
+	}
+	if cols&ColAmount == 0 {
+		ev.Amount = 0
+	}
+	if cols&ColSeq == 0 {
+		ev.Seq = 0
+	}
+	return ev
+}
+
 // TestCollectBatchMatchesScan cross-checks the batch kernel — dense
 // masked compare over the packed key column, residual probes through
-// the column view, posting-list path — against the row-at-a-time Scan
-// reference for every filter shape over every storage layout. Any
-// divergence in membership or order is a correctness bug in the
-// vectorized path.
+// the column view, posting-list path, column-pruned gather — against the
+// row-at-a-time Scan reference for every filter shape and column demand
+// over every storage layout. Any divergence in membership or order, or
+// in a demanded field, is a correctness bug in the vectorized path; a
+// column-backed unit must moreover leave every field nobody asked for
+// at zero — proof that its column was not read.
 func TestCollectBatchMatchesScan(t *testing.T) {
 	from := base.Add(25 * time.Minute).UnixNano()
 	to := base.Add(95 * time.Minute).UnixNano()
-	keeps := []func(*sysmon.Event) bool{
-		nil,
-		func(ev *sysmon.Event) bool { return ev.Amount%2 == 0 },
+	// Each keep comes with the columns it reads: they are part of any
+	// demand it runs under.
+	keeps := []struct {
+		fn   func(*sysmon.Event) bool
+		cols ColMask
+	}{
+		{nil, 0},
+		{func(ev *sysmon.Event) bool { return ev.Amount%2 == 0 }, ColAmount},
+	}
+	masks := []ColMask{ColAll, 0, ColSubject | ColObject | ColAmount, ColID, ColObject | ColEndTS | ColSeq}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 3; i++ {
+		masks = append(masks, ColMask(rng.Intn(int(ColAll)+1)))
 	}
 	for _, layout := range batchLayouts {
 		t.Run(layout.name, func(t *testing.T) {
@@ -140,46 +175,65 @@ func TestCollectBatchMatchesScan(t *testing.T) {
 			for fi, f := range filters {
 				cf := f.Compile()
 				for ki, keep := range keeps {
-					var r result
-					units := s.Snapshot().Units(f)
-					for i := range units {
-						batch, v, complete := units[i].CollectBatch(context.Background(), cf, keep)
-						if !complete {
-							t.Fatalf("filter %d keep %d: batch collect incomplete without cancellation", fi, ki)
+					for mi, mask := range masks {
+						var r result
+						units := s.Snapshot().Units(f)
+						for i := range units {
+							batch, v, complete := units[i].CollectBatchInto(context.Background(), cf, keep.fn, mask|keep.cols, nil)
+							if !complete {
+								t.Fatalf("filter %d keep %d mask %d: batch collect incomplete without cancellation", fi, ki, mi)
+							}
+							r.events = append(r.events, batch...)
+							r.visited += v
+							if layout.columnar && (!units[i].Sealed() || units[i].seg.loadedEvents() != nil) {
+								t.Fatalf("filter %d keep %d mask %d: unit %d (segment %d) is not column-backed", fi, ki, mi, i, units[i].SegmentID())
+							}
 						}
-						r.events = append(r.events, batch...)
-						r.visited += v
-						if layout.columnar && (!units[i].Sealed() || units[i].seg.loadedEvents() != nil) {
-							t.Fatalf("filter %d keep %d: unit %d (segment %d) is not column-backed", fi, ki, i, units[i].SegmentID())
-						}
+						got = append(got, r)
 					}
-					got = append(got, r)
 				}
 			}
 			matched := 0
 			for fi, f := range filters {
+				// what the posting path may have fetched to re-check the filter
+				var filterCols ColMask
+				if f.Subjects != nil {
+					filterCols |= ColSubject
+				}
+				if f.Objects != nil {
+					filterCols |= ColObject
+				}
+				if f.MinAmount != 0 {
+					filterCols |= ColAmount
+				}
 				for ki, keep := range keeps {
 					var want []sysmon.Event
 					units := s.Snapshot().Units(f)
 					for i := range units {
 						units[i].Scan(f, func(ev *sysmon.Event) bool {
-							if keep == nil || keep(ev) {
+							if keep.fn == nil || keep.fn(ev) {
 								want = append(want, *ev)
 							}
 							return true
 						})
 					}
-					r := got[fi*len(keeps)+ki]
-					if len(r.events) != len(want) {
-						t.Fatalf("filter %d keep %d: batch path found %d events, scan found %d", fi, ki, len(r.events), len(want))
-					}
-					for j := range want {
-						if r.events[j] != want[j] {
-							t.Fatalf("filter %d keep %d: event %d differs:\nbatch %+v\nscan  %+v", fi, ki, j, r.events[j], want[j])
+					for mi, mask := range masks {
+						cols := mask | keep.cols
+						r := got[(fi*len(keeps)+ki)*len(masks)+mi]
+						if len(r.events) != len(want) {
+							t.Fatalf("filter %d keep %d mask %#x: batch path found %d events, scan found %d", fi, ki, cols, len(r.events), len(want))
 						}
-					}
-					if r.visited < int64(len(want)) {
-						t.Errorf("filter %d keep %d: visited %d < matched %d", fi, ki, r.visited, len(want))
+						for j := range want {
+							if project(r.events[j], cols) != project(want[j], cols) {
+								t.Fatalf("filter %d keep %d mask %#x: event %d differs in a demanded field:\nbatch %+v\nscan  %+v", fi, ki, cols, j, r.events[j], want[j])
+							}
+							if layout.columnar && project(r.events[j], cols|filterCols) != r.events[j] {
+								t.Fatalf("filter %d keep %d mask %#x: event %d carries an undemanded field: %+v", fi, ki, cols, j, r.events[j])
+							}
+						}
+						if r.visited < int64(len(want)) {
+							t.Errorf("filter %d keep %d mask %#x: visited %d < matched %d", fi, ki, cols, r.visited, len(want))
+						}
 					}
 					matched += len(want)
 				}
@@ -188,6 +242,46 @@ func TestCollectBatchMatchesScan(t *testing.T) {
 				t.Fatal("no filter matched anything: the cross-check compared empty results")
 			}
 		})
+	}
+}
+
+// TestCollectBatchDecodesOnlyDemandedColumns pins what column pruning
+// is for: on a cold reopened store a scan fetches exactly one block per
+// demanded column for every block of its time slice — every fetch is a
+// block-cache miss — and nothing for the columns nobody asked for.
+func TestCollectBatchDecodesOnlyDemandedColumns(t *testing.T) {
+	from := base.Add(25 * time.Minute).UnixNano()
+	to := base.Add(95 * time.Minute).UnixNano()
+	for _, tc := range []struct {
+		cols  ColMask
+		ncols int
+	}{
+		{0, 0},
+		{ColSubject, 1},
+		{ColSubject | ColObject | ColAmount, 3},
+		{ColAll, 6},
+	} {
+		s := batchLayouts[2].build(t) // a fresh reopened store each time: cold block cache
+		f := &EventFilter{From: from, To: to}
+		cf := f.Compile()
+		units := s.Snapshot().Units(f)
+		blocks, events := 0, 0
+		for i := range units {
+			batch, _, complete := units[i].CollectBatchInto(context.Background(), cf, nil, tc.cols, nil)
+			if !complete {
+				t.Fatal("unexpected incomplete collect")
+			}
+			events += len(batch)
+			if lo, hi := units[i].seg.timeSliceIdx(from, to); hi > lo {
+				blocks += (hi-1)/batchBlockEvents - lo/batchBlockEvents + 1
+			}
+		}
+		if events == 0 || blocks < len(units) {
+			t.Fatalf("mask %#x: %d events over %d blocks of %d units: the slice is too small to tell", tc.cols, events, blocks, len(units))
+		}
+		if got, want := s.BlockCacheStats().Misses, uint64(blocks*tc.ncols); got != want {
+			t.Errorf("mask %#x: %d blocks fetched, want %d (%d blocks in the slice x %d demanded columns)", tc.cols, got, want, blocks, tc.ncols)
+		}
 	}
 }
 
@@ -207,7 +301,7 @@ func TestCollectBatchIntoReusesBuffer(t *testing.T) {
 	}
 	buf := make([]sysmon.Event, 0, 4096)
 	for i := range units {
-		batch, _, complete := units[i].CollectBatchInto(context.Background(), cf, nil, buf[:0])
+		batch, _, complete := units[i].CollectBatchInto(context.Background(), cf, nil, ColAll, buf[:0])
 		if !complete {
 			t.Fatal("unexpected incomplete collect")
 		}

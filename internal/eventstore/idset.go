@@ -1,15 +1,22 @@
 package eventstore
 
 import (
-	"sort"
+	"slices"
+	"sync/atomic"
 
 	"github.com/aiql/aiql/internal/sysmon"
 )
 
 // IDSet is a set of entity IDs, used to carry entity bindings between
 // event patterns during query execution (e.g. "the same file f1").
+// Concurrent readers are safe once the set is no longer being added to,
+// which is how the engine shares resolved candidate sets across queries.
 type IDSet struct {
 	m map[sysmon.EntityID]struct{}
+	// sorted memoizes IDs(): one candidate set is fingerprinted by every
+	// scan it narrows, and re-sorting a few thousand IDs each time shows
+	// up in profiles. Add invalidates it.
+	sorted atomic.Pointer[[]sysmon.EntityID]
 }
 
 // NewIDSet creates a set containing the given IDs.
@@ -22,7 +29,12 @@ func NewIDSet(ids ...sysmon.EntityID) *IDSet {
 }
 
 // Add inserts id into the set.
-func (s *IDSet) Add(id sysmon.EntityID) { s.m[id] = struct{}{} }
+func (s *IDSet) Add(id sysmon.EntityID) {
+	s.m[id] = struct{}{}
+	if s.sorted.Load() != nil {
+		s.sorted.Store(nil)
+	}
+}
 
 // Has reports whether id is in the set. A nil set contains everything,
 // matching the "unconstrained" meaning used by event filters.
@@ -46,16 +58,21 @@ func (s *IDSet) Len() int {
 // Empty reports whether the set is non-nil and has no members.
 func (s *IDSet) Empty() bool { return s != nil && len(s.m) == 0 }
 
-// IDs returns the members in ascending order.
+// IDs returns the members in ascending order. The slice is shared
+// between callers and must not be modified.
 func (s *IDSet) IDs() []sysmon.EntityID {
 	if s == nil {
 		return nil
+	}
+	if p := s.sorted.Load(); p != nil {
+		return *p
 	}
 	out := make([]sysmon.EntityID, 0, len(s.m))
 	for id := range s.m {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
+	s.sorted.Store(&out)
 	return out
 }
 

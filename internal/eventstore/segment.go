@@ -3,6 +3,7 @@ package eventstore
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -554,12 +555,36 @@ func (g *Segment) bestPostingList(f *EventFilter) ([]int32, bool) {
 	return nil, false
 }
 
+// eachPosting calls fn with the posting list of every entity of set the
+// segment has postings for, and returns the map probes that took.
+// Whichever of the set and the posting map is smaller is walked and
+// probed into the other — the lists visited are those of their
+// intersection either way — so a wide candidate set costs a segment no
+// more than its own distinct entities: O(min(|set|, |postings|)).
+func eachPosting(postings map[sysmon.EntityID][]int32, set *IDSet, fn func(list []int32)) (probes int64) {
+	if len(postings) < len(set.m) {
+		for id, list := range postings {
+			if _, ok := set.m[id]; ok {
+				fn(list)
+			}
+		}
+		return int64(len(postings))
+	}
+	for id := range set.m {
+		if list, ok := postings[id]; ok {
+			fn(list)
+		}
+	}
+	return int64(len(set.m))
+}
+
+// mergePostings concatenates the posting lists of the set's entities
+// and sorts the positions. Every position sits in exactly one list, so
+// the sorted result does not depend on the order the lists arrive in.
 func mergePostings(postings map[sysmon.EntityID][]int32, set *IDSet) []int32 {
 	var out []int32
-	for _, id := range set.IDs() {
-		out = append(out, postings[id]...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	eachPosting(postings, set, func(list []int32) { out = append(out, list...) })
+	slices.Sort(out)
 	return out
 }
 
@@ -584,15 +609,16 @@ func (g *Segment) timeSliceIdx(from, to int64) (int, int) {
 // available, else the (time-sliced) segment size. For reader-backed
 // segments the histogram is free (persisted in the directory) and the
 // posting clamp triggers the lazy index load only when the filter's
-// entity sets could actually tighten the bound.
-func (g *Segment) estimate(f *EventFilter) int {
+// entity sets could actually tighten the bound. probes counts the
+// posting-map lookups the estimate cost.
+func (g *Segment) estimate(f *EventFilter) (n int, probes int64) {
 	lo, hi := g.timeSliceIdx(f.From, f.To)
-	n := hi - lo
+	n = hi - lo
 	if n <= 0 {
-		return 0
+		return 0, 0
 	}
 	if !g.indexed {
-		return n
+		return n, 0
 	}
 	if len(f.Ops) > 0 && g.opsReady.Load() {
 		opN := 0
@@ -607,35 +633,37 @@ func (g *Segment) estimate(f *EventFilter) int {
 	}
 	if !g.ready.Load() {
 		if !g.postingApplicable(f) || !g.ensureIndexes() {
-			return n
+			return n, 0
 		}
 	}
-	if s := postingEstimate(g.postingSub, f.Subjects, lo, hi); s >= 0 && s < n {
+	s, p := postingEstimate(g.postingSub, f.Subjects, lo, hi)
+	if s >= 0 && s < n {
 		n = s
 	}
-	if s := postingEstimate(g.postingObj, f.Objects, lo, hi); s >= 0 && s < n {
+	probes += p
+	s, p = postingEstimate(g.postingObj, f.Objects, lo, hi)
+	if s >= 0 && s < n {
 		n = s
 	}
-	return n
+	return n, probes + p
 }
 
 // postingEstimate sums the posting-list lengths for the set's entities,
 // clamped to the [lo, hi) position range of the filter's time slice:
 // a window that excludes most of the segment must not be charged for
 // postings it can never touch. Posting lists are position-sorted, so
-// the clamp is two binary searches per list.
-func postingEstimate(postings map[sysmon.EntityID][]int32, set *IDSet, lo, hi int) int {
+// the clamp is two binary searches per list. probes is what the walk
+// cost (see eachPosting).
+func postingEstimate(postings map[sysmon.EntityID][]int32, set *IDSet, lo, hi int) (total int, probes int64) {
 	l := set.Len()
 	if l < 0 {
-		return -1
+		return -1, 0
 	}
 	const estimateLimit = 4096 // cap the work spent estimating
 	if l > estimateLimit {
-		return -1
+		return -1, 0
 	}
-	total := 0
-	for id := range set.m {
-		list := postings[id]
+	probes = eachPosting(postings, set, func(list []int32) {
 		if lo > 0 {
 			list = list[sort.Search(len(list), func(i int) bool { return int(list[i]) >= lo }):]
 		}
@@ -643,8 +671,8 @@ func postingEstimate(postings map[sysmon.EntityID][]int32, set *IDSet, lo, hi in
 			list = list[:sort.Search(len(list), func(i int) bool { return int(list[i]) >= hi })]
 		}
 		total += len(list)
-	}
-	return total
+	})
+	return total, probes
 }
 
 // timeSlice returns the index range [lo, hi) of events whose start

@@ -147,12 +147,13 @@ func (u *ScanUnit) Scan(f *EventFilter, fn func(*sysmon.Event) bool) bool {
 	return u.mem.scan(f, ops, agents, fn)
 }
 
-// Estimate returns an upper bound on the unit's events matching f.
-func (u *ScanUnit) Estimate(f *EventFilter) int {
+// Estimate returns an upper bound on the unit's events matching f, and
+// the number of posting-map probes computing it cost.
+func (u *ScanUnit) Estimate(f *EventFilter) (n int, probes int64) {
 	if u.seg != nil {
 		return u.seg.estimate(f)
 	}
-	return u.mem.estimate(f)
+	return u.mem.estimate(f), 0
 }
 
 // Units returns the scan units that can contain events matching the
@@ -234,15 +235,25 @@ func (sn *Snapshot) Collect(f *EventFilter) []sysmon.Event {
 	return out
 }
 
+// EstimateCost is the work one EstimateMatches call did: the scan units
+// it asked and the posting-map probes they made.
+type EstimateCost struct {
+	Units  int64
+	Probes int64
+}
+
 // EstimateMatches returns an upper-bound estimate of the number of
 // events matching the filter — the optimizer's "pruning power" signal.
 // Lower estimates mean higher pruning power.
-func (sn *Snapshot) EstimateMatches(f *EventFilter) int {
-	total := 0
-	for _, u := range sn.Units(f) {
-		total += u.Estimate(f)
+func (sn *Snapshot) EstimateMatches(f *EventFilter) (total int, cost EstimateCost) {
+	units := sn.Units(f)
+	cost.Units = int64(len(units))
+	for i := range units {
+		n, probes := units[i].Estimate(f)
+		total += n
+		cost.Probes += probes
 	}
-	return total
+	return total, cost
 }
 
 // Agents returns the distinct agent IDs present in the snapshot,

@@ -436,7 +436,8 @@ func (s *Store) Collect(f *EventFilter) []sysmon.Event {
 // EstimateMatches returns an upper-bound estimate of the number of events
 // matching the filter; see Snapshot.EstimateMatches.
 func (s *Store) EstimateMatches(f *EventFilter) int {
-	return s.Snapshot().EstimateMatches(f)
+	total, _ := s.Snapshot().EstimateMatches(f)
+	return total
 }
 
 // Agents returns the distinct agent IDs present in the store, ascending.

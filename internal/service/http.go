@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	aiql "github.com/aiql/aiql"
 	"github.com/aiql/aiql/internal/obs"
@@ -359,10 +360,12 @@ func (h *apiHandler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleQueryStream serves one query as NDJSON, flushing rows as the
-// engine produces them. The response is 200 once streaming starts;
-// failures before the first byte use normal error statuses, failures
-// mid-stream surface in the trailer.
+// handleQueryStream serves one query as NDJSON. Rows are written and
+// flushed a chunk at a time as the engine hands them over — the first
+// row is a chunk of its own, so it reaches the client at once — which
+// makes a stream cost one write per chunk, not one per row. The response
+// is 200 once streaming starts; failures before the first byte use
+// normal error statuses, failures mid-stream surface in the trailer.
 func (h *apiHandler) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	req, ok := decodeQuery(w, r)
 	if !ok {
@@ -382,13 +385,14 @@ func (h *apiHandler) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		enc     = json.NewEncoder(w)
 		flush   func()
 		started bool
+		buf     []byte // the rows of one chunk, encoded
 	)
 	if f, ok := w.(http.Flusher); ok {
 		flush = f.Flush
 	} else {
 		flush = func() {}
 	}
-	resp, err := svc.DoStream(r.Context(), Request{
+	resp, err := svc.DoStreamChunks(r.Context(), Request{
 		Query:      req.Query,
 		StmtID:     req.StmtID,
 		Params:     req.Params,
@@ -409,8 +413,12 @@ func (h *apiHandler) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			flush()
 			return nil
 		},
-		func(row []string) error {
-			if err := enc.Encode(row); err != nil {
+		func(chunk [][]string) error {
+			buf = buf[:0]
+			for _, row := range chunk {
+				buf = append(appendJSONRow(buf, row), '\n')
+			}
+			if _, err := w.Write(buf); err != nil {
 				return err
 			}
 			flush()
@@ -439,6 +447,69 @@ func (h *apiHandler) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}); encErr == nil {
 		flush()
 	}
+}
+
+// jsonEscapes holds, for every ASCII byte encoding/json does not copy
+// through verbatim inside a string, the escape it writes instead. It is
+// filled from encoding/json itself, so appendJSONString agrees with the
+// encoder of whatever toolchain built the program.
+var jsonEscapes = func() (t [utf8.RuneSelf]string) {
+	for b := 0; b < utf8.RuneSelf; b++ {
+		enc, _ := json.Marshal(string(rune(b))) // a one-byte string cannot fail to marshal
+		if esc := string(enc[1 : len(enc)-1]); esc != string(rune(b)) {
+			t[b] = esc
+		}
+	}
+	return t
+}()
+
+// appendJSONString appends s as a JSON string exactly as encoding/json
+// renders it (HTML-safe escaping on, invalid UTF-8 replaced, U+2028 and
+// U+2029 escaped) without the reflection and the intermediate buffer of
+// an Encoder.
+func appendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if esc := jsonEscapes[b]; esc != "" {
+				dst = append(append(dst, s[start:i]...), esc...)
+				start = i + 1
+			}
+			i++
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+			start = i + size
+		case c == '\u2028':
+			dst = append(append(dst, s[start:i]...), `\u2028`...)
+			start = i + size
+		case c == '\u2029':
+			dst = append(append(dst, s[start:i]...), `\u2029`...)
+			start = i + size
+		}
+		i += size
+	}
+	return append(append(dst, s[start:]...), '"')
+}
+
+// appendJSONRow appends one result row as the JSON array of strings
+// encoding/json renders a []string as.
+func appendJSONRow(dst []byte, row []string) []byte {
+	if row == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, cell := range row {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(dst, cell)
+	}
+	return append(dst, ']')
 }
 
 func (h *apiHandler) handleCheck(w http.ResponseWriter, r *http.Request) {

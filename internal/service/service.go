@@ -1013,6 +1013,31 @@ func (s *Service) observe(req Request, target *execTarget, start time.Time, resp
 // interactive repeats belong on Do. The returned Response reports the
 // rows actually streamed in TotalRows.
 func (s *Service) DoStream(ctx context.Context, req Request, header func(cols []string, cached bool) error, row func([]string) error) (*Response, error) {
+	// delivered corrects TotalRows when the sink fails mid-chunk: the
+	// chunked path counts whole chunks only.
+	delivered := 0
+	resp, err := s.DoStreamChunks(ctx, req, header, func(chunk [][]string) error {
+		for _, r := range chunk {
+			if err := row(r); err != nil {
+				return err
+			}
+			delivered++
+		}
+		return nil
+	})
+	if resp != nil {
+		resp.TotalRows = delivered
+	}
+	return resp, err
+}
+
+// DoStreamChunks is DoStream handing rows over in the chunks the
+// execution produced them in: the first row on its own, so it is never
+// held back, then whatever accumulated up to a scan-unit boundary or a
+// full chunk. A sink that writes to a connection does one write and one
+// flush per chunk instead of per row. The rows are the callback's to
+// keep; the chunk slice holding them is valid only during the call.
+func (s *Service) DoStreamChunks(ctx context.Context, req Request, header func(cols []string, cached bool) error, rows func(chunk [][]string) error) (*Response, error) {
 	start := time.Now()
 	s.queries.Add(1)
 
@@ -1022,7 +1047,7 @@ func (s *Service) DoStream(ctx context.Context, req Request, header func(cols []
 		return nil, err
 	}
 
-	resp, err := s.doStreamResolved(ctx, req, target, start, header, row)
+	resp, err := s.doStreamResolved(ctx, req, target, start, header, rows)
 	s.observe(req, target, start, resp, err)
 	if resp != nil && !req.Trace {
 		resp.Trace = nil
@@ -1030,12 +1055,34 @@ func (s *Service) DoStream(ctx context.Context, req Request, header func(cols []
 	return resp, err
 }
 
+// streamChunkRows is how many rows of an already materialized result (a
+// cache hit, a sorted stream) go to the sink at a time; it matches the
+// engine cursor's chunk size so a sink sees the same shape either way.
+const streamChunkRows = 256
+
+// streamMaterialized feeds already materialized rows to a chunk sink —
+// the first row alone, then streamChunkRows at a time — and returns how
+// many rows the sink accepted.
+func (s *Service) streamMaterialized(all [][]string, rows func(chunk [][]string) error) (int, error) {
+	sent := 0
+	for n := 1; sent < len(all); n = streamChunkRows {
+		chunk := all[sent:min(sent+n, len(all))]
+		if err := rows(chunk); err != nil {
+			s.canceled.Add(1) // a sink failure means the client went away
+			return sent, err
+		}
+		sent += len(chunk)
+		s.rowsStreamed.Add(uint64(len(chunk)))
+	}
+	return sent, nil
+}
+
 // doStreamResolved is DoStream past target resolution. An execution cut
 // short by its sink (the client disconnected mid-stream) still returns
 // a Response — alongside the error — carrying the engine statistics of
 // the work actually done, so observe records the aborted query's
 // latency and scanned events instead of losing them.
-func (s *Service) doStreamResolved(ctx context.Context, req Request, target *execTarget, start time.Time, header func(cols []string, cached bool) error, row func([]string) error) (*Response, error) {
+func (s *Service) doStreamResolved(ctx context.Context, req Request, target *execTarget, start time.Time, header func(cols []string, cached bool) error, rows func(chunk [][]string) error) (*Response, error) {
 	limit := req.Limit
 	if limit < 0 {
 		limit = 0
@@ -1058,24 +1105,14 @@ func (s *Service) doStreamResolved(ctx context.Context, req Request, target *exe
 				resp.Duration = time.Since(start)
 				return resp, err
 			}
-			rows := entry.result.Rows
-			if limit > 0 && len(rows) > limit {
-				rows = rows[:limit]
+			all := entry.result.Rows
+			if limit > 0 && len(all) > limit {
+				all = all[:limit]
 			}
-			sent := 0
-			for _, r := range rows {
-				if err := row(r); err != nil {
-					s.canceled.Add(1)
-					resp.TotalRows = sent
-					resp.Duration = time.Since(start)
-					return resp, err
-				}
-				sent++
-				s.rowsStreamed.Add(1)
-			}
+			sent, err := s.streamMaterialized(all, rows)
 			resp.TotalRows = sent
 			resp.Duration = time.Since(start)
-			return resp, nil
+			return resp, err
 		}
 		if s.cache != nil {
 			s.cacheMisses.Add(1)
@@ -1086,10 +1123,10 @@ func (s *Service) doStreamResolved(ctx context.Context, req Request, target *exe
 	// a coordinator merge-streams its members, a member serves the
 	// sorted order from the buffered execution path.
 	if s.shards != nil {
-		return s.doStreamSharded(ctx, req, target, start, header, row)
+		return s.doStreamSharded(ctx, req, target, start, header, rows)
 	}
 	if req.Sorted {
-		return s.doStreamSorted(ctx, req, target, start, header, row)
+		return s.doStreamSorted(ctx, req, target, start, header, rows)
 	}
 
 	if err := s.acquireClient(req.Client); err != nil {
@@ -1150,13 +1187,13 @@ func (s *Service) doStreamResolved(ctx context.Context, req Request, target *exe
 		return finish(0), err
 	}
 	streamed := 0
-	for cur.Next() {
-		if err := row(cur.Row()); err != nil {
+	for chunk := cur.NextChunk(); chunk != nil; chunk = cur.NextChunk() {
+		if err := rows(chunk); err != nil {
 			s.canceled.Add(1)
 			return finish(streamed), err
 		}
-		streamed++
-		s.rowsStreamed.Add(1)
+		streamed += len(chunk)
+		s.rowsStreamed.Add(uint64(len(chunk)))
 	}
 	if err := cur.Err(); err != nil {
 		resp := finish(streamed)
@@ -1179,7 +1216,7 @@ func (s *Service) doStreamResolved(ctx context.Context, req Request, target *exe
 // fill, singleflight — and then walking the entry's rows. The limit
 // truncates the walk, not the execution, so a repeat with a larger
 // limit is a cache hit.
-func (s *Service) doStreamSorted(ctx context.Context, req Request, target *execTarget, start time.Time, header func(cols []string, cached bool) error, row func([]string) error) (*Response, error) {
+func (s *Service) doStreamSorted(ctx context.Context, req Request, target *execTarget, start time.Time, header func(cols []string, cached bool) error, rows func(chunk [][]string) error) (*Response, error) {
 	if err := s.acquireClient(req.Client); err != nil {
 		return nil, err
 	}
@@ -1204,24 +1241,14 @@ func (s *Service) doStreamSorted(ctx context.Context, req Request, target *execT
 		resp.Duration = time.Since(start)
 		return resp, err
 	}
-	rows := entry.result.Rows
-	if req.Limit > 0 && len(rows) > req.Limit {
-		rows = rows[:req.Limit]
+	all := entry.result.Rows
+	if req.Limit > 0 && len(all) > req.Limit {
+		all = all[:req.Limit]
 	}
-	sent := 0
-	for _, r := range rows {
-		if err := row(r); err != nil {
-			s.canceled.Add(1)
-			resp.TotalRows = sent
-			resp.Duration = time.Since(start)
-			return resp, err
-		}
-		sent++
-		s.rowsStreamed.Add(1)
-	}
+	sent, err := s.streamMaterialized(all, rows)
 	resp.TotalRows = sent
 	resp.Duration = time.Since(start)
-	return resp, nil
+	return resp, err
 }
 
 // doStreamSharded merge-streams a query across the shard backend's
@@ -1230,7 +1257,7 @@ func (s *Service) doStreamSorted(ctx context.Context, req Request, target *execT
 // merged prefix. A member lost mid-stream surfaces as warnings on the
 // returned Response (trailer material), not as an error, unless the
 // request set RequireAll.
-func (s *Service) doStreamSharded(ctx context.Context, req Request, target *execTarget, start time.Time, header func(cols []string, cached bool) error, row func([]string) error) (*Response, error) {
+func (s *Service) doStreamSharded(ctx context.Context, req Request, target *execTarget, start time.Time, header func(cols []string, cached bool) error, rows func(chunk [][]string) error) (*Response, error) {
 	if err := s.acquireClient(req.Client); err != nil {
 		return nil, err
 	}
@@ -1258,6 +1285,7 @@ func (s *Service) doStreamSharded(ctx context.Context, req Request, target *exec
 	tr := obs.NewTrace("query")
 	streamed := 0
 	sinkDead := false
+	one := make([][]string, 1) // the k-way merge yields one row at a time: each is its own chunk
 	stats, warns, err := s.shards.RunStream(obs.WithSpan(execCtx, tr.Root()), sq,
 		func(cols []string) error {
 			if e := header(cols, false); e != nil {
@@ -1267,7 +1295,8 @@ func (s *Service) doStreamSharded(ctx context.Context, req Request, target *exec
 			return nil
 		},
 		func(r []string) error {
-			if e := row(r); e != nil {
+			one[0] = r
+			if e := rows(one); e != nil {
 				sinkDead = true
 				return e
 			}
