@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race race-nommap benchmark-module bench bench-streaming bench-segments bench-persist bench-prepare bench-ingest bench-scan bench-obs bench-shard bench-hunt smoke-metrics smoke-shard serve
+.PHONY: check fmt vet build test race race-nommap benchmark-module bench bench-persist bench-prepare bench-ingest bench-scan bench-obs bench-shard bench-hunt smoke-metrics smoke-shard serve
 
 check: fmt vet build race race-nommap benchmark-module
 
@@ -48,19 +48,7 @@ define run-bench
 	@rm -f bench.out
 endef
 
-bench: bench-streaming bench-segments bench-persist bench-prepare bench-ingest bench-scan bench-obs bench-shard bench-hunt
-
-# Streaming/caching benchmarks on the Fig4 50k-event dataset: cold vs.
-# warm cache, full drain vs. LIMIT-50 early termination.
-bench-streaming:
-	$(call run-bench,./internal/service/,BenchmarkColdQuery|BenchmarkWarmCache|BenchmarkFullDrain|BenchmarkLimit50EarlyTermination,5x,BENCH_streaming.json)
-
-# Segment-granular reuse benchmarks on the Fig4 50k-event dataset:
-# cold re-execution vs. full result-cache hit vs. partial reuse after an
-# append (sealed segments served from the scan cache, only the fresh
-# tail re-scanned; target >= 10x vs cold).
-bench-segments:
-	$(call run-bench,./internal/service/,BenchmarkSegmentsCold|BenchmarkSegmentsFullCacheHit|BenchmarkSegmentsPartialReuseAfterAppend,20x,BENCH_segments.json)
+bench: bench-persist bench-prepare bench-ingest bench-scan bench-obs bench-shard bench-hunt
 
 # Durable-storage benchmarks on the Fig4 50k-event dataset: dataset
 # load from file-per-segment snapshots — v2 mmap cold open (footer +

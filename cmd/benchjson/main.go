@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	go test ./internal/service/ -run XXX -bench . | go run ./cmd/benchjson -o BENCH_streaming.json
+//	go test ./internal/engine/ -run XXX -bench . | go run ./cmd/benchjson -o BENCH_hunt.json
 //	... | go run ./cmd/benchjson -o BENCH_obs.json \
 //	        -max-ratio 'BenchmarkObsFig4TraceOn/BenchmarkObsFig4TraceOff<=1.05'
 //

@@ -84,6 +84,7 @@ func (c *haltCtx) Err() error {
 // parent context is cancelled.
 type Cursor struct {
 	cols []string
+	kind string
 	rows chan [][]string
 	h    *halt
 	done chan struct{}
@@ -100,6 +101,10 @@ type Cursor struct {
 // Columns returns the result header. It is available immediately, before
 // any row has been produced.
 func (c *Cursor) Columns() []string { return c.cols }
+
+// Kind returns the query family (multievent, dependency, anomaly) of the
+// compiled template the cursor executes.
+func (c *Cursor) Kind() string { return c.kind }
 
 // Next blocks until the next row is available and reports whether one
 // was produced. After it returns false, Err distinguishes exhaustion
@@ -227,14 +232,15 @@ func (rc *rowChunker) flush() bool {
 	return true
 }
 
-// startCursor launches the producer goroutine for a compiled execution
-// and returns its cursor. run receives the halt-layered context, the
+// startCursor launches the producer goroutine for a compiled template's
+// execution and returns its cursor. run receives the halt-layered context, the
 // statistics sink (seeded with what planning already counted), and the
 // row chunker; it is the only goroutine that touches them until the
 // cursor ends.
-func (e *Engine) startCursor(ctx context.Context, cols []string, opts CursorOptions, planned ExecStats, run func(cctx context.Context, stats *ExecStats, out *rowChunker) error) *Cursor {
+func (e *Engine) startCursor(ctx context.Context, p *Prepared, opts CursorOptions, planned ExecStats, run func(cctx context.Context, stats *ExecStats, out *rowChunker) error) *Cursor {
 	c := &Cursor{
-		cols: cols,
+		cols: p.info.Columns,
+		kind: p.kind,
 		// Four chunks of lookahead: a fast producer is not parked on
 		// every handoff of a full drain, while memory stays bounded (at
 		// most 4+1 chunks of rowChunkSize rows) and backpressure still

@@ -478,7 +478,7 @@ func (e *Engine) executePlanned(ctx context.Context, p *Prepared, params Params,
 		run := func(cctx context.Context, stats *ExecStats, out *rowChunker) error {
 			return e.runAnomaly(cctx, snap, aq, p.info, stats, out)
 		}
-		return e.startCursor(ctx, p.info.Columns, opts, planned, run), nil
+		return e.startCursor(ctx, p, opts, planned, run), nil
 	}
 	mq := bound.(*ast.MultieventQuery)
 	// Parameterless statements on an unchanged store reuse the
@@ -496,7 +496,7 @@ func (e *Engine) executePlanned(ctx context.Context, p *Prepared, params Params,
 	run := func(cctx context.Context, stats *ExecStats, out *rowChunker) error {
 		return e.runMultievent(cctx, snap, mq, p.info, plan, stats, out, opts.Limit)
 	}
-	return e.startCursor(ctx, p.info.Columns, opts, planned, run), nil
+	return e.startCursor(ctx, p, opts, planned, run), nil
 }
 
 // ExplainPrepared reports the statement's frozen pattern order with

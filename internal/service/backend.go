@@ -74,20 +74,24 @@ type ShardStats struct {
 	Members    []ShardMemberStats `json:"members"`
 }
 
-// ShardBackend executes queries across a sharded dataset's members. The
-// service stays the single admission/caching/pagination layer; the
-// backend owns fan-out, per-member transport, pruning, and the
-// deterministic merge. Implementations must be safe for concurrent use.
+// ShardBackend is the service's second executor: where a local service
+// opens an engine cursor, a coordinator service hands the query to its
+// backend, which owns fan-out, per-member transport, pruning, and the
+// deterministic merge. The service stays the single admission, caching
+// and pagination layer over both — a buffered query drains the merged
+// stream, a stream pipes it to the client. Implementations must be safe
+// for concurrent use.
 type ShardBackend interface {
-	// Run scatter-gathers the full result: every member's sorted rows,
-	// k-way merge-sorted with engine.RowLess — byte-identical to the
-	// same data executed in one store. Warnings name members that
-	// could not contribute (nil error: partial result).
-	Run(ctx context.Context, q ShardQuery) (*engine.Result, []ShardWarning, error)
-	// RunStream merge-streams rows in sorted order as members produce
-	// them: header is called once before any row. A positive q.Limit
-	// cancels member streams after the merged limit is reached.
-	RunStream(ctx context.Context, q ShardQuery, header func(cols []string) error, row func([]string) error) (engine.ExecStats, []ShardWarning, error)
+	// RunStream merge-streams rows in canonical order (engine.RowLess) as
+	// members produce them — the drained stream is byte-identical to the
+	// same query executed in one store. header is called once before any
+	// row; rows receives them in chunks, the first row alone and a partly
+	// filled chunk before the merge waits on a member. The rows are the
+	// callee's to keep; the chunk slice is valid only during the call. A
+	// positive q.Limit cancels member streams after the merged limit is
+	// reached. Warnings name members that could not contribute (nil
+	// error: partial result).
+	RunStream(ctx context.Context, q ShardQuery, header func(cols []string) error, rows func(chunk [][]string) error) (engine.ExecStats, []ShardWarning, error)
 	// Generation identifies the members' combined store version for
 	// result-cache keying: it changes whenever any local member
 	// commits or a remote member's probed epoch moves.

@@ -32,7 +32,7 @@ type cacheEntry struct {
 	trace *obs.SpanNode
 	// warnings names shard members that could not contribute; a
 	// non-empty list marks the result partial and bars the entry from
-	// the cache (executeShared skips the put).
+	// the cache (shared skips the put).
 	warnings []ShardWarning
 }
 

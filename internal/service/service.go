@@ -6,17 +6,31 @@
 // queries, so the same query text recurs against an unchanged store —
 // the LRU result cache serves those repeats from memory, keyed on the
 // normalized query text plus the store's commit counter so any append
-// invalidates by construction. Identical queries that miss concurrently
-// are collapsed into one engine execution (singleflight), and cursor
-// tokens page through a cached result's generation without re-executing.
-// Under overload a bounded worker pool plus a bounded admission queue
-// sheds load explicitly (ErrOverloaded) instead of letting unbounded
-// goroutine fan-out thrash the partition scanners; a per-client
-// in-flight cap (ErrClientThrottled) keeps one noisy client from
-// monopolizing the pool; and every execution runs under a context
-// deadline so a runaway query cannot pin a worker forever. Large
-// results can alternatively stream row-by-row (DoStream) straight from
-// the engine's cursor pipeline with bounded memory.
+// invalidates by construction. Under overload a bounded worker pool plus
+// a bounded admission queue sheds load explicitly (ErrOverloaded)
+// instead of letting unbounded goroutine fan-out thrash the partition
+// scanners; a per-client in-flight cap (ErrClientThrottled) keeps one
+// noisy client from monopolizing the pool; and every execution runs
+// under a context deadline so a runaway query cannot pin a worker
+// forever.
+//
+// Every query that misses the cache takes one admitted run: admission,
+// the deadline, the execution trace and the accounting of how it ended
+// happen in one place, in front of one of two executors — the local
+// engine's cursor, or a shard backend's merge stream when the service
+// coordinates a sharded dataset. Both yield the rows in chunks, and the
+// three response forms are ways of consuming that run:
+//
+//   - buffered (Do): the run drained into a cache entry in canonical
+//     order, sliced into cursor-token pages. Identical concurrent misses
+//     are collapsed into one run (singleflight); a follower whose leader
+//     died of the leader's own context, while its own is still live,
+//     retries rather than inheriting that failure.
+//   - sorted stream (DoStream with Sorted): the buffered execution,
+//     singleflight and retry included, walked in chunks.
+//   - stream (DoStream, DoStreamChunks): the run piped straight to the
+//     client in production order with the limit pushed down, bounded
+//     memory, not cached.
 package service
 
 import (
@@ -204,7 +218,8 @@ type Request struct {
 	// so it trades first-row latency for a deterministic order. This is
 	// the wire contract shard coordinators rely on: sorted member
 	// streams merge into a result byte-identical to unsharded
-	// execution.
+	// execution. A coordinator's own stream is already in that order,
+	// so there Sorted changes nothing.
 	Sorted bool
 	// RequireAll fails a query over a sharded dataset when any member
 	// is unreachable, instead of degrading to partial results with
@@ -551,184 +566,223 @@ func (s *Service) resolveTarget(req Request) (*execTarget, error) {
 	}
 }
 
-// run executes the resolved target under ctx.
-func (t *execTarget) run(ctx context.Context, db *aiql.DB) (*engine.Result, error) {
-	if t.stmt != nil {
-		return t.stmt.Exec(ctx, t.params)
-	}
-	return db.QueryContext(ctx, t.query)
+// Do executes one query request as a buffered response: statement/
+// binding resolution, cursor resolution, cache lookup, per-client
+// fairness, singleflight collapsing, admission, bounded execution, cache
+// fill, page shaping. It is safe for arbitrary concurrent use.
+func (s *Service) Do(ctx context.Context, req Request) (*Response, error) {
+	return s.serve(req, func(t *execTarget, start time.Time) (*Response, error) {
+		if req.Explain {
+			return s.explain(req, t, start)
+		}
+		return s.buffered(ctx, req, t, start)
+	})
 }
 
-// Do executes one query request: statement/binding resolution, cursor
-// resolution, cache lookup, per-client fairness, singleflight
-// collapsing, admission, bounded execution, cache fill, page shaping.
-// It is safe for arbitrary concurrent use.
-func (s *Service) Do(ctx context.Context, req Request) (*Response, error) {
+// serve is the front end every query shares: count it, resolve its
+// target, hand it to do, observe the outcome (metrics, slow log), and
+// strip the span tree unless the request asked for it.
+func (s *Service) serve(req Request, do func(t *execTarget, start time.Time) (*Response, error)) (*Response, error) {
 	start := time.Now()
 	s.queries.Add(1)
-
-	target, err := s.resolveTarget(req)
+	t, err := s.resolveTarget(req)
 	if err != nil {
 		s.errors.Add(1)
 		return nil, err
 	}
-
-	if req.Explain {
-		// Planning only: estimates come from the store's indexes, no
-		// pattern scan runs, so explain bypasses admission and caching.
-		if target.stmt != nil {
-			plan, err := target.stmt.Explain()
-			if err != nil {
-				s.errors.Add(1)
-				return nil, err
-			}
-			return &Response{Plan: plan, Kind: target.kind, Duration: time.Since(start)}, nil
-		}
-		kind, _ := aiql.QueryKind(req.Query)
-		plan, err := s.db.ExplainPlan(req.Query)
-		if err != nil {
-			s.errors.Add(1)
-			return nil, err
-		}
-		return &Response{Plan: plan, Kind: kind, Duration: time.Since(start)}, nil
+	resp, err := do(t, start)
+	if !req.Explain {
+		s.observe(req, t, start, resp, err)
 	}
-
-	resp, err := s.doResolved(ctx, req, target, start)
-	s.observe(req, target, start, resp, err)
 	if resp != nil && !req.Trace {
 		resp.Trace = nil
 	}
 	return resp, err
 }
 
-// doResolved is Do past target resolution: cursor resolution, cache
-// lookup, singleflight, admission, execution, page shaping. Split out
-// so Do can observe (metrics, slow log) every outcome in one place.
-func (s *Service) doResolved(ctx context.Context, req Request, target *execTarget, start time.Time) (*Response, error) {
-	norm := target.keyQuery
-	offset := 0
+// explain answers from planning alone: estimates come from the store's
+// indexes, no pattern scan runs, so explain bypasses admission and
+// caching.
+func (s *Service) explain(req Request, t *execTarget, start time.Time) (*Response, error) {
+	var (
+		plan []engine.ExplainEntry
+		err  error
+	)
+	kind := t.kind
+	if t.stmt != nil {
+		plan, err = t.stmt.Explain()
+	} else {
+		kind, _ = aiql.QueryKind(req.Query)
+		plan, err = s.db.ExplainPlan(req.Query)
+	}
+	if err != nil {
+		s.errors.Add(1)
+		return nil, err
+	}
+	return &Response{Plan: plan, Kind: kind, Duration: time.Since(start)}, nil
+}
 
-	// The generation is read before execution; the entry is only
-	// stored if it is unchanged afterwards, so a cached result always
-	// reflects exactly the store version its key names.
-	commits := s.generation()
+// buffered is Do past target resolution: cursor resolution, cache
+// lookup, the shared execution, page shaping.
+func (s *Service) buffered(ctx context.Context, req Request, t *execTarget, start time.Time) (*Response, error) {
+	// The generation is read before execution; the entry is only stored
+	// if it is unchanged afterwards, so a cached result always reflects
+	// exactly the store version its key names.
+	key := cacheKey{query: t.keyQuery, commits: s.generation()}
+	offset := 0
 	if req.Cursor != "" {
 		qhash, tokCommits, tokOffset, err := decodeCursorToken(req.Cursor)
 		if err != nil {
 			return nil, err
 		}
-		if qhash != hashQuery(norm) {
+		if qhash != hashQuery(key.query) {
 			return nil, fmt.Errorf("%w: token belongs to a different query", ErrBadCursor)
 		}
 		offset = tokOffset
 		// Pages are pinned to the generation named by the token: as long
 		// as its entry is cached, every page of the chain is a slice of
 		// one consistent snapshot, regardless of concurrent appends.
-		if entry, ok := s.cache.get(cacheKey{query: norm, commits: tokCommits}); ok {
+		if entry, ok := s.cache.get(cacheKey{query: key.query, commits: tokCommits}); ok {
 			s.cacheHits.Add(1)
 			return s.shape(entry, req, start, true, offset), nil
 		}
-		if tokCommits != commits {
+		if tokCommits != key.commits {
 			// the snapshot is both evicted and superseded — recomputing
 			// would silently page across generations
 			return nil, ErrCursorExpired
 		}
 		// evicted but not superseded: re-execute at the same generation
 	}
-	key := cacheKey{query: norm, commits: commits}
-	// A traced request skips the lookup (not the fill): the spans must
-	// describe a real execution, EXPLAIN ANALYZE style.
-	if !req.Trace {
-		if entry, ok := s.cache.get(key); ok {
-			s.cacheHits.Add(1)
-			return s.shape(entry, req, start, true, offset), nil
-		}
-		if s.cache != nil {
-			s.cacheMisses.Add(1)
-		}
+	if entry := s.lookup(req, key); entry != nil {
+		return s.shape(entry, req, start, true, offset), nil
 	}
-
-	if err := s.acquireClient(req.Client); err != nil {
-		return nil, err
-	}
-	defer s.releaseClient(req.Client)
-
-	var (
-		entry     *cacheEntry
-		coalesced bool
-		err       error
-	)
-	for attempt := 0; ; attempt++ {
-		entry, coalesced, err = s.executeShared(ctx, req, target, key)
-		// A follower inherits the leader's outcome. If the leader died of
-		// its own context (client disconnect, shorter deadline) while this
-		// request's context is still live, the failure says nothing about
-		// this request — retry; the flight is gone, so a retry elects a
-		// new leader (possibly this request) executing under its own
-		// deadline.
-		if err != nil && coalesced && ctx.Err() == nil && attempt < 3 &&
-			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			continue
-		}
-		break
-	}
+	entry, coalesced, err := s.shared(ctx, req, t, key)
 	if err != nil {
 		return nil, err
 	}
-	// A cursor chain must never mix store generations. The execute path
-	// is only reached for a chain when the snapshot was evicted while the
-	// store still matched the token; if an append landed during
-	// re-execution the result may reflect the newer generation, so the
-	// chain expires rather than serving it.
+	// A cursor chain must never mix store generations. Execution is only
+	// reached for a chain when the snapshot was evicted while the store
+	// still matched the token; if an append landed during re-execution
+	// the result may reflect the newer generation, so the chain expires
+	// rather than serving it.
 	if req.Cursor != "" && s.generation() != key.commits {
 		return nil, ErrCursorExpired
 	}
 	return s.shape(entry, req, start, coalesced, offset), nil
 }
 
-// executeShared runs one execution per distinct cache key at a time:
-// the first request becomes the leader and executes; identical
-// concurrent requests wait for the leader's entry instead of executing
-// again (singleflight). The reported bool is true for followers.
-func (s *Service) executeShared(ctx context.Context, req Request, target *execTarget, key cacheKey) (*cacheEntry, bool, error) {
-	s.flightMu.Lock()
-	if f, ok := s.flights[key]; ok {
+// lookup serves key from the result cache, counting the hit or miss. A
+// traced request skips the lookup (not the fill): the spans must
+// describe a real execution, EXPLAIN ANALYZE style.
+func (s *Service) lookup(req Request, key cacheKey) *cacheEntry {
+	if req.Trace {
+		return nil
+	}
+	if entry, ok := s.cache.get(key); ok {
+		s.cacheHits.Add(1)
+		return entry
+	}
+	if s.cache != nil {
+		s.cacheMisses.Add(1)
+	}
+	return nil
+}
+
+// shared runs one buffered execution per distinct cache key at a time,
+// under the client's fairness slot: the first request becomes the
+// leader and executes; identical concurrent requests — buffered queries
+// and sorted streams alike — wait for the leader's entry instead of
+// executing again (singleflight). The reported bool is true for
+// followers.
+//
+// A follower inherits the leader's outcome, with one exception: if the
+// leader died of its own context (client disconnect, shorter deadline)
+// while the follower's is still live, the failure says nothing about
+// the follower, so it retries. The flight is gone by then, so a retry
+// elects a new leader — possibly the follower itself — executing under
+// its own deadline.
+func (s *Service) shared(ctx context.Context, req Request, t *execTarget, key cacheKey) (*cacheEntry, bool, error) {
+	if err := s.acquireClient(req.Client); err != nil {
+		return nil, false, err
+	}
+	defer s.releaseClient(req.Client)
+	for attempt := 0; ; attempt++ {
+		s.flightMu.Lock()
+		f, ok := s.flights[key]
+		if !ok {
+			f = &flight{done: make(chan struct{})}
+			s.flights[key] = f
+			s.flightMu.Unlock()
+			f.entry, f.err = s.execute(ctx, req, t, key)
+			// Order matters for the at-most-one-execution guarantee: the
+			// entry is cached before the flight is removed, so a request
+			// arriving after the flight is gone finds the cache filled.
+			// Partial results (some shard member missing) are never
+			// cached — the member may be back for the very next request.
+			if f.err == nil && len(f.entry.warnings) == 0 && s.generation() == key.commits {
+				s.cache.put(f.entry)
+			}
+			s.flightMu.Lock()
+			delete(s.flights, key)
+			s.flightMu.Unlock()
+			close(f.done)
+			return f.entry, false, f.err
+		}
 		s.flightMu.Unlock()
 		s.coalesced.Add(1)
 		select {
 		case <-f.done:
-			return f.entry, true, f.err
 		case <-ctx.Done():
-			if errors.Is(ctx.Err(), context.Canceled) {
-				s.canceled.Add(1)
-			} else {
-				s.timeouts.Add(1)
-			}
-			return nil, true, fmt.Errorf("service: cancelled while awaiting identical in-flight query: %w", ctx.Err())
+			return nil, true, s.abort(ctx.Err(), "cancelled while awaiting identical in-flight query")
 		}
+		if f.err != nil && ctx.Err() == nil && attempt < 3 &&
+			(errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
+			continue
+		}
+		return f.entry, true, f.err
 	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.flightMu.Unlock()
-
-	f.entry, f.err = s.execute(ctx, req, target, key)
-	// Order matters for the at-most-one-execution guarantee: the entry
-	// is cached before the flight is removed, so a request arriving
-	// after the flight is gone finds the cache filled. Partial results
-	// (some shard member missing) are never cached — the member may be
-	// back for the very next request.
-	if f.err == nil && len(f.entry.warnings) == 0 && s.generation() == key.commits {
-		s.cache.put(f.entry)
-	}
-	s.flightMu.Lock()
-	delete(s.flights, key)
-	s.flightMu.Unlock()
-	close(f.done)
-	return f.entry, false, f.err
 }
 
-// execute admits and runs one query under its deadline.
-func (s *Service) execute(ctx context.Context, req Request, target *execTarget, key cacheKey) (*cacheEntry, error) {
+// execute drains one run into a cache entry. Local rows arrive in
+// production order and are put into the canonical order
+// (engine.RowLess); the shard merge already yields it.
+func (s *Service) execute(ctx context.Context, req Request, t *execTarget, key cacheKey) (*cacheEntry, error) {
+	rows := [][]string{} // an empty result still renders as "rows": []
+	out, err := s.run(ctx, req, t, 0,
+		func([]string) error { return nil },
+		func(chunk [][]string) error {
+			rows = append(rows, chunk...)
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	res := &engine.Result{Columns: out.columns, Rows: rows, Stats: out.stats}
+	if s.shards == nil {
+		res.SortRows()
+	}
+	return &cacheEntry{key: key, result: res, kind: out.kind, bytes: approxResultBytes(res), trace: out.trace, warnings: out.warns}, nil
+}
+
+// runOutcome is what one run reports besides its rows.
+type runOutcome struct {
+	columns []string
+	kind    string
+	stats   engine.ExecStats
+	warns   []ShardWarning
+	trace   *obs.SpanNode
+}
+
+// run is the one admitted execution behind every response form:
+// admission, the active gauge, the deadline, the execution count, the
+// query trace, and the accounting of how the execution ended all happen
+// here. The executor — the local engine, or the shard backend on a
+// coordinator — calls header once with the result header, then rows with
+// each chunk it produces; a positive limit is pushed down into it. An error from either callback stops the execution and is
+// returned as is: a sink failure means the client went away. The
+// outcome is returned alongside any error once execution has begun, so
+// an aborted run still reports the work it did.
+func (s *Service) run(ctx context.Context, req Request, t *execTarget, limit int, header func([]string) error, rows func([][]string) error) (*runOutcome, error) {
 	start := time.Now()
 	if err := s.admit(ctx); err != nil {
 		return nil, err
@@ -741,50 +795,87 @@ func (s *Service) execute(ctx context.Context, req Request, target *execTarget, 
 	defer cancel()
 
 	s.executions.Add(1)
-	kind := target.kind
-	if kind == "" {
-		kind, _ = aiql.QueryKind(req.Query)
-	}
 	// Every execution is traced — spans are a handful of timed nodes, so
 	// the slow-query log always has the breakdown, not just when a
 	// client thought to ask for one.
 	tr := obs.NewTrace("query")
-	var (
-		res   *engine.Result
-		warns []ShardWarning
-		err   error
-	)
+	out := &runOutcome{}
+	sinkFailed := false
+	exec := s.execLocal
 	if s.shards != nil {
-		var sq ShardQuery
-		sq, err = s.shardQuery(req, target)
-		if err != nil {
-			s.errors.Add(1)
-			return nil, err
-		}
-		res, warns, err = s.shards.Run(obs.WithSpan(execCtx, tr.Root()), sq)
-		if kind == "" {
-			kind = sq.Kind
-		}
-	} else {
-		res, err = target.run(obs.WithSpan(execCtx, tr.Root()), s.db)
+		exec = s.execSharded
 	}
+	err := exec(obs.WithSpan(execCtx, tr.Root()), req, t, limit, out,
+		func(cols []string) error {
+			out.columns = cols
+			err := header(cols)
+			sinkFailed = err != nil
+			return err
+		},
+		func(chunk [][]string) error {
+			err := rows(chunk)
+			sinkFailed = err != nil
+			return err
+		})
 	tr.Root().End()
-	if err != nil {
-		if ctxErr := execCtx.Err(); ctxErr != nil {
-			// a deadline expiry is a timeout; a cancelled parent means
-			// the client went away — count them apart so stats don't
-			// suggest tuning timeouts against disconnects
-			if errors.Is(ctxErr, context.Canceled) {
-				s.canceled.Add(1)
-			} else {
-				s.timeouts.Add(1)
-			}
-			return nil, fmt.Errorf("service: query aborted after %s: %w", time.Since(start).Round(time.Millisecond), ctxErr)
-		}
+	out.trace = tr.Tree()
+	switch {
+	case err == nil:
+	case sinkFailed:
+		s.canceled.Add(1)
+	case execCtx.Err() != nil:
+		err = s.abort(execCtx.Err(), fmt.Sprintf("query aborted after %s", time.Since(start).Round(time.Millisecond)))
+	default:
 		s.errors.Add(1)
-		return nil, err
 	}
-	return &cacheEntry{key: key, result: res, kind: kind, bytes: approxResultBytes(res), trace: tr.Tree(), warnings: warns}, nil
+	return out, err
+}
+
+// execLocal is the local executor: the engine cursor, limit pushed down,
+// handing over its chunks — the first row alone, then whatever
+// accumulated up to a scan-unit boundary or a full chunk.
+func (s *Service) execLocal(ctx context.Context, req Request, t *execTarget, limit int, out *runOutcome, header func([]string) error, rows func([][]string) error) error {
+	var (
+		cur *aiql.Cursor
+		err error
+	)
+	if t.stmt != nil {
+		cur, err = t.stmt.ExecCursor(ctx, t.params, aiql.CursorOptions{Limit: limit})
+	} else {
+		cur, err = s.db.QueryCursor(ctx, t.query, aiql.CursorOptions{Limit: limit})
+	}
+	if err != nil {
+		return err
+	}
+	out.kind = cur.Kind()
+	err = header(cur.Columns())
+	for err == nil {
+		chunk := cur.NextChunk()
+		if chunk == nil {
+			err = cur.Err()
+			break
+		}
+		err = rows(chunk)
+	}
+	// Close blocks until in-flight scans observe the abort, so the
+	// statistics are final whether the run completed, failed, or was
+	// abandoned by its sink.
+	cur.Close()
+	out.stats = cur.Stats()
+	return err
+}
+
+// execSharded is the coordinator's executor: the shard backend's merge
+// stream, limit pushed down to every member.
+func (s *Service) execSharded(ctx context.Context, req Request, t *execTarget, limit int, out *runOutcome, header func([]string) error, rows func([][]string) error) error {
+	sq, err := s.shardQuery(req, t)
+	if err != nil {
+		return err
+	}
+	sq.Limit = limit
+	out.kind = sq.Kind
+	out.stats, out.warns, err = s.shards.RunStream(ctx, sq, header, rows)
+	return err
 }
 
 // shardQuery resolves a request to the form the shard backend fans
@@ -793,20 +884,17 @@ func (s *Service) execute(ctx context.Context, req Request, target *execTarget, 
 // text without bindings is compiled here against the planning database
 // so query errors surface as parse/semantic failures at the
 // coordinator, never as member execution errors.
-func (s *Service) shardQuery(req Request, target *execTarget) (ShardQuery, error) {
-	stmt := target.stmt
+func (s *Service) shardQuery(req Request, t *execTarget) (ShardQuery, error) {
+	stmt := t.stmt
 	if stmt == nil {
 		var err error
-		if stmt, err = s.db.Prepare(target.query); err != nil {
+		if stmt, err = s.db.Prepare(t.query); err != nil {
 			return ShardQuery{}, err
 		}
 	}
-	// Limit stays zero here: the buffered path materializes the full
-	// result (pages are slices of it), so nothing may be pushed down.
-	// The streaming path sets its own limit before dispatch.
 	return ShardQuery{
 		Query:      stmt.Source(),
-		Params:     target.params,
+		Params:     t.params,
 		Columns:    stmt.Columns(),
 		Kind:       stmt.Kind(),
 		Distinct:   stmt.Distinct(),
@@ -897,16 +985,24 @@ func (s *Service) admit(ctx context.Context) error {
 	case <-ctx.Done():
 		// the client's own deadline or disconnect ended the wait —
 		// the service did not shed it, so it is not a rejection
-		if errors.Is(ctx.Err(), context.Canceled) {
-			s.canceled.Add(1)
-		} else {
-			s.timeouts.Add(1)
-		}
-		return fmt.Errorf("service: cancelled while queued: %w", ctx.Err())
+		return s.abort(ctx.Err(), "cancelled while queued")
 	case <-wait.C:
 		s.rejected.Add(1)
 		return s.shed(ErrOverloaded)
 	}
+}
+
+// abort accounts for a query its context ended and wraps the cause. An
+// expired deadline is a timeout; a cancelled parent means the client
+// went away — they are counted apart so stats don't suggest tuning
+// timeouts against disconnects.
+func (s *Service) abort(ctxErr error, what string) error {
+	if errors.Is(ctxErr, context.Canceled) {
+		s.canceled.Add(1)
+	} else {
+		s.timeouts.Add(1)
+	}
+	return fmt.Errorf("service: %s: %w", what, ctxErr)
 }
 
 // shape builds the per-request response view over a (possibly shared)
@@ -1001,17 +1097,20 @@ func (s *Service) observe(req Request, target *execTarget, start time.Time, resp
 
 // DoStream executes one query as a row stream: header receives the
 // column header (with a flag for cache service) before any row, then
-// row receives each projected row as the engine produces it — first
+// row receives each projected row as the execution produces it — first
 // rows arrive while later partitions are still being scanned. A
-// positive limit is pushed down into the engine, so a small-limit
+// positive limit is pushed down into the execution, so a small-limit
 // stream terminates the scan early instead of draining the store; a
 // zero limit streams the entire result with parallel partition scans —
 // memory stays bounded either way, so MaxRows does not apply to
 // streams. Cancelling ctx (a client disconnect) aborts the scan
-// mid-flight, as does an error from either callback. Streamed rows
-// arrive in production order and are not cached or coalesced —
-// interactive repeats belong on Do. The returned Response reports the
-// rows actually streamed in TotalRows.
+// mid-flight, as does an error from either callback. Rows arrive in
+// production order (canonical order with Request.Sorted, or from a
+// coordinator's merge) and an unsorted stream is neither cached nor
+// coalesced — interactive repeats belong on Do. Explain does not apply.
+// The returned Response reports the rows actually streamed in
+// TotalRows; an execution cut short by its sink still returns it,
+// alongside the error, with the statistics of the work done.
 func (s *Service) DoStream(ctx context.Context, req Request, header func(cols []string, cached bool) error, row func([]string) error) (*Response, error) {
 	// delivered corrects TotalRows when the sink fails mid-chunk: the
 	// chunked path counts whole chunks only.
@@ -1033,26 +1132,51 @@ func (s *Service) DoStream(ctx context.Context, req Request, header func(cols []
 
 // DoStreamChunks is DoStream handing rows over in the chunks the
 // execution produced them in: the first row on its own, so it is never
-// held back, then whatever accumulated up to a scan-unit boundary or a
-// full chunk. A sink that writes to a connection does one write and one
-// flush per chunk instead of per row. The rows are the callback's to
-// keep; the chunk slice holding them is valid only during the call.
+// held back, then whatever accumulated up to a scan-unit boundary, a
+// full chunk, or a merge waiting on a shard member. A sink that writes
+// to a connection does one write and one flush per chunk instead of per
+// row. The rows are the callback's to keep; the chunk slice holding them
+// is valid only during the call.
 func (s *Service) DoStreamChunks(ctx context.Context, req Request, header func(cols []string, cached bool) error, rows func(chunk [][]string) error) (*Response, error) {
-	start := time.Now()
-	s.queries.Add(1)
-
-	target, err := s.resolveTarget(req)
-	if err != nil {
-		s.errors.Add(1)
-		return nil, err
-	}
-
-	resp, err := s.doStreamResolved(ctx, req, target, start, header, rows)
-	s.observe(req, target, start, resp, err)
-	if resp != nil && !req.Trace {
-		resp.Trace = nil
-	}
-	return resp, err
+	req.Explain = false
+	return s.serve(req, func(t *execTarget, start time.Time) (*Response, error) {
+		key := cacheKey{query: t.keyQuery, commits: s.generation()}
+		if entry := s.lookup(req, key); entry != nil {
+			return s.walk(entry, true, req.Limit, start, header, rows)
+		}
+		// A sorted stream is the buffered execution walked in order; the
+		// limit truncates the walk, not the execution, so a repeat with a
+		// larger limit is a cache hit. A coordinator's merge stream is
+		// already in that order.
+		if req.Sorted && s.shards == nil {
+			entry, coalesced, err := s.shared(ctx, req, t, key)
+			if err != nil {
+				return nil, err
+			}
+			return s.walk(entry, coalesced, req.Limit, start, header, rows)
+		}
+		if err := s.acquireClient(req.Client); err != nil {
+			return nil, err
+		}
+		defer s.releaseClient(req.Client)
+		sent := 0
+		out, err := s.run(ctx, req, t, max(req.Limit, 0),
+			func(cols []string) error { return header(cols, false) },
+			s.deliver(rows, &sent))
+		if out == nil {
+			return nil, err
+		}
+		return &Response{
+			Columns:   out.columns,
+			TotalRows: sent,
+			Duration:  time.Since(start),
+			Kind:      out.kind,
+			Stats:     out.stats,
+			Trace:     out.trace,
+			Partial:   len(out.warns) > 0,
+			Warnings:  out.warns,
+		}, err
+	})
 }
 
 // streamChunkRows is how many rows of an already materialized result (a
@@ -1060,276 +1184,45 @@ func (s *Service) DoStreamChunks(ctx context.Context, req Request, header func(c
 // engine cursor's chunk size so a sink sees the same shape either way.
 const streamChunkRows = 256
 
-// streamMaterialized feeds already materialized rows to a chunk sink —
-// the first row alone, then streamChunkRows at a time — and returns how
-// many rows the sink accepted.
-func (s *Service) streamMaterialized(all [][]string, rows func(chunk [][]string) error) (int, error) {
-	sent := 0
-	for n := 1; sent < len(all); n = streamChunkRows {
-		chunk := all[sent:min(sent+n, len(all))]
-		if err := rows(chunk); err != nil {
-			s.canceled.Add(1) // a sink failure means the client went away
-			return sent, err
-		}
-		sent += len(chunk)
-		s.rowsStreamed.Add(uint64(len(chunk)))
-	}
-	return sent, nil
-}
-
-// doStreamResolved is DoStream past target resolution. An execution cut
-// short by its sink (the client disconnected mid-stream) still returns
-// a Response — alongside the error — carrying the engine statistics of
-// the work actually done, so observe records the aborted query's
-// latency and scanned events instead of losing them.
-func (s *Service) doStreamResolved(ctx context.Context, req Request, target *execTarget, start time.Time, header func(cols []string, cached bool) error, rows func(chunk [][]string) error) (*Response, error) {
-	limit := req.Limit
-	if limit < 0 {
-		limit = 0
-	}
-
-	norm := target.keyQuery
-	commits := s.generation()
-	if !req.Trace {
-		if entry, ok := s.cache.get(cacheKey{query: norm, commits: commits}); ok {
-			s.cacheHits.Add(1)
-			resp := &Response{
-				Columns: entry.result.Columns,
-				Cached:  true,
-				Kind:    entry.kind,
-				Stats:   entry.result.Stats,
-				Trace:   entry.trace,
-			}
-			if err := header(entry.result.Columns, true); err != nil {
-				s.canceled.Add(1) // a sink failure means the client went away
-				resp.Duration = time.Since(start)
-				return resp, err
-			}
-			all := entry.result.Rows
-			if limit > 0 && len(all) > limit {
-				all = all[:limit]
-			}
-			sent, err := s.streamMaterialized(all, rows)
-			resp.TotalRows = sent
-			resp.Duration = time.Since(start)
-			return resp, err
-		}
-		if s.cache != nil {
-			s.cacheMisses.Add(1)
-		}
-	}
-
-	// Sorted streams and shard coordination leave the cursor pipeline:
-	// a coordinator merge-streams its members, a member serves the
-	// sorted order from the buffered execution path.
-	if s.shards != nil {
-		return s.doStreamSharded(ctx, req, target, start, header, rows)
-	}
-	if req.Sorted {
-		return s.doStreamSorted(ctx, req, target, start, header, rows)
-	}
-
-	if err := s.acquireClient(req.Client); err != nil {
-		return nil, err
-	}
-	defer s.releaseClient(req.Client)
-	if err := s.admit(ctx); err != nil {
-		return nil, err
-	}
-	defer func() { <-s.sem }()
-	s.active.Add(1)
-	defer s.active.Add(-1)
-
-	execCtx, cancel := context.WithTimeout(ctx, s.timeout(req))
-	defer cancel()
-
-	s.executions.Add(1)
-	kind := target.kind
-	if kind == "" {
-		kind, _ = aiql.QueryKind(req.Query)
-	}
-	tr := obs.NewTrace("query")
-	runCtx := obs.WithSpan(execCtx, tr.Root())
-	var (
-		cur *aiql.Cursor
-		err error
-	)
-	if target.stmt != nil {
-		cur, err = target.stmt.ExecCursor(runCtx, target.params, aiql.CursorOptions{Limit: limit})
-	} else {
-		cur, err = s.db.QueryCursor(runCtx, req.Query, aiql.CursorOptions{Limit: limit})
-	}
-	if err != nil {
-		s.errors.Add(1)
-		return nil, err
-	}
-	defer cur.Close()
-
-	// finish closes the cursor first — Close blocks until in-flight
-	// scans observe the abort — so the statistics and span tree are
-	// final in the returned Response whether the stream completed,
-	// failed, or was abandoned by its sink.
-	finish := func(streamed int) *Response {
-		cur.Close()
-		tr.Root().End()
-		return &Response{
-			Columns:   cur.Columns(),
-			TotalRows: streamed,
-			Duration:  time.Since(start),
-			Kind:      kind,
-			Stats:     cur.Stats(),
-			Trace:     tr.Tree(),
-		}
-	}
-
-	if err := header(cur.Columns(), false); err != nil {
-		s.canceled.Add(1) // a sink failure means the client went away
-		return finish(0), err
-	}
-	streamed := 0
-	for chunk := cur.NextChunk(); chunk != nil; chunk = cur.NextChunk() {
-		if err := rows(chunk); err != nil {
-			s.canceled.Add(1)
-			return finish(streamed), err
-		}
-		streamed += len(chunk)
-		s.rowsStreamed.Add(uint64(len(chunk)))
-	}
-	if err := cur.Err(); err != nil {
-		resp := finish(streamed)
-		if ctxErr := execCtx.Err(); ctxErr != nil {
-			if errors.Is(ctxErr, context.Canceled) {
-				s.canceled.Add(1)
-			} else {
-				s.timeouts.Add(1)
-			}
-			return resp, fmt.Errorf("service: stream aborted after %s: %w", time.Since(start).Round(time.Millisecond), ctxErr)
-		}
-		s.errors.Add(1)
-		return resp, err
-	}
-	return finish(streamed), nil
-}
-
-// doStreamSorted serves a stream in the canonical result order by
-// executing through the buffered path — full materialization, cache
-// fill, singleflight — and then walking the entry's rows. The limit
-// truncates the walk, not the execution, so a repeat with a larger
-// limit is a cache hit.
-func (s *Service) doStreamSorted(ctx context.Context, req Request, target *execTarget, start time.Time, header func(cols []string, cached bool) error, rows func(chunk [][]string) error) (*Response, error) {
-	if err := s.acquireClient(req.Client); err != nil {
-		return nil, err
-	}
-	defer s.releaseClient(req.Client)
-
-	key := cacheKey{query: target.keyQuery, commits: s.generation()}
-	entry, coalesced, err := s.executeShared(ctx, req, target, key)
-	if err != nil {
-		return nil, err
-	}
+// walk streams a materialized entry — a cache hit, or the buffered
+// execution behind a sorted stream — to a stream's sink: the header,
+// then the rows up to a positive limit, the first alone and then
+// streamChunkRows at a time.
+func (s *Service) walk(entry *cacheEntry, cached bool, limit int, start time.Time, header func([]string, bool) error, rows func([][]string) error) (*Response, error) {
 	resp := &Response{
 		Columns:  entry.result.Columns,
-		Cached:   coalesced,
+		Cached:   cached,
 		Kind:     entry.kind,
 		Stats:    entry.result.Stats,
 		Trace:    entry.trace,
 		Partial:  len(entry.warnings) > 0,
 		Warnings: entry.warnings,
 	}
-	if err := header(entry.result.Columns, coalesced); err != nil {
-		s.canceled.Add(1)
-		resp.Duration = time.Since(start)
-		return resp, err
-	}
 	all := entry.result.Rows
-	if req.Limit > 0 && len(all) > req.Limit {
-		all = all[:req.Limit]
+	if limit > 0 && len(all) > limit {
+		all = all[:limit]
 	}
-	sent, err := s.streamMaterialized(all, rows)
-	resp.TotalRows = sent
+	err := header(resp.Columns, cached)
+	sink := s.deliver(rows, &resp.TotalRows)
+	for n := 1; err == nil && resp.TotalRows < len(all); n = streamChunkRows {
+		err = sink(all[resp.TotalRows:min(resp.TotalRows+n, len(all))])
+	}
+	if err != nil {
+		s.canceled.Add(1) // a sink failure means the client went away
+	}
 	resp.Duration = time.Since(start)
 	return resp, err
 }
 
-// doStreamSharded merge-streams a query across the shard backend's
-// members: rows arrive in canonical order as members produce them, and
-// a positive limit is pushed down so member streams terminate after the
-// merged prefix. A member lost mid-stream surfaces as warnings on the
-// returned Response (trailer material), not as an error, unless the
-// request set RequireAll.
-func (s *Service) doStreamSharded(ctx context.Context, req Request, target *execTarget, start time.Time, header func(cols []string, cached bool) error, rows func(chunk [][]string) error) (*Response, error) {
-	if err := s.acquireClient(req.Client); err != nil {
-		return nil, err
-	}
-	defer s.releaseClient(req.Client)
-	if err := s.admit(ctx); err != nil {
-		return nil, err
-	}
-	defer func() { <-s.sem }()
-	s.active.Add(1)
-	defer s.active.Add(-1)
-
-	execCtx, cancel := context.WithTimeout(ctx, s.timeout(req))
-	defer cancel()
-
-	sq, err := s.shardQuery(req, target)
-	if err != nil {
-		s.errors.Add(1)
-		return nil, err
-	}
-	if req.Limit > 0 {
-		sq.Limit = req.Limit
-	}
-
-	s.executions.Add(1)
-	tr := obs.NewTrace("query")
-	streamed := 0
-	sinkDead := false
-	one := make([][]string, 1) // the k-way merge yields one row at a time: each is its own chunk
-	stats, warns, err := s.shards.RunStream(obs.WithSpan(execCtx, tr.Root()), sq,
-		func(cols []string) error {
-			if e := header(cols, false); e != nil {
-				sinkDead = true
-				return e
-			}
-			return nil
-		},
-		func(r []string) error {
-			one[0] = r
-			if e := rows(one); e != nil {
-				sinkDead = true
-				return e
-			}
-			streamed++
-			s.rowsStreamed.Add(1)
-			return nil
-		})
-	tr.Root().End()
-	resp := &Response{
-		Columns:   sq.Columns,
-		TotalRows: streamed,
-		Duration:  time.Since(start),
-		Kind:      sq.Kind,
-		Stats:     stats,
-		Trace:     tr.Tree(),
-		Partial:   len(warns) > 0,
-		Warnings:  warns,
-	}
-	if err != nil {
-		if sinkDead {
-			s.canceled.Add(1)
-			return resp, err
+// deliver wraps a stream's chunk sink to count the rows it accepts, in
+// sent and in the service's RowsStreamed.
+func (s *Service) deliver(rows func([][]string) error, sent *int) func([][]string) error {
+	return func(chunk [][]string) error {
+		if err := rows(chunk); err != nil {
+			return err
 		}
-		if ctxErr := execCtx.Err(); ctxErr != nil {
-			if errors.Is(ctxErr, context.Canceled) {
-				s.canceled.Add(1)
-			} else {
-				s.timeouts.Add(1)
-			}
-			return resp, fmt.Errorf("service: stream aborted after %s: %w", time.Since(start).Round(time.Millisecond), ctxErr)
-		}
-		s.errors.Add(1)
-		return resp, err
+		*sent += len(chunk)
+		s.rowsStreamed.Add(uint64(len(chunk)))
+		return nil
 	}
-	return resp, nil
 }

@@ -24,15 +24,7 @@ type fakeShards struct {
 	runs  atomic.Int64
 }
 
-func (f *fakeShards) Run(ctx context.Context, q ShardQuery) (*engine.Result, []ShardWarning, error) {
-	f.runs.Add(1)
-	if f.err != nil {
-		return nil, f.warns, f.err
-	}
-	return &engine.Result{Columns: q.Columns, Rows: f.rows, Stats: engine.ExecStats{ScannedEvents: int64(len(f.rows))}}, f.warns, nil
-}
-
-func (f *fakeShards) RunStream(ctx context.Context, q ShardQuery, header func([]string) error, row func([]string) error) (engine.ExecStats, []ShardWarning, error) {
+func (f *fakeShards) RunStream(ctx context.Context, q ShardQuery, header func([]string) error, rows func([][]string) error) (engine.ExecStats, []ShardWarning, error) {
 	f.runs.Add(1)
 	if err := header(q.Columns); err != nil {
 		return engine.ExecStats{}, nil, err
@@ -40,16 +32,20 @@ func (f *fakeShards) RunStream(ctx context.Context, q ShardQuery, header func([]
 	if f.err != nil {
 		return engine.ExecStats{}, f.warns, f.err
 	}
-	rows := f.rows
-	if q.Limit > 0 && len(rows) > q.Limit {
-		rows = rows[:q.Limit]
+	all := f.rows
+	if q.Limit > 0 && len(all) > q.Limit {
+		all = all[:q.Limit]
 	}
-	for _, r := range rows {
-		if err := row(r); err != nil {
+	// chunked the way the coordinator's merge hands rows over when no
+	// member keeps it waiting: the first row alone, then full chunks
+	for sent, n := 0, 1; sent < len(all); n = streamChunkRows {
+		chunk := all[sent:min(sent+n, len(all))]
+		if err := rows(chunk); err != nil {
 			return engine.ExecStats{}, nil, err
 		}
+		sent += len(chunk)
 	}
-	return engine.ExecStats{ScannedEvents: int64(len(rows))}, f.warns, nil
+	return engine.ExecStats{ScannedEvents: int64(len(all))}, f.warns, nil
 }
 
 func (f *fakeShards) Generation() uint64 { return f.gen.Load() }

@@ -338,6 +338,78 @@ func TestSingleflight(t *testing.T) {
 	}
 }
 
+// TestFollowerOutlivesCancelledLeader: a follower coalesced onto a
+// leader that dies of its own context — here cancelled while its
+// execution waits for the only worker — does not inherit that failure
+// while its own context is live: it re-executes and delivers the full
+// result. Buffered queries and sorted streams share the singleflight, so
+// both must honour this (a shard coordinator's members serve sorted
+// streams, so there one client's disconnect must not fail another's
+// query).
+func TestFollowerOutlivesCancelledLeader(t *testing.T) {
+	const events = 2000
+	for _, tc := range []struct {
+		name string
+		run  func(svc *Service, ctx context.Context) (int, error)
+	}{
+		{"buffered", func(svc *Service, ctx context.Context) (int, error) {
+			resp, err := svc.Do(ctx, Request{Query: demoQuery})
+			if err != nil {
+				return 0, err
+			}
+			return len(resp.Rows), nil
+		}},
+		{"sorted stream", func(svc *Service, ctx context.Context) (int, error) {
+			rows := 0
+			_, err := svc.DoStream(ctx, Request{Query: demoQuery, Sorted: true},
+				func([]string, bool) error { return nil },
+				func([]string) error { rows++; return nil })
+			return rows, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := New(newTestDB(t, events), Config{Workers: 1, QueueWait: time.Minute})
+			svc.sem <- struct{}{} // hold the only worker: the leader queues behind it
+
+			leaderCtx, cancelLeader := context.WithCancel(context.Background())
+			leaderErr := make(chan error, 1)
+			go func() {
+				_, err := tc.run(svc, leaderCtx)
+				leaderErr <- err
+			}()
+			waitFor(t, func() bool { return svc.queued.Load() == 1 }, "the leader to queue for a worker")
+
+			type result struct {
+				rows int
+				err  error
+			}
+			follower := make(chan result, 1)
+			go func() {
+				rows, err := tc.run(svc, context.Background())
+				follower <- result{rows, err}
+			}()
+			waitFor(t, func() bool { return svc.coalesced.Load() == 1 }, "the follower to join the leader's flight")
+
+			cancelLeader()
+			if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+				t.Fatalf("leader: %v, want context.Canceled", err)
+			}
+			<-svc.sem // free the worker for the follower's own execution
+
+			got := <-follower
+			if got.err != nil {
+				t.Fatalf("follower inherited the leader's cancellation: %v", got.err)
+			}
+			if got.rows != events {
+				t.Fatalf("follower received %d rows, want %d", got.rows, events)
+			}
+			if st := svc.Stats(); st.Executions != 1 || st.Canceled != 1 {
+				t.Errorf("executions=%d canceled=%d, want the follower's one execution and the leader's one cancellation", st.Executions, st.Canceled)
+			}
+		})
+	}
+}
+
 // TestClientThrottling: one client at its in-flight cap is rejected with
 // ErrClientThrottled while other clients (and unkeyed requests) proceed.
 func TestClientThrottling(t *testing.T) {

@@ -193,21 +193,16 @@ func (c *Coordinator) Close() error {
 	return first
 }
 
-// Run implements service.ShardBackend: the buffered scatter-gather.
-// The returned rows are the merged sorted streams of every admitted
-// member — byte-identical to the unsharded execution of the same data.
+// Run drains RunStream into one buffered result: the merged sorted
+// streams of every admitted member — byte-identical to the unsharded
+// execution of the same data.
 func (c *Coordinator) Run(ctx context.Context, q service.ShardQuery) (*engine.Result, []service.ShardWarning, error) {
 	start := time.Now()
 	res := &engine.Result{Columns: q.Columns, Rows: [][]string{}}
 	stats, warns, err := c.RunStream(ctx, q,
-		func(cols []string) error {
-			if len(res.Columns) == 0 {
-				res.Columns = cols
-			}
-			return nil
-		},
-		func(r []string) error {
-			res.Rows = append(res.Rows, r)
+		func([]string) error { return nil },
+		func(chunk [][]string) error {
+			res.Rows = append(res.Rows, chunk...)
 			return nil
 		})
 	if err != nil {
@@ -218,14 +213,22 @@ func (c *Coordinator) Run(ctx context.Context, q service.ShardQuery) (*engine.Re
 	return res, warns, nil
 }
 
+// mergeChunkRows caps the rows the merge hands over at once. It matches
+// the engine cursor's chunk, so a stream's sink sees the same shape from
+// a coordinator as from a single store.
+const mergeChunkRows = 256
+
 // RunStream implements service.ShardBackend: scatter to every member
 // the partition map admits, k-way merge-sort the sorted member streams,
-// and emit rows as they win the merge, dropping cross-member duplicates
-// of a distinct statement. A positive q.Limit stops the merge (and
-// cancels members) after that many emitted rows. Member failures
+// and hand rows over in chunks as they win the merge, dropping
+// cross-member duplicates of a distinct statement. The first row goes
+// out alone, later ones up to mergeChunkRows at a time, and a partly
+// filled chunk goes out before the merge waits on a member, so rows are
+// never held back behind a slow one. A positive q.Limit stops the merge
+// (and cancels members) after that many emitted rows. Member failures
 // degrade to warnings unless q.RequireAll, the failure is the query's
 // own fault (4xx), or every member failed.
-func (c *Coordinator) RunStream(ctx context.Context, q service.ShardQuery, header func(cols []string) error, row func([]string) error) (engine.ExecStats, []service.ShardWarning, error) {
+func (c *Coordinator) RunStream(ctx context.Context, q service.ShardQuery, header func(cols []string) error, rows func(chunk [][]string) error) (engine.ExecStats, []service.ShardWarning, error) {
 	c.queries.Add(1)
 	sc := scopeOf(q)
 
@@ -371,27 +374,50 @@ func (c *Coordinator) RunStream(ctx context.Context, q service.ShardQuery, heade
 		}
 	}
 	if fatal == nil && throttled == nil {
-		var last []string // the row emitted before this one
+		var (
+			last    []string // the row emitted before this one
+			pending [][]string
+			sinkErr error
+		)
+		// flush hands the pending rows over; the chunk slice is reused,
+		// the rows in it are the sink's to keep.
+		flush := func() {
+			if len(pending) > 0 && sinkErr == nil {
+				sinkErr = rows(pending)
+				pending = pending[:0]
+			}
+		}
 		for h.Len() > 0 {
 			it := heap.Pop(&h).(heapItem)
 			// Members deduplicate only their own rows; the merge is
 			// sorted, so a cross-member duplicate of a distinct
 			// statement is always adjacent to its twin.
 			if !q.Distinct || emitted == 0 || !slices.Equal(it.row, last) {
-				if err := row(it.row); err != nil {
-					cancel()
-					return stats, warnings, err
-				}
+				pending = append(pending, it.row)
 				last = it.row
 				emitted++
 				if q.Limit > 0 && emitted >= q.Limit {
 					break
 				}
+				if emitted == 1 || len(pending) >= mergeChunkRows {
+					flush()
+				}
+			}
+			if len(live[it.member].ch) == 0 {
+				flush() // the pull below may wait on this member
+			}
+			if sinkErr != nil {
+				break
 			}
 			pull(it.member)
 			if fatal != nil || throttled != nil {
 				break
 			}
+		}
+		flush()
+		if sinkErr != nil {
+			cancel()
+			return stats, warnings, sinkErr
 		}
 	}
 	cancel()

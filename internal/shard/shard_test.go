@@ -280,7 +280,7 @@ func TestDistinctAcrossMembers(t *testing.T) {
 		var rows [][]string
 		_, warns, err := coord.RunStream(context.Background(), q,
 			func([]string) error { return nil },
-			func(r []string) error { rows = append(rows, r); return nil })
+			func(c [][]string) error { rows = append(rows, c...); return nil })
 		if err != nil || len(warns) != 0 {
 			t.Fatalf("streamed limit %d: err=%v warns=%v", limit, err, warns)
 		}
@@ -329,7 +329,7 @@ func TestLimitPushdown(t *testing.T) {
 	var rows [][]string
 	_, warns, err := coord.RunStream(context.Background(), q,
 		func([]string) error { return nil },
-		func(r []string) error { rows = append(rows, r); return nil })
+		func(c [][]string) error { rows = append(rows, c...); return nil })
 	if err != nil || len(warns) != 0 {
 		t.Fatalf("err=%v warns=%v", err, warns)
 	}
@@ -469,7 +469,7 @@ func TestMergeDeterminism(t *testing.T) {
 		var rows [][]string
 		if _, _, err := coord.RunStream(context.Background(), q,
 			func([]string) error { return nil },
-			func(r []string) error { rows = append(rows, r); return nil }); err != nil {
+			func(c [][]string) error { rows = append(rows, c...); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if len(rows) != 4 {
@@ -524,7 +524,7 @@ func TestLimitCancelsStragglers(t *testing.T) {
 		defer close(done)
 		_, warns, err = coord.RunStream(context.Background(), q,
 			func([]string) error { return nil },
-			func([]string) error { rows++; return nil })
+			func(c [][]string) error { rows += len(c); return nil })
 	}()
 	select {
 	case <-done:
@@ -536,5 +536,84 @@ func TestLimitCancelsStragglers(t *testing.T) {
 	}
 	if len(warns) != 0 {
 		t.Fatalf("teardown echoed as warnings: %+v", warns)
+	}
+}
+
+// gateSource streams its rows, holding back the ones from index hold on
+// until gate is closed.
+type gateSource struct {
+	rows [][]string
+	hold int
+	gate chan struct{}
+}
+
+func (s *gateSource) Stream(ctx context.Context, q service.ShardQuery, row func([]string) error) (engine.ExecStats, error) {
+	for i, r := range s.rows {
+		if i == s.hold {
+			select {
+			case <-s.gate:
+			case <-ctx.Done():
+				return engine.ExecStats{}, ctx.Err()
+			}
+		}
+		if err := row(r); err != nil {
+			return engine.ExecStats{}, err
+		}
+	}
+	return engine.ExecStats{}, nil
+}
+func (s *gateSource) Ping(ctx context.Context) (uint64, error) { return 0, nil }
+func (s *gateSource) Close() error                             { return nil }
+
+// TestMergeChunks: the merge hands rows over in chunks — the first row
+// alone, none larger than mergeChunkRows — and hands over what it holds
+// before waiting on a member: the member here produces its next row only
+// once every earlier row has reached the sink, so a merge that held a
+// partly filled chunk back would never finish.
+func TestMergeChunks(t *testing.T) {
+	var rows [][]string
+	for i := 0; i < 3*mergeChunkRows; i++ {
+		rows = append(rows, []string{fmt.Sprintf("r%04d", i)})
+	}
+	src := &gateSource{rows: rows, hold: 2*mergeChunkRows + 10, gate: make(chan struct{})}
+	coord := NewCoordinator("events", []Member{{Name: "m", Source: src}}, Options{})
+	defer coord.Close()
+
+	var (
+		got   [][]string
+		sizes []int
+	)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := coord.RunStream(context.Background(), service.ShardQuery{Query: demoQuery, Columns: []string{"x"}},
+			func([]string) error { return nil },
+			func(chunk [][]string) error {
+				sizes = append(sizes, len(chunk))
+				got = append(got, chunk...)
+				if len(got) == src.hold {
+					close(src.gate)
+				}
+				return nil
+			})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the merge held rows back while waiting on a member")
+	}
+	if !reflect.DeepEqual(got, rows) {
+		t.Fatalf("merged %d rows, want the member's %d in order", len(got), len(rows))
+	}
+	if sizes[0] != 1 {
+		t.Errorf("first chunk has %d rows, want the first row alone", sizes[0])
+	}
+	for _, n := range sizes {
+		if n > mergeChunkRows {
+			t.Errorf("chunk of %d rows exceeds %d", n, mergeChunkRows)
+		}
 	}
 }
