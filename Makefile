@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race race-nommap benchmark-module bench bench-persist bench-prepare bench-ingest bench-scan bench-obs bench-shard bench-hunt smoke-metrics smoke-shard serve
+.PHONY: check fmt vet build test race race-nommap benchmark-module bench bench-prepare bench-ingest bench-scan bench-obs bench-shard bench-hunt smoke-cli smoke-metrics smoke-shard serve
 
 check: fmt vet build race race-nommap benchmark-module
 
@@ -48,15 +48,7 @@ define run-bench
 	@rm -f bench.out
 endef
 
-bench: bench-persist bench-prepare bench-ingest bench-scan bench-obs bench-shard bench-hunt
-
-# Durable-storage benchmarks on the Fig4 50k-event dataset: dataset
-# load from file-per-segment snapshots — v2 mmap cold open (footer +
-# block directory only, target >= 3x vs the eager v1 decode) and the
-# eager v1 gob decode — vs. legacy gob replay (re-intern, re-chunk,
-# re-seal, re-index everything; target >= 5x).
-bench-persist:
-	$(call run-bench,./internal/eventstore/,BenchmarkPersist,10x,BENCH_persist.json)
+bench: bench-prepare bench-ingest bench-scan bench-obs bench-shard bench-hunt
 
 # Prepared-statement benchmarks on the Fig4 50k dataset: per-call
 # parse+plan+execute vs. compile-once/execute-many re-execution of the
@@ -108,6 +100,17 @@ bench-shard:
 # 50k-row stream drain with allocations per row.
 bench-hunt:
 	$(call run-bench,./internal/engine/,BenchmarkPlanWideEntitySet|BenchmarkScanProjected|BenchmarkStreamDrain,10x,BENCH_hunt.json)
+
+# The command-line path end to end: aiqlgen writes a 5000-event store
+# directory, and a query through aiql over it must return rows.
+smoke-cli:
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	$(GO) run ./cmd/aiqlgen -out $$tmp -events 5000 || exit 1; \
+	$(GO) run ./cmd/aiql -data $$tmp -stats=false \
+		-query 'proc p write file f as evt return distinct p, f' > $$tmp/rows.out || exit 1; \
+	rows=$$(($$(wc -l < $$tmp/rows.out) - 2)); \
+	[ $$rows -gt 0 ] || { echo "cli smoke: the query returned no rows:"; cat $$tmp/rows.out; exit 1; }; \
+	echo "cli smoke OK ($$rows rows)"
 
 # Boot aiqlserver on the built-in demo dataset, scrape /metrics on both
 # the API and ops listeners, and lint the expositions with promlint.

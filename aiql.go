@@ -33,8 +33,6 @@ package aiql
 import (
 	"context"
 	"fmt"
-	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -166,27 +164,6 @@ func OpenDirWithOptions(storage StorageOptions, cfg EngineConfig) (*DB, error) {
 	return &DB{store: store, eng: engine.NewWithConfig(store, cfg)}, nil
 }
 
-// OpenPath opens a dataset from either on-disk form: a directory is a
-// durable store (OpenDir), anything else a legacy gob snapshot
-// (LoadFile).
-func OpenPath(path string) (*DB, error) {
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		return OpenDir(path)
-	}
-	return LoadFile(path)
-}
-
-// OpenPathWithOptions is OpenPath with explicit storage and engine
-// configurations; for directories storage.Dir is overridden with path.
-func OpenPathWithOptions(path string, storage StorageOptions, cfg EngineConfig) (*DB, error) {
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		storage.Dir = path
-		return OpenDirWithOptions(storage, cfg)
-	}
-	storage.Dir = ""
-	return LoadFileWithOptions(path, storage, cfg)
-}
-
 // Close stops the database's background compactor and closes its
 // write-ahead log. In-memory databases close trivially; in-flight
 // queries on pinned snapshots are unaffected either way.
@@ -215,16 +192,13 @@ func (db *DB) StopCompactor() { db.store.StopCompactor() }
 // WAL, manifest edition) and compaction activity.
 func (db *DB) DurableStats() eventstore.DurableStats { return db.store.DurableStats() }
 
-// StorageStats reports where sealed-segment bytes live: mmap'd v2
-// segment files versus heap-resident decodes, plus block-cache counters.
+// StorageStats reports where sealed-segment bytes live: mmap'd segment
+// files versus heap-resident events, plus block-cache counters.
 func (db *DB) StorageStats() eventstore.StorageStats { return db.store.StorageStats() }
 
-// UpgradeSegments rewrites persisted v1 segment files in place in the
-// v2 mmap-friendly columnar format, returning how many were upgraded.
-func (db *DB) UpgradeSegments() (int, error) { return db.store.UpgradeSegments() }
-
 // SaveDir writes the database's full sealed state into dir as a durable
-// store directory — the migration path from legacy gob snapshots.
+// store directory, which OpenDir then serves: how a database built in
+// memory (a generated dataset, say) is persisted.
 func (db *DB) SaveDir(dir string) error { return db.store.SaveDir(dir) }
 
 // ErrClosed reports a write against a closed database — reachable when
@@ -238,7 +212,8 @@ func (db *DB) Append(r Record) error { return db.store.Append(r) }
 // AppendAll bulk-ingests records: the whole batch is committed (visible
 // to queries) before the call returns, and under durable storage the
 // batch is group-committed with a single WAL fsync. Returns ErrClosed
-// after Close.
+// after Close, and the write-ahead log's error when the batch could not
+// be made durable.
 func (db *DB) AppendAll(rs []Record) error { return db.store.AppendAll(rs) }
 
 // Flush commits buffered records and seals every active memtable.
@@ -468,30 +443,6 @@ func (db *DB) ScanPoolStats() ScanPoolStats { return db.eng.ScanPool().Stats() }
 // active memtables.
 func (db *DB) SegmentStats() eventstore.SegmentStats {
 	return db.store.SegmentStats()
-}
-
-// Save writes a snapshot of the database to w.
-func (db *DB) Save(w io.Writer) error { return db.store.Encode(w) }
-
-// Load reads a snapshot into an empty database.
-func (db *DB) Load(r io.Reader) error { return db.store.Decode(r) }
-
-// SaveFile and LoadFile persist snapshots to disk.
-func (db *DB) SaveFile(path string) error { return db.store.SaveFile(path) }
-
-// LoadFile opens a database from a snapshot file with default options.
-func LoadFile(path string) (*DB, error) {
-	return LoadFileWithOptions(path, eventstore.DefaultOptions(), engine.Config{})
-}
-
-// LoadFileWithOptions opens a snapshot file with explicit storage and
-// engine configurations.
-func LoadFileWithOptions(path string, storage StorageOptions, cfg EngineConfig) (*DB, error) {
-	store, err := eventstore.LoadFile(path, storage)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{store: store, eng: engine.NewWithConfig(store, cfg)}, nil
 }
 
 // Stats summarizes the database contents.

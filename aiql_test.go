@@ -10,6 +10,7 @@ import (
 	"time"
 
 	aiql "github.com/aiql/aiql"
+	"github.com/aiql/aiql/internal/durable"
 )
 
 func demoDB(t *testing.T) *aiql.DB {
@@ -90,16 +91,20 @@ return p1`)
 	}
 }
 
+// A database saved to disk loads back with the same events and the
+// same answers. The one on-disk form is a durable directory, written
+// by SaveDir and loaded by OpenDir.
 func TestSaveLoadFile(t *testing.T) {
 	db := demoDB(t)
-	path := filepath.Join(t.TempDir(), "snap.aiql")
-	if err := db.SaveFile(path); err != nil {
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := db.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := aiql.LoadFile(path)
+	db2, err := aiql.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db2.Close()
 	if db2.Len() != db.Len() {
 		t.Errorf("loaded %d events, want %d", db2.Len(), db.Len())
 	}
@@ -112,17 +117,104 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := aiql.LoadFile(filepath.Join(t.TempDir(), "nope.aiql")); err == nil {
-		t.Error("expected error for missing snapshot")
-	}
-	// corrupted snapshot
-	bad := filepath.Join(t.TempDir(), "bad.aiql")
-	if err := os.WriteFile(bad, []byte("not a snapshot"), 0o644); err != nil {
+// Moving an in-memory database to durable storage with SaveDir keeps
+// its answers, and the directory is a live durable store: it accepts
+// appends and recovers them on the next open.
+func TestMigrateRoundTrip(t *testing.T) {
+	db := demoDB(t)
+	want, err := db.Query(investigationQuery)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := aiql.LoadFile(bad); err == nil {
-		t.Error("expected error for corrupted snapshot")
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := db.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	dur, err := aiql.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dur.Len() != db.Len() {
+		t.Errorf("opened %d events, want %d", dur.Len(), db.Len())
+	}
+	res, err := dur.Query(investigationQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Table() != want.Table() {
+		t.Fatalf("query results differ after SaveDir/OpenDir:\n%s\nwant:\n%s", res.Table(), want.Table())
+	}
+	if st := dur.DurableStats(); st.SegmentFiles == 0 || st.ManifestEdition == 0 {
+		t.Fatalf("durable stats of a saved directory: %+v", st)
+	}
+	dur.Append(aiql.Record{
+		AgentID: 7,
+		Subject: aiql.Process{PID: 999, ExeName: "late.exe", Path: `C:\late.exe`, User: "x"},
+		Op:      aiql.OpRead,
+		ObjType: aiql.EntityFile,
+		ObjFile: aiql.File{Path: `C:\late.txt`},
+		StartTS: time.Date(2018, 5, 10, 14, 0, 0, 0, time.UTC).UnixNano(),
+	})
+	dur.Flush()
+	n := dur.Len()
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := aiql.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if reopened.Len() != n {
+		t.Fatalf("reopened store has %d events, want %d", reopened.Len(), n)
+	}
+}
+
+// A directory whose MANIFEST is not a manifest fails to open with a
+// typed corruption error.
+func TestOpenDirRejectsCorruptManifest(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, durable.ManifestName), []byte("not a manifest"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := aiql.OpenDir(dir); !errors.Is(err, durable.ErrCorrupt) {
+		t.Fatalf("OpenDir of a corrupt manifest: error %v, want durable.ErrCorrupt", err)
+	}
+}
+
+// A query whose scan reaches a segment file that cannot be opened or
+// decoded must fail with that error: the segment's rows must never
+// silently read as absent.
+func TestQueryFailsOnCorruptSegment(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := demoDB(t).SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment files in %s (%v)", dir, err)
+	}
+	for _, seg := range segs {
+		buf, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf[len(buf)-1] ^= 0xff // the footer magic
+		if err := os.WriteFile(seg, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := aiql.OpenDir(dir)
+	if err != nil {
+		t.Fatalf("OpenDir: %v (segment files open lazily)", err)
+	}
+	defer db.Close()
+	res, err := db.Query(`proc p read file f as e return distinct p, f`)
+	if err == nil {
+		t.Fatalf("query over a corrupt segment succeeded with %d rows", len(res.Rows))
+	}
+	if !errors.Is(err, durable.ErrCorrupt) {
+		t.Fatalf("query error %v, want durable.ErrCorrupt", err)
 	}
 }
 
@@ -161,84 +253,6 @@ proc p3 write file f["%backup1.dmp"] as evt2
 proc p4 read file f as evt3
 with evt1 before evt2, evt2 before evt3
 return distinct p1, p2, p3, p4, f`
-
-// TestMigrateRoundTrip covers the one-shot `aiql -migrate` path: a
-// legacy gob snapshot converted to a durable directory must answer
-// queries identically, and OpenPath must route to the right loader for
-// both on-disk forms.
-func TestMigrateRoundTrip(t *testing.T) {
-	db := demoDB(t)
-	want, err := db.Query(investigationQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	gobPath := filepath.Join(t.TempDir(), "legacy.aiql")
-	if err := db.SaveFile(gobPath); err != nil {
-		t.Fatal(err)
-	}
-
-	// the -migrate path: load the gob snapshot, write the directory
-	loaded, err := aiql.LoadFile(gobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "store")
-	if err := loaded.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, path := range []string{gobPath, dir} {
-		got, err := aiql.OpenPath(path)
-		if err != nil {
-			t.Fatalf("OpenPath(%s): %v", path, err)
-		}
-		res, err := got.Query(investigationQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Table() != want.Table() {
-			t.Fatalf("query results differ after migration via %s:\n%s\nwant:\n%s", path, res.Table(), want.Table())
-		}
-		if got.Len() != db.Len() {
-			t.Fatalf("%s: %d events, want %d", path, got.Len(), db.Len())
-		}
-		if err := got.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// the migrated directory is a real durable store: it accepts
-	// appends, recovers them, and reports durable stats
-	dur, err := aiql.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := dur.DurableStats(); st.SegmentFiles == 0 || st.ManifestEdition == 0 {
-		t.Fatalf("durable stats after migration: %+v", st)
-	}
-	dur.Append(aiql.Record{
-		AgentID: 7,
-		Subject: aiql.Process{PID: 999, ExeName: "late.exe", Path: `C:\late.exe`, User: "x"},
-		Op:      aiql.OpRead,
-		ObjType: aiql.EntityFile,
-		ObjFile: aiql.File{Path: `C:\late.txt`},
-		StartTS: time.Date(2018, 5, 10, 14, 0, 0, 0, time.UTC).UnixNano(),
-	})
-	dur.Flush()
-	n := dur.Len()
-	if err := dur.Close(); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := aiql.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	if reopened.Len() != n {
-		t.Fatalf("reopened migrated store has %d events, want %d", reopened.Len(), n)
-	}
-}
 
 // TestPrepareAcceptance is the acceptance check for the prepared API:
 // DB.Prepare + Stmt.Exec with typed $name parameters works across the

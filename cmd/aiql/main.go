@@ -1,21 +1,13 @@
 // Command aiql executes Attack Investigation Query Language queries over
-// a dataset snapshot, either one-shot (-query / -file) or as an
-// interactive REPL.
+// a durable store directory (as written by aiqlgen or served by
+// aiqlserver), either one-shot (-query / -file) or as an interactive
+// REPL.
 //
 // Usage:
 //
-//	aiql -data data.aiql -query 'proc p read file f["%passwd%"] as e return distinct p, f'
-//	aiql -data data.aiql            # REPL: terminate queries with a ';' line
-//	aiql -data data.aiql -explain -query '...'
-//	aiql -data data.aiql -migrate ./storedir   # one-shot: convert a gob snapshot to a durable directory
-//	aiql -data ./storedir -migrate ./storedir  # one-shot: upgrade v1 segment files to v2 in place
-//
-// -data also accepts a durable store directory; -migrate converts a
-// legacy gob snapshot into the file-per-segment durable layout that
-// aiqlserver -data-dir (and -data here) serves without replay. When
-// -data and -migrate name the same durable directory, the segment files
-// are instead rewritten in place in the v2 mmap-friendly columnar
-// format (a no-op for files already v2).
+//	aiql -data ./data -query 'proc p read file f["%passwd%"] as e return distinct p, f'
+//	aiql -data ./data            # REPL: terminate queries with a ';' line
+//	aiql -data ./data -explain -query '...'
 package main
 
 import (
@@ -24,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -38,12 +29,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("aiql: ")
 	var (
-		data    = flag.String("data", "", "dataset snapshot file (from aiqlgen); empty = built-in demo dataset")
+		data    = flag.String("data", "", "durable store directory (from aiqlgen); empty = built-in demo dataset")
 		query   = flag.String("query", "", "one-shot query text")
 		file    = flag.String("file", "", "read the query from a file")
 		explain = flag.Bool("explain", false, "show the execution plan instead of running")
 		stats   = flag.Bool("stats", true, "print execution statistics after results")
-		migrate = flag.String("migrate", "", "one-shot: convert the -data gob snapshot into a durable store directory at this path, then exit")
 		version = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -51,43 +41,6 @@ func main() {
 	if *version {
 		b := obs.Build()
 		fmt.Printf("aiql %s (%s)\n", b.Version, b.GoVersion)
-		return
-	}
-
-	if *migrate != "" {
-		if *data == "" {
-			log.Fatal("-migrate requires -data naming the legacy gob snapshot or durable store directory")
-		}
-		start := time.Now()
-		if fi, err := os.Stat(*data); err == nil && fi.IsDir() && filepath.Clean(*data) == filepath.Clean(*migrate) {
-			// In-place upgrade: rewrite the directory's v1 segment files
-			// in the v2 mmap-friendly columnar format. Filenames and the
-			// manifest are unchanged, so the upgrade is restartable.
-			db, err := aiql.OpenDir(*data)
-			if err != nil {
-				log.Fatal(err)
-			}
-			n, err := db.UpgradeSegments()
-			if cerr := db.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "upgraded %d segment files in %s to the v2 columnar format in %v\n",
-				n, *data, time.Since(start).Round(time.Millisecond))
-			return
-		}
-		db, err := aiql.OpenPath(*data)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := db.SaveDir(*migrate); err != nil {
-			log.Fatal(err)
-		}
-		st := db.Stats()
-		fmt.Fprintf(os.Stderr, "migrated %d events (%d processes, %d files, %d connections) from %s to %s in %v\n",
-			st.Events, st.Processes, st.Files, st.Netconns, *data, *migrate, time.Since(start).Round(time.Millisecond))
 		return
 	}
 
@@ -115,7 +68,12 @@ func openDB(path string) *aiql.DB {
 		fmt.Fprintln(os.Stderr, "no -data given; generating the built-in demo dataset (50k events, demo-apt scenario)")
 		return aiql.FromStore(experiments.BuildStore(experiments.Fig4Dataset(50000, 10, 42)))
 	}
-	db, err := aiql.OpenPath(path)
+	// A path that does not exist is a typo, not a request for an empty
+	// store: OpenDir would create one.
+	if _, err := os.Stat(path); err != nil {
+		log.Fatal(err)
+	}
+	db, err := aiql.OpenDir(path)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,11 +1,12 @@
 // Command aiqlgen generates synthetic enterprise system-monitoring
 // datasets with the paper's APT attack scenarios injected, and writes
-// them as AIQL snapshot files consumable by aiql, aiqlserver, and
-// aiqlbench.
+// each as a durable store directory (segment files + MANIFEST) that
+// aiql -data and aiqlserver -data / -datasets open directly. The
+// target must not already hold a store.
 //
 // Usage:
 //
-//	aiqlgen -out data.aiql -events 400000 -hosts 15 -seed 42 -scenarios demo-apt,atc-case
+//	aiqlgen -out ./data -events 400000 -hosts 15 -seed 42 -scenarios demo-apt,atc-case
 package main
 
 import (
@@ -22,7 +23,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("aiqlgen: ")
 	var (
-		out       = flag.String("out", "data.aiql", "output snapshot file")
+		out       = flag.String("out", "data", "output store directory (created; must not already hold a store)")
 		events    = flag.Int("events", 100000, "approximate number of background events")
 		hosts     = flag.Int("hosts", 10, "number of hosts (agents); servers occupy IDs 1-4")
 		seed      = flag.Int64("seed", 42, "random seed")
@@ -50,7 +51,7 @@ func main() {
 		Events:    *events,
 		Scenarios: scs,
 	})
-	if err := store.SaveFile(*out); err != nil {
+	if err := store.SaveDir(*out); err != nil {
 		log.Fatal(err)
 	}
 	st := store.Stats()

@@ -9,16 +9,14 @@
 //
 // Usage:
 //
-//	aiqlserver -data data.aiql -addr :8080
-//	aiqlserver -data-dir ./store -compact 30s
-//	aiqlserver -datasets "prod=proddir,staging=staging.aiql" -default prod
+//	aiqlserver -data ./store -addr :8080 -compact 30s
+//	aiqlserver -datasets "prod=./prod,staging=./staging" -default prod
 //	aiqlserver -shards shards.json -shard-timeout 10s
 //
-// A dataset path may be a legacy gob snapshot file or a durable store
-// directory (file-per-segment snapshots + MANIFEST + WAL, recovered on
-// open); -data-dir serves a durable directory as the default dataset,
-// creating it if absent, and -compact runs each dataset's background
-// segment compactor.
+// Every dataset path names a durable store directory (segment files +
+// MANIFEST + WAL, crash-recovered on open; aiqlgen writes one), created
+// if absent. -data serves one as the dataset "default", and -compact
+// runs each dataset's background segment compactor.
 //
 // -shards declares sharded datasets from a partition-map JSON file:
 // each member is a local store directory or a remote aiqlserver peer
@@ -35,7 +33,7 @@
 //	POST /api/v1/check                 {"query": "..."}
 //	GET  /api/v1/stats?dataset=name
 //	GET  /api/v1/datasets
-//	POST /api/v1/datasets/{name}/load  {"path": "optional.aiql"}
+//	POST /api/v1/datasets/{name}/load  {"path": "optional/store/dir"}
 //	POST /api/v1/ingest?dataset=name   NDJSON event records → {ingested, new_matches, ...}
 //	POST /api/v1/watch                 {"query": "...", "params": {...}, "dataset": "..."} → {watch_id, ...}
 //	GET  /api/v1/watch?dataset=name    registered standing queries
@@ -95,9 +93,8 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	slog.SetDefault(logger)
 	var (
-		data       = flag.String("data", "", "dataset snapshot file served as dataset \"default\"; empty = built-in demo dataset (unless -datasets or -data-dir is given)")
-		dataDir    = flag.String("data-dir", "", "durable store directory served as dataset \"default\" (crash-recovered via MANIFEST + WAL; created if absent)")
-		datasets   = flag.String("datasets", "", "comma-separated name=path dataset list; each path may be a gob snapshot or a durable store directory, e.g. \"prod=proddir,staging=staging.aiql\"")
+		data       = flag.String("data", "", "durable store directory served as dataset \"default\" (crash-recovered via MANIFEST + WAL; created if absent); empty = built-in demo dataset (unless -datasets is given)")
+		datasets   = flag.String("datasets", "", "comma-separated name=dir dataset list of durable store directories (created if absent), e.g. \"prod=./prod,staging=./staging\"")
 		defName    = flag.String("default", "", "default dataset name (default: first registered)")
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", 0, "max concurrent query executions per dataset (0 = GOMAXPROCS)")
@@ -113,7 +110,6 @@ func main() {
 		ingestMax  = flag.Int64("ingest-max-bytes", 0, "max ingest request body bytes (0 = 8 MiB)")
 		maxWatches = flag.Int("max-watches", 0, "max standing queries per dataset (0 = 64, negative disables standing queries)")
 		watchBuf   = flag.Int("watch-buffer", 0, "buffered matches per SSE subscriber before drop-oldest (0 = 256)")
-		segComp    = flag.String("segment-compression", "", "block codec for newly written v2 segment files: lz4 (default) or none")
 		blockCache = flag.Int64("block-cache-bytes", 0, "decompressed-block cache byte budget per dataset (0 = 32 MiB, negative disables)")
 		shards     = flag.String("shards", "", "partition-map JSON declaring sharded datasets; each member is a local store dir or a remote peer URL (see README \"Sharded deployment\")")
 		shardTO    = flag.Duration("shard-timeout", 30*time.Second, "per-member execution timeout for sharded queries")
@@ -149,22 +145,21 @@ func main() {
 			MaxWatches:       *maxWatches,
 			WatchBuffer:      *watchBuf,
 		},
-		ScanCacheBytes:     *scanCache,
-		CompactInterval:    *compact,
-		ScanWorkers:        *scanWork,
-		SegmentCompression: *segComp,
-		BlockCacheBytes:    *blockCache,
-		Metrics:            metrics,
-		SlowLog:            slowLog,
+		ScanCacheBytes:  *scanCache,
+		CompactInterval: *compact,
+		ScanWorkers:     *scanWork,
+		BlockCacheBytes: *blockCache,
+		Metrics:         metrics,
+		SlowLog:         slowLog,
 	})
 
 	if *datasets != "" {
 		for _, pair := range strings.Split(*datasets, ",") {
 			name, path, ok := strings.Cut(strings.TrimSpace(pair), "=")
 			if !ok || name == "" || path == "" {
-				fatalf("bad -datasets entry %q, want name=path", pair)
+				fatalf("bad -datasets entry %q, want name=dir", pair)
 			}
-			if _, err := cat.AddFile(name, path); err != nil {
+			if _, err := cat.AddDir(name, path); err != nil {
 				fatal(err)
 			}
 		}
@@ -185,16 +180,8 @@ func main() {
 			slog.Info("sharded dataset registered", "dataset", spec.Dataset, "members", len(spec.Members))
 		}
 	}
-	if *data != "" && *dataDir != "" {
-		fatal("-data and -data-dir are mutually exclusive")
-	}
 	if *data != "" {
-		if _, err := cat.AddFile("default", *data); err != nil {
-			fatal(err)
-		}
-	}
-	if *dataDir != "" {
-		if _, err := cat.AddDir("default", *dataDir); err != nil {
+		if _, err := cat.AddDir("default", *data); err != nil {
 			fatal(err)
 		}
 	}

@@ -5,21 +5,24 @@
 // one investigation never evicts another's caches or skews its
 // counters.
 //
-// Datasets hot-swap atomically: loading a snapshot builds a completely
-// new store + service off to the side and then swaps the catalog entry
-// under the lock. In-flight queries keep the service (and therefore the
-// store snapshot) they started with and finish normally; only new
-// requests resolve to the swapped-in dataset.
+// Datasets hot-swap atomically: loading a store directory builds a
+// completely new store + service off to the side and then swaps the
+// catalog entry under the lock. In-flight queries keep the service (and
+// therefore the store snapshot) they started with and finish normally;
+// only new requests resolve to the swapped-in dataset.
 package catalog
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	aiql "github.com/aiql/aiql"
+	"github.com/aiql/aiql/internal/durable"
 	"github.com/aiql/aiql/internal/obs"
 	"github.com/aiql/aiql/internal/service"
 	"github.com/aiql/aiql/internal/workpool"
@@ -49,9 +52,6 @@ type Config struct {
 	// admission pool's worker count (Service.Workers, itself defaulting
 	// to GOMAXPROCS); 1 scans sequentially.
 	ScanWorkers int
-	// SegmentCompression selects the block codec for newly written v2
-	// segment files ("lz4" or "none"); empty selects the store default.
-	SegmentCompression string
 	// BlockCacheBytes budgets each dataset's decompressed-block cache;
 	// 0 selects the store default, negative disables it.
 	BlockCacheBytes int64
@@ -66,14 +66,14 @@ type Config struct {
 // Dataset is one named database with its service layer.
 type Dataset struct {
 	name string
-	path string // snapshot file backing the dataset; empty for in-memory
+	path string // store directory backing the dataset; empty for in-memory
 	svc  *service.Service
 }
 
 // Name returns the dataset's catalog name.
 func (d *Dataset) Name() string { return d.name }
 
-// Path returns the snapshot file backing the dataset, if any.
+// Path returns the store directory backing the dataset, if any.
 func (d *Dataset) Path() string { return d.path }
 
 // Service returns the dataset's service layer.
@@ -129,27 +129,25 @@ func New(cfg Config) *Catalog {
 	return c
 }
 
-// storageOptions returns the default storage options with the catalog's
-// segment-codec and block-cache settings applied.
-func (c *Catalog) storageOptions() aiql.StorageOptions {
-	storage := aiql.DefaultStorage()
-	storage.SegmentCompression = c.cfg.SegmentCompression
-	storage.BlockCacheBytes = c.cfg.BlockCacheBytes
-	return storage
-}
-
-// openPath opens a dataset path (durable directory or gob snapshot)
-// with the catalog's storage configuration applied.
-func (c *Catalog) openPath(path string) (*aiql.DB, error) {
-	return aiql.OpenPathWithOptions(path, c.storageOptions(), aiql.EngineConfig{})
-}
-
 // openDir opens (creating if needed) a durable store directory with the
-// catalog's storage configuration applied.
+// catalog's block-cache budget applied.
 func (c *Catalog) openDir(dir string) (*aiql.DB, error) {
-	storage := c.storageOptions()
+	storage := aiql.DefaultStorage()
+	storage.BlockCacheBytes = c.cfg.BlockCacheBytes
 	storage.Dir = dir
 	return aiql.OpenDirWithOptions(storage, aiql.EngineConfig{})
+}
+
+// requireStore refuses a path that holds no durable store (neither a
+// manifest nor a write-ahead log), so a hot-swap to a mistyped path
+// fails instead of opening — and serving — a new empty store there.
+func requireStore(path string) error {
+	for _, name := range []string{durable.ManifestName, durable.WALName} {
+		if _, err := os.Stat(filepath.Join(path, name)); err == nil {
+			return nil
+		}
+	}
+	return fmt.Errorf("catalog: %s is not a durable store directory", path)
 }
 
 // newDataset wraps a database in a fresh service layer with the
@@ -177,27 +175,6 @@ func (c *Catalog) AddDB(name string, db *aiql.DB) (*Dataset, error) {
 		return nil, fmt.Errorf("catalog: dataset name must not be empty")
 	}
 	d := c.newDataset(name, "", db)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.sets[name]; ok {
-		return nil, fmt.Errorf("catalog: dataset %q already registered", name)
-	}
-	c.install(d)
-	return d, nil
-}
-
-// AddFile loads a dataset from path — a durable store directory or a
-// legacy gob snapshot file — and registers it under name. The first
-// dataset registered becomes the default.
-func (c *Catalog) AddFile(name, path string) (*Dataset, error) {
-	if name == "" {
-		return nil, fmt.Errorf("catalog: dataset name must not be empty")
-	}
-	db, err := c.openPath(path)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: load %q: %w", name, err)
-	}
-	d := c.newDataset(name, path, db)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.sets[name]; ok {
@@ -295,16 +272,17 @@ func (c *Catalog) Names() []string {
 	return out
 }
 
-// Load hot-swaps (or registers) the dataset name from a durable store
-// directory or a legacy gob snapshot file: a brand-new store, engine,
-// scan cache, and service are built from path with no catalog lock
-// held, then the entry is swapped atomically. In-flight queries on the
+// Load hot-swaps (or registers) the dataset name from an existing
+// durable store directory: a brand-new store, engine, scan cache, and
+// service are built from path with no catalog lock held, then the entry
+// is swapped atomically. A path holding no store is refused and the
+// dataset left untouched. In-flight queries on the
 // old dataset finish on the snapshot they started with — including
 // while the old dataset's compactor is mid-pass: the replaced database
 // is closed first (in-flight compaction drained, further disk writes
 // fenced, WAL released), so the directory has one writer at a time, and
 // its in-memory snapshots stay readable until those queries finish. An
-// empty path reloads the dataset's backing file.
+// empty path reloads the dataset's backing directory.
 //
 // Outstanding pagination cursors are deliberately not carried over: a
 // cursor names a result generation of the replaced store, and serving
@@ -332,8 +310,11 @@ func (c *Catalog) Load(name, path string) (*Dataset, error) {
 			return nil, fmt.Errorf("%w: %q (a path is required to register a new dataset)", service.ErrUnknownDataset, name)
 		}
 		if path == "" {
-			return nil, fmt.Errorf("catalog: dataset %q has no backing snapshot; a path is required", name)
+			return nil, fmt.Errorf("catalog: dataset %q has no backing directory; a path is required", name)
 		}
+	}
+	if err := requireStore(path); err != nil {
+		return nil, fmt.Errorf("catalog: load %q: %w", name, err)
 	}
 	c.loadMu.Lock()
 	defer c.loadMu.Unlock()
@@ -345,7 +326,7 @@ func (c *Catalog) Load(name, path string) (*Dataset, error) {
 	}
 	if old != nil && old.svc.Sharded() {
 		// A sharded dataset is a coordinator over member stores, not a
-		// snapshot; hot-swapping it under live fan-outs would strand the
+		// store directory; hot-swapping it under live fan-outs would strand the
 		// members. Restart with a new partition map instead.
 		return nil, fmt.Errorf("catalog: dataset %q is sharded and cannot be hot-swapped", name)
 	}
@@ -362,12 +343,12 @@ func (c *Catalog) Load(name, path string) (*Dataset, error) {
 	if conflict {
 		old.svc.DB().Close()
 	}
-	db, err := c.openPath(path)
+	db, err := c.openDir(path)
 	if err != nil {
 		if conflict {
 			// The old database's durability was already torn down; try
 			// to reopen its directory so the dataset stays durable.
-			if rdb, rerr := c.openPath(old.path); rerr == nil {
+			if rdb, rerr := c.openDir(old.path); rerr == nil {
 				d := c.newDataset(name, old.path, rdb)
 				d.svc.AdoptPrepared(old.svc.PreparedSeeds())
 				d.svc.AdoptWatches(old.svc.WatchSeeds())

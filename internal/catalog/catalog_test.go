@@ -97,17 +97,17 @@ func TestIndependentDatasets(t *testing.T) {
 // snapshot and finish normally.
 func TestHotSwapKeepsInflightQueries(t *testing.T) {
 	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.aiql")
-	newPath := filepath.Join(dir, "new.aiql")
-	if err := buildDB(t, "old", 2000).SaveFile(oldPath); err != nil {
+	oldPath := filepath.Join(dir, "old")
+	newPath := filepath.Join(dir, "new")
+	if err := buildDB(t, "old", 2000).SaveDir(oldPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := buildDB(t, "new", 7).SaveFile(newPath); err != nil {
+	if err := buildDB(t, "new", 7).SaveDir(newPath); err != nil {
 		t.Fatal(err)
 	}
 
 	c := New(Config{})
-	if _, err := c.AddFile("inv", oldPath); err != nil {
+	if _, err := c.AddDir("inv", oldPath); err != nil {
 		t.Fatal(err)
 	}
 	oldSvc, err := c.Resolve("inv")
@@ -170,8 +170,8 @@ func TestHotSwapKeepsInflightQueries(t *testing.T) {
 // end: listing, per-dataset queries, per-dataset stats, and a hot-swap.
 func TestHTTPDatasetRoutingAndManagement(t *testing.T) {
 	dir := t.TempDir()
-	betaPath := filepath.Join(dir, "beta.aiql")
-	if err := buildDB(t, "beta2", 4).SaveFile(betaPath); err != nil {
+	betaPath := filepath.Join(dir, "beta")
+	if err := buildDB(t, "beta2", 4).SaveDir(betaPath); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,7 +2,13 @@ package catalog
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -162,5 +168,88 @@ func TestHotSwapDuringCompaction(t *testing.T) {
 	}
 	if resp.TotalRows != events {
 		t.Fatalf("compacted dataset returned %d rows, want %d", resp.TotalRows, events)
+	}
+}
+
+// A hot-swap must refuse a path that holds no durable store — missing,
+// an empty directory, a plain file — and leave the dataset serving its
+// old data, instead of creating and swapping in an empty store.
+func TestLoadRefusesNonStorePath(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good")
+	if err := buildDB(t, "x", 6).SaveDir(good); err != nil {
+		t.Fatal(err)
+	}
+	empty := filepath.Join(dir, "empty")
+	if err := os.Mkdir(empty, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, []byte("not a store"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c := New(Config{})
+	defer c.Close()
+	if _, err := c.AddDir("inv", good); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{filepath.Join(dir, "missing"), empty, file} {
+		if _, err := c.Load("inv", path); err == nil {
+			t.Fatalf("Load(%s) swapped in a path holding no store", path)
+		}
+		if _, err := c.Load("fresh", path); err == nil {
+			t.Fatalf("Load(%s) registered a path holding no store", path)
+		}
+		d, err := c.Get("inv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Path() != good {
+			t.Fatalf("after refused Load(%s) the dataset serves %s", path, d.Path())
+		}
+		resp, err := d.Service().Do(context.Background(), service.Request{Query: demoQuery})
+		if err != nil || resp.TotalRows != 6 {
+			t.Fatalf("after refused Load(%s): %d rows, err %v; want the old 6", path, resp.TotalRows, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "missing")); !os.IsNotExist(err) {
+		t.Fatal("refused Load created the missing directory")
+	}
+}
+
+// A query that reaches a segment file that cannot be decoded fails over
+// HTTP with the exec_error code instead of answering without its rows.
+func TestHTTPQueryOnCorruptSegment(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := buildDB(t, "x", 6).SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if len(segs) == 0 {
+		t.Fatal("no segment files")
+	}
+	buf, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(buf)-1] ^= 0xff
+	if err := os.WriteFile(segs[0], buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{})
+	defer c.Close()
+	if _, err := c.AddDir("inv", dir); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/query",
+		strings.NewReader(`{"query": "proc p write file f as evt return p, f"}`)))
+	var body service.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("status %d, body %s: %v", rec.Code, rec.Body, err)
+	}
+	if rec.Code == http.StatusOK || body.Code != service.CodeExecError || !strings.Contains(body.Error, "corrupt") {
+		t.Fatalf("status %d, body %s; want an exec_error naming the corruption", rec.Code, rec.Body)
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // LoadRequest is the wire form of a dataset hot-swap.
 type LoadRequest struct {
-	// Path is the snapshot file to load; empty reloads the dataset's
-	// backing file.
+	// Path is the durable store directory to load; empty reloads the
+	// dataset's backing directory.
 	Path string `json:"path,omitempty"`
 }
 

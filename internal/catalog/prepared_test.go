@@ -21,16 +21,16 @@ const paramQuery = `proc p[$exe] write file f as evt return p, f`
 // against the swapped-in data.
 func TestPreparedSurvivesHotSwap(t *testing.T) {
 	dir := t.TempDir()
-	small, big := filepath.Join(dir, "small.aiql"), filepath.Join(dir, "big.aiql")
-	if err := buildDB(t, "x", 5).SaveFile(small); err != nil {
+	small, big := filepath.Join(dir, "small"), filepath.Join(dir, "big")
+	if err := buildDB(t, "x", 5).SaveDir(small); err != nil {
 		t.Fatal(err)
 	}
-	if err := buildDB(t, "x", 40).SaveFile(big); err != nil {
+	if err := buildDB(t, "x", 40).SaveDir(big); err != nil {
 		t.Fatal(err)
 	}
 
 	c := New(Config{})
-	if _, err := c.AddFile("inv", small); err != nil {
+	if _, err := c.AddDir("inv", small); err != nil {
 		t.Fatal(err)
 	}
 	svc, err := c.Resolve("inv")
@@ -78,13 +78,13 @@ func TestPreparedSurvivesHotSwap(t *testing.T) {
 // races, no torn state.
 func TestPreparedConcurrentAcrossAppendSealAndHotSwap(t *testing.T) {
 	dir := t.TempDir()
-	snap := filepath.Join(dir, "snap.aiql")
-	if err := buildDB(t, "x", 20).SaveFile(snap); err != nil {
+	snap := filepath.Join(dir, "snap")
+	if err := buildDB(t, "x", 20).SaveDir(snap); err != nil {
 		t.Fatal(err)
 	}
 
 	c := New(Config{})
-	if _, err := c.AddFile("inv", snap); err != nil {
+	if _, err := c.AddDir("inv", snap); err != nil {
 		t.Fatal(err)
 	}
 	svc, err := c.Resolve("inv")

@@ -56,7 +56,7 @@ func (c *Catalog) AddSharded(spec shard.DatasetSpec, opts ShardOptions) (*Datase
 		}
 		var src shard.Source
 		if m.Dir != "" {
-			db, err := c.openPath(m.Dir)
+			db, err := c.openDir(m.Dir)
 			if err != nil {
 				return fail(fmt.Errorf("catalog: shard member %q: %w", m.Name, err))
 			}

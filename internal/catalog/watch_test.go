@@ -39,12 +39,12 @@ func do(t *testing.T, h http.Handler, method, path, body string) *httptest.Respo
 // same subscriber again.
 func TestWatchSurvivesHotSwap(t *testing.T) {
 	dir := t.TempDir()
-	snap := filepath.Join(dir, "snap.aiql")
-	if err := buildDB(t, "x", 8).SaveFile(snap); err != nil {
+	snap := filepath.Join(dir, "snap")
+	if err := buildDB(t, "x", 8).SaveDir(snap); err != nil {
 		t.Fatal(err)
 	}
 	c := New(Config{})
-	if _, err := c.AddFile("inv", snap); err != nil {
+	if _, err := c.AddDir("inv", snap); err != nil {
 		t.Fatal(err)
 	}
 	h := c.Handler()
@@ -133,12 +133,12 @@ func TestWatchSurvivesHotSwap(t *testing.T) {
 // contract error — no data races, no torn registries, no stuck ingests.
 func TestConcurrentIngestWatchCursorHotSwap(t *testing.T) {
 	dir := t.TempDir()
-	snap := filepath.Join(dir, "snap.aiql")
-	if err := buildDB(t, "x", 30).SaveFile(snap); err != nil {
+	snap := filepath.Join(dir, "snap")
+	if err := buildDB(t, "x", 30).SaveDir(snap); err != nil {
 		t.Fatal(err)
 	}
 	c := New(Config{})
-	if _, err := c.AddFile("inv", snap); err != nil {
+	if _, err := c.AddDir("inv", snap); err != nil {
 		t.Fatal(err)
 	}
 	h := c.Handler()

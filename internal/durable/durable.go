@@ -16,6 +16,12 @@
 // of the tail; a torn final WAL record (the signature of a crash mid
 // write) truncates cleanly instead of poisoning the replay.
 //
+// There is one on-disk format: v2 segment files (segfile2.go) listed by
+// version-3 manifests. A directory in any other format fails to open
+// with ErrCorrupt; its data is regenerated, not converted. Every write
+// the package issues goes through the seam in fs.go, where crash-point
+// tests inject faults.
+//
 // The package speaks only sysmon types and bytes; the eventstore layers
 // its LSM store on top (see eventstore.Open), and the background
 // compactor rewrites merged segments through the same file format.
@@ -25,16 +31,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 )
 
 // Well-known file names inside a durable store directory.
 const (
 	// ManifestName is the current manifest file.
 	ManifestName = "MANIFEST"
-	// manifestTmpName stages a manifest edition before the atomic rename.
-	manifestTmpName = "MANIFEST.tmp"
+	// tmpPrefix starts the name of a manifest edition staged for its
+	// atomic rename; a crash can leave one behind.
+	tmpPrefix = ".tmp-"
 	// WALName is the write-ahead log of committed-but-unsealed events.
 	WALName = "wal.log"
 )
@@ -147,47 +152,5 @@ func (r *byteReader) err(what string) error {
 	if r.fail {
 		return fmt.Errorf("durable: truncated %s", what)
 	}
-	return nil
-}
-
-// writeFileAtomic writes data to path via a temporary file, fsync, and
-// rename, then fsyncs the directory so the rename itself is durable.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("durable: write %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("durable: sync %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("durable: close %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("durable: rename %s: %w", path, err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory, making recent creates/renames durable.
-// Best effort on platforms where directories cannot be fsynced.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil
-	}
-	defer d.Close()
-	d.Sync() // some filesystems reject directory fsync; that's fine
 	return nil
 }

@@ -1,6 +1,8 @@
 package durable
 
 import (
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -44,10 +46,40 @@ func testSegment(n int) *SegmentData {
 	}
 }
 
+// decodeV2 parses a segment image through the one decode path there
+// is, the file reader: open (header, footer, block directory), then
+// every column and the index section.
+func decodeV2(t *testing.T, buf []byte) (*SegmentData, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "decode.seg")
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := OpenSegmentReader(path)
+	if err != nil {
+		return nil, err
+	}
+	d := &SegmentData{
+		ID: rd.ID, AgentID: rd.AgentID, Bucket: rd.Bucket,
+		MinEventID: rd.MinEventID, MaxEventID: rd.MaxEventID,
+		Indexed: rd.Indexed, OpCount: rd.OpCount,
+	}
+	if d.Events, err = rd.MaterializeEvents(); err != nil {
+		return nil, err
+	}
+	if _, err := rd.Column(ColKey); err != nil {
+		return nil, err
+	}
+	if d.PostingSub, d.PostingObj, err = rd.ReadIndexes(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
 func TestSegmentRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 100} {
 		d := testSegment(n)
-		got, err := DecodeSegment(EncodeSegment(d))
+		got, err := decodeV2(t, EncodeSegmentV2(d))
 		if err != nil {
 			t.Fatalf("n=%d: decode: %v", n, err)
 		}
@@ -71,11 +103,11 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 func TestSegmentRoundTripUnindexed(t *testing.T) {
 	d := &SegmentData{ID: 7, Events: testEvents(10)}
-	got, err := DecodeSegment(EncodeSegment(d))
+	got, err := decodeV2(t, EncodeSegmentV2(d))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Indexed || got.PostingSub != nil {
+	if got.Indexed || got.PostingSub != nil || got.OpCount != nil {
 		t.Fatal("unindexed segment decoded with indexes")
 	}
 	if !reflect.DeepEqual(got.Events, d.Events) {
@@ -83,20 +115,20 @@ func TestSegmentRoundTripUnindexed(t *testing.T) {
 	}
 }
 
-// Every clipped prefix and every flipped byte must produce an error,
-// never a panic and never silent success.
+// Every clipped prefix and every flipped byte must produce a typed
+// ErrCorrupt, never a panic and never silent success.
 func TestSegmentDecodeCorrupt(t *testing.T) {
-	buf := EncodeSegment(testSegment(25))
+	buf := EncodeSegmentV2(testSegment(25))
 	for _, cut := range []int{0, 3, 4, 10, 20, len(buf) / 2, len(buf) - 5, len(buf) - 1} {
-		if _, err := DecodeSegment(buf[:cut]); err == nil {
-			t.Fatalf("clip at %d of %d: no error", cut, len(buf))
+		if _, err := decodeV2(t, buf[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("clip at %d of %d: error %v, want ErrCorrupt", cut, len(buf), err)
 		}
 	}
 	for _, pos := range []int{5, 30, 200, len(buf) - 10} {
 		bad := append([]byte(nil), buf...)
 		bad[pos] ^= 0xff
-		if _, err := DecodeSegment(bad); err == nil {
-			t.Fatalf("flip at %d: no error", pos)
+		if _, err := decodeV2(t, bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("flip at %d: error %v, want ErrCorrupt", pos, err)
 		}
 	}
 }
@@ -104,14 +136,22 @@ func TestSegmentDecodeCorrupt(t *testing.T) {
 func TestSegmentFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), SegmentFileName(42))
 	d := testSegment(50)
-	if n, err := WriteSegmentFile(path, d); err != nil || n == 0 {
+	n, err := WriteSegmentFileV2(path, d)
+	if err != nil || n == 0 {
 		t.Fatalf("write: n=%d err=%v", n, err)
 	}
-	got, err := ReadSegmentFile(path)
+	if fi, err := os.Stat(path); err != nil || fi.Size() != n {
+		t.Fatalf("file size %v (err %v), write reported %d", fi, err, n)
+	}
+	rd, err := OpenSegmentReader(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Events, d.Events) {
+	got, err := rd.MaterializeEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, d.Events) {
 		t.Fatal("events differ after file round trip")
 	}
 }
@@ -130,8 +170,8 @@ func TestManifestRoundTrip(t *testing.T) {
 		Files:       []sysmon.File{{Path: "/etc/passwd"}},
 		Conns:       []sysmon.Netconn{{SrcIP: "10.0.0.1", DstPort: 443, Protocol: "tcp"}},
 		Segments: []SegmentRef{
-			{ID: 1, AgentID: 1, File: SegmentFileName(1), Events: 100, MinEventID: 1, MaxEventID: 100},
-			{ID: 2, AgentID: 1, File: SegmentFileName(2), Events: 50, MinEventID: 101, MaxEventID: 150},
+			{ID: 1, AgentID: 1, File: SegmentFileName(1), Events: 100, MinEventID: 1, MaxEventID: 100, Format: SegmentFormatV2},
+			{ID: 2, AgentID: 1, File: SegmentFileName(2), Events: 50, MinEventID: 101, MaxEventID: 150, Format: SegmentFormatV2},
 		},
 	}
 	if err := WriteManifest(dir, m); err != nil {
@@ -158,8 +198,17 @@ func TestManifestDecodeCorrupt(t *testing.T) {
 	}
 	bad := append([]byte(nil), buf...)
 	bad[14] ^= 0xff
-	if _, err := DecodeManifest(bad); err == nil {
-		t.Fatal("flipped payload byte: no error")
+	if _, err := DecodeManifest(bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("flipped payload byte: error %v, want ErrCorrupt", err)
+	}
+	// Version 3 is the only manifest version: the retired version 2 (no
+	// per-ref Format byte) is refused, not read with guessed formats.
+	for _, v := range []uint32{2, manifestVersion + 1} {
+		old := append([]byte(nil), buf...)
+		binary.LittleEndian.PutUint32(old[4:], v)
+		if _, err := DecodeManifest(old); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("manifest version %d: error %v, want ErrCorrupt", v, err)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // releases its flock automatically, so recovery after a crash is never
 // blocked by a stale lock file.
 func LockDir(dir string) (*DirLock, error) {
-	f, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := openFile(SiteLockCreate, filepath.Join(dir, "LOCK"), os.O_CREATE|os.O_RDWR)
 	if err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}

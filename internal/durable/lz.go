@@ -25,11 +25,11 @@ const (
 	CodecDelta uint8 = 2 // zigzag-varint deltas over u64 values
 )
 
-// ErrCorrupt is the sentinel wrapped by every decode-time integrity
-// failure in the v2 segment reader (checksum mismatches, malformed
-// token streams, impossible directory entries). errors.Is(err,
-// ErrCorrupt) distinguishes bad bytes from I/O errors.
-var ErrCorrupt = errors.New("durable: corrupt segment data")
+// ErrCorrupt is the sentinel wrapped by every integrity failure of
+// the on-disk format: segment checksum mismatches, malformed token
+// streams, impossible directory entries, bad or unsupported manifests.
+// errors.Is(err, ErrCorrupt) distinguishes bad bytes from I/O errors.
+var ErrCorrupt = errors.New("durable: corrupt data")
 
 // corruptf builds a typed corruption error.
 func corruptf(format string, args ...any) error {

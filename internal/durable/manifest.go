@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -12,18 +13,14 @@ import (
 
 const (
 	manifestMagic = "AQMF"
-	// manifestVersion 3 added the per-segment Format hint; version-2
-	// manifests (pre-columnar stores) still decode, with Format left
-	// unknown.
+	// manifestVersion is the only manifest version there is: 3, the
+	// first whose segment refs carry a Format byte.
 	manifestVersion = 3
 )
 
-// Segment file format hints recorded in SegmentRef.Format.
-const (
-	SegmentFormatUnknown = 0 // legacy manifest: sniff the file
-	SegmentFormatV1      = 1 // eager gob encoding
-	SegmentFormatV2      = 2 // block-compressed columnar, mmap-friendly
-)
+// SegmentFormatV2 is the Format of every segment ref: the
+// block-compressed columnar, mmap-friendly v2 segment file.
+const SegmentFormatV2 = 2
 
 // ErrNoManifest reports that the directory holds no manifest — a fresh
 // (or never-checkpointed) durable store.
@@ -40,11 +37,10 @@ type SegmentRef struct {
 	MaxTS      int64
 	MinEventID uint64
 	MaxEventID uint64
-	// Format is the segment file's format version (SegmentFormat*). It
-	// is a hint, not a contract: a v2 hint lets a reopening store defer
-	// the file open entirely (the ref already carries every bound a
-	// cold segment needs), while unknown or stale hints fall back to
-	// sniffing the file header on first access.
+	// Format is the segment file's format version, always
+	// SegmentFormatV2; a reopening store refuses any other value. The
+	// ref carries every bound a cold segment needs, so the store defers
+	// opening the file until a scan first touches it.
 	Format uint8
 }
 
@@ -54,10 +50,11 @@ type SegmentRef struct {
 // counters a reopened store resumes from. A manifest is immutable once
 // written; editions replace each other atomically via rename.
 //
-// The encoding is the subsystem's manual little-endian format rather
-// than gob: the dictionary tables hold tens of thousands of entity
-// structs, and reflective decoding of those would eat a large slice of
-// the fast-load budget that file-per-segment persistence exists to win.
+// The encoding is the subsystem's manual little-endian format, not a
+// reflective one: the dictionary tables hold tens of thousands of
+// entity structs, and reflective decoding of those would eat a large
+// slice of the fast-load budget that file-per-segment persistence
+// exists to win.
 type Manifest struct {
 	Edition     uint64
 	NextSegID   uint64
@@ -148,23 +145,24 @@ func EncodeManifest(m *Manifest) ([]byte, error) {
 	return w.buf, nil
 }
 
-// DecodeManifest parses and validates a manifest image.
+// DecodeManifest parses and validates a manifest image. Every failure
+// — bad magic, a version other than 3, a checksum mismatch, a table
+// running past the image — is an ErrCorrupt error.
 func DecodeManifest(buf []byte) (*Manifest, error) {
 	if len(buf) < 12 || string(buf[:4]) != manifestMagic {
-		return nil, fmt.Errorf("durable: not a manifest (bad magic)")
+		return nil, corruptf("not a manifest (bad magic)")
 	}
 	r := &byteReader{buf: buf, off: 4}
 	r.zeroCopyStrings()
-	ver := r.u32()
-	if ver != 2 && ver != manifestVersion {
-		return nil, fmt.Errorf("durable: unsupported manifest version %d", ver)
+	if ver := r.u32(); ver != manifestVersion {
+		return nil, corruptf("unsupported manifest version %d (regenerate the data)", ver)
 	}
 	if len(buf) < 12+4 {
-		return nil, fmt.Errorf("durable: truncated manifest")
+		return nil, corruptf("truncated manifest")
 	}
 	payload := buf[8 : len(buf)-4]
-	if crc := uint32(buf[len(buf)-4]) | uint32(buf[len(buf)-3])<<8 | uint32(buf[len(buf)-2])<<16 | uint32(buf[len(buf)-1])<<24; crc != checksum(payload) {
-		return nil, fmt.Errorf("durable: manifest checksum mismatch")
+	if binary.LittleEndian.Uint32(buf[len(buf)-4:]) != checksum(payload) {
+		return nil, corruptf("manifest checksum mismatch")
 	}
 
 	m := &Manifest{}
@@ -173,7 +171,7 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 	m.NextEventID = r.u64()
 	nSeq := int(r.u32())
 	if r.fail || nSeq > len(buf) {
-		return nil, fmt.Errorf("durable: corrupt manifest (sequence table)")
+		return nil, corruptf("manifest sequence table out of bounds")
 	}
 	m.NextSeq = make(map[uint32]uint64, nSeq)
 	for i := 0; i < nSeq; i++ {
@@ -186,7 +184,7 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 
 	nProcs := int(r.u32())
 	if r.fail || nProcs > len(buf) {
-		return nil, fmt.Errorf("durable: corrupt manifest (process table)")
+		return nil, corruptf("manifest process table out of bounds")
 	}
 	m.Procs = make([]sysmon.Process, nProcs)
 	for i := range m.Procs {
@@ -199,7 +197,7 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 	}
 	nFiles := int(r.u32())
 	if r.fail || nFiles > len(buf) {
-		return nil, fmt.Errorf("durable: corrupt manifest (file table)")
+		return nil, corruptf("manifest file table out of bounds")
 	}
 	m.Files = make([]sysmon.File, nFiles)
 	for i := range m.Files {
@@ -209,7 +207,7 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 	}
 	nConns := int(r.u32())
 	if r.fail || nConns > len(buf) {
-		return nil, fmt.Errorf("durable: corrupt manifest (connection table)")
+		return nil, corruptf("manifest connection table out of bounds")
 	}
 	m.Conns = make([]sysmon.Netconn, nConns)
 	for i := range m.Conns {
@@ -223,7 +221,7 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 
 	nSegs := int(r.u32())
 	if r.fail || nSegs > len(buf) {
-		return nil, fmt.Errorf("durable: corrupt manifest (segment table)")
+		return nil, corruptf("manifest segment table out of bounds")
 	}
 	m.Segments = make([]SegmentRef, nSegs)
 	for i := range m.Segments {
@@ -237,12 +235,10 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 		ref.MaxTS = r.i64()
 		ref.MinEventID = r.u64()
 		ref.MaxEventID = r.u64()
-		if ver >= 3 {
-			ref.Format = r.u8()
-		}
+		ref.Format = r.u8()
 	}
-	if err := r.err("manifest"); err != nil {
-		return nil, err
+	if r.fail {
+		return nil, corruptf("truncated manifest")
 	}
 	// normalize empties to nil so a round trip is value-identical
 	if len(m.Segments) == 0 {
@@ -263,13 +259,34 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// WriteManifest atomically installs a manifest edition in dir.
+// WriteManifest atomically installs a manifest edition in dir: the
+// image is staged in a temporary file, fsynced, renamed over MANIFEST,
+// and the directory fsynced so the rename itself is durable. A failure
+// at any step leaves the previous edition in place.
 func WriteManifest(dir string, m *Manifest) error {
 	buf, err := EncodeManifest(m)
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(dir, ManifestName), buf)
+	tmp, err := createTemp(SiteManifestCreate, dir, tmpPrefix+"*")
+	if err != nil {
+		return fmt.Errorf("durable: %w", err)
+	}
+	err = writeAll(SiteManifestWrite, tmp, buf)
+	if err == nil {
+		err = syncFile(SiteManifestSync, tmp)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = rename(SiteManifestRename, tmp.Name(), filepath.Join(dir, ManifestName))
+	}
+	if err != nil {
+		remove(SiteManifestRemove, tmp.Name())
+		return fmt.Errorf("durable: write manifest in %s: %w", dir, err)
+	}
+	return syncDir(dir)
 }
 
 // ReadManifest loads the directory's current manifest; ErrNoManifest if

@@ -200,15 +200,15 @@ func AppendManifestDelta(dir string, d *ManifestDelta) error {
 	w.u32(checksum(payload))
 	w.buf = append(w.buf, payload...)
 
-	f, err := os.OpenFile(filepath.Join(dir, ManifestDeltaName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := openFile(SiteDeltaCreate, filepath.Join(dir, ManifestDeltaName), os.O_CREATE|os.O_WRONLY|os.O_APPEND)
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
-	if _, err := f.Write(w.buf); err != nil {
+	if err := writeAll(SiteDeltaWrite, f, w.buf); err != nil {
 		f.Close()
 		return fmt.Errorf("durable: append manifest delta: %w", err)
 	}
-	if err := f.Sync(); err != nil {
+	if err := syncFile(SiteDeltaSync, f); err != nil {
 		f.Close()
 		return fmt.Errorf("durable: sync manifest delta: %w", err)
 	}
@@ -267,9 +267,10 @@ func ApplyManifestDeltas(dir string, m *Manifest) (int, error) {
 		applied++
 	}
 	if good != len(buf) {
-		if f, ferr := os.OpenFile(path, os.O_WRONLY, 0o644); ferr == nil {
-			f.Truncate(int64(good))
-			f.Sync()
+		if f, ferr := openFile(SiteDeltaCreate, path, os.O_WRONLY); ferr == nil {
+			if truncateFile(SiteDeltaTruncate, f, int64(good)) == nil {
+				syncFile(SiteDeltaSync, f)
+			}
 			f.Close()
 		}
 	}
@@ -279,7 +280,7 @@ func ApplyManifestDeltas(dir string, m *Manifest) (int, error) {
 // RemoveManifestDelta truncates the delta log after a full manifest
 // rewrite has captured everything the frames carried.
 func RemoveManifestDelta(dir string) error {
-	err := os.Remove(filepath.Join(dir, ManifestDeltaName))
+	err := remove(SiteDeltaRemove, filepath.Join(dir, ManifestDeltaName))
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("durable: %w", err)
 	}

@@ -2,37 +2,14 @@ package durable
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"github.com/aiql/aiql/internal/sysmon"
 )
 
-// Segment file layout (all integers little-endian):
-//
-//	header:  magic "AQSG" | version u32 | segID u64 | agent u32 |
-//	         bucket i64 | count u32 | flags u8
-//	columns: one block per event field, each a fixed-width array of
-//	         count values (ID, AgentID, Subject, Op, ObjType, Object,
-//	         StartTS, EndTS, Amount, Seq), followed by crc32
-//	indexes: (flags&segFlagIndexed) the serialized posting lists
-//	         (subject and object: entity → ascending positions) and the
-//	         operation histogram, followed by crc32
-//	footer:  minEventID u64 | maxEventID u64 | minTS i64 | maxTS i64 |
-//	         crc32 | magic "AQSE"
-//
-// The columnar blocks decode straight into the in-memory event array
-// and the index section restores the posting lists verbatim, so loading
-// a segment performs no re-chunking, re-sorting, or re-indexing. The
-// footer's min/max event ID is what recovery uses to decide which WAL
-// records a loaded segment already covers.
-
-const (
-	segMagic       = "AQSG"
-	segMagicFooter = "AQSE"
-	segVersion     = 1
-	segFlagIndexed = 1
-)
+// segFlagIndexed marks a segment file that carries its posting
+// indexes (the header and footer flags byte).
+const segFlagIndexed = 1
 
 // SegmentData is the serializable content of one sealed segment.
 type SegmentData struct {
@@ -42,8 +19,8 @@ type SegmentData struct {
 	Events  []sysmon.Event
 
 	// MinEventID/MaxEventID bound the event IDs contained in the
-	// segment; both zero for an empty segment. Filled by WriteSegment
-	// when left zero.
+	// segment; both zero for an empty segment. Filled by
+	// EncodeSegmentV2 when left zero.
 	MinEventID uint64
 	MaxEventID uint64
 
@@ -72,82 +49,8 @@ func (d *SegmentData) fillEventIDBounds() {
 	}
 }
 
-// EncodeSegment serializes the segment into the on-disk byte layout.
-func EncodeSegment(d *SegmentData) []byte {
-	d.fillEventIDBounds()
-	n := len(d.Events)
-	w := &byteWriter{buf: make([]byte, 0, 64+n*58)}
-	w.buf = append(w.buf, segMagic...)
-	w.u32(segVersion)
-	w.u64(d.ID)
-	w.u32(d.AgentID)
-	w.i64(d.Bucket)
-	w.u32(uint32(n))
-	var flags uint8
-	if d.Indexed {
-		flags |= segFlagIndexed
-	}
-	w.u8(flags)
-
-	// columnar event blocks
-	colStart := len(w.buf)
-	for i := range d.Events {
-		w.u64(d.Events[i].ID)
-	}
-	for i := range d.Events {
-		w.u32(d.Events[i].AgentID)
-	}
-	for i := range d.Events {
-		w.u32(uint32(d.Events[i].Subject))
-	}
-	for i := range d.Events {
-		w.u16(uint16(d.Events[i].Op))
-	}
-	for i := range d.Events {
-		w.u8(uint8(d.Events[i].ObjType))
-	}
-	for i := range d.Events {
-		w.u32(uint32(d.Events[i].Object))
-	}
-	for i := range d.Events {
-		w.i64(d.Events[i].StartTS)
-	}
-	for i := range d.Events {
-		w.i64(d.Events[i].EndTS)
-	}
-	for i := range d.Events {
-		w.u64(d.Events[i].Amount)
-	}
-	for i := range d.Events {
-		w.u64(d.Events[i].Seq)
-	}
-	w.u32(checksum(w.buf[colStart:]))
-
-	if d.Indexed {
-		idxStart := len(w.buf)
-		writePostings(w, d.PostingSub)
-		writePostings(w, d.PostingObj)
-		w.u32(uint32(len(d.OpCount)))
-		for _, c := range d.OpCount {
-			w.u64(uint64(c))
-		}
-		w.u32(checksum(w.buf[idxStart:]))
-	}
-
-	footStart := len(w.buf)
-	w.u64(d.MinEventID)
-	w.u64(d.MaxEventID)
-	var minTS, maxTS int64
-	if n > 0 {
-		minTS, maxTS = d.Events[0].StartTS, d.Events[n-1].StartTS
-	}
-	w.i64(minTS)
-	w.i64(maxTS)
-	w.u32(checksum(w.buf[footStart:]))
-	w.buf = append(w.buf, segMagicFooter...)
-	return w.buf
-}
-
+// writePostings serializes one posting table: entity count, then per
+// entity (ascending ID) its ID, list length and event positions.
 func writePostings(w *byteWriter, postings map[sysmon.EntityID][]int32) {
 	ids := make([]sysmon.EntityID, 0, len(postings))
 	for id := range postings {
@@ -165,109 +68,8 @@ func writePostings(w *byteWriter, postings map[sysmon.EntityID][]int32) {
 	}
 }
 
-// DecodeSegment parses a segment file image, verifying magics and
-// checksums; corrupt or truncated input returns a descriptive error.
-func DecodeSegment(buf []byte) (*SegmentData, error) {
-	r := &byteReader{buf: buf}
-	if string(r.take(4)) != segMagic {
-		return nil, fmt.Errorf("durable: not a segment file (bad magic)")
-	}
-	if v := r.u32(); v != segVersion {
-		return nil, fmt.Errorf("durable: unsupported segment version %d", v)
-	}
-	d := &SegmentData{ID: r.u64(), AgentID: r.u32(), Bucket: r.i64()}
-	n := int(r.u32())
-	flags := r.u8()
-	if err := r.err("segment header"); err != nil {
-		return nil, err
-	}
-	const eventWidth = 8 + 4 + 4 + 2 + 1 + 4 + 8 + 8 + 8 + 8
-	if n < 0 || n > (len(buf)-r.off)/eventWidth+1 {
-		return nil, fmt.Errorf("durable: segment event count %d exceeds file size", n)
-	}
-
-	colStart := r.off
-	d.Events = make([]sysmon.Event, n)
-	for i := range d.Events {
-		d.Events[i].ID = r.u64()
-	}
-	for i := range d.Events {
-		d.Events[i].AgentID = r.u32()
-	}
-	for i := range d.Events {
-		d.Events[i].Subject = sysmon.EntityID(r.u32())
-	}
-	for i := range d.Events {
-		d.Events[i].Op = sysmon.Operation(r.u16())
-	}
-	for i := range d.Events {
-		d.Events[i].ObjType = sysmon.EntityType(r.u8())
-	}
-	for i := range d.Events {
-		d.Events[i].Object = sysmon.EntityID(r.u32())
-	}
-	for i := range d.Events {
-		d.Events[i].StartTS = r.i64()
-	}
-	for i := range d.Events {
-		d.Events[i].EndTS = r.i64()
-	}
-	for i := range d.Events {
-		d.Events[i].Amount = r.u64()
-	}
-	for i := range d.Events {
-		d.Events[i].Seq = r.u64()
-	}
-	if err := r.err("segment columns"); err != nil {
-		return nil, err
-	}
-	colEnd := r.off
-	if crc := r.u32(); r.fail || crc != checksum(buf[colStart:colEnd]) {
-		return nil, fmt.Errorf("durable: segment %d: column block checksum mismatch", d.ID)
-	}
-
-	if flags&segFlagIndexed != 0 {
-		d.Indexed = true
-		idxStart := r.off
-		var err error
-		if d.PostingSub, err = readPostings(r, n); err != nil {
-			return nil, fmt.Errorf("durable: segment %d: %w", d.ID, err)
-		}
-		if d.PostingObj, err = readPostings(r, n); err != nil {
-			return nil, fmt.Errorf("durable: segment %d: %w", d.ID, err)
-		}
-		opN := int(r.u32())
-		if r.fail || opN > 1024 {
-			return nil, fmt.Errorf("durable: segment %d: corrupt op histogram", d.ID)
-		}
-		d.OpCount = make([]int, opN)
-		for i := range d.OpCount {
-			d.OpCount[i] = int(r.u64())
-		}
-		if err := r.err("segment indexes"); err != nil {
-			return nil, err
-		}
-		idxEnd := r.off
-		if crc := r.u32(); r.fail || crc != checksum(buf[idxStart:idxEnd]) {
-			return nil, fmt.Errorf("durable: segment %d: index block checksum mismatch", d.ID)
-		}
-	}
-
-	footStart := r.off
-	d.MinEventID = r.u64()
-	d.MaxEventID = r.u64()
-	r.i64() // minTS: derivable from events; read for layout
-	r.i64() // maxTS
-	footEnd := r.off
-	if crc := r.u32(); r.fail || crc != checksum(buf[footStart:footEnd]) {
-		return nil, fmt.Errorf("durable: segment %d: footer checksum mismatch", d.ID)
-	}
-	if string(r.take(4)) != segMagicFooter {
-		return nil, fmt.Errorf("durable: segment %d: bad footer magic", d.ID)
-	}
-	return d, nil
-}
-
+// readPostings parses a posting table written by writePostings,
+// rejecting positions outside a segment of maxPos events.
 func readPostings(r *byteReader, maxPos int) (map[sysmon.EntityID][]int32, error) {
 	n := int(r.u32())
 	if r.fail {
@@ -304,37 +106,4 @@ func readPostings(r *byteReader, maxPos int) (map[sysmon.EntityID][]int32, error
 		return nil, fmt.Errorf("truncated posting table")
 	}
 	return postings, nil
-}
-
-// WriteSegmentFile writes the segment image to path (fsynced),
-// returning the file's byte size. The file is written once and never
-// modified; callers rename or delete whole files only.
-func WriteSegmentFile(path string, d *SegmentData) (int64, error) {
-	buf := EncodeSegment(d)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("durable: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("durable: write segment %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("durable: sync segment %s: %w", path, err)
-	}
-	return int64(len(buf)), f.Close()
-}
-
-// ReadSegmentFile loads and validates one segment file.
-func ReadSegmentFile(path string) (*SegmentData, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("durable: %w", err)
-	}
-	d, err := DecodeSegment(buf)
-	if err != nil {
-		return nil, fmt.Errorf("durable: segment file %s: %w", path, err)
-	}
-	return d, nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"unsafe"
 
@@ -14,7 +13,8 @@ import (
 // v2 segment file layout (all integers little-endian):
 //
 //	header:    magic "AQS2" | version u32 | segID u64 | agent u32 |
-//	           bucket i64 | count u32 | flags u8 | compression u8
+//	           bucket i64 | count u32 | flags u8 | compression u8 (1;
+//	           block codecs are recorded per block)
 //	columns:   NumCols per-attribute column vectors, each split into
 //	           blocks of blockLen (1024) events. Blocks are encoded
 //	           independently: raw (width-aligned in the file so mapped
@@ -173,9 +173,9 @@ func colValue(e *sysmon.Event, col int) uint64 {
 func colSigned(col int) bool { return col == ColStartTS || col == ColEndTS }
 
 // EncodeSegmentV2 serializes the segment into the v2 block-compressed
-// columnar layout. With compress false every block is stored raw (the
-// -segment-compression=none configuration).
-func EncodeSegmentV2(d *SegmentData, compress bool) []byte {
+// columnar layout. Each block takes the smallest of its raw, delta and
+// lz encodings, except StartTS and the scan key, which stay raw.
+func EncodeSegmentV2(d *SegmentData) []byte {
 	d.fillEventIDBounds()
 	n := len(d.Events)
 	nBlocks := (n + seg2BlockLen - 1) / seg2BlockLen
@@ -191,11 +191,7 @@ func EncodeSegmentV2(d *SegmentData, compress bool) []byte {
 		flags |= segFlagIndexed
 	}
 	w.u8(flags)
-	var compByte uint8
-	if compress {
-		compByte = 1
-	}
-	w.u8(compByte)
+	w.u8(1) // compression: per-block codecs
 
 	var blocks [NumCols][]blockMeta
 	var colMin, colMax [NumCols]uint64
@@ -209,7 +205,7 @@ func EncodeSegmentV2(d *SegmentData, compress bool) []byte {
 			enc, codec := raw, CodecRaw
 			// StartTS and the scan key stay raw unconditionally: they
 			// are read zero-copy on every scan.
-			if compress && col != ColStartTS && col != ColKey {
+			if col != ColStartTS && col != ColKey {
 				if col == ColID || col == ColSeq {
 					if e := deltaEncode(raw); e != nil {
 						enc, codec = e, CodecDelta
@@ -267,10 +263,8 @@ func EncodeSegmentV2(d *SegmentData, compress bool) []byte {
 		writePostings(iw, d.PostingSub)
 		writePostings(iw, d.PostingObj)
 		enc, codec := iw.buf, CodecRaw
-		if compress {
-			if e := lzCompress(iw.buf); e != nil {
-				enc, codec = e, CodecLZ
-			}
+		if e := lzCompress(iw.buf); e != nil {
+			enc, codec = e, CodecLZ
 		}
 		idx = blockMeta{
 			off:    uint64(len(w.buf)),
@@ -330,50 +324,23 @@ func EncodeSegmentV2(d *SegmentData, compress bool) []byte {
 }
 
 // WriteSegmentFileV2 writes the v2 segment image to path (fsynced),
-// returning the file's byte size.
-func WriteSegmentFileV2(path string, d *SegmentData, compress bool) (int64, error) {
-	buf := EncodeSegmentV2(d, compress)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// returning the file's byte size. The file is written once and never
+// modified; callers rename or delete whole files only.
+func WriteSegmentFileV2(path string, d *SegmentData) (int64, error) {
+	buf := EncodeSegmentV2(d)
+	f, err := openFile(SiteSegmentCreate, path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY)
 	if err != nil {
 		return 0, fmt.Errorf("durable: %w", err)
 	}
-	if _, err := f.Write(buf); err != nil {
+	if err := writeAll(SiteSegmentWrite, f, buf); err != nil {
 		f.Close()
 		return 0, fmt.Errorf("durable: write segment %s: %w", path, err)
 	}
-	if err := f.Sync(); err != nil {
+	if err := syncFile(SiteSegmentSync, f); err != nil {
 		f.Close()
 		return 0, fmt.Errorf("durable: sync segment %s: %w", path, err)
 	}
 	return int64(len(buf)), f.Close()
-}
-
-// ReplaceSegmentFile atomically replaces path with a new segment image
-// (temp file + fsync + rename). Used by the in-place v1→v2 upgrade.
-func ReplaceSegmentFile(path string, data []byte) error {
-	return writeFileAtomic(path, data)
-}
-
-// SegmentFileVersion reads just enough of path to report its format
-// version (1 or 2).
-func SegmentFileVersion(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("durable: %w", err)
-	}
-	defer f.Close()
-	var hdr [8]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return 0, corruptf("segment file %s: short header", path)
-	}
-	magic, ver := string(hdr[:4]), binary.LittleEndian.Uint32(hdr[4:])
-	switch {
-	case magic == segMagic && ver == segVersion:
-		return 1, nil
-	case magic == seg2Magic && ver == seg2Version:
-		return 2, nil
-	}
-	return 0, corruptf("segment file %s: bad magic", path)
 }
 
 // SegmentReader is the lazy accessor over one opened v2 segment file.
@@ -387,7 +354,6 @@ type SegmentReader struct {
 	Bucket     int64
 	Count      int
 	Indexed    bool
-	Compressed bool
 	MinEventID uint64
 	MaxEventID uint64
 	MinTS      int64
@@ -463,7 +429,7 @@ func newSegmentReader(h *fileHandle) (*SegmentReader, error) {
 		return nil, corruptf("bad magic")
 	}
 	if v := hr.u32(); v != seg2Version {
-		return nil, fmt.Errorf("durable: unsupported segment version %d", v)
+		return nil, corruptf("unsupported segment version %d", v)
 	}
 	rd := &SegmentReader{
 		ID:         hr.u64(),
@@ -479,7 +445,6 @@ func newSegmentReader(h *fileHandle) (*SegmentReader, error) {
 	}
 	flags := hr.u8()
 	rd.Indexed = flags&segFlagIndexed != 0
-	rd.Compressed = hr.u8() != 0
 	if footCount != rd.Count || footFlags != flags {
 		return nil, corruptf("segment %d: header/footer disagree (count %d vs %d)", rd.ID, rd.Count, footCount)
 	}
@@ -722,9 +687,9 @@ func scatterCol(evs []sysmon.Event, col int, data []byte) {
 	}
 }
 
-// MaterializeEvents decodes the full segment into an AoS event slice
-// (the compatibility path for callers that need whole events: gob
-// export, compaction merges, the v1 upgrade tool).
+// MaterializeEvents decodes the full segment into an AoS event slice,
+// for callers that need whole events (compaction merges, posting-path
+// scans).
 func (rd *SegmentReader) MaterializeEvents() ([]sysmon.Event, error) {
 	evs := make([]sysmon.Event, rd.Count)
 	scratch := make([]byte, 0, rd.BlockLen*8)
@@ -774,58 +739,6 @@ func (rd *SegmentReader) ReadIndexes() (sub, obj map[sysmon.EntityID][]int32, er
 		return nil, nil, corruptf("segment %d: %v", rd.ID, err)
 	}
 	return sub, obj, nil
-}
-
-// OpenedSegment is the result of version-dispatched segment open: V1
-// eager data or a V2 lazy reader, never both.
-type OpenedSegment struct {
-	Version int
-	V1      *SegmentData
-	V2      *SegmentReader
-}
-
-// OpenSegment opens a segment file of either format version. The file
-// is opened (and on capable platforms mmap'd) exactly once: the
-// version is sniffed from the handle, v2 files wrap it in a lazy
-// reader, and v1 files are decoded out of it eagerly — cold-opening a
-// directory of v2 segments costs one open+map per file, no separate
-// version-probe read.
-func OpenSegment(path string) (*OpenedSegment, error) {
-	h, err := openHandle(path)
-	if err != nil {
-		return nil, err
-	}
-	if h.size() < 8 {
-		return nil, corruptf("segment file %s: short header", path)
-	}
-	hdr, _, err := h.readAt(0, 8)
-	if err != nil {
-		return nil, err
-	}
-	magic, ver := string(hdr[:4]), binary.LittleEndian.Uint32(hdr[4:])
-	switch {
-	case magic == segMagic && ver == segVersion:
-		buf, _, err := h.readAt(0, int(h.size()))
-		if err != nil {
-			return nil, err
-		}
-		d, err := DecodeSegment(buf)
-		// DecodeSegment copies every value out of buf, so nothing
-		// aliases the mapping afterwards — but the handle must stay
-		// alive until the decode is done reading it.
-		runtime.KeepAlive(h)
-		if err != nil {
-			return nil, fmt.Errorf("durable: segment file %s: %w", path, err)
-		}
-		return &OpenedSegment{Version: 1, V1: d}, nil
-	case magic == seg2Magic && ver == seg2Version:
-		rd, err := newSegmentReader(h)
-		if err != nil {
-			return nil, fmt.Errorf("durable: segment file %s: %w", path, err)
-		}
-		return &OpenedSegment{Version: 2, V2: rd}, nil
-	}
-	return nil, corruptf("segment file %s: bad magic", path)
 }
 
 // AsUint64s reinterprets b as a []uint64 without copying. Fails (ok

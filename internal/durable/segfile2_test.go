@@ -10,10 +10,10 @@ import (
 )
 
 // writeV2 writes a fresh v2 segment file for d and opens a reader on it.
-func writeV2(t *testing.T, d *SegmentData, compress bool) (string, *SegmentReader) {
+func writeV2(t *testing.T, d *SegmentData) (string, *SegmentReader) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), SegmentFileName(d.ID))
-	if _, err := WriteSegmentFileV2(path, d, compress); err != nil {
+	if _, err := WriteSegmentFileV2(path, d); err != nil {
 		t.Fatal(err)
 	}
 	rd, err := OpenSegmentReader(path)
@@ -24,106 +24,83 @@ func writeV2(t *testing.T, d *SegmentData, compress bool) (string, *SegmentReade
 }
 
 func TestSegmentV2RoundTrip(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		// 2500 spans three blocks with a ragged tail; 1024 is exactly one.
-		for _, n := range []int{1, 100, 1024, 2500} {
-			d := testSegment(n)
-			_, rd := writeV2(t, d, compress)
-			if rd.ID != d.ID || rd.AgentID != d.AgentID || rd.Bucket != d.Bucket || rd.Count != n {
-				t.Fatalf("compress=%v n=%d: identity differs: %+v", compress, n, rd)
+	// 2500 spans three blocks with a ragged tail; 1024 is exactly one.
+	for _, n := range []int{1, 100, 1024, 2500} {
+		d := testSegment(n)
+		_, rd := writeV2(t, d)
+		if rd.ID != d.ID || rd.AgentID != d.AgentID || rd.Bucket != d.Bucket || rd.Count != n {
+			t.Fatalf("n=%d: identity differs: %+v", n, rd)
+		}
+		if !rd.Indexed {
+			t.Fatalf("n=%d: indexed segment reads back unindexed", n)
+		}
+		if rd.MinEventID != 1 || rd.MaxEventID != uint64(n) {
+			t.Fatalf("n=%d: event-ID bounds %d..%d", n, rd.MinEventID, rd.MaxEventID)
+		}
+		evs, err := rd.MaterializeEvents()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(evs, d.Events) {
+			t.Fatalf("n=%d: events differ after round trip", n)
+		}
+		sub, obj, err := rd.ReadIndexes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sub, d.PostingSub) || !reflect.DeepEqual(obj, d.PostingObj) {
+			t.Fatalf("n=%d: postings differ after round trip", n)
+		}
+		if !reflect.DeepEqual(rd.OpCount, d.OpCount) {
+			t.Fatalf("n=%d: op histogram differs", n)
+		}
+		// The scan-key and timestamp columns must be whole, raw, and
+		// contiguous — that is the zero-copy contract the batch scan
+		// kernel depends on.
+		keys, err := rd.Column(ColKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, err := rd.Column(ColStartTS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ev := range d.Events {
+			wantKey := ScanKey(ev.AgentID, uint16(ev.Op), uint8(ev.ObjType))
+			if got := binary.LittleEndian.Uint64(keys[i*8:]); got != wantKey {
+				t.Fatalf("n=%d: key[%d] = %#x, want %#x", n, i, got, wantKey)
 			}
-			if !rd.Indexed || rd.Compressed != compress {
-				t.Fatalf("compress=%v n=%d: flags indexed=%v compressed=%v", compress, n, rd.Indexed, rd.Compressed)
-			}
-			if rd.MinEventID != 1 || rd.MaxEventID != uint64(n) {
-				t.Fatalf("compress=%v n=%d: event-ID bounds %d..%d", compress, n, rd.MinEventID, rd.MaxEventID)
-			}
-			evs, err := rd.MaterializeEvents()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(evs, d.Events) {
-				t.Fatalf("compress=%v n=%d: events differ after round trip", compress, n)
-			}
-			sub, obj, err := rd.ReadIndexes()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(sub, d.PostingSub) || !reflect.DeepEqual(obj, d.PostingObj) {
-				t.Fatalf("compress=%v n=%d: postings differ after round trip", compress, n)
-			}
-			if !reflect.DeepEqual(rd.OpCount, d.OpCount) {
-				t.Fatalf("compress=%v n=%d: op histogram differs", compress, n)
-			}
-			// The scan-key and timestamp columns must be whole, raw, and
-			// contiguous — that is the zero-copy contract the batch scan
-			// kernel depends on.
-			keys, err := rd.Column(ColKey)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts, err := rd.Column(ColStartTS)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, ev := range d.Events {
-				wantKey := ScanKey(ev.AgentID, uint16(ev.Op), uint8(ev.ObjType))
-				if got := binary.LittleEndian.Uint64(keys[i*8:]); got != wantKey {
-					t.Fatalf("compress=%v n=%d: key[%d] = %#x, want %#x", compress, n, i, got, wantKey)
-				}
-				if got := int64(binary.LittleEndian.Uint64(ts[i*8:])); got != ev.StartTS {
-					t.Fatalf("compress=%v n=%d: ts[%d] = %d, want %d", compress, n, i, got, ev.StartTS)
-				}
+			if got := int64(binary.LittleEndian.Uint64(ts[i*8:])); got != ev.StartTS {
+				t.Fatalf("n=%d: ts[%d] = %d, want %d", n, i, got, ev.StartTS)
 			}
 		}
 	}
 }
 
+// The reader accepts exactly one format: a v2 file opens, and a
+// header naming any other magic or version — the retired v1 layout
+// included — is refused as ErrCorrupt before anything else is read.
 func TestSegmentV2VersionDispatch(t *testing.T) {
-	dir := t.TempDir()
 	d := testSegment(64)
-	p1 := filepath.Join(dir, SegmentFileName(1))
-	p2 := filepath.Join(dir, SegmentFileName(2))
-	if _, err := WriteSegmentFile(p1, d); err != nil {
-		t.Fatal(err)
+	good := EncodeSegmentV2(d)
+	if got, err := decodeV2(t, good); err != nil || !reflect.DeepEqual(got.Events, d.Events) {
+		t.Fatalf("v2 file: err %v", err)
 	}
-	if _, err := WriteSegmentFileV2(p2, d, true); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := SegmentFileVersion(p1); err != nil || v != 1 {
-		t.Fatalf("v1 file: version %d err %v", v, err)
-	}
-	if v, err := SegmentFileVersion(p2); err != nil || v != 2 {
-		t.Fatalf("v2 file: version %d err %v", v, err)
-	}
-	op1, err := OpenSegment(p1)
-	if err != nil || op1.V1 == nil || op1.V2 != nil {
-		t.Fatalf("open v1: %+v err %v", op1, err)
-	}
-	op2, err := OpenSegment(p2)
-	if err != nil || op2.V2 == nil || op2.V1 != nil {
-		t.Fatalf("open v2: %+v err %v", op2, err)
-	}
-	if !reflect.DeepEqual(op1.V1.Events, d.Events) {
-		t.Fatal("v1 events differ")
-	}
-	// In-place upgrade: replace the v1 file with a v2 image and reread.
-	if err := ReplaceSegmentFile(p1, EncodeSegmentV2(d, true)); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := SegmentFileVersion(p1); v != 2 {
-		t.Fatalf("after replace: version %d", v)
-	}
-	rd, err := OpenSegmentReader(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs, err := rd.MaterializeEvents()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(evs, d.Events) {
-		t.Fatal("upgraded events differ")
+	for _, tc := range []struct {
+		name    string
+		magic   string
+		version uint32
+	}{
+		{"v1 layout", "AQSG", 1},
+		{"future version", seg2Magic, seg2Version + 1},
+		{"v1 version under v2 magic", seg2Magic, 1},
+	} {
+		bad := append([]byte(nil), good...)
+		copy(bad, tc.magic)
+		binary.LittleEndian.PutUint32(bad[4:], tc.version)
+		if _, err := decodeV2(t, bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: error %v, want ErrCorrupt", tc.name, err)
+		}
 	}
 }
 
@@ -133,7 +110,7 @@ func TestSegmentV2VersionDispatch(t *testing.T) {
 // at open or at first read), never a panic and never silently bad rows.
 func TestSegmentV2Corruption(t *testing.T) {
 	d := testSegment(2500)
-	path, rd := writeV2(t, d, true)
+	path, rd := writeV2(t, d)
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -195,18 +172,17 @@ func TestSegmentV2Corruption(t *testing.T) {
 	}
 }
 
-// FuzzSegmentDecode drives arbitrary bytes through the version dispatch
-// and the full v2 lazy read path: whatever the mutation, the reader must
-// return an error or correct data — never panic, never index out of
-// range.
+// FuzzSegmentDecode drives arbitrary bytes through the full v2 lazy
+// read path: whatever the mutation, the reader must return an error or
+// correct data — never panic, never index out of range.
 func FuzzSegmentDecode(f *testing.F) {
 	small := testSegment(5)
 	big := testSegment(1500)
-	f.Add(EncodeSegmentV2(small, true))
-	f.Add(EncodeSegmentV2(small, false))
-	f.Add(EncodeSegmentV2(big, true))
-	f.Add(EncodeSegment(small))
-	buf := EncodeSegmentV2(big, true)
+	f.Add(EncodeSegmentV2(small))
+	f.Add(EncodeSegmentV2(&SegmentData{ID: 7, Events: small.Events}))
+	f.Add(EncodeSegmentV2(big))
+	buf := EncodeSegmentV2(big)
+	f.Add(append([]byte("AQSG"), buf[4:]...))
 	f.Add(buf[:len(buf)/2])
 	f.Add(buf[:seg2HeaderSize])
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -214,14 +190,10 @@ func FuzzSegmentDecode(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		op, err := OpenSegment(path)
+		rd, err := OpenSegmentReader(path)
 		if err != nil {
 			return
 		}
-		if op.V2 == nil {
-			return
-		}
-		rd := op.V2
 		if _, err := rd.MaterializeEvents(); err != nil {
 			return
 		}

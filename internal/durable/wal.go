@@ -138,6 +138,12 @@ func decodeRec(payload []byte) (Rec, error) {
 // WAL is an open write-ahead log. Appends are serialized internally;
 // the caller decides per append whether to fsync (acknowledged
 // durability) or just flush to the OS (crash-of-process durability).
+//
+// The first failed write, fsync or truncation poisons the log: it may
+// now end in a torn frame, behind which replay would never reach, or
+// hold records the disk did not confirm. Every later Append, Sync and
+// Truncate returns that error, so no commit is acknowledged that
+// recovery could not replay; reopening the directory recovers.
 type WAL struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -148,6 +154,24 @@ type WAL struct {
 	// group-commit tests assert on it: a bulk ingest must cost one fsync
 	// per batch, not one per commit.
 	syncs uint64
+	err   error
+}
+
+// usable reports the error that forbids the next write, if any. The
+// caller holds w.mu.
+func (w *WAL) usable() error {
+	if w.f == nil {
+		return fmt.Errorf("durable: WAL is closed")
+	}
+	return w.err
+}
+
+// poison latches the log's first write failure. The caller holds w.mu.
+func (w *WAL) poison(err error) error {
+	if w.err == nil {
+		w.err = err
+	}
+	return err
 }
 
 // OpenWAL opens (creating if absent) the log at path, replaying every
@@ -186,12 +210,12 @@ func OpenWAL(path string, apply func(Rec) error) (*WAL, error) {
 		good = off
 		records++
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := openFile(SiteWALCreate, path, os.O_CREATE|os.O_RDWR)
 	if err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
 	if int64(good) != int64(len(buf)) {
-		if err := f.Truncate(int64(good)); err != nil {
+		if err := truncateFile(SiteWALTruncate, f, int64(good)); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("durable: truncate torn WAL tail: %w", err)
 		}
@@ -221,19 +245,25 @@ func (w *WAL) Append(recs []Rec, sync bool) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
-		return fmt.Errorf("durable: WAL is closed")
+	if err := w.usable(); err != nil {
+		return err
 	}
-	if _, err := w.f.Write(enc.buf); err != nil {
-		return fmt.Errorf("durable: WAL append: %w", err)
+	if err := writeAll(SiteWALWrite, w.f, enc.buf); err != nil {
+		return w.poison(fmt.Errorf("durable: WAL append: %w", err))
 	}
 	w.size += int64(len(enc.buf))
 	w.records += uint64(len(recs))
 	if sync {
-		w.syncs++
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("durable: WAL sync: %w", err)
-		}
+		return w.syncLocked()
+	}
+	return nil
+}
+
+// syncLocked fsyncs the log; the caller holds w.mu.
+func (w *WAL) syncLocked() error {
+	w.syncs++
+	if err := syncFile(SiteWALSync, w.f); err != nil {
+		return w.poison(fmt.Errorf("durable: WAL sync: %w", err))
 	}
 	return nil
 }
@@ -243,20 +273,20 @@ func (w *WAL) Append(recs []Rec, sync bool) error {
 func (w *WAL) Truncate() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
-		return fmt.Errorf("durable: WAL is closed")
+	if err := w.usable(); err != nil {
+		return err
 	}
-	if err := w.f.Truncate(0); err != nil {
-		return fmt.Errorf("durable: WAL truncate: %w", err)
+	if err := truncateFile(SiteWALTruncate, w.f, 0); err != nil {
+		return w.poison(fmt.Errorf("durable: WAL truncate: %w", err))
 	}
 	if _, err := w.f.Seek(0, 0); err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("durable: WAL sync: %w", err)
+		return w.poison(fmt.Errorf("durable: %w", err))
 	}
 	w.size = 0
 	w.records = 0
+	if err := syncFile(SiteWALSync, w.f); err != nil {
+		return w.poison(fmt.Errorf("durable: WAL sync: %w", err))
+	}
 	return nil
 }
 
@@ -278,11 +308,10 @@ func (w *WAL) Records() uint64 {
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
+	if err := w.usable(); err != nil {
+		return err
 	}
-	w.syncs++
-	return w.f.Sync()
+	return w.syncLocked()
 }
 
 // Syncs returns the number of append-path fsyncs issued so far.
@@ -299,7 +328,9 @@ func (w *WAL) Close() error {
 	if w.f == nil {
 		return nil
 	}
-	w.f.Sync()
+	if w.err == nil {
+		syncFile(SiteWALSync, w.f)
+	}
 	err := w.f.Close()
 	w.f = nil
 	return err

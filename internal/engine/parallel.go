@@ -25,12 +25,13 @@ import (
 // makes progress (degrading to a pure sequential scan) even when the
 // pool is saturated or has no slots at all.
 
-// unitResult is one scan task's outcome.
+// unitResult is one scan task's outcome; err set means batch is
+// partial (see eventstore.ScanUnit.CollectBatchInto).
 type unitResult struct {
-	batch    []sysmon.Event
-	visited  int64
-	complete bool
-	hit      bool
+	batch   []sysmon.Event
+	visited int64
+	err     error
+	hit     bool
 }
 
 // forEachUnitOrdered scans the units for one pattern filter with
@@ -72,13 +73,13 @@ func (e *Engine) forEachUnitOrdered(ctx context.Context, units []eventstore.Scan
 		need := cols
 		if cached != nil {
 			if cached[i].events != nil {
-				r.batch, r.hit, r.complete = cached[i].events, true, true
+				r.batch, r.hit = cached[i].events, true
 				return
 			}
 			need |= cached[i].cols
 		}
-		r.batch, r.visited, r.complete = units[i].CollectBatchInto(ctx, cf, keep, need, nil)
-		if r.complete && cache != nil && units[i].Sealed() {
+		r.batch, r.visited, r.err = units[i].CollectBatchInto(ctx, cf, keep, need, nil)
+		if r.err == nil && cache != nil && units[i].Sealed() {
 			cache.put(fp, units[i].SegmentID(), r.batch, need)
 		}
 	}
@@ -100,8 +101,12 @@ func (e *Engine) forEachUnitOrdered(ctx context.Context, units []eventstore.Scan
 		if !consume(r.batch) {
 			return false
 		}
-		if !r.complete {
-			retErr = fmt.Errorf("engine: query aborted: %w", ctx.Err())
+		if r.err != nil {
+			if ctx.Err() != nil {
+				retErr = fmt.Errorf("engine: query aborted: %w", ctx.Err())
+			} else {
+				retErr = fmt.Errorf("engine: scan segment %d: %w", units[i].SegmentID(), r.err)
+			}
 			return false
 		}
 		return true
@@ -121,7 +126,7 @@ func (e *Engine) forEachUnitOrdered(ctx context.Context, units []eventstore.Scan
 		for i := range units {
 			if cache == nil {
 				r := &results[i]
-				r.batch, r.visited, r.complete = units[i].CollectBatchInto(ctx, cf, keep, cols, scratch[:0])
+				r.batch, r.visited, r.err = units[i].CollectBatchInto(ctx, cf, keep, cols, scratch[:0])
 				scratch = r.batch[:0]
 			} else {
 				scanUnit(i)

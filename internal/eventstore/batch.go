@@ -12,7 +12,7 @@ import (
 )
 
 // errNoReader latches in a column cursor whose segment lost its file
-// backing (a lazy open that failed); the data reads as absent.
+// backing (a lazy open that failed); the scan fails with it.
 var errNoReader = errors.New("eventstore: segment file unavailable")
 
 // This file is the batch-oriented scan path: instead of invoking a
@@ -114,7 +114,7 @@ const (
 // CollectBatch gathers the unit's whole events passing the filter — and
 // the keep predicate, when non-nil — into a batch: CollectBatchInto
 // with every column demanded and no buffer to reuse.
-func (u *ScanUnit) CollectBatch(ctx context.Context, cf *CompiledFilter, keep func(*sysmon.Event) bool) (batch []sysmon.Event, visited int64, complete bool) {
+func (u *ScanUnit) CollectBatch(ctx context.Context, cf *CompiledFilter, keep func(*sysmon.Event) bool) (batch []sysmon.Event, visited int64, err error) {
 	return u.CollectBatchInto(ctx, cf, keep, ColAll, nil)
 }
 
@@ -123,9 +123,11 @@ func (u *ScanUnit) CollectBatch(ctx context.Context, cf *CompiledFilter, keep fu
 // appending into buf (which must be empty but may carry capacity, so a
 // sequential caller that retains no batch reuses one scratch buffer
 // across units). visited counts the events that passed the filter (the
-// same events the callback path would visit), and complete is false
-// when ctx aborted the scan mid-unit, in which case the partial batch
-// must not be cached.
+// same events the callback path would visit). A non-nil err means the
+// batch is partial and must not be cached: ctx's error when ctx aborted
+// the scan mid-unit, else the failure to open or decode the segment's
+// file (errors.Is durable.ErrCorrupt for bad bytes) — unreadable data
+// fails the scan, it never reads as absent.
 //
 // cols is what the consumer — keep included — reads of each event.
 // Fields outside it are unspecified: a reader-backed segment leaves
@@ -139,18 +141,13 @@ func (u *ScanUnit) CollectBatch(ctx context.Context, cf *CompiledFilter, keep fu
 // dense path. Both read the unit through its colView, so neither knows
 // whether the events sit in a memtable, on the heap or behind a mapped
 // segment file.
-func (u *ScanUnit) CollectBatchInto(ctx context.Context, cf *CompiledFilter, keep func(*sysmon.Event) bool, cols ColMask, buf []sysmon.Event) (batch []sysmon.Event, visited int64, complete bool) {
+func (u *ScanUnit) CollectBatchInto(ctx context.Context, cf *CompiledFilter, keep func(*sysmon.Event) bool, cols ColMask, buf []sysmon.Event) (batch []sysmon.Event, visited int64, err error) {
 	var (
 		list    []int32
 		posting bool
 	)
-	if g := u.seg; g != nil {
-		if g.fileBacked() {
-			// Resolve a lazily restored segment before choosing a path:
-			// the open decides whether events live on the heap (v1
-			// fallback) or behind the column reader.
-			g.fileReader()
-		}
+	g := u.seg
+	if g != nil {
 		if g.indexed && (g.ready.Load() || (g.fileBacked() && g.postingApplicable(cf.f) && g.ensureIndexes())) {
 			list, posting = g.bestPostingList(cf.f)
 		}
@@ -168,14 +165,24 @@ func (u *ScanUnit) CollectBatchInto(ctx context.Context, cf *CompiledFilter, kee
 			cols |= ColAmount
 		}
 	}
-	v, ok := u.view(!posting, cols)
-	if !ok {
-		return buf, 0, true // column unreadable; recorded by keyColumn/tsColumn
+	batch = buf
+	complete := true
+	if v, ok := u.view(!posting, cols); ok {
+		if posting {
+			batch, visited, complete = collectPosting(ctx, &v, list, cf, keep, buf)
+		} else {
+			batch, visited, complete = collectDense(ctx, &v, cf, keep, buf)
+		}
 	}
-	if posting {
-		return collectPosting(ctx, &v, list, cf, keep, buf)
+	if g != nil {
+		if err := g.err(); err != nil {
+			return batch, visited, err
+		}
 	}
-	return collectDense(ctx, &v, cf, keep, buf)
+	if !complete {
+		return batch, visited, ctx.Err()
+	}
+	return batch, visited, nil
 }
 
 // colCursor streams one column of a reader-backed segment by absolute
@@ -184,7 +191,7 @@ func (u *ScanUnit) CollectBatchInto(ctx context.Context, cf *CompiledFilter, kee
 // once per pass; decoded (non-zero-copy) blocks go through the store's
 // block cache so a warm re-scan touches no codec at all. The first
 // decode failure latches in err and subsequent reads return zeros — the
-// caller checks err at block boundaries and treats the data as absent.
+// caller checks err at block boundaries and stops.
 type colCursor struct {
 	g       *Segment
 	rd      *durable.SegmentReader
@@ -338,7 +345,7 @@ type colView struct {
 // skipped when the caller (the posting path) never reads it; cols is
 // what event() must fill in on the columnar backing. ok is false when a
 // reader-backed segment's key or timestamp column is unreadable: the
-// error is already recorded and the data reads as absent.
+// error is latched on the segment.
 func (u *ScanUnit) view(withKeys bool, cols ColMask) (v colView, ok bool) {
 	g := u.seg
 	if g == nil {
@@ -399,8 +406,8 @@ func (v *colView) event(pos int) *sysmon.Event {
 }
 
 // failed reports whether a column decode has failed since the view was
-// built, recording the error with the owning store. The drivers check
-// it at block boundaries and treat the unreadable data as absent.
+// built, latching the error on the segment. The drivers check it at
+// block boundaries and stop; the caller returns the error.
 func (v *colView) failed() bool {
 	if v.gather == nil {
 		return false
@@ -415,7 +422,7 @@ func (v *colView) failed() bool {
 // collectPosting walks a merged posting list (position-sorted, so the
 // output stays time-ordered and column cursors stream forward),
 // re-checking the full filter per entry: posting lists are keyed on one
-// endpoint only. On a decode error the batch built so far stands.
+// endpoint only. A decode error stops the walk (see failed).
 func collectPosting(ctx context.Context, v *colView, list []int32, cf *CompiledFilter, keep func(*sysmon.Event) bool, buf []sysmon.Event) (batch []sysmon.Event, visited int64, complete bool) {
 	batch = buf
 	for n, pos := range list {
@@ -444,8 +451,7 @@ func collectPosting(ctx context.Context, v *colView, list []int32, cf *CompiledF
 // filter each block's packed scan keys into a selection bitmap and
 // assemble whole events only for the survivors. Events inside the slice
 // already satisfy From/To (the run is sorted by StartTS), so the time
-// predicates need no pass. On a decode error the remaining data reads
-// as absent: the blocks collected before it stand.
+// predicates need no pass. A decode error stops the pass (see failed).
 func collectDense(ctx context.Context, v *colView, cf *CompiledFilter, keep func(*sysmon.Event) bool, buf []sysmon.Event) (batch []sysmon.Event, visited int64, complete bool) {
 	batch = buf
 	lo, hi := v.timeSlice(cf.f.From, cf.f.To)

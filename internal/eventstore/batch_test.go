@@ -179,9 +179,9 @@ func TestCollectBatchMatchesScan(t *testing.T) {
 						var r result
 						units := s.Snapshot().Units(f)
 						for i := range units {
-							batch, v, complete := units[i].CollectBatchInto(context.Background(), cf, keep.fn, mask|keep.cols, nil)
-							if !complete {
-								t.Fatalf("filter %d keep %d mask %d: batch collect incomplete without cancellation", fi, ki, mi)
+							batch, v, err := units[i].CollectBatchInto(context.Background(), cf, keep.fn, mask|keep.cols, nil)
+							if err != nil {
+								t.Fatalf("filter %d keep %d mask %d: batch collect: %v", fi, ki, mi, err)
 							}
 							r.events = append(r.events, batch...)
 							r.visited += v
@@ -267,9 +267,9 @@ func TestCollectBatchDecodesOnlyDemandedColumns(t *testing.T) {
 		units := s.Snapshot().Units(f)
 		blocks, events := 0, 0
 		for i := range units {
-			batch, _, complete := units[i].CollectBatchInto(context.Background(), cf, nil, tc.cols, nil)
-			if !complete {
-				t.Fatal("unexpected incomplete collect")
+			batch, _, err := units[i].CollectBatchInto(context.Background(), cf, nil, tc.cols, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
 			events += len(batch)
 			if lo, hi := units[i].seg.timeSliceIdx(from, to); hi > lo {
@@ -301,9 +301,9 @@ func TestCollectBatchIntoReusesBuffer(t *testing.T) {
 	}
 	buf := make([]sysmon.Event, 0, 4096)
 	for i := range units {
-		batch, _, complete := units[i].CollectBatchInto(context.Background(), cf, nil, ColAll, buf[:0])
-		if !complete {
-			t.Fatal("unexpected incomplete collect")
+		batch, _, err := units[i].CollectBatchInto(context.Background(), cf, nil, ColAll, buf[:0])
+		if err != nil {
+			t.Fatal(err)
 		}
 		if len(batch) > 0 && cap(batch) <= cap(buf) && &batch[:1][0] != &buf[:1][0] {
 			t.Fatalf("unit %d: batch did not reuse the scratch buffer", i)

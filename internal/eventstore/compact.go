@@ -1,7 +1,6 @@
 package eventstore
 
 import (
-	"os"
 	"path/filepath"
 	"sort"
 	"time"
@@ -46,19 +45,22 @@ type compactRun struct {
 
 // findCompactRunLocked returns the first chain of ≥2 adjacent segments,
 // each smaller than the target, whose merged size stays within the
-// target, taking at most CompactFanIn inputs. Caller holds mu (read).
+// target, taking at most CompactFanIn inputs. A segment whose file
+// failed to read is never an input: merging it would drop its rows.
+// Caller holds mu (read).
 func (s *Store) findCompactRunLocked() *compactRun {
 	target := s.opts.CompactTargetEvents
 	fanIn := s.opts.CompactFanIn
+	small := func(g *Segment) bool { return g.Len() < target && g.err() == nil }
 	for _, key := range s.order {
 		p := s.parts[key]
 		for i := 0; i < len(p.segs); i++ {
-			if p.segs[i].Len() >= target {
+			if !small(p.segs[i]) {
 				continue
 			}
 			total := 0
 			j := i
-			for j < len(p.segs) && j-i < fanIn && p.segs[j].Len() < target && total+p.segs[j].Len() <= target {
+			for j < len(p.segs) && j-i < fanIn && small(p.segs[j]) && total+p.segs[j].Len() <= target {
 				total += p.segs[j].Len()
 				j++
 			}
@@ -87,8 +89,15 @@ func (s *Store) CompactOnce() (CompactionResult, bool) {
 		return CompactionResult{}, false
 	}
 
-	// Merge outside any lock: the inputs are immutable.
+	// Merge outside any lock: the inputs are immutable. An input whose
+	// file turns out unreadable now aborts the pass (its error is
+	// recorded) and is left out of every later run.
 	merged := mergeSegmentEvents(run.segs)
+	for _, g := range run.segs {
+		if g.err() != nil {
+			return CompactionResult{}, false
+		}
+	}
 	s.mu.Lock()
 	s.nextSegID++
 	id := s.nextSegID
@@ -101,7 +110,7 @@ func (s *Store) CompactOnce() (CompactionResult, bool) {
 	if d := s.dur; d != nil {
 		d.mu.Lock()
 		name := durable.SegmentFileName(id)
-		n, err := s.writeSegmentFile(filepath.Join(d.dir, name), g)
+		n, err := durable.WriteSegmentFileV2(filepath.Join(d.dir, name), g.segmentData())
 		if err != nil {
 			d.setErr(err)
 			d.mu.Unlock()
@@ -121,11 +130,10 @@ func (s *Store) CompactOnce() (CompactionResult, bool) {
 	if idx < 0 {
 		s.mu.Unlock()
 		if d := s.dur; d != nil {
+			// No manifest lists the merged file; the next Open's orphan
+			// sweep deletes it.
 			d.mu.Lock()
-			if ps, ok := d.persisted[id]; ok {
-				delete(d.persisted, id)
-				os.Remove(filepath.Join(d.dir, ps.file))
-			}
+			delete(d.persisted, id)
 			d.mu.Unlock()
 		}
 		return CompactionResult{}, false
@@ -153,13 +161,17 @@ func (s *Store) CompactOnce() (CompactionResult, bool) {
 				delete(d.persisted, old.id)
 			}
 		}
-		s.writeManifestLocked()
+		installed := s.writeManifestLocked()
 		d.mu.Unlock()
-		// The new edition no longer references the retired files;
-		// pinned snapshots read memory, never files, so deletion is
-		// safe immediately.
-		for _, f := range oldFiles {
-			os.Remove(filepath.Join(d.dir, f))
+		// Once the new edition no longer lists the retired files they
+		// can go at once: the merge opened each of them, and a pinned
+		// snapshot keeps reading through that open mapping or handle.
+		// A failed edition leaves them listed, so they stay; a failed
+		// removal leaves an orphan the next Open deletes.
+		if installed {
+			for _, f := range oldFiles {
+				durable.RemoveSegmentFile(d.dir, f)
+			}
 		}
 	}
 

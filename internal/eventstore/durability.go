@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/aiql/aiql/internal/durable"
@@ -40,13 +38,10 @@ import (
 // nothing: the segment file is ignored (and deleted as an orphan on the
 // next open) and its events are recovered from the WAL instead.
 
-// persistedSeg records one segment's on-disk file and format version
-// (SegmentFormat*), the latter written into manifest refs so a reopen
-// can defer v2 file opens entirely.
+// persistedSeg records one segment's on-disk file and its size.
 type persistedSeg struct {
 	file  string
 	bytes int64
-	ver   uint8
 }
 
 // durableState is a Store's attachment to its directory.
@@ -105,10 +100,14 @@ func (d *durableState) lastError() error {
 }
 
 // Open opens (creating or recovering) the durable store at opts.Dir:
-// manifest-listed segment files load back with their indexes — no
-// re-chunking, re-interning, or re-indexing — and the WAL replays the
+// every manifest-listed segment restores from its ref alone — its file
+// is opened, with its indexes, when a scan first touches it; nothing is
+// re-chunked, re-interned, or re-indexed — and the WAL replays the
 // committed-but-unsealed tail into memtables. A torn final WAL record
 // (crash mid append) is truncated; every record before it is recovered.
+// A manifest other than version 3, a ref to a segment format other than
+// v2, or a corrupt WAL record fails with an error wrapping
+// durable.ErrCorrupt.
 func Open(opts Options) (*Store, error) {
 	opts = opts.normalized()
 	if opts.Dir == "" {
@@ -141,7 +140,6 @@ func Open(opts Options) (*Store, error) {
 	}
 
 	maxSealed := make(map[PartKey]uint64)
-	var toIndex []*Segment
 	m, err := durable.ReadManifest(opts.Dir)
 	switch {
 	case err == nil:
@@ -156,10 +154,8 @@ func Open(opts Options) (*Store, error) {
 			return nil, fmt.Errorf("eventstore: recover %s: %w", opts.Dir, err)
 		}
 		// The dictionary rebuild (intern maps + attribute indexes over
-		// tens of thousands of entities) and the segment file loads are
-		// independent; run them concurrently, with the files themselves
-		// decoded by a worker pool — this is where load-without-replay
-		// wins its wall-clock over gob.
+		// tens of thousands of entities) runs beside the segment
+		// restores below.
 		dictDone := make(chan struct{})
 		go func() {
 			defer close(dictDone)
@@ -171,98 +167,26 @@ func Open(opts Options) (*Store, error) {
 			s.nextSeq[agent] = seq
 		}
 		d.edition = m.Edition
-		loaded := make([]*Segment, len(m.Segments))
-		sizes := make([]int64, len(m.Segments))
-		vers := make([]uint8, len(m.Segments))
+		// Every ref carries the bounds a cold segment needs, so no
+		// segment file is opened here: one Stat confirms it exists (and
+		// sizes the stats), and the open — syscalls, footer decode,
+		// block directory — waits until a scan first touches the
+		// segment. Chains assemble in manifest (scan) order.
 		var loadErr error
-		var loadMu sync.Mutex
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 		for i := range m.Segments {
 			ref := &m.Segments[i]
+			if ref.Format != durable.SegmentFormatV2 {
+				loadErr = fmt.Errorf("segment %s has format %d, want %d (regenerate the data): %w",
+					ref.File, ref.Format, durable.SegmentFormatV2, durable.ErrCorrupt)
+				break
+			}
 			path := filepath.Join(opts.Dir, ref.File)
-			if ref.Format == durable.SegmentFormatV2 {
-				// The ref carries every bound a cold segment needs, so a
-				// v2 file is not even opened here: one Stat confirms it
-				// exists (and sizes the stats), and the open — syscalls,
-				// footer decode, block directory — is deferred until a
-				// scan first touches the segment. A stale hint degrades
-				// gracefully: first access sniffs the header and falls
-				// back to an eager v1 decode.
-				fi, serr := os.Stat(path)
-				if serr != nil {
-					loadMu.Lock()
-					if loadErr == nil {
-						loadErr = fmt.Errorf("segment file %s: %w", ref.File, serr)
-					}
-					loadMu.Unlock()
-					continue
-				}
-				loaded[i] = restoreSegmentLazy(ref, path, opts.Indexes, s.blockCache, d.setErr)
-				sizes[i] = fi.Size()
-				vers[i] = durable.SegmentFormatV2
-				continue
+			fi, err := os.Stat(path)
+			if err != nil {
+				loadErr = fmt.Errorf("segment file %s: %w", ref.File, err)
+				break
 			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, ref *durable.SegmentRef, path string) {
-				defer func() { <-sem; wg.Done() }()
-				// Version dispatch: v2 files open as mmap-backed readers
-				// (footer + block directory only — no event decode), v1
-				// files keep the eager heap decode for compatibility.
-				op, err := durable.OpenSegment(path)
-				if err == nil {
-					switch {
-					case op.V2 != nil:
-						rd := op.V2
-						if rd.ID != ref.ID || rd.Count != ref.Events {
-							err = fmt.Errorf("segment file %s does not match manifest (id %d vs %d, %d events vs %d)",
-								ref.File, rd.ID, ref.ID, rd.Count, ref.Events)
-							break
-						}
-						loaded[i] = restoreSegmentFromReader(rd, opts.Indexes, s.blockCache, d.setErr)
-						sizes[i] = rd.Size()
-						vers[i] = durable.SegmentFormatV2
-					default:
-						sd := op.V1
-						if sd.ID != ref.ID || len(sd.Events) != ref.Events {
-							err = fmt.Errorf("segment file %s does not match manifest (id %d vs %d, %d events vs %d)",
-								ref.File, sd.ID, ref.ID, len(sd.Events), ref.Events)
-							break
-						}
-						loaded[i] = restoreSegment(sd, opts.Indexes)
-						vers[i] = durable.SegmentFormatV1
-						if fi, serr := os.Stat(path); serr == nil {
-							sizes[i] = fi.Size()
-						}
-					}
-				}
-				if err != nil {
-					loadMu.Lock()
-					if loadErr == nil {
-						loadErr = err
-					}
-					loadMu.Unlock()
-				}
-			}(i, ref, path)
-		}
-		wg.Wait()
-		<-dictDone
-		if loadErr != nil {
-			return nil, fmt.Errorf("eventstore: recover %s: %w", opts.Dir, loadErr)
-		}
-		// assemble chains in manifest (scan) order
-		for i, g := range loaded {
-			// Lazily restored segments are never queued for an index
-			// rebuild: forcing their files open would defeat the lazy
-			// restore, and v2 files written by seal or compaction carry
-			// their indexes anyway. The rare unindexed one (a crash in
-			// the seal's index window) serves sequential scans until
-			// compaction rewrites it.
-			rd := g.reader()
-			if opts.Indexes && !g.ready.Load() && g.lazyPath == "" && !(rd != nil && rd.Indexed) {
-				toIndex = append(toIndex, g) // persisted before its indexes were built
-			}
+			g := restoreSegmentLazy(ref, path, opts.Indexes, s.blockCache, d.setErr)
 			p := s.parts[g.key]
 			if p == nil {
 				p = &partState{key: g.key}
@@ -270,12 +194,16 @@ func Open(opts Options) (*Store, error) {
 				s.order = append(s.order, g.key)
 			}
 			p.segs = append(p.segs, g)
-			d.persisted[g.id] = persistedSeg{file: m.Segments[i].File, bytes: sizes[i], ver: vers[i]}
+			d.persisted[g.id] = persistedSeg{file: ref.File, bytes: fi.Size()}
 			d.manifested[g.id] = true
 			if g.maxEventID > maxSealed[g.key] {
 				maxSealed[g.key] = g.maxEventID
 			}
 			s.noteEventsLocked(g.Len(), g.minTS, g.maxTS)
+		}
+		<-dictDone
+		if loadErr != nil {
+			return nil, fmt.Errorf("eventstore: recover %s: %w", opts.Dir, loadErr)
 		}
 		d.manifestedProcs, d.manifestedFiles, d.manifestedConns = len(m.Procs), len(m.Files), len(m.Conns)
 	case errors.Is(err, durable.ErrNoManifest):
@@ -311,6 +239,9 @@ func Open(opts Options) (*Store, error) {
 			}
 		case durable.RecEvent:
 			ev := rec.Event
+			if err := s.checkEventRefs(&ev); err != nil {
+				return fmt.Errorf("eventstore: recover %s: WAL %w", opts.Dir, err)
+			}
 			key := s.partKey(ev.AgentID, ev.StartTS)
 			if ev.ID <= maxSealed[key] {
 				return nil // already durable in a manifest-listed segment
@@ -352,10 +283,36 @@ func Open(opts Options) (*Store, error) {
 	d.loggedFiles = s.dict.Count(sysmon.EntityFile)
 	d.loggedConns = s.dict.Count(sysmon.EntityNetconn)
 	s.dur = d
-	indexSegments(toIndex)
-	removeOrphans(opts.Dir, d.persisted)
+	live := make(map[string]bool, len(d.persisted))
+	for _, ps := range d.persisted {
+		live[ps.file] = true
+	}
+	durable.RemoveOrphans(opts.Dir, live)
 	opened = true
 	return s, nil
+}
+
+// checkEventRefs rejects a replayed event whose entity references fall
+// outside the dictionary. Every commit logs its entities before its
+// events, so such a record passed its checksum but is corrupt: recovery
+// must fail rather than serve dangling references.
+func (s *Store) checkEventRefs(ev *sysmon.Event) error {
+	if int(ev.Subject) > s.dict.Count(sysmon.EntityProcess) {
+		return fmt.Errorf("event %d references process %d of %d: %w",
+			ev.ID, ev.Subject, s.dict.Count(sysmon.EntityProcess), durable.ErrCorrupt)
+	}
+	switch ev.ObjType {
+	case sysmon.EntityProcess, sysmon.EntityFile, sysmon.EntityNetconn:
+		if n := s.dict.Count(ev.ObjType); int(ev.Object) > n {
+			return fmt.Errorf("event %d references %s object %d of %d: %w", ev.ID, ev.ObjType, ev.Object, n, durable.ErrCorrupt)
+		}
+	case sysmon.EntityInvalid:
+		// an operation whose object type was never resolved carries no
+		// object reference
+	default:
+		return fmt.Errorf("event %d has object type %d: %w", ev.ID, ev.ObjType, durable.ErrCorrupt)
+	}
+	return nil
 }
 
 // noteEventsLocked accounts n restored events with the given time range
@@ -374,36 +331,15 @@ func (s *Store) noteEventsLocked(n int, minTS, maxTS int64) {
 	s.total += n
 }
 
-// removeOrphans deletes segment files the manifest does not reference:
-// leftovers of a crash between a seal and its manifest edition (their
-// events recover from the WAL) or of a compaction's retired inputs.
-func removeOrphans(dir string, persisted map[uint64]persistedSeg) {
-	live := make(map[string]bool, len(persisted))
-	for _, ps := range persisted {
-		live[ps.file] = true
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		name := e.Name()
-		stale := (strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".seg") && !live[name]) ||
-			strings.HasPrefix(name, ".tmp-")
-		if stale {
-			os.Remove(filepath.Join(dir, name))
-		}
-	}
-}
-
 // logCommitLocked appends the commit to the WAL before it becomes
 // visible: first the dictionary entries interned since the last logged
 // point (replay must be able to resolve the events' entity IDs), then
 // the batch's events. Runs under the store's write lock, which is what
 // guarantees WAL order equals commit order. sync=false skips the fsync
 // even under SyncWAL: AppendAll group-commits, issuing one Sync for the
-// whole batch after its final commit.
-func (d *durableState) logCommitLocked(s *Store, sync bool) {
+// whole batch after its final commit. A failed append is returned (and
+// recorded): the commit must not be acknowledged as durable.
+func (d *durableState) logCommitLocked(s *Store, sync bool) error {
 	procs, files, conns := s.dict.tableHeaders()
 	recs := make([]durable.Rec, 0,
 		len(s.batch)+(len(procs)-d.loggedProcs)+(len(files)-d.loggedFiles)+(len(conns)-d.loggedConns))
@@ -420,9 +356,9 @@ func (d *durableState) logCommitLocked(s *Store, sync bool) {
 	for i := range s.batch {
 		recs = append(recs, durable.Rec{Kind: durable.RecEvent, Event: s.batch[i]})
 	}
-	if err := d.wal.Append(recs, sync && d.syncWAL); err != nil {
-		d.setErr(err)
-	}
+	err := d.wal.Append(recs, sync && d.syncWAL)
+	d.setErr(err)
+	return err
 }
 
 // persistSealed writes freshly sealed segments as individual files and
@@ -443,22 +379,16 @@ func (s *Store) persistSealed(segs []*Segment) {
 	}
 	for _, g := range segs {
 		name := durable.SegmentFileName(g.id)
-		n, err := s.writeSegmentFile(filepath.Join(d.dir, name), g)
+		n, err := durable.WriteSegmentFileV2(filepath.Join(d.dir, name), g.segmentData())
 		if err != nil {
 			d.setErr(err)
 			return
 		}
-		d.persisted[g.id] = persistedSeg{file: name, bytes: n, ver: durable.SegmentFormatV2}
+		d.persisted[g.id] = persistedSeg{file: name, bytes: n}
 	}
 	if !s.appendManifestDeltaLocked() {
 		s.writeManifestLocked()
 	}
-}
-
-// writeSegmentFile writes g as a v2 (columnar, block-compressed) segment
-// file, honoring the store's codec choice.
-func (s *Store) writeSegmentFile(path string, g *Segment) (int64, error) {
-	return durable.WriteSegmentFileV2(path, g.segmentData(), s.opts.SegmentCompression != "none")
 }
 
 // appendManifestDeltaLocked installs the next manifest edition as one
@@ -515,7 +445,7 @@ func (s *Store) appendManifestDeltaLocked() bool {
 				MaxTS:      g.maxTS,
 				MinEventID: g.minEventID,
 				MaxEventID: g.maxEventID,
-				Format:     ps.ver,
+				Format:     durable.SegmentFormatV2,
 			})
 		}
 	}
@@ -540,11 +470,11 @@ func (s *Store) appendManifestDeltaLocked() bool {
 
 // writeManifestLocked installs a manifest edition reflecting the
 // store's current persisted state, then truncates the WAL if the
-// edition covers every committed event. The caller holds d.mu; the
-// store read lock is held across the write and the truncation so no
-// commit can slip records into the WAL between the coverage check and
-// the truncate.
-func (s *Store) writeManifestLocked() {
+// edition covers every committed event, and reports whether the
+// edition was installed. The caller holds d.mu; the store read lock is
+// held across the write and the truncation so no commit can slip
+// records into the WAL between the coverage check and the truncate.
+func (s *Store) writeManifestLocked() bool {
 	d := s.dur
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -585,13 +515,13 @@ func (s *Store) writeManifestLocked() {
 				MaxTS:      g.maxTS,
 				MinEventID: g.minEventID,
 				MaxEventID: g.maxEventID,
-				Format:     ps.ver,
+				Format:     durable.SegmentFormatV2,
 			})
 		}
 	}
 	if err := durable.WriteManifest(d.dir, m); err != nil {
 		d.setErr(err)
-		return
+		return false
 	}
 	d.edition = m.Edition
 	// The full rewrite captured everything the delta log carried (and
@@ -613,15 +543,16 @@ func (s *Store) writeManifestLocked() {
 			d.setErr(err)
 		}
 	}
+	return true
 }
 
-// SaveDir writes the store's full state into dir as a durable store
+// SaveDir writes the store's sealed state into dir as a durable store
 // directory: every chunk is sealed, each segment becomes one file, and
 // a first manifest edition lists them all (so the WAL starts empty).
-// The target must not already contain a durable store. The caller must
-// quiesce writers for the duration. This is the migration path from
-// legacy gob snapshots: LoadFile + SaveDir, then Open serves the
-// directory from then on.
+// The target must not already contain a durable store. Writers may keep
+// appending meanwhile: the directory holds at least every event
+// committed before the call. This is how an in-memory store (a
+// generated dataset, say) becomes a directory that Open serves.
 func (s *Store) SaveDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("eventstore: %w", err)
@@ -630,6 +561,12 @@ func (s *Store) SaveDir(dir string) error {
 		return fmt.Errorf("eventstore: SaveDir target %s already contains a durable store", dir)
 	} else if !errors.Is(err, durable.ErrNoManifest) {
 		return err
+	}
+	// a store that has not sealed yet has a WAL but no manifest
+	if _, err := os.Stat(filepath.Join(dir, durable.WALName)); err == nil {
+		return fmt.Errorf("eventstore: SaveDir target %s already contains a durable store's WAL", dir)
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("eventstore: %w", err)
 	}
 	if err := s.Flush(); err != nil {
 		return err
@@ -656,7 +593,7 @@ func (s *Store) SaveDir(dir string) error {
 		for _, g := range sn.parts[i].segs {
 			g.buildIndexes() // idempotent; ensures the file carries indexes
 			name := durable.SegmentFileName(g.id)
-			if _, err := s.writeSegmentFile(filepath.Join(dir, name), g); err != nil {
+			if _, err := durable.WriteSegmentFileV2(filepath.Join(dir, name), g.segmentData()); err != nil {
 				return err
 			}
 			m.Segments = append(m.Segments, durable.SegmentRef{
@@ -674,72 +611,6 @@ func (s *Store) SaveDir(dir string) error {
 		}
 	}
 	return durable.WriteManifest(dir, m)
-}
-
-// UpgradeSegments rewrites every persisted v1 segment file in place in
-// the v2 columnar format, returning how many were upgraded. Filenames,
-// event counts, and IDs are unchanged, so the manifest stays valid as
-// is; already-v2 files are left alone. In-memory segments keep serving
-// their heap copies — the mmap-backed read path engages on the next
-// Open. Safe to call on a live store; the rewrite uses the same
-// atomic-replace discipline as every other durable write.
-func (s *Store) UpgradeSegments() (int, error) {
-	d := s.dur
-	if d == nil {
-		return 0, fmt.Errorf("eventstore: UpgradeSegments requires a durable store")
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
-	s.mu.RLock()
-	segs := make([]*Segment, 0, len(d.persisted))
-	for _, key := range s.order {
-		segs = append(segs, s.parts[key].segs...)
-	}
-	s.mu.RUnlock()
-	upgraded := 0
-	for _, g := range segs {
-		ps, ok := d.persisted[g.id]
-		if !ok {
-			continue
-		}
-		path := filepath.Join(d.dir, ps.file)
-		ver, err := durable.SegmentFileVersion(path)
-		if err != nil {
-			return upgraded, err
-		}
-		if ver >= 2 {
-			continue
-		}
-		g.buildIndexes() // idempotent; the v2 file carries the indexes
-		data := durable.EncodeSegmentV2(g.segmentData(), s.opts.SegmentCompression != "none")
-		if err := durable.ReplaceSegmentFile(path, data); err != nil {
-			return upgraded, err
-		}
-		d.persisted[g.id] = persistedSeg{file: ps.file, bytes: int64(len(data)), ver: durable.SegmentFormatV2}
-		upgraded++
-	}
-	if upgraded > 0 {
-		// Refresh the manifest's Format hints so the next Open defers
-		// the upgraded files' opens instead of sniffing each header.
-		s.writeManifestLocked()
-	}
-	return upgraded, nil
-}
-
-// MigrateGobToDir converts a legacy gob snapshot into a durable store
-// directory with the given options. The directory can then be served
-// with Open — no gob replay, re-interning, or re-indexing on any later
-// load.
-func MigrateGobToDir(gobPath, dir string, opts Options) error {
-	opts.Dir = ""
-	s, err := LoadFile(gobPath, opts)
-	if err != nil {
-		return err
-	}
-	return s.SaveDir(dir)
 }
 
 // Dir returns the durable directory backing the store; empty for

@@ -179,7 +179,7 @@ func TestRecoveryRemovesOrphanSegments(t *testing.T) {
 	crash(s)
 
 	orphan := filepath.Join(dir, durable.SegmentFileName(999))
-	if _, err := durable.WriteSegmentFile(orphan, &durable.SegmentData{ID: 999}); err != nil {
+	if _, err := durable.WriteSegmentFileV2(orphan, &durable.SegmentData{ID: 999}); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(durableOpts(dir))
@@ -267,22 +267,17 @@ func TestOpenRejectsMismatchedLayout(t *testing.T) {
 }
 
 func TestSaveDirMigrateRoundTrip(t *testing.T) {
-	// legacy path: an in-memory store saved as a gob snapshot
+	// an in-memory store, saved as a durable directory
 	mem := New(DefaultOptions())
 	fill(mem, 40, 0)
 	mem.Flush()
-	gobPath := filepath.Join(t.TempDir(), "legacy.aiql")
-	if err := mem.SaveFile(gobPath); err != nil {
-		t.Fatal(err)
-	}
 	want := eventStrings(mem)
-
-	// migrate the gob snapshot into a durable directory
 	dir := filepath.Join(t.TempDir(), "store")
-	opts := DefaultOptions()
-	if err := MigrateGobToDir(gobPath, dir, opts); err != nil {
+	if err := mem.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
+
+	opts := DefaultOptions()
 	opts.Dir = dir
 	s, err := Open(opts)
 	if err != nil {
@@ -290,14 +285,55 @@ func TestSaveDirMigrateRoundTrip(t *testing.T) {
 	}
 	defer s.Close()
 	if got := eventStrings(s); !reflect.DeepEqual(got, want) {
-		t.Fatalf("migrated store differs: %d vs %d events", len(got), len(want))
+		t.Fatalf("saved store differs: %d vs %d events", len(got), len(want))
 	}
 	if st := s.DurableStats(); st.WALBytes != 0 || st.SegmentFiles == 0 {
-		t.Fatalf("migrated directory: %+v", st)
+		t.Fatalf("saved directory: %+v", st)
 	}
-	// migrating onto an existing durable directory must refuse
-	if err := MigrateGobToDir(gobPath, dir, DefaultOptions()); err == nil {
-		t.Fatal("migration overwrote an existing durable store")
+	// saving onto an existing durable directory must refuse
+	if err := mem.SaveDir(dir); err == nil {
+		t.Fatal("SaveDir overwrote an existing durable store")
+	}
+}
+
+// Loading a saved image must never merge into or over existing data.
+// SaveDir is the one writer of a whole-store image; onto a directory
+// that already holds a durable store, open or not, sealed segments or
+// only a WAL, it must refuse and leave that store's events intact.
+func TestDecodeRejectsNonEmptyStore(t *testing.T) {
+	mem := New(DefaultOptions())
+	fill(mem, 40, 1000)
+	mem.Flush()
+	for _, n := range []int{3, 20} { // WAL only; sealed segments + WAL
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(durableOpts(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(s, n, 0)
+			want := eventStrings(s)
+			if err := mem.SaveDir(dir); err == nil {
+				t.Fatal("SaveDir wrote over an open durable store")
+			}
+			if got := eventStrings(s); !reflect.DeepEqual(got, want) {
+				t.Fatal("refused SaveDir changed the open store's events")
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := mem.SaveDir(dir); err == nil {
+				t.Fatal("SaveDir wrote over a closed durable store")
+			}
+			s2, err := Open(durableOpts(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if got := eventStrings(s2); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reopened store has %d events, want its own %d", len(got), len(want))
+			}
+		})
 	}
 }
 
@@ -457,34 +493,66 @@ func TestBackgroundCompactor(t *testing.T) {
 	s.StopCompactor() // idempotent
 }
 
-// Encode must not hold the store lock for the duration of the gob
-// encode: a writer appending concurrently must not deadlock or race,
-// and the snapshot must be a consistent committed prefix. Run with -race.
+// SaveDir must not hold the store lock for the whole write: a writer
+// appending concurrently must not deadlock or race, and each saved
+// directory must reopen to every event committed before its SaveDir
+// began, plus only events the writer really appended. Run with -race.
 func TestEncodeConcurrentWithAppends(t *testing.T) {
 	s := New(DefaultOptions())
 	fill(s, 64, 0)
 	s.Flush()
+	appended := make(map[string]bool)
+	for _, e := range eventStrings(s) {
+		appended[e] = true
+	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		fill(s, 256, 1000)
 	}()
-	for i := 0; i < 10; i++ {
-		var sink countingWriter
-		if err := s.Encode(&sink); err != nil {
-			t.Error(err)
+	for i := 0; i < 5; i++ {
+		before := s.Len()
+		dir := filepath.Join(t.TempDir(), "store")
+		if err := s.SaveDir(dir); err != nil {
+			t.Fatal(err)
 		}
-		if sink.n == 0 {
-			t.Error("empty encode")
+		opts := DefaultOptions()
+		opts.Dir = dir
+		saved, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if saved.Len() < before {
+			t.Errorf("save %d: %d events, but %d were committed before it", i, saved.Len(), before)
+		}
+		saved.Close()
 	}
 	wg.Wait()
+	for _, e := range eventStrings(s) {
+		appended[e] = true
+	}
+	dir := filepath.Join(t.TempDir(), "final")
+	if err := s.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Dir = dir
+	final, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer final.Close()
+	got := eventStrings(final)
+	if len(got) != 64+256 {
+		t.Fatalf("quiesced save holds %d events, want %d", len(got), 64+256)
+	}
+	for _, e := range got {
+		if !appended[e] {
+			t.Fatalf("saved event %s was never appended", e)
+		}
+	}
 }
-
-type countingWriter struct{ n int64 }
-
-func (w *countingWriter) Write(p []byte) (int, error) { w.n += int64(len(p)); return len(p), nil }
 
 // A bulk AppendAll under SyncWAL must group-commit: the batch spans
 // many internal commits (BatchSize boundaries plus the tail), but the

@@ -7,104 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"github.com/aiql/aiql/internal/durable"
 	"github.com/aiql/aiql/internal/sysmon"
 )
-
-// downgradeDirToV1 rewrites every v2 segment file under dir in the v1
-// gob format, simulating a data directory produced before the columnar
-// format existed. Filenames, IDs, and event counts are unchanged, so
-// the manifest stays valid. Returns the number of files rewritten.
-func downgradeDirToV1(t *testing.T, dir string) int {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, e := range entries {
-		if !strings.HasPrefix(e.Name(), "seg-") || !strings.HasSuffix(e.Name(), ".seg") {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		op, err := durable.OpenSegment(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if op.V2 == nil {
-			continue
-		}
-		rd := op.V2
-		evs, err := rd.MaterializeEvents()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sub, obj, err := rd.ReadIndexes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sd := &durable.SegmentData{
-			ID:         rd.ID,
-			AgentID:    rd.AgentID,
-			Bucket:     rd.Bucket,
-			Events:     evs,
-			Indexed:    rd.Indexed,
-			PostingSub: sub,
-			PostingObj: obj,
-			OpCount:    rd.OpCount,
-		}
-		if err := durable.ReplaceSegmentFile(path, durable.EncodeSegment(sd)); err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	// A pre-columnar store also had no Format hints in its manifest:
-	// fold the delta log into the base, clear every hint, and rewrite,
-	// so the reopen exercises the legacy sniff-the-header path rather
-	// than the v2 lazy restore.
-	m, err := durable.ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := durable.ApplyManifestDeltas(dir, m); err != nil {
-		t.Fatal(err)
-	}
-	for i := range m.Segments {
-		m.Segments[i].Format = durable.SegmentFormatUnknown
-	}
-	if err := durable.WriteManifest(dir, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := durable.RemoveManifestDelta(dir); err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-// segmentFileVersions returns the format version of every segment file
-// under dir.
-func segmentFileVersions(t *testing.T, dir string) []int {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vs []int
-	for _, e := range entries {
-		if !strings.HasPrefix(e.Name(), "seg-") || !strings.HasSuffix(e.Name(), ".seg") {
-			continue
-		}
-		v, err := durable.SegmentFileVersion(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		vs = append(vs, v)
-	}
-	return vs
-}
 
 func fileSize(t *testing.T, path string) int64 {
 	t.Helper()
@@ -263,120 +170,6 @@ func TestManifestDeltaStaleFrames(t *testing.T) {
 	}
 }
 
-// A data directory written before the v2 columnar format — v1 gob
-// segment files throughout — must open read/write without migration,
-// and its data must round-trip through compaction into v2 files.
-func TestV1SegmentCompat(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(durableOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill(s, 40, 0)
-	want := eventStrings(s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n := downgradeDirToV1(t, dir); n == 0 {
-		t.Fatal("no segment files to downgrade")
-	}
-	for _, v := range segmentFileVersions(t, dir) {
-		if v != 1 {
-			t.Fatalf("downgraded dir contains a v%d file", v)
-		}
-	}
-
-	s2, err := Open(durableOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := eventStrings(s2); !reflect.DeepEqual(got, want) {
-		t.Fatal("v1 directory recovered different events")
-	}
-	// Writes keep working: new seals are v2 alongside the v1 files.
-	fill(s2, 24, 100)
-	if e := s2.DurableStats().LastError; e != "" {
-		t.Fatalf("appends against v1 directory: %v", e)
-	}
-	if res := s2.Compact(); res.Passes == 0 {
-		t.Fatal("compaction found no work")
-	}
-	want2 := eventStrings(s2)
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	hasV2 := false
-	for _, v := range segmentFileVersions(t, dir) {
-		if v == 2 {
-			hasV2 = true
-		}
-	}
-	if !hasV2 {
-		t.Fatal("compaction of v1 segments produced no v2 files")
-	}
-
-	s3, err := Open(durableOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if got := eventStrings(s3); !reflect.DeepEqual(got, want2) {
-		t.Fatal("mixed v1/v2 directory recovered different events")
-	}
-}
-
-// UpgradeSegments rewrites a v1 directory's files as v2 in place,
-// restartably and without touching the manifest.
-func TestUpgradeSegmentsInPlace(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(durableOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill(s, 40, 0)
-	want := eventStrings(s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	downgradeDirToV1(t, dir)
-
-	s2, err := Open(durableOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := s2.UpgradeSegments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("UpgradeSegments converted nothing")
-	}
-	for _, v := range segmentFileVersions(t, dir) {
-		if v != 2 {
-			t.Fatalf("after upgrade: v%d file remains", v)
-		}
-	}
-	// A second pass is a no-op.
-	if n2, err := s2.UpgradeSegments(); err != nil || n2 != 0 {
-		t.Fatalf("second upgrade pass: n=%d err=%v", n2, err)
-	}
-	if got := eventStrings(s2); !reflect.DeepEqual(got, want) {
-		t.Fatal("events differ in upgrading store")
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s3, err := Open(durableOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if got := eventStrings(s3); !reflect.DeepEqual(got, want) {
-		t.Fatal("events differ after reopening upgraded directory")
-	}
-}
-
 // StorageStats reports mapped bytes for open v2 segments and block
 // cache traffic once batch scans decode compressed columns.
 func TestStorageStatsBlockCache(t *testing.T) {
@@ -401,9 +194,9 @@ func TestStorageStatsBlockCache(t *testing.T) {
 		keep := func(*sysmon.Event) bool { return true }
 		total := 0
 		for _, u := range s2.Snapshot().Units(&EventFilter{}) {
-			batch, _, complete := u.CollectBatch(context.Background(), cf, keep)
-			if !complete {
-				t.Fatal("batch scan incomplete")
+			batch, _, err := u.CollectBatch(context.Background(), cf, keep)
+			if err != nil {
+				t.Fatal(err)
 			}
 			total += len(batch)
 		}
@@ -429,14 +222,8 @@ func TestStorageStatsBlockCache(t *testing.T) {
 	}
 	// On mmap-capable platforms the open segment files are mapped, not
 	// heap-resident; the read-at fallback reports zero mapped bytes.
-	segBytes := int64(0)
-	for _, v := range segmentFileVersions(t, dir) {
-		if v == 2 {
-			segBytes = 1
-		}
-	}
-	if segBytes == 0 {
-		t.Fatal("expected v2 segment files on disk")
+	if segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg")); len(segs) == 0 {
+		t.Fatal("expected segment files on disk")
 	}
 	if st2.MappedBytes < 0 {
 		t.Fatalf("negative mapped bytes %d", st2.MappedBytes)

@@ -1,9 +1,9 @@
 package eventstore
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -160,6 +160,8 @@ func TestEstimateNeverUndercounts(t *testing.T) {
 	}
 }
 
+// A store saved as a durable directory reopens with the same events
+// and entity attributes, under the options it was saved with.
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := New(DefaultOptions())
 	s.AppendAll([]Record{
@@ -167,45 +169,31 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		mkRecord(2, "vim", sysmon.OpConnect, "9.9.9.9", 30),
 	})
 	s.Flush()
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := s.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	// load into an optimized store and a plain store: contents must agree
-	for _, opts := range []Options{DefaultOptions(), PlainOptions()} {
-		s2 := New(opts)
-		if err := s2.Decode(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-		if s2.Len() != s.Len() {
-			t.Errorf("loaded %d events, want %d", s2.Len(), s.Len())
-		}
-		a := s.Collect(&EventFilter{})
-		b := s2.Collect(&EventFilter{})
-		if len(a) != len(b) {
-			t.Fatalf("collect mismatch: %d vs %d", len(a), len(b))
-		}
-		// compare attribute views (entity IDs may differ across options)
-		for i := range a {
-			av := s.Dict().Attr(sysmon.EntityProcess, a[i].Subject, "exe_name")
-			bv := s2.Dict().Attr(sysmon.EntityProcess, b[i].Subject, "exe_name")
-			if av != bv {
-				t.Fatalf("event %d subject %q vs %q", i, av, bv)
-			}
-		}
-	}
-}
-
-func TestDecodeRejectsNonEmptyStore(t *testing.T) {
-	s := New(DefaultOptions())
-	s.Append(mkRecord(1, "bash", sysmon.OpRead, "a.txt", 0))
-	s.Flush()
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	opts := DefaultOptions()
+	opts.Dir = dir
+	s2, err := Open(opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Decode(&buf); err == nil {
-		t.Fatal("Decode into non-empty store should fail")
+	defer s2.Close()
+	if s2.Len() != s.Len() {
+		t.Errorf("loaded %d events, want %d", s2.Len(), s.Len())
+	}
+	a := s.Collect(&EventFilter{})
+	b := s2.Collect(&EventFilter{})
+	if len(a) != len(b) {
+		t.Fatalf("collect mismatch: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		av := s.Dict().Attr(sysmon.EntityProcess, a[i].Subject, "exe_name")
+		bv := s2.Dict().Attr(sysmon.EntityProcess, b[i].Subject, "exe_name")
+		if av != bv || a[i] != b[i] {
+			t.Fatalf("event %d: %+v (%q) vs %+v (%q)", i, a[i], av, b[i], bv)
+		}
 	}
 }
 

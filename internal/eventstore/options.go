@@ -63,12 +63,6 @@ type Options struct {
 	// merged until the merged segment would exceed it. Default
 	// 4×SegmentEvents.
 	CompactTargetEvents int
-	// SegmentCompression selects the block codec for newly written v2
-	// segment files: "lz4" (the default; fast byte-oriented LZ with
-	// delta-coded ID columns) or "none" (every column raw, maximizing
-	// the zero-copy mmap surface). Scan-critical columns (scan key,
-	// start timestamp) are always stored raw regardless.
-	SegmentCompression string
 	// BlockCacheBytes bounds the cache of decompressed segment column
 	// blocks shared by all segments of the store. 0 selects
 	// DefaultBlockCacheBytes; negative disables the cache.
@@ -111,9 +105,6 @@ func (o Options) normalized() Options {
 	}
 	if o.CompactTargetEvents <= 0 {
 		o.CompactTargetEvents = 4 * o.SegmentEvents
-	}
-	if o.SegmentCompression == "" {
-		o.SegmentCompression = "lz4"
 	}
 	if o.BlockCacheBytes == 0 {
 		o.BlockCacheBytes = DefaultBlockCacheBytes

@@ -20,14 +20,15 @@ import (
 // (filter, segment id) and reused verbatim across appends.
 //
 // A segment has two backings. Freshly sealed segments own their event
-// array on the heap. Segments restored from v2 files keep only a
+// array on the heap. Segments restored from their files keep only a
 // durable.SegmentReader over the mmap'd file: count and bounds come
-// from the footer, the scan-key and timestamp columns are zero-copy
+// from the manifest, the scan-key and timestamp columns are zero-copy
 // views of the mapping, per-attribute columns decode lazily through the
 // store's block cache, and the AoS event array materializes only if a
-// caller actually needs whole events (gob export, compaction merges,
-// posting-path scans). Resident memory for a cold dataset is therefore
-// metadata, not data.
+// caller actually needs whole events (compaction merges, posting-path
+// scans). Resident memory for a cold dataset is therefore metadata, not
+// data. A file that turns out unreadable fails every scan that reaches
+// it with the read error; its data never silently reads as absent.
 //
 // Posting indexes (entity → event positions, operation histogram) are
 // built once, outside the store's write lock, after the segment becomes
@@ -87,6 +88,8 @@ type Segment struct {
 	openOnce sync.Once
 	bc       *BlockCache
 	onErr    func(error)
+	// readErr latches the first failure to open or decode the file.
+	readErr atomic.Pointer[error]
 
 	evOnce sync.Once
 	evDone atomic.Bool
@@ -101,74 +104,58 @@ func (g *Segment) fileBacked() bool { return g.lazyPath != "" || g.rd.Load() != 
 
 // fileReader returns the segment's reader, opening the file on first
 // use for lazily restored segments. It returns nil for heap-backed
-// segments, for lazily opened files that turned out to be v1 (their
-// events are installed eagerly instead), and after a failed open (the
-// error is recorded and the data reads as absent).
+// segments and after a failed open (the error is latched, see err).
 func (g *Segment) fileReader() *durable.SegmentReader {
 	if g.lazyPath == "" {
 		return g.rd.Load()
 	}
 	g.openOnce.Do(func() {
-		op, err := durable.OpenSegment(g.lazyPath)
+		rd, err := durable.OpenSegmentReader(g.lazyPath)
 		if err != nil {
 			g.fail(err)
 			return
 		}
-		if rd := op.V2; rd != nil {
-			if rd.ID != g.id || rd.Count != g.count {
-				g.fail(fmt.Errorf("segment file %s does not match manifest (id %d vs %d, %d events vs %d)",
-					g.lazyPath, rd.ID, g.id, rd.Count, g.count))
-				return
-			}
-			if g.indexed && rd.Indexed {
-				for op, c := range rd.OpCount {
-					if op < sysmon.NumOperations {
-						g.opCount[op] = c
-					}
-				}
-				g.opsReady.Store(true)
-			}
-			g.rd.Store(rd)
+		if rd.ID != g.id || rd.Count != g.count {
+			g.fail(fmt.Errorf("segment file %s does not match manifest (id %d vs %d, %d events vs %d): %w",
+				g.lazyPath, rd.ID, g.id, rd.Count, g.count, durable.ErrCorrupt))
 			return
 		}
-		// The format hint was stale: a v1 file decodes eagerly, exactly
-		// as if it had been restored at open.
-		sd := op.V1
-		if sd.ID != g.id || len(sd.Events) != g.count {
-			g.fail(fmt.Errorf("segment file %s does not match manifest (id %d vs %d, %d events vs %d)",
-				g.lazyPath, sd.ID, g.id, len(sd.Events), g.count))
-			return
-		}
-		g.events = sd.Events
-		if g.indexed && sd.Indexed {
-			g.postingSub = sd.PostingSub
-			g.postingObj = sd.PostingObj
-			for op, c := range sd.OpCount {
+		if g.indexed && rd.Indexed {
+			for op, c := range rd.OpCount {
 				if op < sysmon.NumOperations {
 					g.opCount[op] = c
 				}
 			}
 			g.opsReady.Store(true)
-			g.ready.Store(true)
 		}
-		g.evDone.Store(true)
+		g.rd.Store(rd)
 	})
 	return g.rd.Load()
 }
 
-// fail records a lazy-decode failure (corrupt block reached by a scan)
-// with the owning store; the scan treats the unreadable data as absent.
+// fail latches a failure to open or decode the segment's file (the
+// first one wins) and reports it to the owning store. Every scan that
+// reaches the segment afterwards returns it.
 func (g *Segment) fail(err error) {
+	g.readErr.CompareAndSwap(nil, &err)
 	if g.onErr != nil {
 		g.onErr(err)
 	}
+}
+
+// err returns the segment's latched read failure, nil if none.
+func (g *Segment) err() error {
+	if p := g.readErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // keyColumn returns the segment's packed scan-key column, building it
 // on first use. Sealed segments are immutable, so the column is built
 // once and shared by every concurrent scan. Reader-backed segments cast
 // the mapped key column in place; nil is returned (and the error
-// recorded) if the column is unreadable.
+// latched) if the column is unreadable.
 func (g *Segment) keyColumn() []uint64 {
 	g.keysOnce.Do(func() {
 		if rd := g.fileReader(); rd != nil {
@@ -236,8 +223,8 @@ func (g *Segment) loadedEvents() []sysmon.Event {
 }
 
 // materialize returns the full AoS event array, decoding the segment
-// file on first call. On decode failure the error is recorded and an
-// empty array is returned: unreadable data reads as absent.
+// file on first call. On decode failure the error is latched (callers
+// check err) and an empty array is returned.
 func (g *Segment) materialize() []sysmon.Event {
 	if !g.fileBacked() || g.evDone.Load() {
 		return g.events
@@ -245,9 +232,7 @@ func (g *Segment) materialize() []sysmon.Event {
 	g.evOnce.Do(func() {
 		rd := g.fileReader()
 		if rd == nil {
-			// Open failed (data reads as absent), or a lazily opened v1
-			// file already installed its events.
-			return
+			return // open failed; the error is latched
 		}
 		evs, err := rd.MaterializeEvents()
 		if err != nil {
@@ -279,63 +264,10 @@ func newSegment(id uint64, key PartKey, events []sysmon.Event, indexed bool) *Se
 	return g
 }
 
-// restoreSegment rebuilds a sealed segment from its eager (v1) persisted
-// form. The posting indexes come straight from the file when present
-// (and wanted), so a load performs no index rebuild: the segment is
-// ready to serve indexed scans — and segment-granular cache reuse —
-// immediately.
-func restoreSegment(d *durable.SegmentData, indexed bool) *Segment {
-	g := newSegment(d.ID, PartKey{AgentID: d.AgentID, Bucket: d.Bucket}, d.Events, indexed)
-	if indexed && d.Indexed {
-		g.postingSub = d.PostingSub
-		g.postingObj = d.PostingObj
-		for op, c := range d.OpCount {
-			if op < sysmon.NumOperations {
-				g.opCount[op] = c
-			}
-		}
-		g.opsReady.Store(true)
-		g.ready.Store(true)
-	}
-	return g
-}
-
-// restoreSegmentFromReader wraps an opened v2 segment file without
-// decoding any event data: count, time range, and ID bounds come from
-// the footer, the op histogram from the block directory. Columns and
-// posting lists load lazily; bc (may be nil) caches decoded blocks and
-// onErr receives lazy decode failures.
-func restoreSegmentFromReader(rd *durable.SegmentReader, indexed bool, bc *BlockCache, onErr func(error)) *Segment {
-	g := &Segment{
-		id:         rd.ID,
-		key:        PartKey{AgentID: rd.AgentID, Bucket: rd.Bucket},
-		count:      rd.Count,
-		minTS:      rd.MinTS,
-		maxTS:      rd.MaxTS,
-		minEventID: rd.MinEventID,
-		maxEventID: rd.MaxEventID,
-		indexed:    indexed,
-		bc:         bc,
-		onErr:      onErr,
-	}
-	g.rd.Store(rd)
-	if indexed && rd.Indexed {
-		for op, c := range rd.OpCount {
-			if op < sysmon.NumOperations {
-				g.opCount[op] = c
-			}
-		}
-		g.opsReady.Store(true)
-	}
-	return g
-}
-
 // restoreSegmentLazy rebuilds a sealed segment from its manifest ref
 // alone, without opening the segment file: count, time range, and ID
 // bounds all come from the ref, so a reopening store pays zero per-file
-// syscalls until a scan first touches the segment. The manifest's
-// Format hint says the file is v2; if the hint turns out stale, the
-// first access falls back to an eager v1 decode.
+// syscalls until a scan first touches the segment.
 func restoreSegmentLazy(ref *durable.SegmentRef, path string, indexed bool, bc *BlockCache, onErr func(error)) *Segment {
 	return &Segment{
 		id:         ref.ID,
@@ -418,9 +350,6 @@ func (g *Segment) buildIndexes() {
 			g.ensureIndexes()
 			return
 		}
-		if g.ready.Load() {
-			return // lazily opened v1 file installed prebuilt indexes
-		}
 	}
 	g.buildOnce.Do(func() {
 		events := g.materialize()
@@ -451,9 +380,6 @@ func (g *Segment) ensureIndexes() bool {
 		return false // heap segments index in the background post-seal
 	}
 	rd := g.fileReader()
-	if g.ready.Load() {
-		return true // lazily opened v1 file installed prebuilt indexes
-	}
 	if rd == nil || !rd.Indexed {
 		return false
 	}
@@ -510,7 +436,7 @@ func (g *Segment) scan(f *EventFilter, ops *[sysmon.NumOperations]bool, agents m
 			events := g.materialize()
 			for _, pos := range list {
 				if int(pos) >= len(events) {
-					continue // materialize failed; data reads as absent
+					return true // materialize failed; the error is latched
 				}
 				ev := &events[pos]
 				if f.matches(ev, ops, agents) {

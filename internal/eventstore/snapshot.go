@@ -188,7 +188,9 @@ func (sn *Snapshot) Units(f *EventFilter) []ScanUnit {
 //
 // The scan honors ctx: it checks for cancellation before starting, at
 // every unit boundary, and every scanCheckInterval visited events, and
-// returns ctx.Err() when the scan was aborted by cancellation.
+// returns ctx.Err() when the scan was aborted by cancellation. A
+// segment whose file cannot be opened or decoded ends the scan with
+// that error.
 func (sn *Snapshot) Scan(ctx context.Context, f *EventFilter, fn func(*sysmon.Event) bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -209,6 +211,9 @@ func (sn *Snapshot) Scan(ctx context.Context, f *EventFilter, fn func(*sysmon.Ev
 		var ok bool
 		if u.seg != nil {
 			ok = u.seg.scan(f, ops, agents, scanFn)
+			if err := u.seg.err(); err != nil {
+				return err
+			}
 		} else {
 			ok = u.mem.scan(f, ops, agents, scanFn)
 		}

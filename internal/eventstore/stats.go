@@ -49,11 +49,11 @@ func (s *Store) SegmentStats() SegmentStats {
 	return st
 }
 
-// StorageStats describes where sealed-segment bytes live: mapped (v2
-// segment files served through mmap — resident only as the page cache
-// decides), heap (eagerly decoded v1 segments, lazily materialized
-// events, and cached decompressed blocks), and the block cache's
-// hit/miss/eviction counters.
+// StorageStats describes where sealed-segment bytes live: mapped
+// (segment files served through mmap — resident only as the page cache
+// decides), heap (segments sealed in this process and not yet reopened,
+// lazily materialized events, and cached decompressed blocks), and the
+// block cache's hit/miss/eviction counters.
 type StorageStats struct {
 	MappedBytes int64           `json:"mapped_bytes"`
 	HeapBytes   int64           `json:"heap_bytes"`

@@ -154,7 +154,9 @@ type Record struct {
 
 // Append ingests one raw record. With batch commit enabled the record is
 // buffered and committed when the batch fills; call Flush to force.
-// Returns ErrClosed after Close.
+// Returns ErrClosed after Close, and the write-ahead log's error when a
+// commit it made could not be logged: that record is then visible but
+// not durable.
 func (s *Store) Append(r Record) error {
 	s.mu.Lock()
 	if s.closed.Load() {
@@ -162,13 +164,16 @@ func (s *Store) Append(r Record) error {
 		return ErrClosed
 	}
 	s.appendLocked(r)
-	var sealed []*Segment
+	var (
+		sealed []*Segment
+		err    error
+	)
 	if !s.opts.BatchCommit || len(s.batch) >= s.opts.BatchSize {
-		sealed = s.commitLocked(true)
+		sealed, err = s.commitLocked(true)
 	}
 	s.mu.Unlock()
 	s.afterCommit(sealed)
-	return nil
+	return err
 }
 
 // AppendAll ingests one acknowledged batch under a single lock
@@ -176,38 +181,50 @@ func (s *Store) Append(r Record) error {
 // policy, the tail commits before the call returns, and the whole batch
 // is group-committed — with SyncWAL, every commit the call makes is
 // covered by ONE WAL fsync instead of one per commit, so bulk-ingest
-// durability costs a single syscall per batch. When the call returns
+// durability costs a single syscall per batch. When the call returns nil
 // the records are visible to queries and (with SyncWAL) durable.
-// Returns ErrClosed after Close.
+// Returns ErrClosed after Close, and the write-ahead log's error when
+// the batch could not be logged: the records are then visible but not
+// acknowledged as durable, and a crash may lose any of them.
 func (s *Store) AppendAll(rs []Record) error {
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	var sealed []*Segment
-	committed := false
+	var (
+		sealed    []*Segment
+		committed bool
+		firstErr  error
+	)
+	commit := func() {
+		segs, err := s.commitLocked(false)
+		sealed = append(sealed, segs...)
+		committed = true
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
 	for i := range rs {
 		s.appendLocked(rs[i])
 		if !s.opts.BatchCommit || len(s.batch) >= s.opts.BatchSize {
-			sealed = append(sealed, s.commitLocked(false)...)
-			committed = true
+			commit()
 		}
 	}
 	if len(s.batch) > 0 {
-		sealed = append(sealed, s.commitLocked(false)...)
-		committed = true
+		commit()
 	}
-	if committed && s.dur != nil && s.dur.syncWAL {
+	if committed && firstErr == nil && s.dur != nil && s.dur.syncWAL {
 		// Group commit: the per-commit WAL appends above skipped their
 		// fsyncs; this one sync makes the entire batch durable.
 		if err := s.dur.wal.Sync(); err != nil {
 			s.dur.setErr(err)
+			firstErr = err
 		}
 	}
 	s.mu.Unlock()
 	s.afterCommit(sealed)
-	return nil
+	return firstErr
 }
 
 func (s *Store) appendLocked(r Record) {
@@ -251,34 +268,38 @@ func (s *Store) appendLocked(r Record) {
 // (and result-cache entries) computed before a seal stay valid — and
 // segment index builds run after the store lock is released, so a seal
 // never stalls concurrent appends or queries. Returns ErrClosed after
-// Close.
+// Close, and the write-ahead log's error when the buffered events could
+// not be logged.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	sealed := s.commitLocked(true)
+	sealed, err := s.commitLocked(true)
 	sealed = append(sealed, s.sealAllLocked()...)
 	s.mu.Unlock()
 	s.afterCommit(sealed)
-	return nil
+	return err
 }
 
 // commitLocked makes the buffered batch visible: events are grouped by
 // partition key and appended to each chunk's memtable; memtables that
 // reach the seal threshold are sealed. Returns the segments sealed, for
-// index building outside the lock. sync=false defers the WAL fsync to a
-// caller-issued group commit (AppendAll syncs once after its last
-// commit); callers without a later sync point must pass true.
-func (s *Store) commitLocked(sync bool) []*Segment {
+// index building outside the lock, and the WAL append's error: the
+// commit still becomes visible, but it is not durable. sync=false
+// defers the WAL fsync to a caller-issued group commit (AppendAll syncs
+// once after its last commit); callers without a later sync point must
+// pass true.
+func (s *Store) commitLocked(sync bool) ([]*Segment, error) {
 	if len(s.batch) == 0 {
-		return nil
+		return nil, nil
 	}
+	var err error
 	if s.dur != nil {
 		// WAL first: the commit is durable (and, with SyncWAL, fsynced
 		// — acknowledged) before it becomes visible.
-		s.dur.logCommitLocked(s, sync)
+		err = s.dur.logCommitLocked(s, sync)
 	}
 	s.commits++
 	s.snap = nil
@@ -331,7 +352,7 @@ func (s *Store) commitLocked(sync bool) []*Segment {
 		}
 	}
 	s.batch = s.batch[:0]
-	return sealed
+	return sealed, err
 }
 
 // sealAllLocked seals every non-empty memtable.
