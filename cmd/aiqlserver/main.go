@@ -1,5 +1,6 @@
-// Command aiqlserver serves the AIQL web UI (paper §3, Figure 3) and the
-// versioned JSON query API over a catalog of datasets. Every dataset
+// Command aiqlserver serves the versioned JSON query API over a catalog
+// of datasets, and at / the AIQL web UI (paper §3, Figure 3), a static
+// page whose script is a client of that same API. Every dataset
 // owns its own store (LSM-style memtable + sealed segments), engine,
 // segment scan cache, and service layer (bounded worker pool with
 // admission control and per-client fairness, per-query deadlines,
@@ -202,7 +203,7 @@ func main() {
 	mux := http.NewServeMux()
 	mux.Handle("/api/v1/", cat.Handler())
 	mux.Handle("/metrics", metrics.Handler())
-	mux.Handle("/", webui.NewWithProvider(cat))
+	mux.Handle("/", webui.Handler())
 
 	if *opsAddr != "" {
 		// The ops surface gets its own listener so profiling and

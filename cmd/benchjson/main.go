@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	go test ./internal/engine/ -run XXX -bench . | go run ./cmd/benchjson -o BENCH_hunt.json
+//	go test ./internal/engine/ -run XXX -bench . | go run ./cmd/benchjson -o bench.json
 //	... | go run ./cmd/benchjson -o BENCH_obs.json \
 //	        -max-ratio 'BenchmarkObsFig4TraceOn/BenchmarkObsFig4TraceOff<=1.05'
 //

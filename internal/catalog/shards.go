@@ -18,9 +18,6 @@ type ShardOptions struct {
 	// Retries is the per-member transport retry budget (connect/5xx,
 	// before any row). Default: 2. Negative disables retries.
 	Retries int
-	// Backoff is the first retry's delay, doubling per attempt.
-	// Default: 100ms.
-	Backoff time.Duration
 	// ProbeInterval is how often remote members are health-probed for
 	// liveness and epoch changes — the bound on how stale a
 	// coordinator's result cache can be against remote writes. 0
@@ -73,7 +70,6 @@ func (c *Catalog) AddSharded(spec shard.DatasetSpec, opts ShardOptions) (*Datase
 				Dataset:  m.Dataset,
 				Timeout:  opts.ShardTimeout,
 				Retries:  opts.Retries,
-				Backoff:  opts.Backoff,
 				ClientID: "aiql-shard-coordinator",
 			})
 			if err != nil {

@@ -128,27 +128,27 @@ func createTemp(site IOSite, dir, pattern string) (*os.File, error) {
 func open(site IOSite, op func() (*os.File, error)) (*os.File, error) {
 	ft := fault(site)
 	if ft == FailOp {
-		return nil, errInjected
+		return nil, storageFault(errInjected)
 	}
 	f, err := op()
 	if err == nil && ft == TearOp {
 		f.Close()
-		return nil, errInjected
+		return nil, storageFault(errInjected)
 	}
-	return f, err
+	return f, storageFault(err)
 }
 
 // writeAll writes data to f.
 func writeAll(site IOSite, f *os.File, data []byte) error {
 	switch fault(site) {
 	case FailOp:
-		return errInjected
+		return storageFault(errInjected)
 	case TearOp:
 		f.Write(data[:len(data)/2])
-		return errInjected
+		return storageFault(errInjected)
 	}
 	_, err := f.Write(data)
-	return err
+	return storageFault(err)
 }
 
 // syncFile fsyncs f.
@@ -190,12 +190,21 @@ func syncDir(dir string) error {
 func after(site IOSite, op func() error) error {
 	switch fault(site) {
 	case FailOp:
-		return errInjected
+		return storageFault(errInjected)
 	case TearOp:
 		op()
-		return errInjected
+		return storageFault(errInjected)
 	}
-	return op()
+	return storageFault(op())
+}
+
+// storageFault wraps a failed durable write with ErrStorage; nil stays
+// nil. Every error the functions of this file return passes through it.
+func storageFault(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrStorage, err)
 }
 
 // RemoveSegmentFile deletes a segment file of dir that no manifest

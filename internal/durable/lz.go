@@ -31,6 +31,13 @@ const (
 // errors.Is(err, ErrCorrupt) distinguishes bad bytes from I/O errors.
 var ErrCorrupt = errors.New("durable: corrupt data")
 
+// ErrStorage is the sentinel wrapped by every failure of the storage
+// medium itself: each failed durable write (fs.go) and, in the
+// eventstore, each segment file that cannot be opened or read. None of
+// them is the caller's fault, so a server reports them (and ErrCorrupt)
+// as its own failure, not as a bad request.
+var ErrStorage = errors.New("durable: storage fault")
+
 // corruptf builds a typed corruption error.
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)

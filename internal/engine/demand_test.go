@@ -236,7 +236,8 @@ return distinct p3, f1, p4`
 // served.
 func TestScanCacheServesSubsetDemandOnly(t *testing.T) {
 	s := buildSegmentedStore(t, 16, 160, 0)
-	e := NewWithConfig(s, Config{ScanCacheBytes: 8 << 20})
+	e := New(s)
+	e.SetScanCache(8 << 20)
 	exec := func(q string) *Result {
 		t.Helper()
 		res, err := e.Execute(context.Background(), q)

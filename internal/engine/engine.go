@@ -28,13 +28,6 @@ type Config struct {
 	// DisableReordering executes event patterns in syntactic order
 	// instead of pruning-power order.
 	DisableReordering bool
-	// ScanCacheBytes, when positive, enables the segment scan cache with
-	// the given byte budget: per-pattern filtered scan results over
-	// sealed segments are cached by (filter fingerprint, segment id) and
-	// reused across executions, so an append only re-scans the unsealed
-	// tail and fresh segments. Zero disables the cache — the default, so
-	// ablation benchmarks and tests measure raw scans unless they opt in.
-	ScanCacheBytes int64
 	// ScanWorkers caps one query's scan parallelism: the merging
 	// goroutine itself plus up to ScanWorkers-1 helpers from a
 	// dedicated pool (so 1 means fully inline scanning). Zero — the
@@ -68,9 +61,6 @@ func New(store *eventstore.Store) *Engine {
 // NewWithConfig creates an engine with explicit optimization toggles.
 func NewWithConfig(store *eventstore.Store, cfg Config) *Engine {
 	e := &Engine{store: store, cfg: cfg}
-	if cfg.ScanCacheBytes > 0 {
-		e.scache.Store(newScanCache(cfg.ScanCacheBytes))
-	}
 	if cfg.ScanWorkers > 0 {
 		// Scan helpers are CPU-bound, so a pool wider than the machine
 		// only adds scheduling overhead: clamp to the cores available.
@@ -91,8 +81,12 @@ func NewWithConfig(store *eventstore.Store, cfg Config) *Engine {
 func (e *Engine) Store() *eventstore.Store { return e.store }
 
 // SetScanCache installs (or, with a non-positive budget, removes) the
-// segment scan cache. Safe for concurrent use; in-flight executions keep
-// the cache instance they started with.
+// segment scan cache: per-pattern filtered scan results over sealed
+// segments are cached by (filter fingerprint, segment id) and reused
+// across executions, so an append only re-scans the unsealed tail and
+// fresh segments. A new engine has none, so ablation runs and tests
+// measure raw scans unless they opt in. Safe for concurrent use;
+// in-flight executions keep the cache instance they started with.
 func (e *Engine) SetScanCache(maxBytes int64) {
 	e.scache.Store(newScanCache(maxBytes))
 }

@@ -9,13 +9,43 @@ package engine
 
 import (
 	"context"
+	"sync"
 	"testing"
 
+	"github.com/aiql/aiql/internal/datagen"
+	"github.com/aiql/aiql/internal/eventstore"
 	"github.com/aiql/aiql/internal/obs"
 )
 
+var (
+	scanBenchOnce  sync.Once
+	scanBenchStore *eventstore.Store
+	scanBenchSink  int
+)
+
+// scanBenchSetup builds (once) the sealed Fig4 50k store the benchmarks
+// share; sealing matters because only sealed segments take the
+// batch/bitmap path.
+func scanBenchSetup(b *testing.B) *eventstore.Store {
+	scanBenchOnce.Do(func() {
+		s := eventstore.New(eventstore.DefaultOptions())
+		datagen.GenerateInto(s, datagen.Config{
+			Seed:      42,
+			Hosts:     10,
+			Events:    50000,
+			Scenarios: []datagen.Scenario{datagen.ScenarioDemoAPT},
+		})
+		if err := s.Flush(); err != nil {
+			panic(err)
+		}
+		scanBenchStore = s
+	})
+	b.ReportAllocs()
+	return scanBenchStore
+}
+
 // obsBenchQuery is the paper's Query 1 shape against the demo-apt
-// scenario (same text the service benchmarks use).
+// scenario.
 const obsBenchQuery = `(at "05/10/2018")
 agentid = 2
 proc p1 start proc p2 as evt1

@@ -13,7 +13,8 @@ import (
 func TestScanCacheRetiredByCompaction(t *testing.T) {
 	s := buildSegmentedStore(t, 16, 160, 0)
 	before := s.NumSegments()
-	e := NewWithConfig(s, Config{ScanCacheBytes: 8 << 20})
+	e := New(s)
+	e.SetScanCache(8 << 20)
 
 	cold, err := e.Execute(context.Background(), segQuery)
 	if err != nil {

@@ -52,7 +52,8 @@ func TestScanCacheCorrectAndCounted(t *testing.T) {
 	if segs < 5 {
 		t.Fatalf("store sealed only %d segments, want several", segs)
 	}
-	e := NewWithConfig(s, Config{ScanCacheBytes: 8 << 20})
+	e := New(s)
+	e.SetScanCache(8 << 20)
 
 	cold, err := e.Execute(context.Background(), segQuery)
 	if err != nil {
@@ -91,7 +92,8 @@ func TestScanCacheCorrectAndCounted(t *testing.T) {
 // and the result reflects the new events.
 func TestScanCachePartialReuseAfterAppend(t *testing.T) {
 	s := buildSegmentedStore(t, 16, 160, 0)
-	e := NewWithConfig(s, Config{ScanCacheBytes: 8 << 20})
+	e := New(s)
+	e.SetScanCache(8 << 20)
 
 	cold, err := e.Execute(context.Background(), segQuery)
 	if err != nil {

@@ -134,9 +134,11 @@ func (g *Segment) fileReader() *durable.SegmentReader {
 }
 
 // fail latches a failure to open or decode the segment's file (the
-// first one wins) and reports it to the owning store. Every scan that
-// reaches the segment afterwards returns it.
+// first one wins), marked as a durable.ErrStorage fault, and reports it
+// to the owning store. Every scan that reaches the segment afterwards
+// returns it.
 func (g *Segment) fail(err error) {
+	err = fmt.Errorf("%w: %w", durable.ErrStorage, err)
 	g.readErr.CompareAndSwap(nil, &err)
 	if g.onErr != nil {
 		g.onErr(err)

@@ -11,6 +11,7 @@ import (
 	"github.com/aiql/aiql/internal/aiql/parser"
 	"github.com/aiql/aiql/internal/aiql/semantic"
 	"github.com/aiql/aiql/internal/aiql/token"
+	"github.com/aiql/aiql/internal/durable"
 	"github.com/aiql/aiql/internal/engine"
 )
 
@@ -75,6 +76,11 @@ const (
 	// CodeWatchLimit: the dataset's standing-query capacity is reached;
 	// delete a watch or retry later.
 	CodeWatchLimit = "watch_limit"
+	// CodeStorageError: the server's storage failed under the request
+	// (a failed write or fsync, an unreadable or corrupt segment file).
+	// The request itself may be fine: an ingest batch should be kept
+	// and resent once the operator has repaired the store.
+	CodeStorageError = "storage_error"
 	// CodeShardUnavailable: a shard member was unreachable. As an error
 	// code the whole query failed (require_all, or every member down);
 	// as a warning code inside a 200 response it marks the result
@@ -178,6 +184,8 @@ func ErrorBody(err error) ErrorResponse {
 		out.Code = CodeWatchLimit
 	case errors.Is(err, ErrShardUnavailable):
 		out.Code = CodeShardUnavailable
+	case isStorageFault(err):
+		out.Code = CodeStorageError
 	case errors.Is(err, context.DeadlineExceeded):
 		out.Code = CodeTimeout
 	case errors.Is(err, context.Canceled):
@@ -219,9 +227,18 @@ func statusFor(err error) int {
 		// the member may come back momentarily; 503 + Retry-After tells
 		// the client to re-issue rather than treat the data as gone
 		return http.StatusServiceUnavailable
+	case isStorageFault(err):
+		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
 	}
+}
+
+// isStorageFault reports whether err is the server's storage failing
+// (a write, an fsync, an unreadable or corrupt file) rather than
+// anything about the request.
+func isStorageFault(err error) bool {
+	return errors.Is(err, durable.ErrStorage) || errors.Is(err, durable.ErrCorrupt)
 }
 
 // retryHintError decorates a shed request with the backoff the client

@@ -233,7 +233,7 @@ func (s *Service) Handler() http.Handler {
 // datasets and unknown/expired statements, 410 for expired cursors,
 // 429 for per-client throttling (with Retry-After), 504 for
 // deadline-exceeded, 503 for admission rejections (with Retry-After),
-// 405 for wrong methods.
+// 405 for wrong methods, 500 for storage faults (storage_error).
 func NewHandler(r Resolver) http.Handler {
 	h := &apiHandler{resolve: r}
 	mux := http.NewServeMux()

@@ -19,7 +19,8 @@ func newSegmentedTestDB(t testing.TB, events int) *aiql.DB {
 	storage := aiql.DefaultStorage()
 	storage.SegmentEvents = 16
 	storage.BatchSize = 1
-	db := aiql.OpenWithOptions(storage, aiql.EngineConfig{ScanCacheBytes: 8 << 20})
+	db := aiql.OpenWithOptions(storage, aiql.EngineConfig{})
+	db.EnableSegmentScanCache(8 << 20)
 	recs := make([]aiql.Record, 0, events)
 	for i := 0; i < events; i++ {
 		recs = append(recs, demoRecord(i))

@@ -59,6 +59,14 @@ var ErrOverloaded = errors.New("service: overloaded, try again later")
 // client should back off and retry.
 var ErrClientThrottled = errors.New("service: client exceeded its concurrent query share, try again later")
 
+// maxTimeout clamps client-requested timeouts.
+const maxTimeout = 2 * time.Minute
+
+// maxRows caps rows returned per buffered response; the full row count
+// is still reported and pagination reaches the rest. Streams are
+// bounded only by their own limit.
+const maxRows = 5000
+
 // Config sizes the service. Zero values select the documented defaults.
 type Config struct {
 	// Workers caps concurrent query executions. Default: GOMAXPROCS.
@@ -72,8 +80,6 @@ type Config struct {
 	// DefaultTimeout bounds execution when the request names none.
 	// Default: 30s.
 	DefaultTimeout time.Duration
-	// MaxTimeout clamps client-requested timeouts. Default: 2m.
-	MaxTimeout time.Duration
 	// CacheEntries is the LRU result-cache entry capacity. Negative
 	// disables caching. Default: 256.
 	CacheEntries int
@@ -87,10 +93,6 @@ type Config struct {
 	// worker pool. Requests with an empty client key are exempt.
 	// Negative disables the cap. Default: half the workers (at least 1).
 	ClientInflight int
-	// MaxRows caps rows returned per buffered response (the full row
-	// count is still reported; pagination reaches the rest). Streams
-	// are bounded only by their own limit. Default: 5000.
-	MaxRows int
 	// PreparedEntries caps the prepared-statement registry (LRU).
 	// Negative disables prepared statements. Default: 256.
 	PreparedEntries int
@@ -137,9 +139,6 @@ func (c Config) withDefaults() Config {
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 2 * time.Minute
-	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 256
 	}
@@ -151,9 +150,6 @@ func (c Config) withDefaults() Config {
 		if c.ClientInflight < 1 {
 			c.ClientInflight = 1
 		}
-	}
-	if c.MaxRows <= 0 {
-		c.MaxRows = 5000
 	}
 	if c.PreparedEntries == 0 {
 		c.PreparedEntries = 256
@@ -907,8 +903,8 @@ func (s *Service) timeout(req Request) time.Duration {
 	timeout := req.Timeout
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
-	} else if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
+	} else if timeout > maxTimeout {
+		timeout = maxTimeout
 	}
 	return timeout
 }
@@ -1009,8 +1005,8 @@ func (s *Service) abort(ctxErr error, what string) error {
 // cache entry, slicing the requested page without mutating the entry.
 func (s *Service) shape(entry *cacheEntry, req Request, start time.Time, cached bool, offset int) *Response {
 	limit := req.Limit
-	if limit <= 0 || limit > s.cfg.MaxRows {
-		limit = s.cfg.MaxRows
+	if limit <= 0 || limit > maxRows {
+		limit = maxRows
 	}
 	rows := entry.result.Rows
 	total := len(rows)
@@ -1102,7 +1098,7 @@ func (s *Service) observe(req Request, target *execTarget, start time.Time, resp
 // positive limit is pushed down into the execution, so a small-limit
 // stream terminates the scan early instead of draining the store; a
 // zero limit streams the entire result with parallel partition scans —
-// memory stays bounded either way, so MaxRows does not apply to
+// memory stays bounded either way, so maxRows does not apply to
 // streams. Cancelling ctx (a client disconnect) aborts the scan
 // mid-flight, as does an error from either callback. Rows arrive in
 // production order (canonical order with Request.Sorted, or from a

@@ -1,430 +1,27 @@
-// Package webui implements the AIQL web interface (paper §3, Figure 3):
-// an input box for entering queries, an execution status area showing
-// query time, and an interactive results table with sorting and
-// searching, plus a syntax-check endpoint used for query debugging.
-// It is a single-page application served by the standard library's HTTP
-// server — the reproduction of the Apache Tomcat UI.
+// Package webui serves the AIQL web interface (paper §3, Figure 3): an
+// input box for entering queries, an execution status area showing
+// query time, an interactive results table with sorting and searching,
+// and a syntax check for query debugging. It is one static page whose
+// script is a client of the versioned JSON API (/api/v1), so the UI
+// shares that API's error model, admission control, per-client
+// fairness, caches and partial-result warnings rather than forking them.
 package webui
 
 import (
-	"encoding/json"
-	"fmt"
-	"html/template"
-	"log/slog"
-	"net"
+	_ "embed"
 	"net/http"
-
-	aiql "github.com/aiql/aiql"
-	"github.com/aiql/aiql/internal/service"
 )
 
-// Provider resolves dataset names to their service layers and lists the
-// datasets the UI can offer. A multi-dataset catalog implements it; a
-// single service is adapted by NewWithService.
-type Provider interface {
-	// Resolve maps a dataset name ("" = default) to its service.
-	Resolve(dataset string) (*service.Service, error)
-	// Names lists the selectable datasets, sorted.
-	Names() []string
-	// DefaultName is the dataset the empty selection queries.
-	DefaultName() string
-}
+//go:embed index.html
+var page []byte
 
-// singleProvider adapts one fixed service to the Provider interface.
-type singleProvider struct{ svc *service.Service }
-
-func (p singleProvider) Resolve(dataset string) (*service.Service, error) {
-	if dataset != "" {
-		return nil, fmt.Errorf("%w: %q (single-dataset server)", service.ErrUnknownDataset, dataset)
-	}
-	return p.svc, nil
-}
-func (p singleProvider) Names() []string     { return nil }
-func (p singleProvider) DefaultName() string { return "" }
-
-// Server serves the web UI over one or more AIQL datasets. Query
-// execution is routed through each dataset's concurrent service layer,
-// so the UI shares the admission control, deadlines, result caches, and
-// statistics of the versioned JSON API.
-type Server struct {
-	prov Provider
-	mux  *http.ServeMux
-}
-
-// New creates the UI server with a default-configured service layer.
-func New(db *aiql.DB) *Server {
-	return NewWithService(service.New(db, service.Config{}))
-}
-
-// NewWithService creates the UI server over an existing single service
-// layer, sharing its worker pool and result cache with other API
-// consumers.
-func NewWithService(svc *service.Service) *Server {
-	return NewWithProvider(singleProvider{svc})
-}
-
-// NewWithProvider creates the UI server over a dataset provider (a
-// catalog), adding a dataset selector to the page.
-func NewWithProvider(p Provider) *Server {
-	s := &Server{prov: p, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/", s.handleIndex)
-	s.mux.HandleFunc("/api/query", s.handleQuery)
-	s.mux.HandleFunc("/api/check", s.handleCheck)
-	s.mux.HandleFunc("/api/stats", s.handleStats)
-	s.mux.HandleFunc("/api/datasets", s.handleDatasets)
-	return s
-}
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
-// maxRequestBody caps request bodies; queries are human-written text.
-const maxRequestBody = 1 << 20
-
-type queryRequest struct {
-	Query   string `json:"query"`
-	Dataset string `json:"dataset,omitempty"`
-	Limit   int    `json:"limit,omitempty"`
-	Cursor  string `json:"cursor,omitempty"`
-}
-
-type queryResponse struct {
-	Columns    []string   `json:"columns,omitempty"`
-	Rows       [][]string `json:"rows,omitempty"`
-	RowCount   int        `json:"row_count"`
-	Offset     int        `json:"offset"`
-	NextCursor string     `json:"next_cursor,omitempty"`
-	ElapsedMS  float64    `json:"elapsed_ms"`
-	Scanned    int64      `json:"scanned_events"`
-	Order      []string   `json:"pattern_order,omitempty"`
-	Kind       string     `json:"kind,omitempty"`
-	Cached     bool       `json:"cached"`
-	Error      string     `json:"error,omitempty"`
-}
-
-// uiPageSize is how many rows the UI fetches per round trip; the
-// browser pages through large results with cursor tokens instead of
-// receiving one giant response.
-const uiPageSize = 500
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req queryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
-		writeJSON(w, queryResponse{Error: "bad request: " + err.Error()})
-		return
-	}
-	limit := req.Limit
-	if limit <= 0 {
-		limit = uiPageSize
-	}
-	client := r.RemoteAddr
-	if host, _, err := net.SplitHostPort(client); err == nil {
-		client = host
-	}
-	svc, err := s.prov.Resolve(req.Dataset)
-	if err != nil {
-		writeJSON(w, queryResponse{Error: err.Error()})
-		return
-	}
-	resp, err := svc.Do(r.Context(), service.Request{
-		Query:  req.Query,
-		Limit:  limit,
-		Cursor: req.Cursor,
-		Client: "webui:" + client,
+// Handler serves the page at "/" and answers every other path with 404.
+// Mount it beside the /api/v1 handler the page calls.
+func Handler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		w.Write(page)
 	})
-	if err != nil {
-		kind, _ := aiql.QueryKind(req.Query)
-		writeJSON(w, queryResponse{Error: err.Error(), Kind: kind})
-		return
-	}
-	writeJSON(w, queryResponse{
-		Columns:    resp.Columns,
-		Rows:       resp.Rows,
-		RowCount:   resp.TotalRows,
-		Offset:     resp.Offset,
-		NextCursor: resp.NextCursor,
-		ElapsedMS:  float64(resp.Duration) / 1e6,
-		Scanned:    resp.Stats.ScannedEvents,
-		Order:      resp.Stats.PatternOrder,
-		Kind:       resp.Kind,
-		Cached:     resp.Cached,
-	})
+	return mux
 }
-
-type checkResponse struct {
-	OK    bool   `json:"ok"`
-	Kind  string `json:"kind,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req queryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
-		writeJSON(w, checkResponse{Error: "bad request: " + err.Error()})
-		return
-	}
-	if err := aiql.Check(req.Query); err != nil {
-		writeJSON(w, checkResponse{Error: err.Error()})
-		return
-	}
-	kind, _ := aiql.QueryKind(req.Query)
-	writeJSON(w, checkResponse{OK: true, Kind: kind})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("dataset")
-	svc, err := s.prov.Resolve(name)
-	if err != nil {
-		writeJSON(w, queryResponse{Error: err.Error()})
-		return
-	}
-	writeJSON(w, svc.DatasetStats(name))
-}
-
-// handleDatasets lists the selectable datasets for the UI's dropdown.
-func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, struct {
-		Default  string   `json:"default"`
-		Datasets []string `json:"datasets"`
-	}{s.prov.DefaultName(), s.prov.Names()})
-}
-
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := page.Execute(w, nil); err != nil {
-		slog.Warn("webui: page render failed", "error", err)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		slog.Warn("webui: response encode failed", "error", err)
-	}
-}
-
-var page = template.Must(template.New("index").Parse(`<!DOCTYPE html>
-<html>
-<head>
-<meta charset="utf-8">
-<title>AIQL — Attack Investigation Query Language</title>
-<style>
- body { font-family: -apple-system, "Segoe UI", sans-serif; margin: 2rem; background: #f7f8fa; color: #1d2330; }
- h1 { font-size: 1.4rem; }
- textarea { width: 100%; height: 11rem; font-family: ui-monospace, Menlo, monospace; font-size: .9rem;
-            border: 1px solid #c5ccd8; border-radius: 6px; padding: .6rem; box-sizing: border-box; }
- button { padding: .45rem 1.1rem; margin-right: .5rem; border: 0; border-radius: 6px;
-          background: #2456d6; color: #fff; font-size: .9rem; cursor: pointer; }
- button.secondary { background: #5d6b85; }
- #status { margin: .8rem 0; font-size: .9rem; color: #42506b; min-height: 1.2rem; }
- #status.error { color: #b3261e; white-space: pre-wrap; font-family: ui-monospace, monospace; }
- table { border-collapse: collapse; background: #fff; font-size: .85rem; }
- th, td { border: 1px solid #dbe0ea; padding: .3rem .6rem; text-align: left; }
- th { background: #eef1f6; cursor: pointer; user-select: none; }
- input#filter { padding: .35rem .6rem; margin: .4rem 0; width: 22rem;
-                border: 1px solid #c5ccd8; border-radius: 6px; }
- select#dataset { padding: .4rem .6rem; margin-right: .5rem; border: 1px solid #c5ccd8;
-                  border-radius: 6px; background: #fff; font-size: .9rem; display: none; }
- .hint { color: #6a7690; font-size: .8rem; }
-</style>
-</head>
-<body>
-<h1>AIQL — Attack Investigation Query Language</h1>
-<p class="hint">Multievent, dependency, and anomaly queries over system monitoring data.
-Example: <code>proc p1["%cmd.exe"] start proc p2 as evt1 return distinct p1, p2</code></p>
-<textarea id="q" spellcheck="false">(at "05/10/2018")
-agentid = 2
-proc p1["%cmd.exe"] start proc p2["%osql.exe"] as evt1
-proc p3["%sqlservr.exe"] write file f1["%backup1.dmp"] as evt2
-proc p4["%sbblv.exe"] read file f1 as evt3
-proc p4 read || write ip i1[dstip = "203.0.113.129"] as evt4
-with evt1 before evt2, evt2 before evt3, evt3 before evt4
-return distinct p1, p2, p3, f1, p4, i1</textarea>
-<div style="margin-top:.6rem">
- <select id="dataset" title="dataset"></select>
- <button onclick="runQuery()">Execute</button>
- <button class="secondary" onclick="checkQuery()">Check syntax</button>
- <input id="filter" placeholder="search results…" oninput="renderTable()">
-</div>
-<div id="status"></div>
-<div id="results"></div>
-<div id="storestats" class="hint" style="margin-top:.8rem"></div>
-<script>
-let data = {columns: [], rows: []};
-let sortCol = -1, sortAsc = true;
-
-// populate the dataset selector; hidden unless the server has >1 dataset
-(async function loadDatasets() {
-  try {
-    const out = await (await fetch('/api/datasets')).json();
-    const sel = document.getElementById('dataset');
-    (out.datasets || []).forEach(name => {
-      const opt = document.createElement('option');
-      opt.value = name;
-      opt.textContent = name + (name === out.default ? ' (default)' : '');
-      if (name === out.default) opt.selected = true;
-      sel.appendChild(opt);
-    });
-    if ((out.datasets || []).length > 1) sel.style.display = 'inline-block';
-  } catch (e) { /* single-dataset server */ }
-})();
-
-function selectedDataset() {
-  const sel = document.getElementById('dataset');
-  return sel.style.display === 'none' ? '' : sel.value;
-}
-
-function setStatus(text, isError) {
-  const el = document.getElementById('status');
-  el.textContent = text;
-  el.className = isError ? 'error' : '';
-}
-
-async function post(path, body) {
-  const resp = await fetch(path, {method: 'POST', headers: {'Content-Type': 'application/json'},
-                                  body: JSON.stringify(body)});
-  return resp.json();
-}
-
-async function runQuery() {
-  setStatus('executing…');
-  const t0 = performance.now();
-  const query = document.getElementById('q').value;
-  const dataset = selectedDataset();
-  // paginated fetch: first page executes (or hits the cache), follow-up
-  // pages walk the cursor chain over the same store snapshot
-  let out = await post('/api/query', {query, dataset});
-  if (out.error) { setStatus(out.error, true); data = {columns: [], rows: []}; renderTable(); return; }
-  data = {columns: out.columns || [], rows: out.rows || []};
-  sortCol = -1;
-  const first = out;
-  const maxRows = 5000; // keep huge results from swamping the browser
-  let pages = 1;
-  while (out.next_cursor && data.rows.length < maxRows) {
-    setStatus('fetched ' + data.rows.length + ' of ' + first.row_count + ' rows…');
-    out = await post('/api/query', {query, dataset, cursor: out.next_cursor});
-    if (out.error) { setStatus(out.error, true); break; }
-    data.rows = data.rows.concat(out.rows || []);
-    pages++;
-  }
-  const shown = data.rows.length < first.row_count ?
-      'showing first ' + data.rows.length + ' of ' + first.row_count + ' rows' :
-      first.row_count + ' rows';
-  setStatus(shown + ' (' + pages + (pages > 1 ? ' pages' : ' page') +
-            ') — engine ' + first.elapsed_ms.toFixed(2) + ' ms (round trip ' +
-            (performance.now() - t0).toFixed(0) + ' ms)' + (first.cached ? ' [cached]' : '') +
-            ', scanned ' + first.scanned_events +
-            ' events' + (first.pattern_order ? ', schedule: ' + first.pattern_order.join(' → ') : ''));
-  renderTable();
-  loadStoreStats();
-}
-
-async function checkQuery() {
-  const out = await post('/api/check', {query: document.getElementById('q').value});
-  if (out.ok) setStatus('syntax OK (' + out.kind + ' query)');
-  else setStatus(out.error, true);
-}
-
-function renderTable() {
-  const filter = document.getElementById('filter').value.toLowerCase();
-  let rows = data.rows;
-  if (filter) rows = rows.filter(r => r.some(c => c.toLowerCase().includes(filter)));
-  if (sortCol >= 0) {
-    rows = rows.slice().sort((a, b) => {
-      const x = a[sortCol], y = b[sortCol];
-      const nx = parseFloat(x), ny = parseFloat(y);
-      const cmp = (!isNaN(nx) && !isNaN(ny)) ? nx - ny : x.localeCompare(y);
-      return sortAsc ? cmp : -cmp;
-    });
-  }
-  let html = '<table><tr>';
-  data.columns.forEach((c, i) => {
-    const mark = i === sortCol ? (sortAsc ? ' ▲' : ' ▼') : '';
-    html += '<th onclick="sortBy(' + i + ')">' + esc(c) + mark + '</th>';
-  });
-  html += '</tr>';
-  rows.forEach(r => { html += '<tr>' + r.map(c => '<td>' + esc(c) + '</td>').join('') + '</tr>'; });
-  html += '</table>';
-  document.getElementById('results').innerHTML = data.columns.length ? html : '';
-}
-
-function sortBy(i) {
-  if (sortCol === i) sortAsc = !sortAsc; else { sortCol = i; sortAsc = true; }
-  renderTable();
-}
-
-function esc(s) {
-  return String(s).replace(/&/g, '&amp;').replace(/</g, '&lt;').replace(/>/g, '&gt;');
-}
-
-function fmtBytes(n) {
-  if (n >= 1 << 20) return (n / (1 << 20)).toFixed(1) + ' MiB';
-  if (n >= 1 << 10) return (n / (1 << 10)).toFixed(1) + ' KiB';
-  return n + ' B';
-}
-
-// storage footer: segment layout, the durable subsystem's
-// disk/WAL/compaction figures, and the prepared-statement registry for
-// the selected dataset
-async function loadStoreStats() {
-  try {
-    const ds = selectedDataset();
-    const st = await (await fetch('/api/stats' + (ds ? '?dataset=' + encodeURIComponent(ds) : ''))).json();
-    const s = st.store || {}, d = st.durable || {};
-    let line = 'store: ' + (s.events || 0) + ' events in ' + (s.segments || 0) +
-        ' sealed segments + ' + (s.memtable_events || 0) + ' memtable events';
-    if (d.dir) {
-      line += ' — disk: ' + (d.segment_files || 0) + ' segment files (' +
-          fmtBytes(d.segment_file_bytes || 0) + '), WAL ' + fmtBytes(d.wal_bytes || 0) +
-          ', manifest edition ' + (d.manifest_edition || 0);
-    }
-    if (d.compactions) {
-      line += ', ' + d.compactions + ' compactions (' + d.segments_compacted + ' segments merged)';
-    }
-    if (d.last_error) line += ' — durable error: ' + d.last_error;
-    const sg = st.storage || {};
-    if (sg.mapped_bytes || sg.heap_bytes) {
-      const bc = sg.block_cache || {};
-      line += ' — storage: ' + fmtBytes(sg.mapped_bytes || 0) + ' mapped, ' +
-          fmtBytes(sg.heap_bytes || 0) + ' heap, block cache ' + (bc.hits || 0) +
-          '/' + ((bc.hits || 0) + (bc.misses || 0)) + ' hits' +
-          (bc.evictions ? ' (' + bc.evictions + ' evictions)' : '');
-    }
-    const p = st.prepared || {};
-    if (p.statements || p.hits || p.evictions || p.expired) {
-      line += ' — prepared: ' + (p.statements || 0) + ' statements, ' + (p.hits || 0) +
-          ' hits, ' + (p.evictions || 0) + ' evictions' +
-          (p.expired ? ', ' + p.expired + ' expired' : '');
-    }
-    const ing = st.ingest || {};
-    if (ing.requests || ing.events) {
-      line += ' — ingest: ' + (ing.events || 0) + ' events in ' + (ing.requests || 0) + ' batches' +
-          (ing.rejected ? ' (' + ing.rejected + ' rejected)' : '');
-    }
-    const wt = st.watch || {};
-    if (wt.watches || wt.matches || wt.evals) {
-      line += ' — watches: ' + (wt.watches || 0) + ' live, ' + (wt.matches || 0) + ' matches pushed to ' +
-          (wt.subscribers || 0) + ' subscribers' +
-          (wt.dropped ? ' (' + wt.dropped + ' dropped)' : '');
-    }
-    document.getElementById('storestats').textContent = line;
-  } catch (e) { /* stats are best-effort */ }
-}
-loadStoreStats();
-</script>
-</body>
-</html>`))
