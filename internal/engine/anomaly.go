@@ -97,6 +97,7 @@ func (e *Engine) runAnomaly(ctx context.Context, snap *eventstore.Snapshot, q *a
 	if err != nil {
 		return err
 	}
+	stats.addResolve(plan.resolve)
 	pp := plan.patterns[0]
 	qsp := obs.SpanFromContext(ctx)
 	ss := e.beginScanSpan(qsp, "scan "+pp.alias, stats)

@@ -47,10 +47,12 @@ type Engine struct {
 	pool   atomic.Pointer[workpool.Pool]
 
 	// resolveMu guards resolved, the entity-resolution memo keyed by
-	// attribute filter + dictionary identity + entity count (see
-	// cachedEntityMatch).
-	resolveMu sync.Mutex
-	resolved  map[entityMatchKey]entityMatchEntry
+	// attribute filter, whose entries are extended as entities are
+	// interned (see cachedEntityMatch), and resolveClock, the lookup
+	// counter its LRU eviction orders entries by.
+	resolveMu    sync.Mutex
+	resolved     map[entityMatchKey]*entityMatchEntry
+	resolveClock uint64
 }
 
 // New creates an engine over store with the fully optimized configuration.

@@ -284,21 +284,19 @@ func narrowByBindings(f *eventstore.EventFilter, sl *slots, pp *patternPlan, bin
 	if len(bindings) > narrowLimit {
 		return
 	}
-	if subjBound {
-		set := eventstore.NewIDSet()
-		slot := sl.vars[pp.subjVar]
+	bound := func(v string) *eventstore.IDSet {
+		slot := sl.vars[v]
+		ids := make([]sysmon.EntityID, len(bindings))
 		for i := range bindings {
-			set.Add(bindings[i].ents[slot])
+			ids[i] = bindings[i].ents[slot]
 		}
-		f.Subjects = f.Subjects.Intersect(set)
+		return eventstore.NewIDSet(ids...)
+	}
+	if subjBound {
+		f.Subjects = f.Subjects.Intersect(bound(pp.subjVar))
 	}
 	if objBound {
-		set := eventstore.NewIDSet()
-		slot := sl.vars[pp.objVar]
-		for i := range bindings {
-			set.Add(bindings[i].ents[slot])
-		}
-		f.Objects = f.Objects.Intersect(set)
+		f.Objects = f.Objects.Intersect(bound(pp.objVar))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"github.com/aiql/aiql/internal/aiql/ast"
 	"github.com/aiql/aiql/internal/eventstore"
@@ -103,6 +104,8 @@ type queryPlan struct {
 	// estCost is what computing the pruning-power estimates cost; zero
 	// when nothing consumed estimates.
 	estCost eventstore.EstimateCost
+	// resolve is what resolving the entity filters cost.
+	resolve resolveStats
 }
 
 // eventAttrCol maps an event attribute to the stored column holding it;
@@ -210,8 +213,8 @@ func compileEvtPred(f ast.Filter) evtPred {
 
 // entityCandidates evaluates an entity reference's attribute filters
 // against the dictionary, returning the candidate ID set (nil when the
-// reference is unconstrained).
-func (e *Engine) entityCandidates(ref *ast.EntityRef) (*eventstore.IDSet, error) {
+// reference is unconstrained) and adding what resolving them cost to rs.
+func (e *Engine) entityCandidates(ref *ast.EntityRef, rs *resolveStats) (*eventstore.IDSet, error) {
 	if len(ref.Filters) == 0 {
 		return nil, nil
 	}
@@ -226,7 +229,7 @@ func (e *Engine) entityCandidates(ref *ast.EntityRef) (*eventstore.IDSet, error)
 		if !ok {
 			return nil, fmt.Errorf("engine: entity %q has no attribute %q", ref.Name, f.Attr)
 		}
-		cur, err := e.cachedEntityMatch(dict, ref, attr, f)
+		cur, err := e.cachedEntityMatch(dict, ref, attr, f, rs)
 		if err != nil {
 			return nil, err
 		}
@@ -235,9 +238,15 @@ func (e *Engine) entityCandidates(ref *ast.EntityRef) (*eventstore.IDSet, error)
 	return set, nil
 }
 
-// entityMatchKey identifies one attribute filter's resolution; together
-// with the dictionary identity and per-type entity count it fully
-// determines the resolved ID set.
+// resolveStats is what resolving a query's entity filters cost:
+// filters answered by the memo as it stood (hits), by extending a memo
+// entry over newly interned entities (extends) or from scratch
+// (misses), and the entities examined doing so.
+type resolveStats struct {
+	examined, hits, extends, misses int64
+}
+
+// entityMatchKey identifies one attribute filter's resolution.
 type entityMatchKey struct {
 	typ   sysmon.EntityType
 	attr  string
@@ -247,15 +256,20 @@ type entityMatchKey struct {
 	isNum bool
 }
 
-// entityMatchEntry is one memoized resolution. The entry is valid while
-// the same dictionary still holds exactly n entities of the filter's
-// type: entity tables are append-only with immutable entries, so an
-// unchanged count guarantees an unchanged match set. The set is shared
-// and must be treated as read-only (Intersect copies).
+// entityMatchEntry is one memoized resolution: set holds the entities
+// among IDs 1..n of dict matching filter. Entity tables are append-only
+// with immutable entries, so the entry only ever needs extending over
+// the IDs interned since, and a set resolved over 1..n with n at least
+// the entity count read after a store snapshot is exact for that
+// snapshot. Each version of set is immutable and shared; mu serializes
+// the extensions.
 type entityMatchEntry struct {
-	dict *eventstore.Dictionary
-	n    int
-	set  *eventstore.IDSet
+	mu     sync.Mutex
+	dict   *eventstore.Dictionary
+	filter eventstore.AttrFilter
+	n      int
+	set    *eventstore.IDSet
+	used   uint64 // resolveClock at the last lookup, for LRU eviction
 }
 
 // entityMatchCap bounds the resolution memo; the population is one
@@ -264,101 +278,96 @@ type entityMatchEntry struct {
 const entityMatchCap = 512
 
 // cachedEntityMatch resolves one attribute filter against the entity
-// dictionary, memoizing by filter + dictionary + entity count. Standing
-// queries re-evaluate after every ingest commit; when a commit touched
-// only events (or entities of other types), the wildcard re-scan of the
-// dictionary — linear in interned entities — is skipped entirely, which
-// keeps post-ingest re-evaluation proportional to the fresh delta.
-func (e *Engine) cachedEntityMatch(dict *eventstore.Dictionary, ref *ast.EntityRef, attr string, f *ast.Filter) (*eventstore.IDSet, error) {
+// dictionary through the memo. Standing queries re-evaluate after every
+// ingest commit: a commit that interned no entity of the filter's type
+// is a hit, and one that interned k of them extends the entry by
+// examining just those k, so re-evaluation stays proportional to what
+// the commit changed. A full memo evicts its least recently used entry.
+func (e *Engine) cachedEntityMatch(dict *eventstore.Dictionary, ref *ast.EntityRef, attr string, f *ast.Filter, rs *resolveStats) (*eventstore.IDSet, error) {
 	key := entityMatchKey{typ: ref.Type, attr: attr, op: f.Op, str: f.Val.Str, num: f.Val.Num, isNum: f.Val.IsNum}
-	// the count is read before resolving: interns racing the resolution
-	// can only make the resolved set larger than the recorded count
-	// admits, which future lookups see as a stale count — a miss, never
-	// a wrong hit
+	// the count is read after the caller's snapshot: every entity the
+	// snapshot's events reference is among IDs 1..n
 	n := dict.Count(ref.Type)
 	e.resolveMu.Lock()
-	if ent, ok := e.resolved[key]; ok && ent.dict == dict && ent.n == n {
-		e.resolveMu.Unlock()
-		return ent.set, nil
-	}
-	e.resolveMu.Unlock()
-	cur, err := matchEntityFilter(dict, ref, attr, f)
-	if err != nil {
-		return nil, err
-	}
-	e.resolveMu.Lock()
-	if e.resolved == nil {
-		e.resolved = make(map[entityMatchKey]entityMatchEntry)
-	} else if len(e.resolved) >= entityMatchCap {
-		e.resolved = make(map[entityMatchKey]entityMatchEntry)
-	}
-	e.resolved[key] = entityMatchEntry{dict: dict, n: n, set: cur}
-	e.resolveMu.Unlock()
-	return cur, nil
-}
-
-// matchEntityFilter is the uncached resolution of one attribute filter.
-func matchEntityFilter(dict *eventstore.Dictionary, ref *ast.EntityRef, attr string, f *ast.Filter) (*eventstore.IDSet, error) {
-	switch f.Op {
-	case ast.CmpLike:
-		return dict.MatchEntities(ref.Type, attr, like.Compile(f.Val.Str)), nil
-	case ast.CmpEQ:
-		if f.Val.IsNum {
-			return matchNumeric(dict, ref.Type, attr, f.Op, f.Val.Num), nil
-		}
-		return dict.MatchEntities(ref.Type, attr, like.Compile(f.Val.Str)), nil
-	case ast.CmpNEQ:
-		if f.Val.IsNum {
-			return matchNumeric(dict, ref.Type, attr, f.Op, f.Val.Num), nil
-		}
-		pat := like.Compile(f.Val.Str)
-		return matchPredicate(dict, ref.Type, attr, func(v string) bool { return !pat.Match(v) }), nil
-	default: // numeric comparisons
-		num := f.Val.Num
-		if !f.Val.IsNum {
-			n, err := strconv.ParseFloat(f.Val.Str, 64)
-			if err != nil {
-				return nil, fmt.Errorf("engine: attribute %s.%s compared with non-numeric value %q", ref.Name, attr, f.Val.Str)
-			}
-			num = n
-		}
-		return matchNumeric(dict, ref.Type, attr, f.Op, num), nil
-	}
-}
-
-func matchPredicate(dict *eventstore.Dictionary, t sysmon.EntityType, attr string, pred func(string) bool) *eventstore.IDSet {
-	out := eventstore.NewIDSet()
-	n := dict.Count(t)
-	for i := 1; i <= n; i++ {
-		if pred(dict.Attr(t, sysmon.EntityID(i), attr)) {
-			out.Add(sysmon.EntityID(i))
-		}
-	}
-	return out
-}
-
-func matchNumeric(dict *eventstore.Dictionary, t sysmon.EntityType, attr string, op ast.CmpOp, num float64) *eventstore.IDSet {
-	return matchPredicate(dict, t, attr, func(v string) bool {
-		x, err := strconv.ParseFloat(v, 64)
+	ent := e.resolved[key]
+	if ent == nil || ent.dict != dict {
+		filter, err := entityAttrFilter(ref, attr, f)
 		if err != nil {
-			return false
+			e.resolveMu.Unlock()
+			return nil, err
 		}
-		switch op {
-		case ast.CmpEQ:
-			return x == num
-		case ast.CmpNEQ:
-			return x != num
-		case ast.CmpLT:
-			return x < num
-		case ast.CmpLE:
-			return x <= num
-		case ast.CmpGT:
-			return x > num
-		case ast.CmpGE:
-			return x >= num
+		if e.resolved == nil {
+			e.resolved = make(map[entityMatchKey]*entityMatchEntry)
+		} else if len(e.resolved) >= entityMatchCap && ent == nil {
+			var lru entityMatchKey
+			oldest := ^uint64(0)
+			for k, v := range e.resolved {
+				if v.used < oldest {
+					lru, oldest = k, v.used
+				}
+			}
+			delete(e.resolved, lru)
 		}
-		return false
-	})
+		ent = &entityMatchEntry{dict: dict, filter: filter}
+		e.resolved[key] = ent
+	}
+	e.resolveClock++
+	ent.used = e.resolveClock
+	e.resolveMu.Unlock()
+
+	ent.mu.Lock()
+	defer ent.mu.Unlock()
+	switch {
+	case ent.set != nil && ent.n >= n:
+		rs.hits++
+		return ent.set, nil
+	case ent.set != nil:
+		rs.extends++
+	default:
+		rs.misses++
+	}
+	set, upto := dict.ResolveEntities(ref.Type, attr, &ent.filter, ent.set, ent.n)
+	rs.examined += int64(upto - ent.n)
+	ent.set, ent.n = set, upto
+	return set, nil
+}
+
+// entityAttrFilter compiles one attribute filter for ResolveEntities:
+// LIKE and string = match the LIKE pattern, string != its negation,
+// and everything else compares numerically.
+func entityAttrFilter(ref *ast.EntityRef, attr string, f *ast.Filter) (eventstore.AttrFilter, error) {
+	switch {
+	case f.Op == ast.CmpLike || f.Op == ast.CmpEQ && !f.Val.IsNum:
+		return eventstore.AttrFilter{Pattern: like.Compile(f.Val.Str)}, nil
+	case f.Op == ast.CmpNEQ && !f.Val.IsNum:
+		return eventstore.AttrFilter{Pattern: like.Compile(f.Val.Str), Negate: true}, nil
+	}
+	num := f.Val.Num
+	if !f.Val.IsNum {
+		n, err := strconv.ParseFloat(f.Val.Str, 64)
+		if err != nil {
+			return eventstore.AttrFilter{}, fmt.Errorf("engine: attribute %s.%s compared with non-numeric value %q", ref.Name, attr, f.Val.Str)
+		}
+		num = n
+	}
+	var op eventstore.NumOp
+	switch f.Op {
+	case ast.CmpEQ:
+		op = eventstore.NumEQ
+	case ast.CmpNEQ:
+		op = eventstore.NumNE
+	case ast.CmpLT:
+		op = eventstore.NumLT
+	case ast.CmpLE:
+		op = eventstore.NumLE
+	case ast.CmpGT:
+		op = eventstore.NumGT
+	case ast.CmpGE:
+		op = eventstore.NumGE
+	default:
+		return eventstore.AttrFilter{}, fmt.Errorf("engine: attribute %s.%s has an unsupported comparison", ref.Name, attr)
+	}
+	return eventstore.AttrFilter{Op: op, Num: num}, nil
 }
 
 // buildPlanFixed compiles the patterns and applies a previously computed
@@ -455,11 +464,11 @@ func (e *Engine) compilePatterns(snap *eventstore.Snapshot, q *ast.MultieventQue
 			}
 			pp.filter.Ops = append(pp.filter.Ops, o)
 		}
-		pp.subjSet, err = e.entityCandidates(&pat.Subject)
+		pp.subjSet, err = e.entityCandidates(&pat.Subject, &plan.resolve)
 		if err != nil {
 			return nil, err
 		}
-		pp.objSet, err = e.entityCandidates(&pat.Object)
+		pp.objSet, err = e.entityCandidates(&pat.Object, &plan.resolve)
 		if err != nil {
 			return nil, err
 		}

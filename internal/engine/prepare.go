@@ -11,7 +11,6 @@ import (
 	"github.com/aiql/aiql/internal/aiql/ast"
 	"github.com/aiql/aiql/internal/aiql/parser"
 	"github.com/aiql/aiql/internal/aiql/semantic"
-	"github.com/aiql/aiql/internal/eventstore"
 	"github.com/aiql/aiql/internal/numfmt"
 	"github.com/aiql/aiql/internal/obs"
 	"github.com/aiql/aiql/internal/qtext"
@@ -181,11 +180,12 @@ func (e *Engine) compile(src string) (*Prepared, error) {
 
 // schedulePrepared is the back half of Prepare: it estimates and orders
 // the template's patterns, once, before the template is shared, and
-// reports what the estimates cost. The stripped copy drops parameterized
+// returns the compiled plan, which carries what the estimates and the
+// entity resolution cost. The stripped copy drops parameterized
 // constraints (their selectivity is unknowable until bind time), so
 // estimates are conservative; the resulting order is frozen into the
 // plan.
-func (e *Engine) schedulePrepared(p *Prepared) (eventstore.EstimateCost, error) {
+func (e *Engine) schedulePrepared(p *Prepared) (*queryPlan, error) {
 	if p.mq != nil {
 		p.stripped = stripParams(cloneMultievent(p.mq))
 	} else {
@@ -198,7 +198,7 @@ func (e *Engine) schedulePrepared(p *Prepared) (eventstore.EstimateCost, error) 
 	commits := e.store.Commits()
 	plan, err := e.compilePatterns(e.store.Snapshot(), p.stripped, needEstimates)
 	if err != nil {
-		return eventstore.EstimateCost{}, err
+		return nil, err
 	}
 	for _, pp := range plan.patterns {
 		p.order = append(p.order, pp.idx)
@@ -207,7 +207,7 @@ func (e *Engine) schedulePrepared(p *Prepared) (eventstore.EstimateCost, error) 
 		p.plan = plan
 		p.planCommits = commits
 	}
-	return plan.estCost, nil
+	return plan, nil
 }
 
 // Bind substitutes params into a private copy of the template and
@@ -458,17 +458,24 @@ func (e *Engine) ExecutePreparedCursor(ctx context.Context, p *Prepared, params 
 // mutation still sees the segment set that existed when it began.
 func (e *Engine) executePlanned(ctx context.Context, p *Prepared, params Params, opts CursorOptions) (*Cursor, error) {
 	psp := obs.SpanFromContext(ctx).Child("plan")
-	defer psp.End()
 	var planned ExecStats
+	defer func() {
+		psp.SetInt("estimate_units", planned.EstimateUnits)
+		psp.SetInt("estimate_probes", planned.EstimateProbes)
+		psp.SetInt("entities_examined", planned.EntitiesExamined)
+		psp.SetInt("resolve_hits", planned.ResolveHits)
+		psp.SetInt("resolve_extends", planned.ResolveExtends)
+		psp.SetInt("resolve_misses", planned.ResolveMisses)
+		psp.End()
+	}()
 	if p.order == nil {
-		cost, err := e.schedulePrepared(p)
+		plan, err := e.schedulePrepared(p)
 		if err != nil {
 			return nil, err
 		}
-		planned.EstimateUnits, planned.EstimateProbes = cost.Units, cost.Probes
+		planned.EstimateUnits, planned.EstimateProbes = plan.estCost.Units, plan.estCost.Probes
+		planned.addResolve(plan.resolve)
 	}
-	psp.SetInt("estimate_units", planned.EstimateUnits)
-	psp.SetInt("estimate_probes", planned.EstimateProbes)
 	bound, err := p.Bind(params)
 	if err != nil {
 		return nil, err
@@ -492,6 +499,7 @@ func (e *Engine) executePlanned(ctx context.Context, p *Prepared, params Params,
 		if err != nil {
 			return nil, err
 		}
+		planned.addResolve(plan.resolve)
 	}
 	run := func(cctx context.Context, stats *ExecStats, out *rowChunker) error {
 		return e.runMultievent(cctx, snap, mq, p.info, plan, stats, out, opts.Limit)

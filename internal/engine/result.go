@@ -33,6 +33,16 @@ type ExecStats struct {
 	// executions of a statement prepared earlier.
 	EstimateUnits  int64
 	EstimateProbes int64
+	// EntitiesExamined and the Resolve counters are what resolving the
+	// entity attribute filters to candidate sets cost this execution:
+	// filters the resolution memo answered as it stood (hits), extended
+	// over newly interned entities (extends) or resolved from scratch
+	// (misses), and the entities those examined. All zero when the
+	// execution reused its statement's compiled plan.
+	EntitiesExamined int64
+	ResolveHits      int64
+	ResolveExtends   int64
+	ResolveMisses    int64
 	// PoolWait is coordinator time spent blocked on pooled scan helpers
 	// (zero under sequential scanning): high values mean the shared
 	// worker pool, not this query's own scanning, bounded the latency.
@@ -52,7 +62,18 @@ func (s *ExecStats) Accumulate(o ExecStats) {
 	s.SegmentMisses += o.SegmentMisses
 	s.EstimateUnits += o.EstimateUnits
 	s.EstimateProbes += o.EstimateProbes
+	s.EntitiesExamined += o.EntitiesExamined
+	s.ResolveHits += o.ResolveHits
+	s.ResolveExtends += o.ResolveExtends
+	s.ResolveMisses += o.ResolveMisses
 	s.PoolWait += o.PoolWait
+}
+
+func (s *ExecStats) addResolve(r resolveStats) {
+	s.EntitiesExamined += r.examined
+	s.ResolveHits += r.hits
+	s.ResolveExtends += r.extends
+	s.ResolveMisses += r.misses
 }
 
 // Len returns the number of result rows.

@@ -40,8 +40,8 @@ type scanFP [16]byte
 
 // scanFingerprint hashes the filter and predicates into a scanFP. The
 // inputs are built deterministically by the planner (agent and op lists
-// in query order, entity sets hashed in sorted-ID order), so equal scans
-// always produce equal fingerprints.
+// in query order, entity sets by their length and member digest), so
+// equal scans always produce equal fingerprints.
 func scanFingerprint(f *eventstore.EventFilter, preds []evtPred) scanFP {
 	h := fnv.New128a()
 	var b [8]byte
@@ -70,11 +70,10 @@ func scanFingerprint(f *eventstore.EventFilter, preds []evtPred) scanFP {
 			wr(^uint64(0))
 			return
 		}
-		ids := set.IDs()
-		wr(uint64(len(ids)))
-		for _, id := range ids {
-			wr(uint64(id))
-		}
+		hi, lo := set.Digest()
+		wr(uint64(set.Len()))
+		wr(hi)
+		wr(lo)
 	}
 	writeSet(f.Subjects)
 	writeSet(f.Objects)

@@ -7,12 +7,13 @@ import (
 
 // Standing-query evaluation: a prepared statement re-executed after
 // every ingest commit, reporting only the rows that are new since the
-// previous evaluation. The heavy lifting is the segment scan cache —
-// with it installed, a re-execution's per-pattern scans over sealed
-// history are cache hits and only memtables and fresh segments are
-// actually scanned — so the delta layer here only needs to (a) skip
-// evaluations when nothing committed and (b) subtract the rows already
-// reported.
+// previous evaluation. A re-execution costs what the commit changed in
+// two places below this layer: entity resolution extends each memoized
+// candidate set over just the entities the commit interned, and the
+// segment scan cache serves the per-pattern scans over sealed history,
+// so only memtables and fresh segments are actually scanned. The delta
+// layer here only needs to (a) skip evaluations when nothing committed
+// and (b) subtract the rows already reported.
 
 // StandingState carries one standing query's evaluation watermark: the
 // store commit count at the last evaluation and the set of row
@@ -54,18 +55,16 @@ type DeltaResult struct {
 	Stats ExecStats
 }
 
-// rowKey hashes a projected row to its identity. 0x1f (unit separator)
-// never appears in rendered cells' natural text, making the hash
-// unambiguous across cell boundaries. A 64-bit collision would suppress
-// one fresh match; at standing-query result sizes the odds are
-// negligible, and the alternative — retaining every row — costs 10-100x
-// the memory per watch.
+// rowKey hashes a projected row to its identity: the FNV-64a of its
+// injective appendRowKey encoding, so rows whose cells merely join to
+// the same bytes — cells may hold any byte, control characters
+// included — are told apart. A 64-bit collision would suppress one
+// fresh match; at standing-query result sizes the odds are negligible,
+// and the alternative — retaining every row — costs 10-100x the memory
+// per watch.
 func rowKey(row []string) uint64 {
 	h := fnv.New64a()
-	for _, c := range row {
-		h.Write([]byte(c))
-		h.Write([]byte{0x1f})
-	}
+	h.Write(appendRowKey(nil, row))
 	return h.Sum64()
 }
 

@@ -3,10 +3,10 @@ package eventstore
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
-	"github.com/aiql/aiql/internal/like"
 	"github.com/aiql/aiql/internal/sysmon"
 )
 
@@ -135,17 +135,17 @@ func TestCollectBatchMatchesScan(t *testing.T) {
 	for _, layout := range batchLayouts {
 		t.Run(layout.name, func(t *testing.T) {
 			s := layout.build(t)
-			bash := s.Dict().MatchEntities(sysmon.EntityProcess, "exe_name", like.Compile("bash"))
-			objs := s.Dict().MatchEntities(sysmon.EntityFile, "name", like.Compile("%obj.txt"))
+			bash := resolveLike(s.Dict(), sysmon.EntityProcess, "exe_name", "bash")
+			objs := resolveLike(s.Dict(), sysmon.EntityFile, "name", "%obj.txt")
 			// Past 512 members no posting list applies, so a widened set
 			// is probed per survivor on the dense path — on sealed
 			// segments too.
 			widen := func(set *IDSet) *IDSet {
-				wide := NewIDSet(set.IDs()...)
+				ids := slices.Clone(set.IDs())
 				for i := 0; i < 600; i++ {
-					wide.Add(sysmon.EntityID(1<<30 + i))
+					ids = append(ids, sysmon.EntityID(1<<30+i))
 				}
-				return wide
+				return NewIDSet(ids...)
 			}
 			filters := []*EventFilter{
 				{},
@@ -327,7 +327,7 @@ func TestPostingEstimateClampsToTimeSlice(t *testing.T) {
 	s.AppendAll(recs)
 	s.Flush()
 
-	bash := s.Dict().MatchEntities(sysmon.EntityProcess, "exe_name", like.Compile("bash"))
+	bash := resolveLike(s.Dict(), sysmon.EntityProcess, "exe_name", "bash")
 	if bash.Len() != 1 {
 		t.Fatalf("expected one interned bash process, got %d", bash.Len())
 	}

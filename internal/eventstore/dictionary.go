@@ -1,7 +1,9 @@
 package eventstore
 
 import (
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -77,8 +79,10 @@ func (d *Dictionary) tableHeaders() (procs []sysmon.Process, files []sysmon.File
 // are NOT rebuilt here: they hydrate lazily on first use (an intern, or
 // an exact-match index lookup), keeping dataset open latency down to
 // reading the tables themselves. Everything else works on the raw
-// tables: ID→entity lookups index directly and wildcard attribute
-// matches scan the (deduplicated, hence small) tables anyway.
+// tables: ID→entity lookups index directly, and every other attribute
+// filter is resolved by walking the table once and then, through the
+// engine's memo, only over the entities interned since (see
+// ResolveEntities).
 func (d *Dictionary) restoreTables(procs []sysmon.Process, files []sysmon.File, conns []sysmon.Netconn) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -308,56 +312,115 @@ func (d *Dictionary) Count(t sysmon.EntityType) int {
 	}
 }
 
-// MatchEntities returns the set of entity IDs of type t whose attribute
-// attr matches the LIKE pattern. With indexes enabled, exact patterns use
-// the hash index; wildcard patterns scan the (deduplicated, hence small)
-// dictionary. Without indexes every lookup scans the dictionary.
-func (d *Dictionary) MatchEntities(t sysmon.EntityType, attr string, pat *like.Pattern) *IDSet {
-	if d.indexed && pat.Exact() {
+// AttrFilter is one compiled entity-attribute filter: a LIKE pattern
+// (the string forms of LIKE and =), its negation (string !=), or, with
+// no pattern, a numeric comparison of the attribute value parsed as a
+// number (a value that does not parse never matches).
+type AttrFilter struct {
+	Pattern *like.Pattern
+	Negate  bool
+	Op      NumOp
+	Num     float64
+}
+
+// NumOp is the comparison of a numeric AttrFilter.
+type NumOp uint8
+
+// The numeric comparisons, value Op Num.
+const (
+	NumEQ NumOp = iota
+	NumNE
+	NumLT
+	NumLE
+	NumGT
+	NumGE
+)
+
+func (f *AttrFilter) match(v string) bool {
+	if f.Pattern != nil {
+		return f.Pattern.Match(v) != f.Negate
+	}
+	x, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		return false
+	}
+	switch f.Op {
+	case NumEQ:
+		return x == f.Num
+	case NumNE:
+		return x != f.Num
+	case NumLT:
+		return x < f.Num
+	case NumLE:
+		return x <= f.Num
+	case NumGT:
+		return x > f.Num
+	case NumGE:
+		return x >= f.Num
+	}
+	return false
+}
+
+// ResolveEntities resolves an attribute filter incrementally. prev is
+// the filter's resolution over entity IDs 1..from of type t (nil with
+// from 0 to start from scratch); the result is its resolution over
+// 1..upto, the table size when the call began, and only IDs
+// from+1..upto are examined. Entity IDs are dense table positions and
+// the tables are append-only with immutable entries, so a set resolved
+// over 1..n' with n' at least the count read after a store snapshot
+// is exact for that snapshot. prev is left untouched (see IDSet), and
+// callers must not extend one version from two goroutines at once.
+//
+// An exact LIKE pattern on an indexed dictionary reads the hash index;
+// every other filter walks the new table entries without holding the
+// dictionary lock.
+func (d *Dictionary) ResolveEntities(t sysmon.EntityType, attr string, f *AttrFilter, prev *IDSet, from int) (set *IDSet, upto int) {
+	attr, known := sysmon.CanonicalAttr(t, attr)
+	exact := d.indexed && f.Pattern != nil && !f.Negate && f.Pattern.Exact()
+	if exact {
 		d.ensureBuilt() // only the exact path consults the hash indexes
 	}
 	d.mu.RLock()
-	defer d.mu.RUnlock()
-	attr, ok := sysmon.CanonicalAttr(t, attr)
-	if !ok {
-		return NewIDSet()
-	}
-	if d.indexed && pat.Exact() {
-		var idx map[string]map[string][]sysmon.EntityID
+	procs, files, conns := d.procs, d.files, d.conns
+	var hits []sysmon.EntityID
+	if exact {
 		switch t {
 		case sysmon.EntityProcess:
-			idx = d.procIdx
+			hits = d.procIdx[attr][f.Pattern.ExactValue()]
 		case sysmon.EntityFile:
-			idx = d.fileIdx
+			hits = d.fileIdx[attr][f.Pattern.ExactValue()]
 		case sysmon.EntityNetconn:
-			idx = d.connIdx
-		}
-		if m := idx[attr]; m != nil {
-			return NewIDSet(m[pat.ExactValue()]...)
+			hits = d.connIdx[attr][f.Pattern.ExactValue()]
 		}
 	}
-	out := NewIDSet()
+	d.mu.RUnlock()
+	var value func(i int) string // attr of the entity at table position i
 	switch t {
 	case sysmon.EntityProcess:
-		for i := range d.procs {
-			if pat.Match(sysmon.ProcessAttr(&d.procs[i], attr)) {
-				out.Add(sysmon.EntityID(i + 1))
-			}
-		}
+		upto, value = len(procs), func(i int) string { return sysmon.ProcessAttr(&procs[i], attr) }
 	case sysmon.EntityFile:
-		for i := range d.files {
-			if pat.Match(sysmon.FileAttr(&d.files[i], attr)) {
-				out.Add(sysmon.EntityID(i + 1))
-			}
-		}
+		upto, value = len(files), func(i int) string { return sysmon.FileAttr(&files[i], attr) }
 	case sysmon.EntityNetconn:
-		for i := range d.conns {
-			if pat.Match(sysmon.NetconnAttr(&d.conns[i], attr)) {
-				out.Add(sysmon.EntityID(i + 1))
+		upto, value = len(conns), func(i int) string { return sysmon.NetconnAttr(&conns[i], attr) }
+	}
+	set = prev.grow()
+	switch {
+	case !known || value == nil:
+	case exact:
+		// index lists ascend and were read with the tables: every hit
+		// past from is at most upto
+		i, _ := slices.BinarySearch(hits, sysmon.EntityID(from+1))
+		for _, id := range hits[i:] {
+			set.add(id)
+		}
+	default:
+		for i := from; i < upto; i++ {
+			if f.match(value(i)) {
+				set.add(sysmon.EntityID(i + 1))
 			}
 		}
 	}
-	return out
+	return set, upto
 }
 
 // AllValues returns the distinct lowercased values of attr over entities of

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/aiql/aiql/internal/like"
 	"github.com/aiql/aiql/internal/sysmon"
 )
 
@@ -92,7 +91,7 @@ func TestEstimateProbesBoundedBySegmentSide(t *testing.T) {
 	}
 	s.Flush()
 
-	set := s.Dict().MatchEntities(sysmon.EntityProcess, "exe_name", like.Compile("%cmd.exe"))
+	set := resolveLike(s.Dict(), sysmon.EntityProcess, "exe_name", "%cmd.exe")
 	if set.Len() != 2000 {
 		t.Fatalf("candidate set has %d processes, want 2000", set.Len())
 	}

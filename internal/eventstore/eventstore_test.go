@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"github.com/aiql/aiql/internal/like"
 	"github.com/aiql/aiql/internal/sysmon"
 )
 
@@ -122,7 +121,7 @@ func TestScanFilters(t *testing.T) {
 		t.Errorf("time filter = %d", got)
 	}
 	// entity-set filters
-	bashIDs := s.Dict().MatchEntities(sysmon.EntityProcess, "exe_name", like.Compile("bash"))
+	bashIDs := resolveLike(s.Dict(), sysmon.EntityProcess, "exe_name", "bash")
 	if got := count(&EventFilter{Subjects: bashIDs}); got != 2 {
 		t.Errorf("subject set filter = %d", got)
 	}
@@ -147,9 +146,9 @@ func TestEstimateNeverUndercounts(t *testing.T) {
 		{},
 		{Agents: []uint32{2}},
 		{Ops: []sysmon.Operation{sysmon.OpRead}},
-		{Subjects: s.Dict().MatchEntities(sysmon.EntityProcess, "exe_name", like.Compile("bash"))},
+		{Subjects: resolveLike(s.Dict(), sysmon.EntityProcess, "exe_name", "bash")},
 		{Agents: []uint32{1}, Ops: []sysmon.Operation{sysmon.OpWrite},
-			Subjects: s.Dict().MatchEntities(sysmon.EntityProcess, "exe_name", like.Compile("vim"))},
+			Subjects: resolveLike(s.Dict(), sysmon.EntityProcess, "exe_name", "vim")},
 	}
 	for i, f := range filters {
 		actual := 0
@@ -302,13 +301,13 @@ func TestMatchEntitiesPatterns(t *testing.T) {
 	})
 	s.Flush()
 	d := s.Dict()
-	if got := d.MatchEntities(sysmon.EntityProcess, "exe_name", like.Compile("%.exe")).Len(); got != 2 {
+	if got := resolveLike(d, sysmon.EntityProcess, "exe_name", "%.exe").Len(); got != 2 {
 		t.Errorf("%%.exe matched %d", got)
 	}
-	if got := d.MatchEntities(sysmon.EntityProcess, "exe_name", like.Compile("CMD.EXE")).Len(); got != 1 {
+	if got := resolveLike(d, sysmon.EntityProcess, "exe_name", "CMD.EXE").Len(); got != 1 {
 		t.Errorf("exact case-insensitive matched %d", got)
 	}
-	if got := d.MatchEntities(sysmon.EntityProcess, "bogus", like.Compile("x")).Len(); got != 0 {
+	if got := resolveLike(d, sysmon.EntityProcess, "bogus", "x").Len(); got != 0 {
 		t.Errorf("bogus attribute matched %d", got)
 	}
 }
@@ -457,7 +456,7 @@ func TestScanDuringIndexBuild(t *testing.T) {
 		s.Flush()
 	}()
 	for i := 0; i < 200; i++ {
-		f := &EventFilter{Subjects: s.Dict().MatchEntities(sysmon.EntityProcess, "exe_name", like.Compile("bash"))}
+		f := &EventFilter{Subjects: resolveLike(s.Dict(), sysmon.EntityProcess, "exe_name", "bash")}
 		n := 0
 		s.Scan(context.Background(), f, func(*sysmon.Event) bool { n++; return true })
 	}

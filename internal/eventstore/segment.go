@@ -490,20 +490,21 @@ func (g *Segment) bestPostingList(f *EventFilter) ([]int32, bool) {
 // intersection either way — so a wide candidate set costs a segment no
 // more than its own distinct entities: O(min(|set|, |postings|)).
 func eachPosting(postings map[sysmon.EntityID][]int32, set *IDSet, fn func(list []int32)) (probes int64) {
-	if len(postings) < len(set.m) {
+	ids := set.IDs()
+	if len(postings) < len(ids) {
 		for id, list := range postings {
-			if _, ok := set.m[id]; ok {
+			if set.Has(id) {
 				fn(list)
 			}
 		}
 		return int64(len(postings))
 	}
-	for id := range set.m {
+	for _, id := range ids {
 		if list, ok := postings[id]; ok {
 			fn(list)
 		}
 	}
-	return int64(len(set.m))
+	return int64(len(ids))
 }
 
 // mergePostings concatenates the posting lists of the set's entities

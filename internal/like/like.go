@@ -10,8 +10,8 @@ import "strings"
 // Pattern is a compiled LIKE pattern.
 type Pattern struct {
 	raw      string
+	lower    string   // raw lowercased once, at compile time
 	segments []string // literal segments between '%' wildcards, lowercased
-	single   []int    // count of '_' immediately following each segment boundary (unused fast path when zero)
 	leading  bool     // pattern starts with '%'
 	trailing bool     // pattern ends with '%'
 	exact    bool     // no wildcards at all: exact match
@@ -21,8 +21,8 @@ type Pattern struct {
 // Compile parses a LIKE pattern. Compile never fails: every string is a
 // valid pattern; strings without wildcards require an exact match.
 func Compile(raw string) *Pattern {
-	p := &Pattern{raw: raw}
 	lower := strings.ToLower(raw)
+	p := &Pattern{raw: raw, lower: lower}
 	p.hasUnder = strings.ContainsRune(lower, '_')
 	if !strings.ContainsRune(lower, '%') && !p.hasUnder {
 		p.exact = true
@@ -63,39 +63,45 @@ func (p *Pattern) Prefix() string {
 		return ""
 	}
 	// the first segment is a required prefix only if no '_' precedes it
-	first := strings.Split(strings.ToLower(p.raw), "%")[0]
+	first, _, _ := strings.Cut(p.lower, "%")
 	if i := strings.IndexByte(first, '_'); i >= 0 {
 		return first[:i]
 	}
 	return first
 }
 
-// Match reports whether s matches the pattern (ASCII case-insensitive).
+// Match reports whether s matches the pattern, case-insensitively: the
+// answer is always that of matching the lowercased pattern against
+// strings.ToLower(s). An ASCII subject is folded byte by byte as it is
+// compared, allocating nothing; any other subject is lowered with
+// strings.ToLower first, and folding leaves its lowered form unchanged.
 func (p *Pattern) Match(s string) bool {
-	ls := strings.ToLower(s)
+	if !isASCII(s) {
+		s = strings.ToLower(s)
+	}
 	if p.hasUnder {
-		return matchGeneral(strings.ToLower(p.raw), ls)
+		return matchFold(p.lower, s)
 	}
 	if p.exact {
-		return ls == p.segments[0]
+		return len(s) == len(p.segments[0]) && hasPrefixFold(s, p.segments[0])
 	}
 	if len(p.segments) == 0 {
 		// pattern was all '%'
 		return true
 	}
-	rest := ls
+	rest := s
 	for i, seg := range p.segments {
 		if i == 0 && !p.leading {
-			if !strings.HasPrefix(rest, seg) {
+			if !hasPrefixFold(rest, seg) {
 				return false
 			}
 			rest = rest[len(seg):]
 			continue
 		}
 		if i == len(p.segments)-1 && !p.trailing {
-			return strings.HasSuffix(rest, seg) && len(rest) >= len(seg)
+			return len(rest) >= len(seg) && hasPrefixFold(rest[len(rest)-len(seg):], seg)
 		}
-		j := strings.Index(rest, seg)
+		j := indexFold(rest, seg)
 		if j < 0 {
 			return false
 		}
@@ -104,9 +110,50 @@ func (p *Pattern) Match(s string) bool {
 	return true
 }
 
-// matchGeneral is the full backtracking matcher handling both '%' and '_'.
-// pat and s must already be lowercased.
-func matchGeneral(pat, s string) bool {
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
+// fold lowercases one ASCII letter; every other byte is returned as is.
+func fold(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + ('a' - 'A')
+	}
+	return c
+}
+
+// hasPrefixFold reports whether the folded s starts with lower.
+func hasPrefixFold(s, lower string) bool {
+	if len(s) < len(lower) {
+		return false
+	}
+	for i := 0; i < len(lower); i++ {
+		if fold(s[i]) != lower[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// indexFold returns the index of the first occurrence of lower in the
+// folded s, or -1.
+func indexFold(s, lower string) int {
+	for i := 0; i+len(lower) <= len(s); i++ {
+		if hasPrefixFold(s[i:], lower) {
+			return i
+		}
+	}
+	return -1
+}
+
+// matchFold is the full backtracking matcher handling both '%' and '_'
+// against the folded s. pat must already be lowercased.
+func matchFold(pat, s string) bool {
 	// iterative two-pointer algorithm with single backtrack point,
 	// the classic wildcard matcher
 	var (
@@ -117,7 +164,7 @@ func matchGeneral(pat, s string) bool {
 	)
 	for si < slen {
 		switch {
-		case pi < plen && (pat[pi] == '_' || pat[pi] == s[si]):
+		case pi < plen && (pat[pi] == '_' || pat[pi] == fold(s[si])):
 			pi++
 			si++
 		case pi < plen && pat[pi] == '%':

@@ -293,6 +293,33 @@ func TestWatchLifecycleHTTP(t *testing.T) {
 	}
 }
 
+// TestWatchTellsApartRowsThatJoinAlike: ingest accepts control
+// characters, so two rows whose cells join to the same bytes under any
+// separator — ("a\x1fb", "c") and ("a", "b\x1fc") — are both fresh
+// matches, and each is pushed.
+func TestWatchTellsApartRowsThatJoinAlike(t *testing.T) {
+	svc := New(newTestDB(t, 5), Config{})
+	h := svc.Handler()
+	registerWatch(t, h, `proc p write file f as evt return distinct p.exe_name, f.name`)
+	line := func(exe, file string, sec int) string {
+		e, _ := json.Marshal(exe)
+		f, _ := json.Marshal(file)
+		return fmt.Sprintf(`{"agentid": 1, "op": "write", "object_type": "file", "subject": {"pid": 7, "exe_name": %s}, "file": {"name": %s}, "start_ts": %d}`,
+			e, f, int64(5000+sec)*int64(time.Second))
+	}
+	rec := doJSON(t, h, http.MethodPost, "/api/v1/ingest", line("a\x1fb", "c", 0)+"\n"+line("a", "b\x1fc", 1))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", rec.Code, rec.Body.String())
+	}
+	var res IngestResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.NewMatches != 2 {
+		t.Errorf("ingest result = %+v, want 2 new matches: the rows differ, they only join alike", res)
+	}
+}
+
 func TestWatchLimitAndDisabled(t *testing.T) {
 	svc := New(newTestDB(t, 5), Config{MaxWatches: 1})
 	h := svc.Handler()
