@@ -137,58 +137,68 @@ func TestEntityResolutionMemoManyFilters(t *testing.T) {
 // execution resolves from scratch, a re-run after a commit that
 // interned no entity of its type is a memo hit examining nothing, and
 // one after a commit interning k of them examines exactly those k. The
-// plan span carries the same counters as the execution statistics.
+// plan span carries the same counters as the execution statistics. A
+// LIKE and an exact = filter take the same path.
 func TestEntityResolutionExaminesOnlyNewEntities(t *testing.T) {
-	s := buildSegmentedStore(t, 16, 64, 0)
-	e := New(s)
-	const q = `proc p["%worker%"] write file f as evt return p, f`
-	run := func() ExecStats {
-		t.Helper()
-		tr := obs.NewTrace("query")
-		res, err := e.Execute(obs.WithSpan(context.Background(), tr.Root()), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr.Root().End()
-		plan := findSpan(tr.Tree(), "plan")
-		if plan == nil {
-			t.Fatal("trace lacks a plan span")
-		}
-		st := res.Stats
-		for name, v := range map[string]int64{"entities_examined": st.EntitiesExamined, "resolve_hits": st.ResolveHits,
-			"resolve_extends": st.ResolveExtends, "resolve_misses": st.ResolveMisses} {
-			if got, ok := plan.Attrs[name]; !ok || got != v {
-				t.Errorf("plan span %s = %v, stats say %d", name, plan.Attrs[name], v)
+	for name, q := range map[string]string{
+		"like":  `proc p["%worker%"] write file f as evt return p, f`,
+		"equal": `proc p[exe_name = "Worker.EXE"] write file f as evt return p, f`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := buildSegmentedStore(t, 16, 64, 0)
+			e := New(s)
+			run := func() ExecStats {
+				t.Helper()
+				tr := obs.NewTrace("query")
+				res, err := e.Execute(obs.WithSpan(context.Background(), tr.Root()), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr.Root().End()
+				if len(res.Rows) == 0 {
+					t.Fatal("the filter matches no row")
+				}
+				plan := findSpan(tr.Tree(), "plan")
+				if plan == nil {
+					t.Fatal("trace lacks a plan span")
+				}
+				st := res.Stats
+				for name, v := range map[string]int64{"entities_examined": st.EntitiesExamined, "resolve_hits": st.ResolveHits,
+					"resolve_extends": st.ResolveExtends, "resolve_misses": st.ResolveMisses} {
+					if got, ok := plan.Attrs[name]; !ok || got != v {
+						t.Errorf("plan span %s = %v, stats say %d", name, plan.Attrs[name], v)
+					}
+				}
+				return st
 			}
-		}
-		return st
-	}
-	procs := s.Dict().Count(sysmon.EntityProcess)
-	if st := run(); st.ResolveMisses != 1 || st.EntitiesExamined != int64(procs) {
-		t.Errorf("cold run: %d misses examining %d entities, want 1 examining all %d", st.ResolveMisses, st.EntitiesExamined, procs)
-	}
+			procs := s.Dict().Count(sysmon.EntityProcess)
+			if st := run(); st.ResolveMisses != 1 || st.EntitiesExamined != int64(procs) {
+				t.Errorf("cold run: %d misses examining %d entities, want 1 examining all %d", st.ResolveMisses, st.EntitiesExamined, procs)
+			}
 
-	// new files only: the process filter is a hit
-	if err := s.AppendAll([]eventstore.Record{{AgentID: 1, Subject: proc("worker.exe"), Op: sysmon.OpWrite,
-		ObjType: sysmon.EntityFile, ObjFile: sysmon.File{Path: `C:\data\only-file.log`}, StartTS: ts(170)}}); err != nil {
-		t.Fatal(err)
-	}
-	if st := run(); st.ResolveHits != 1 || st.EntitiesExamined != 0 {
-		t.Errorf("after a file-only commit: %d hits examining %d entities, want 1 hit examining none", st.ResolveHits, st.EntitiesExamined)
-	}
+			// new files only: the process filter is a hit
+			if err := s.AppendAll([]eventstore.Record{{AgentID: 1, Subject: proc("worker.exe"), Op: sysmon.OpWrite,
+				ObjType: sysmon.EntityFile, ObjFile: sysmon.File{Path: `C:\data\only-file.log`}, StartTS: ts(170)}}); err != nil {
+				t.Fatal(err)
+			}
+			if st := run(); st.ResolveHits != 1 || st.EntitiesExamined != 0 {
+				t.Errorf("after a file-only commit: %d hits examining %d entities, want 1 hit examining none", st.ResolveHits, st.EntitiesExamined)
+			}
 
-	const k = 5
-	var recs []eventstore.Record
-	for i := 0; i < k; i++ {
-		recs = append(recs, eventstore.Record{AgentID: 1,
-			Subject: sysmon.Process{PID: uint32(5000 + i), ExeName: fmt.Sprintf("proc-%d.exe", i), User: "carol"},
-			Op:      sysmon.OpWrite, ObjType: sysmon.EntityFile, ObjFile: sysmon.File{Path: `C:\data\k.log`}, StartTS: ts(171)})
-	}
-	if err := s.AppendAll(recs); err != nil {
-		t.Fatal(err)
-	}
-	if st := run(); st.ResolveExtends != 1 || st.EntitiesExamined != k {
-		t.Errorf("after interning %d processes: %d extends examining %d entities, want 1 examining exactly %d", k, st.ResolveExtends, st.EntitiesExamined, k)
+			const k = 5
+			var recs []eventstore.Record
+			for i := 0; i < k; i++ {
+				recs = append(recs, eventstore.Record{AgentID: 1,
+					Subject: sysmon.Process{PID: uint32(5000 + i), ExeName: fmt.Sprintf("proc-%d.exe", i), User: "carol"},
+					Op:      sysmon.OpWrite, ObjType: sysmon.EntityFile, ObjFile: sysmon.File{Path: `C:\data\k.log`}, StartTS: ts(171)})
+			}
+			if err := s.AppendAll(recs); err != nil {
+				t.Fatal(err)
+			}
+			if st := run(); st.ResolveExtends != 1 || st.EntitiesExamined != k {
+				t.Errorf("after interning %d processes: %d extends examining %d entities, want 1 examining exactly %d", k, st.ResolveExtends, st.EntitiesExamined, k)
+			}
+		})
 	}
 }
 

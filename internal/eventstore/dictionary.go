@@ -1,21 +1,18 @@
 package eventstore
 
 import (
-	"slices"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 
 	"github.com/aiql/aiql/internal/like"
 	"github.com/aiql/aiql/internal/sysmon"
 )
 
 // Dictionary holds the entity tables. With deduplication enabled,
-// structurally identical entities are interned to a single ID; with
-// attribute indexes enabled, exact-value hash indexes and sorted-value
-// lists support fast lookup and prefix range scans.
+// structurally identical entities are interned to a single ID. Entity
+// IDs are dense table positions: ID→entity lookups index the tables
+// directly, and attribute filters resolve by walking them (see
+// ResolveEntities).
 //
 // Interning always runs under the Store's write lock, but the streaming
 // execution pipeline projects rows (reading Attr) while partitions are
@@ -24,13 +21,12 @@ import (
 // immutable once interned, so readers only need the lock to snapshot
 // the table headers.
 type Dictionary struct {
-	mu      sync.RWMutex
-	dedup   bool
-	indexed bool
+	mu    sync.RWMutex
+	dedup bool
 
-	// needsBuild marks a restored dictionary whose intern maps and
-	// attribute indexes have not been hydrated yet (see restoreTables).
-	needsBuild atomic.Bool
+	// needsBuild marks a restored dictionary whose intern maps have not
+	// been hydrated yet (see restoreTables). Guarded by mu's write lock.
+	needsBuild bool
 
 	procs []sysmon.Process // index = EntityID-1
 	files []sysmon.File
@@ -39,24 +35,14 @@ type Dictionary struct {
 	procIntern map[sysmon.Process]sysmon.EntityID
 	fileIntern map[sysmon.File]sysmon.EntityID
 	connIntern map[sysmon.Netconn]sysmon.EntityID
-
-	// exact-value indexes: attr → lowercased value → IDs
-	procIdx map[string]map[string][]sysmon.EntityID
-	fileIdx map[string]map[string][]sysmon.EntityID
-	connIdx map[string]map[string][]sysmon.EntityID
 }
 
-func newDictionary(dedup, indexed bool) *Dictionary {
-	d := &Dictionary{dedup: dedup, indexed: indexed}
+func newDictionary(dedup bool) *Dictionary {
+	d := &Dictionary{dedup: dedup}
 	if dedup {
 		d.procIntern = make(map[sysmon.Process]sysmon.EntityID)
 		d.fileIntern = make(map[sysmon.File]sysmon.EntityID)
 		d.connIntern = make(map[sysmon.Netconn]sysmon.EntityID)
-	}
-	if indexed {
-		d.procIdx = make(map[string]map[string][]sysmon.EntityID)
-		d.fileIdx = make(map[string]map[string][]sysmon.EntityID)
-		d.connIdx = make(map[string]map[string][]sysmon.EntityID)
 	}
 	return d
 }
@@ -75,100 +61,54 @@ func (d *Dictionary) tableHeaders() (procs []sysmon.Process, files []sysmon.File
 // dictionary. Entity IDs are table positions, so restoring the tables
 // verbatim preserves every ID referenced by persisted events.
 //
-// The derived structures — intern maps and attribute hash indexes —
-// are NOT rebuilt here: they hydrate lazily on first use (an intern, or
-// an exact-match index lookup), keeping dataset open latency down to
-// reading the tables themselves. Everything else works on the raw
-// tables: ID→entity lookups index directly, and every other attribute
-// filter is resolved by walking the table once and then, through the
-// engine's memo, only over the entities interned since (see
-// ResolveEntities).
+// The intern maps are NOT rebuilt here: they hydrate on the first
+// intern (WAL replay or ingest), keeping dataset open latency down to
+// reading the tables themselves. Queries never need them: ID→entity
+// lookups index the tables directly, and every attribute filter is
+// resolved by walking the table once and then, through the engine's
+// memo, only over the entities interned since (see ResolveEntities).
 func (d *Dictionary) restoreTables(procs []sysmon.Process, files []sysmon.File, conns []sysmon.Netconn) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.procs, d.files, d.conns = procs, files, conns
-	if d.dedup || d.indexed {
-		d.needsBuild.Store(true)
-	}
+	d.needsBuild = d.dedup
 }
 
-// ensureBuilt hydrates the derived structures deferred by
-// restoreTables; a no-op (one atomic load) once built.
-func (d *Dictionary) ensureBuilt() {
-	if !d.needsBuild.Load() {
-		return
-	}
-	d.mu.Lock()
-	d.buildLocked()
-	d.mu.Unlock()
-}
-
-// buildLocked rebuilds intern maps and attribute indexes from the
-// restored tables. The three entity types rebuild concurrently — their
+// buildLocked hydrates the intern maps deferred by restoreTables; a
+// no-op once built. The three entity types rebuild concurrently — their
 // maps are disjoint. Caller holds the write lock.
 func (d *Dictionary) buildLocked() {
-	if !d.needsBuild.Load() {
+	if !d.needsBuild {
 		return
 	}
-	procs, files, conns := d.procs, d.files, d.conns
 	var wg sync.WaitGroup
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		if d.dedup {
-			d.procIntern = make(map[sysmon.Process]sysmon.EntityID, len(procs))
-		}
-		for i := range procs {
-			id := sysmon.EntityID(i + 1)
-			if d.dedup {
-				d.procIntern[procs[i]] = id
-			}
-			if d.indexed {
-				for _, attr := range sysmon.Attrs(sysmon.EntityProcess) {
-					addIdx(d.procIdx, attr, sysmon.ProcessAttr(&procs[i], attr), id)
-				}
-			}
-		}
+		d.procIntern = internMap(d.procs)
 	}()
 	go func() {
 		defer wg.Done()
-		if d.dedup {
-			d.fileIntern = make(map[sysmon.File]sysmon.EntityID, len(files))
-		}
-		for i := range files {
-			id := sysmon.EntityID(i + 1)
-			if d.dedup {
-				d.fileIntern[files[i]] = id
-			}
-			if d.indexed {
-				for _, attr := range sysmon.Attrs(sysmon.EntityFile) {
-					addIdx(d.fileIdx, attr, sysmon.FileAttr(&files[i], attr), id)
-				}
-			}
-		}
+		d.fileIntern = internMap(d.files)
 	}()
 	go func() {
 		defer wg.Done()
-		if d.dedup {
-			d.connIntern = make(map[sysmon.Netconn]sysmon.EntityID, len(conns))
-		}
-		for i := range conns {
-			id := sysmon.EntityID(i + 1)
-			if d.dedup {
-				d.connIntern[conns[i]] = id
-			}
-			if d.indexed {
-				for _, attr := range sysmon.Attrs(sysmon.EntityNetconn) {
-					addIdx(d.connIdx, attr, sysmon.NetconnAttr(&conns[i], attr), id)
-				}
-			}
-		}
+		d.connIntern = internMap(d.conns)
 	}()
 	wg.Wait()
-	d.needsBuild.Store(false)
+	d.needsBuild = false
 }
 
-// InternProcess returns the ID for p, creating (and indexing) it if new.
+// internMap maps every entity of a table to its ID.
+func internMap[E comparable](table []E) map[E]sysmon.EntityID {
+	m := make(map[E]sysmon.EntityID, len(table))
+	for i, e := range table {
+		m[e] = sysmon.EntityID(i + 1)
+	}
+	return m
+}
+
+// InternProcess returns the ID for p, creating it if new.
 func (d *Dictionary) InternProcess(p sysmon.Process) sysmon.EntityID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -183,15 +123,10 @@ func (d *Dictionary) InternProcess(p sysmon.Process) sysmon.EntityID {
 	if d.dedup {
 		d.procIntern[p] = id
 	}
-	if d.indexed {
-		for _, attr := range sysmon.Attrs(sysmon.EntityProcess) {
-			addIdx(d.procIdx, attr, sysmon.ProcessAttr(&p, attr), id)
-		}
-	}
 	return id
 }
 
-// InternFile returns the ID for f, creating (and indexing) it if new.
+// InternFile returns the ID for f, creating it if new.
 func (d *Dictionary) InternFile(f sysmon.File) sysmon.EntityID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -206,15 +141,10 @@ func (d *Dictionary) InternFile(f sysmon.File) sysmon.EntityID {
 	if d.dedup {
 		d.fileIntern[f] = id
 	}
-	if d.indexed {
-		for _, attr := range sysmon.Attrs(sysmon.EntityFile) {
-			addIdx(d.fileIdx, attr, sysmon.FileAttr(&f, attr), id)
-		}
-	}
 	return id
 }
 
-// InternNetconn returns the ID for n, creating (and indexing) it if new.
+// InternNetconn returns the ID for n, creating it if new.
 func (d *Dictionary) InternNetconn(n sysmon.Netconn) sysmon.EntityID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -229,22 +159,7 @@ func (d *Dictionary) InternNetconn(n sysmon.Netconn) sysmon.EntityID {
 	if d.dedup {
 		d.connIntern[n] = id
 	}
-	if d.indexed {
-		for _, attr := range sysmon.Attrs(sysmon.EntityNetconn) {
-			addIdx(d.connIdx, attr, sysmon.NetconnAttr(&n, attr), id)
-		}
-	}
 	return id
-}
-
-func addIdx(idx map[string]map[string][]sysmon.EntityID, attr, val string, id sysmon.EntityID) {
-	val = strings.ToLower(val)
-	m := idx[attr]
-	if m == nil {
-		m = make(map[string][]sysmon.EntityID)
-		idx[attr] = m
-	}
-	m[val] = append(m[val], id)
 }
 
 // Process returns the process entity for id, or nil if out of range.
@@ -371,29 +286,11 @@ func (f *AttrFilter) match(v string) bool {
 // is exact for that snapshot. prev is left untouched (see IDSet), and
 // callers must not extend one version from two goroutines at once.
 //
-// An exact LIKE pattern on an indexed dictionary reads the hash index;
-// every other filter walks the new table entries without holding the
-// dictionary lock.
+// Every filter kind — LIKE, =, != and numeric — walks the new table
+// entries the same way, without holding the dictionary lock.
 func (d *Dictionary) ResolveEntities(t sysmon.EntityType, attr string, f *AttrFilter, prev *IDSet, from int) (set *IDSet, upto int) {
 	attr, known := sysmon.CanonicalAttr(t, attr)
-	exact := d.indexed && f.Pattern != nil && !f.Negate && f.Pattern.Exact()
-	if exact {
-		d.ensureBuilt() // only the exact path consults the hash indexes
-	}
-	d.mu.RLock()
-	procs, files, conns := d.procs, d.files, d.conns
-	var hits []sysmon.EntityID
-	if exact {
-		switch t {
-		case sysmon.EntityProcess:
-			hits = d.procIdx[attr][f.Pattern.ExactValue()]
-		case sysmon.EntityFile:
-			hits = d.fileIdx[attr][f.Pattern.ExactValue()]
-		case sysmon.EntityNetconn:
-			hits = d.connIdx[attr][f.Pattern.ExactValue()]
-		}
-	}
-	d.mu.RUnlock()
+	procs, files, conns := d.tableHeaders()
 	var value func(i int) string // attr of the entity at table position i
 	switch t {
 	case sysmon.EntityProcess:
@@ -404,16 +301,7 @@ func (d *Dictionary) ResolveEntities(t sysmon.EntityType, attr string, f *AttrFi
 		upto, value = len(conns), func(i int) string { return sysmon.NetconnAttr(&conns[i], attr) }
 	}
 	set = prev.grow()
-	switch {
-	case !known || value == nil:
-	case exact:
-		// index lists ascend and were read with the tables: every hit
-		// past from is at most upto
-		i, _ := slices.BinarySearch(hits, sysmon.EntityID(from+1))
-		for _, id := range hits[i:] {
-			set.add(id)
-		}
-	default:
+	if known && value != nil {
 		for i := from; i < upto; i++ {
 			if f.match(value(i)) {
 				set.add(sysmon.EntityID(i + 1))
@@ -421,20 +309,4 @@ func (d *Dictionary) ResolveEntities(t sysmon.EntityType, attr string, f *AttrFi
 		}
 	}
 	return set, upto
-}
-
-// AllValues returns the distinct lowercased values of attr over entities of
-// type t, sorted; used by tools and tests.
-func (d *Dictionary) AllValues(t sysmon.EntityType, attr string) []string {
-	seen := map[string]struct{}{}
-	n := d.Count(t)
-	for i := 1; i <= n; i++ {
-		seen[strings.ToLower(d.Attr(t, sysmon.EntityID(i), attr))] = struct{}{}
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }

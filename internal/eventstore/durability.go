@@ -153,14 +153,7 @@ func Open(opts Options) (*Store, error) {
 		if _, err := durable.ApplyManifestDeltas(opts.Dir, m); err != nil {
 			return nil, fmt.Errorf("eventstore: recover %s: %w", opts.Dir, err)
 		}
-		// The dictionary rebuild (intern maps + attribute indexes over
-		// tens of thousands of entities) runs beside the segment
-		// restores below.
-		dictDone := make(chan struct{})
-		go func() {
-			defer close(dictDone)
-			s.dict.restoreTables(m.Procs, m.Files, m.Conns)
-		}()
+		s.dict.restoreTables(m.Procs, m.Files, m.Conns)
 		s.nextSegID = m.NextSegID
 		s.nextEventID = m.NextEventID
 		for agent, seq := range m.NextSeq {
@@ -201,7 +194,6 @@ func Open(opts Options) (*Store, error) {
 			}
 			s.noteEventsLocked(g.Len(), g.minTS, g.maxTS)
 		}
-		<-dictDone
 		if loadErr != nil {
 			return nil, fmt.Errorf("eventstore: recover %s: %w", opts.Dir, loadErr)
 		}

@@ -4,12 +4,14 @@
 // The store exploits the strong spatial and temporal properties of the
 // data: every event occurs on one host (agent) at one time, so events are
 // organized into hypertable-style chunks keyed by (agent, time bucket).
-// Entities are deduplicated into a dictionary with attribute indexes, and
-// per-chunk posting lists map entities to the events that reference them.
-// These structures give the query engine both fast access paths and the
-// statistics it needs to estimate the pruning power of event patterns.
+// Entities are deduplicated into a dictionary whose IDs are dense table
+// positions, so an attribute filter resolves to candidate entity IDs by
+// one incremental walk of the table, and per-chunk posting lists map
+// entities to the events that reference them. These structures give the
+// query engine both fast access paths and the statistics it needs to
+// estimate the pruning power of event patterns.
 //
-// Every optimization the paper describes (deduplication, attribute
+// Every optimization the paper describes (deduplication, posting
 // indexes, time/space partitioning, batch commit) can be toggled through
 // Options so the benchmark harness can ablate each one.
 package eventstore
@@ -24,8 +26,10 @@ type Options struct {
 	// queries joining on shared entity variables require it; disabling it
 	// is meant for storage/ingest ablations.
 	Dedup bool
-	// Indexes enables attribute indexes over the entity dictionary and
-	// per-chunk entity→event posting lists.
+	// Indexes enables the per-segment entity→event posting lists, which
+	// turn resolved entity candidates into event positions without a
+	// scan. Entity attribute filters resolve the same way either way
+	// (see Dictionary.ResolveEntities).
 	Indexes bool
 	// Partitioning enables hypertable-style chunking by (agent, time
 	// bucket). When disabled all events land in a single heap chunk.

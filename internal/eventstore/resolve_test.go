@@ -16,8 +16,8 @@ func resolveLike(d *Dictionary, t sysmon.EntityType, attr, pattern string) *IDSe
 	return set
 }
 
-// resolveFilters covers every kind of attribute filter: LIKE, exact =
-// (served by the hash index), != and numeric comparisons.
+// resolveFilters covers every kind of attribute filter: LIKE, exact =,
+// != and numeric comparisons.
 var resolveFilters = []struct {
 	name string
 	typ  sysmon.EntityType
@@ -251,5 +251,143 @@ func TestIDSetGrowth(t *testing.T) {
 	}
 	if digestOf(NewIDSet(5, 1, 5, 3)) != digestOf(NewIDSet(1, 3, 5)) || digestOf(NewIDSet(1, 3)) == digestOf(NewIDSet(1, 4)) {
 		t.Error("digest does not identify the member set")
+	}
+}
+
+// exactFilters are string = filters on each entity type, all matching
+// entities of resolveBatch(0).
+var exactFilters = []struct {
+	typ     sysmon.EntityType
+	attr    string
+	pattern string
+}{
+	{sysmon.EntityProcess, "exe_name", "Worker-7.EXE"},
+	{sysmon.EntityFile, "name", `c:\data\c2.log`},
+	{sysmon.EntityNetconn, "dstip", "203.0.113.9"},
+}
+
+// resolveExact resolves each of exactFilters over the whole table.
+func resolveExact(d *Dictionary) [][]sysmon.EntityID {
+	out := make([][]sysmon.EntityID, len(exactFilters))
+	for i, ef := range exactFilters {
+		set, _ := d.ResolveEntities(ef.typ, ef.attr, &AttrFilter{Pattern: like.Compile(ef.pattern)}, nil, 0)
+		out[i] = set.IDs()
+	}
+	return out
+}
+
+// entityCounts returns the dictionary's table sizes.
+func entityCounts(d *Dictionary) [3]int {
+	return [3]int{d.Count(sysmon.EntityProcess), d.Count(sysmon.EntityFile), d.Count(sysmon.EntityNetconn)}
+}
+
+// coldInternMaps reports whether d's intern maps are still unhydrated.
+func coldInternMaps(d *Dictionary) bool {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.needsBuild
+}
+
+// TestReopenedExactFilterLeavesInternMapsCold: on a reopened store an
+// exact = filter on each entity type resolves to the IDs it had before
+// the close by walking the restored tables, without hydrating the
+// intern maps; the first intern hydrates them.
+func TestReopenedExactFilterLeavesInternMapsCold(t *testing.T) {
+	dir := t.TempDir()
+	first, err := Open(durableOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.AppendAll(resolveBatch(0)); err != nil {
+		t.Fatal(err)
+	}
+	first.Flush() // the manifest now holds every entity table
+	want := resolveExact(first.Dict())
+	for i, ids := range want {
+		if len(ids) == 0 {
+			t.Fatalf("%s = %q matches nothing before the close", exactFilters[i].attr, exactFilters[i].pattern)
+		}
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(durableOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	d := s.Dict()
+	if !coldInternMaps(d) {
+		t.Fatal("a freshly reopened store already hydrated its intern maps")
+	}
+	if got := resolveExact(d); !slices.EqualFunc(got, want, slices.Equal) {
+		t.Errorf("after reopen exact filters resolve to %v, before the close %v", got, want)
+	}
+	if !coldInternMaps(d) {
+		t.Error("resolving exact filters hydrated the intern maps")
+	}
+	if err := s.AppendAll(resolveBatch(1)); err != nil {
+		t.Fatal(err)
+	}
+	if coldInternMaps(d) {
+		t.Error("an intern left the intern maps unhydrated")
+	}
+}
+
+// TestReopenedStoreReusesEntityIDs: entities persisted in the manifest
+// or only in the WAL keep their IDs across a reopen, and re-appending
+// them, whether by a fresh AppendAll or through a later WAL replay,
+// interns nothing new.
+func TestReopenedStoreReusesEntityIDs(t *testing.T) {
+	dir := t.TempDir()
+	opts := durableOpts(dir)
+	opts.SegmentEvents = 1 << 20 // only Flush seals
+	first, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.AppendAll(resolveBatch(0)); err != nil {
+		t.Fatal(err)
+	}
+	first.Flush()                                            // batch 0's entities in the manifest
+	if err := first.AppendAll(resolveBatch(1)); err != nil { // batch 1's only in the WAL
+		t.Fatal(err)
+	}
+	wantCounts, wantIDs := entityCounts(first.Dict()), resolveExact(first.Dict())
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := entityCounts(second.Dict()); got != wantCounts {
+		t.Fatalf("reopened store holds %v entities, want %v", got, wantCounts)
+	}
+	for k := 0; k <= 1; k++ {
+		if err := second.AppendAll(resolveBatch(k)); err != nil {
+			t.Fatal(err)
+		}
+		if got := entityCounts(second.Dict()); got != wantCounts {
+			t.Fatalf("re-appending batch %d after reopen: %v entities, want %v", k, got, wantCounts)
+		}
+	}
+	crash(second) // the re-appended events survive only in the WAL
+
+	third, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer third.Close()
+	if got := entityCounts(third.Dict()); got != wantCounts {
+		t.Fatalf("after replaying the re-appends: %v entities, want %v", got, wantCounts)
+	}
+	if got := resolveExact(third.Dict()); !slices.EqualFunc(got, wantIDs, slices.Equal) {
+		t.Errorf("entity IDs moved across reopens: %v, want %v", got, wantIDs)
+	}
+	if third.Len() != 4*len(resolveBatch(0)) {
+		t.Errorf("third open holds %d events, want %d", third.Len(), 4*len(resolveBatch(0)))
 	}
 }

@@ -123,7 +123,7 @@ func New(opts Options) *Store {
 	opts = opts.normalized()
 	return &Store{
 		opts:       opts,
-		dict:       newDictionary(opts.Dedup, opts.Indexes),
+		dict:       newDictionary(opts.Dedup),
 		parts:      make(map[PartKey]*partState),
 		nextSeq:    make(map[uint32]uint64),
 		blockCache: NewBlockCache(opts.BlockCacheBytes),
@@ -464,36 +464,4 @@ func (s *Store) EstimateMatches(f *EventFilter) int {
 // Agents returns the distinct agent IDs present in the store, ascending.
 func (s *Store) Agents() []uint32 {
 	return s.Snapshot().Agents()
-}
-
-// PartitionView is one hypertable chunk's committed events, flattened
-// across its segments and memtable, for bulk consumers (baseline
-// loaders, tests).
-type PartitionView struct {
-	Key    PartKey
-	events []sysmon.Event
-}
-
-// Len returns the number of events in the chunk.
-func (p *PartitionView) Len() int { return len(p.events) }
-
-// Events returns the chunk's events: each segment's run oldest first,
-// then the memtable tail. The slice is owned by the caller.
-func (p *PartitionView) Events() []sysmon.Event { return p.events }
-
-// Partitions returns the store's chunks in deterministic order, for bulk
-// consumers (baseline loaders, tests).
-func (s *Store) Partitions() []*PartitionView {
-	sn := s.Snapshot()
-	out := make([]*PartitionView, 0, len(sn.parts))
-	for i := range sn.parts {
-		p := &sn.parts[i]
-		pv := &PartitionView{Key: p.key}
-		for _, g := range p.segs {
-			pv.events = append(pv.events, g.Events()...)
-		}
-		pv.events = append(pv.events, p.mem.Events()...)
-		out = append(out, pv)
-	}
-	return out
 }

@@ -244,7 +244,9 @@ type StorageVariant struct {
 }
 
 // StorageVariants enumerates the ablation grid: all optimizations on,
-// each one individually off, and all off.
+// each one individually off, and all off. "no-indexes" turns off the
+// per-segment entity→event posting lists; entity attribute filters
+// resolve by the same dictionary walk in every variant.
 func StorageVariants() []StorageVariant {
 	full := eventstore.DefaultOptions()
 	noDedup := full

@@ -42,17 +42,6 @@ func Compile(raw string) *Pattern {
 // Raw returns the original pattern text.
 func (p *Pattern) Raw() string { return p.raw }
 
-// Exact reports whether the pattern contains no wildcards.
-func (p *Pattern) Exact() bool { return p.exact }
-
-// ExactValue returns the literal (lowercased) value for exact patterns.
-func (p *Pattern) ExactValue() string {
-	if len(p.segments) == 0 {
-		return ""
-	}
-	return p.segments[0]
-}
-
 // Prefix returns the literal prefix the pattern demands, if any.
 // Useful for index range scans: "C:\Win%" has prefix "c:\win".
 func (p *Pattern) Prefix() string {
@@ -155,7 +144,9 @@ func indexFold(s, lower string) int {
 // against the folded s. pat must already be lowercased.
 func matchFold(pat, s string) bool {
 	// iterative two-pointer algorithm with single backtrack point,
-	// the classic wildcard matcher
+	// the classic wildcard matcher. A pattern '%' is always a wildcard,
+	// even facing a '%' in s, so it is tried before a literal match:
+	// consumed as a literal, it would set no backtrack point.
 	var (
 		pi, si     int
 		starPi     = -1
@@ -164,13 +155,13 @@ func matchFold(pat, s string) bool {
 	)
 	for si < slen {
 		switch {
-		case pi < plen && (pat[pi] == '_' || pat[pi] == fold(s[si])):
-			pi++
-			si++
 		case pi < plen && pat[pi] == '%':
 			starPi = pi
 			starSi = si
 			pi++
+		case pi < plen && (pat[pi] == '_' || pat[pi] == fold(s[si])):
+			pi++
+			si++
 		case starPi >= 0:
 			pi = starPi + 1
 			starSi++
@@ -190,10 +181,11 @@ func Match(pattern, s string) bool { return Compile(pattern).Match(s) }
 
 // ToRegexp converts a LIKE pattern into an equivalent (case-insensitive)
 // regular expression source string. Used by tests to cross-check the
-// matcher and by the Cypher translator ('=~' operator).
+// matcher and by the Cypher translator ('=~' operator). The s flag lets
+// '%' and '_' match a newline, as they do in Match and in SQL LIKE.
 func ToRegexp(pattern string) string {
 	var b strings.Builder
-	b.WriteString("(?i)^")
+	b.WriteString("(?is)^")
 	for _, r := range pattern {
 		switch r {
 		case '%':

@@ -89,17 +89,20 @@ func TestPrefix(t *testing.T) {
 	}
 }
 
+// TestExact: a pattern without wildcards demands the whole (folded)
+// subject and is its own prefix; any wildcard ends the exact form.
 func TestExact(t *testing.T) {
-	if !Compile("plain").Exact() {
-		t.Error("plain string should be exact")
+	p := Compile("MiXeD")
+	if !p.Match("mixed") || !p.Match("MIXED") || p.Match("mixed2") || p.Match("mixe") {
+		t.Error("a plain pattern must match exactly the folded subject")
 	}
-	for _, p := range []string{"a%", "_a", "%"} {
-		if Compile(p).Exact() {
-			t.Errorf("%q should not be exact", p)
+	if got := p.Prefix(); got != "mixed" {
+		t.Errorf("Prefix = %q, want %q", got, "mixed")
+	}
+	for _, w := range []string{"a%", "_a", "%"} {
+		if Compile(w).Match(w+"x") != strings.HasSuffix(w, "%") {
+			t.Errorf("%q should act as a wildcard pattern", w)
 		}
-	}
-	if got := Compile("MiXeD").ExactValue(); got != "mixed" {
-		t.Errorf("ExactValue = %q, want %q", got, "mixed")
 	}
 }
 
@@ -108,7 +111,7 @@ func TestExact(t *testing.T) {
 func TestMatchAgainstRegexp(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	alphabet := []rune("ab%_c")
-	inputs := []rune("abcx")
+	inputs := []rune("abcx%_")
 	gen := func(letters []rune, n int) string {
 		var b strings.Builder
 		for i := 0; i < n; i++ {
@@ -164,74 +167,14 @@ func TestToRegexpEscapesMeta(t *testing.T) {
 	}
 }
 
-// refMatch is the reference matcher Match must agree with byte for
-// byte: both sides lowered with strings.ToLower, then matchGeneral for
-// patterns with '_' and the literal-segment walk for the rest.
-func refMatch(pattern, s string) bool {
-	p := Compile(pattern)
-	ls := strings.ToLower(s)
-	if p.hasUnder {
-		return matchGeneral(strings.ToLower(pattern), ls)
-	}
-	if p.exact {
-		return ls == p.segments[0]
-	}
-	rest := ls
-	for i, seg := range p.segments {
-		if i == 0 && !p.leading {
-			if !strings.HasPrefix(rest, seg) {
-				return false
-			}
-			rest = rest[len(seg):]
-			continue
-		}
-		if i == len(p.segments)-1 && !p.trailing {
-			return strings.HasSuffix(rest, seg)
-		}
-		j := strings.Index(rest, seg)
-		if j < 0 {
-			return false
-		}
-		rest = rest[j+len(seg):]
-	}
-	return true
-}
-
-// matchGeneral is the backtracking matcher over pre-lowered strings
-// that refMatch uses for patterns with '_'.
-func matchGeneral(pat, s string) bool {
-	var (
-		pi, si     int
-		starPi     = -1
-		starSi     int
-		plen, slen = len(pat), len(s)
-	)
-	for si < slen {
-		switch {
-		case pi < plen && (pat[pi] == '_' || pat[pi] == s[si]):
-			pi++
-			si++
-		case pi < plen && pat[pi] == '%':
-			starPi = pi
-			starSi = si
-			pi++
-		case starPi >= 0:
-			pi = starPi + 1
-			starSi++
-			si = starSi
-		default:
-			return false
-		}
-	}
-	for pi < plen && pat[pi] == '%' {
-		pi++
-	}
-	return pi == plen
-}
-
-// FuzzLikeMatch: Match, which folds ASCII subjects in place and lowers
-// only non-ASCII ones, answers exactly as the reference that lowers
-// both sides with strings.ToLower, on arbitrary bytes.
+// FuzzLikeMatch: on ASCII inputs, Match answers exactly as the
+// pattern's ToRegexp translation, the reference SQL LIKE semantics also
+// used by the Cypher baseline. Outside ASCII the two definitions part
+// ('_' is one byte of the lowered subject, not one rune, and case
+// folding follows strings.ToLower, not Unicode simple folding), so there,
+// on arbitrary bytes, Match, which folds ASCII subjects in place and
+// lowers only non-ASCII ones, must answer as it does for the subject
+// lowered by strings.ToLower.
 func FuzzLikeMatch(f *testing.F) {
 	seeds := []struct{ pattern, s string }{
 		{"%cmd.exe", `C:\Windows\System32\CMD.EXE`},
@@ -256,13 +199,27 @@ func FuzzLikeMatch(f *testing.F) {
 		{"%\u00e9%", "\u00c9COLE"},                // case pair outside ASCII
 		{"a%b%c", "AXXBYYC"},                      // inner segments
 		{"%Win%Sys%", "c:\\windows\\system32\\x"}, // uppercase pattern
+		{"a%_", "a%"},                             // a '%' facing a subject '%' is a wildcard
+		{"%b_", "%abc"},                           // and may match more than that '%'
+		{"a%_", "A\nB\n"},                         // wildcards span newlines
 	}
 	for _, sd := range seeds {
 		f.Add(sd.pattern, sd.s)
 	}
 	f.Fuzz(func(t *testing.T, pattern, s string) {
-		if got, want := Compile(pattern).Match(s), refMatch(pattern, s); got != want {
-			t.Fatalf("Match(%q, %q) = %v, reference says %v", pattern, s, got, want)
+		got := Compile(pattern).Match(s)
+		if !isASCII(pattern) || !isASCII(s) {
+			if want := Compile(pattern).Match(strings.ToLower(s)); got != want {
+				t.Fatalf("Match(%q, %q) = %v, but %v for the lowered subject", pattern, s, got, want)
+			}
+			return
+		}
+		re, err := regexp.Compile(ToRegexp(pattern))
+		if err != nil {
+			t.Fatalf("ToRegexp(%q) does not compile: %v", pattern, err)
+		}
+		if want := re.MatchString(s); got != want {
+			t.Fatalf("Match(%q, %q) = %v, regexp %s says %v", pattern, s, got, re, want)
 		}
 	})
 }
