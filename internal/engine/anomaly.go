@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"github.com/aiql/aiql/internal/aiql/ast"
 	"github.com/aiql/aiql/internal/aiql/semantic"
@@ -161,9 +160,25 @@ func (e *Engine) runAnomaly(ctx context.Context, snap *eventstore.Snapshot, q *a
 			groupExprs = append(groupExprs, q.Return[i].Expr)
 		}
 	}
+	ents := newEntityReader(e.store.Dict())
+	groupGet, err := compileEventExprs(groupExprs, info, env, ents)
+	if err != nil {
+		return err
+	}
+	keyExprs := make([]ast.Expr, len(keyIdx))
+	for k, ri := range keyIdx {
+		keyExprs[k] = q.Return[ri].Expr
+	}
+	keyGet, err := compileEventExprs(keyExprs, info, env, ents)
+	if err != nil {
+		return err
+	}
 
 	groups := map[string]*groupCell{}
-	var groupOrder []string
+	var (
+		groupOrder []string
+		gkBuf      []byte // the group key being looked up
+	)
 	for i := range events {
 		// window aggregation over a huge match set must honor the
 		// deadline just as the scans do
@@ -176,23 +191,23 @@ func (e *Engine) runAnomaly(ctx context.Context, snap *eventstore.Snapshot, q *a
 		if ev.StartTS < from || ev.StartTS >= to {
 			continue
 		}
-		gk, err := e.eventExprKey(groupExprs, info, env, ev)
-		if err != nil {
-			return err
+		gkBuf = gkBuf[:0]
+		for k, get := range groupGet {
+			if k > 0 {
+				gkBuf = append(gkBuf, 0)
+			}
+			gkBuf = append(gkBuf, get(ev)...)
 		}
-		cell := groups[gk]
+		cell := groups[string(gkBuf)]
 		if cell == nil {
 			cell = &groupCell{aggs: map[string][]aggState{}}
 			for _, it := range aggItems {
 				cell.aggs[it.alias] = make([]aggState, numWin)
 			}
-			for _, ri := range keyIdx {
-				v, err := e.eventExprValue(q.Return[ri].Expr, info, env, ev)
-				if err != nil {
-					return err
-				}
-				cell.keys = append(cell.keys, v)
+			for _, get := range keyGet {
+				cell.keys = append(cell.keys, get(ev))
 			}
+			gk := string(gkBuf)
 			groups[gk] = cell
 			groupOrder = append(groupOrder, gk)
 		}
@@ -227,7 +242,10 @@ func (e *Engine) runAnomaly(ctx context.Context, snap *eventstore.Snapshot, q *a
 	if q.Having != nil {
 		firstWin = maxLag(q.Having)
 	}
-	seen := map[string]struct{}{} // identical rows recur across windows
+	var (
+		seen   = map[string]struct{}{} // identical rows recur across windows
+		keyBuf []byte                  // scratch for a row's seen key
+	)
 	for _, gk := range groupOrder {
 		cell := groups[gk]
 		for k := firstWin; k < numWin; k++ {
@@ -250,7 +268,7 @@ func (e *Engine) runAnomaly(ctx context.Context, snap *eventstore.Snapshot, q *a
 					continue
 				}
 			}
-			row := make([]string, len(q.Return))
+			row := out.row(len(q.Return))
 			ki, ai := 0, 0
 			for i := range q.Return {
 				if _, isAgg := q.Return[i].Expr.(*ast.CallExpr); isAgg {
@@ -262,11 +280,11 @@ func (e *Engine) runAnomaly(ctx context.Context, snap *eventstore.Snapshot, q *a
 					ki++
 				}
 			}
-			key := rowKeyString(row)
-			if _, dup := seen[key]; dup {
+			keyBuf = appendRowKey(keyBuf[:0], row)
+			if _, dup := seen[string(keyBuf)]; dup {
 				continue
 			}
-			seen[key] = struct{}{}
+			seen[string(keyBuf)] = struct{}{}
 			if !out.emit(row) {
 				return nil
 			}
@@ -306,49 +324,54 @@ func maxLag(e ast.Expr) int {
 	}
 }
 
-// eventExprKey renders the group key for an event.
-func (e *Engine) eventExprKey(exprs []ast.Expr, info *semantic.Info, env *anomalyEnv, ev *sysmon.Event) (string, error) {
-	parts := make([]string, len(exprs))
+// eventGetter renders a non-aggregate expression against one event.
+type eventGetter func(ev *sysmon.Event) string
+
+// compileEventExprs compiles group-key or return expressions into one
+// getter each, entity attributes read through ents.
+func compileEventExprs(exprs []ast.Expr, info *semantic.Info, env *anomalyEnv, ents *entityReader) ([]eventGetter, error) {
+	out := make([]eventGetter, len(exprs))
 	for i, x := range exprs {
-		v, err := e.eventExprValue(x, info, env, ev)
+		g, err := compileEventExpr(x, info, env, ents)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		parts[i] = v
+		out[i] = g
 	}
-	return strings.Join(parts, "\x00"), nil
+	return out, nil
 }
 
-// eventExprValue renders a non-aggregate expression against one event.
-func (e *Engine) eventExprValue(expr ast.Expr, info *semantic.Info, env *anomalyEnv, ev *sysmon.Event) (string, error) {
+func compileEventExpr(expr ast.Expr, info *semantic.Info, env *anomalyEnv, ents *entityReader) (eventGetter, error) {
 	switch x := expr.(type) {
 	case *ast.AttrExpr:
 		if t, ok := info.Vars[x.Var]; ok {
-			var id sysmon.EntityID
+			attr := ents.attrFunc(t, x.Attr)
 			switch x.Var {
 			case env.subjName:
-				id = ev.Subject
+				return func(ev *sysmon.Event) string { return attr(ev.Subject) }, nil
 			case env.objName:
-				id = ev.Object
+				return func(ev *sysmon.Event) string { return attr(ev.Object) }, nil
 			default:
-				return "", fmt.Errorf("engine: variable %q is not part of the anomaly pattern", x.Var)
+				return nil, fmt.Errorf("engine: variable %q is not part of the anomaly pattern", x.Var)
 			}
-			return e.store.Dict().Attr(t, id, x.Attr), nil
 		}
 		if _, ok := info.Events[x.Var]; ok {
-			v, ok := sysmon.EventAttr(ev, x.Attr)
-			if !ok {
-				return "", fmt.Errorf("engine: unknown event attribute %q", x.Attr)
+			if !sysmon.ValidEventAttr(x.Attr) {
+				return nil, fmt.Errorf("engine: unknown event attribute %q", x.Attr)
 			}
-			return v, nil
+			return func(ev *sysmon.Event) string {
+				v, _ := sysmon.EventAttr(ev, x.Attr)
+				return v
+			}, nil
 		}
-		return "", fmt.Errorf("engine: unknown variable %q", x.Var)
+		return nil, fmt.Errorf("engine: unknown variable %q", x.Var)
 	case *ast.NumberLit:
-		return numfmt.Format(x.Val), nil
+		v := numfmt.Format(x.Val)
+		return func(*sysmon.Event) string { return v }, nil
 	case *ast.StringLit:
-		return x.Val, nil
+		return func(*sysmon.Event) string { return x.Val }, nil
 	default:
-		return "", fmt.Errorf("engine: unsupported group expression %s", ast.ExprString(expr))
+		return nil, fmt.Errorf("engine: unsupported group expression %s", ast.ExprString(expr))
 	}
 }
 

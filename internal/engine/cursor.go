@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
+
+	"github.com/aiql/aiql/internal/obs"
 )
 
 // CursorOptions shape a streaming execution.
@@ -63,9 +66,10 @@ func (c *haltCtx) Err() error {
 
 // Cursor is a pull-based iterator over a query's projected rows. The
 // producer executes the query plan on demand: rows are handed over in
-// small chunks (the first row on its own, so it is never held back),
-// intermediate results past the prefix joins are never materialized,
-// and closing the cursor aborts the remaining scan work.
+// chunks of up to rowChunkSize (the first row on its own, so it is never
+// held back, and no row held more than about chunkMaxHold once its scan
+// unit ends), intermediate results past the prefix joins are never
+// materialized, and closing the cursor aborts the remaining scan work.
 //
 // Usage follows database/sql:
 //
@@ -184,24 +188,63 @@ func (c *Cursor) Close() error {
 // that a chunk is a few tens of kilobytes.
 const rowChunkSize = 256
 
-// rowChunker is the producer's end of a cursor: it collects projected
-// rows into chunks and hands them over when told to — the first row at
-// once, then whenever a chunk fills, at scan-unit boundaries (flush),
-// and when the limit is reached.
+// chunkMaxHold is how long a pending row may wait for its chunk to fill
+// before a scan-unit boundary hands it over anyway. Units of a fast
+// scan end every few microseconds, so a boundary on its own is no
+// reason to hand over a part-filled chunk; a slow scan's rows must
+// still reach a reader at interactive speed.
+const chunkMaxHold = 2 * time.Millisecond
+
+// arenaFirstRows is how many rows the first row arena holds; each later
+// arena doubles up to rowChunkSize, so a one-row query does not pay for
+// a chunk's worth of cells.
+const arenaFirstRows = 8
+
+// rowChunker is the producer's end of a cursor: it cuts rows from an
+// arena it owns, collects them into chunks and hands those over — the
+// first row at once, then whenever a chunk fills, when the limit is
+// reached, at the end, and at a scan-unit boundary once the oldest
+// pending row has waited hold. Nothing is recycled: a handed-over chunk
+// and the arena cells of its rows belong to the consumer.
 type rowChunker struct {
-	c       *Cursor
-	ctx     context.Context
-	limit   int
-	sent    int
+	c      *Cursor
+	ctx    context.Context
+	limit  int
+	hold   time.Duration // chunkMaxHold; a field so tests can pin the policy
+	sent   int           // rows emitted
+	chunks int           // chunks handed over
+
 	pending [][]string
+	since   time.Time // when the oldest pending row was emitted
+
+	arena     []string // cells of the rows emitted from it; the next row starts at len
+	arenaRows int      // rows the current arena was sized for
 }
 
-// emit takes one projected row. It returns false when downstream demand
-// is satisfied (the limit was reached or the cursor was closed); the
-// producer then stops scanning.
+// row returns n cells for the next row, cut from the arena and capped
+// so that appending to the row can never reach the next one. They join
+// the arena only when the row is emitted: until then row returns the
+// same cells, so a rendered row that is dropped (a distinct duplicate)
+// costs nothing.
+func (rc *rowChunker) row(n int) []string {
+	if len(rc.arena)+n > cap(rc.arena) {
+		rc.arenaRows = min(max(2*rc.arenaRows, arenaFirstRows), rowChunkSize)
+		rc.arena = make([]string, 0, rc.arenaRows*n)
+	}
+	k := len(rc.arena)
+	return rc.arena[k : k+n : k+n]
+}
+
+// emit takes the row last returned by row, rendered. It returns false
+// when downstream demand is satisfied (the limit was reached or the
+// cursor was closed); the producer then stops scanning.
 func (rc *rowChunker) emit(row []string) bool {
-	if rc.pending == nil && rc.sent > 0 {
-		rc.pending = make([][]string, 0, rowChunkSize)
+	rc.arena = rc.arena[:len(rc.arena)+len(row)]
+	if len(rc.pending) == 0 {
+		if rc.pending == nil && rc.sent > 0 {
+			rc.pending = make([][]string, 0, rowChunkSize)
+		}
+		rc.since = time.Now()
 	}
 	rc.pending = append(rc.pending, row)
 	rc.sent++
@@ -209,17 +252,50 @@ func (rc *rowChunker) emit(row []string) bool {
 		rc.flush()
 		return false
 	}
-	if rc.sent == 1 || len(rc.pending) >= rowChunkSize {
+	if rc.sent == 1 {
+		if !rc.flush() {
+			return false
+		}
+		// The handoff made the consumer runnable on this P's next slot,
+		// where it would wait until this producer blocks — which, with
+		// the other Ps busy running scan helpers, is when a whole chunk
+		// has filled. Yield so the first row is delivered now.
+		runtime.Gosched()
+		return true
+	}
+	if len(rc.pending) >= rowChunkSize {
 		return rc.flush()
 	}
 	return true
 }
 
+// boundary is called where a scan unit ends. It hands the pending rows
+// over once the oldest has waited hold; false means the cursor was
+// closed or the context is done. Otherwise it costs at most a clock
+// read: scans visit hundreds of units, most of them empty for a
+// selective query, and check for cancellation themselves.
+func (rc *rowChunker) boundary() bool {
+	if len(rc.pending) == 0 || time.Since(rc.since) < rc.hold {
+		return true
+	}
+	return rc.flush()
+}
+
 // flush hands the pending rows to the cursor, blocking while its buffer
-// is full; false means the cursor was closed or the context is done.
+// is full; false means the cursor was closed or the context is done,
+// and the rows are dropped.
 func (rc *rowChunker) flush() bool {
 	if len(rc.pending) == 0 {
 		return true
+	}
+	// A closed cursor takes no more rows, even where its buffer has room
+	// and the select below could pick the send.
+	select {
+	case <-rc.c.h.ch:
+		return false
+	case <-rc.ctx.Done():
+		return false
+	default:
 	}
 	select {
 	case rc.c.rows <- rc.pending:
@@ -229,6 +305,7 @@ func (rc *rowChunker) flush() bool {
 		return false
 	}
 	rc.pending = nil // the consumer owns the chunk now
+	rc.chunks++
 	return true
 }
 
@@ -254,9 +331,13 @@ func (e *Engine) startCursor(ctx context.Context, p *Prepared, opts CursorOption
 	go func() {
 		defer close(c.done)
 		stats := planned
-		out := &rowChunker{c: c, ctx: ctx, limit: opts.Limit}
+		out := &rowChunker{c: c, ctx: ctx, limit: opts.Limit, hold: chunkMaxHold}
 		runErr := run(cctx, &stats, out)
 		out.flush() // rows produced before an error still reach the consumer
+		stats.Chunks = out.chunks
+		// several cursors can run under one span (the in-process members
+		// of a scatter-gather query): each adds its own
+		obs.SpanFromContext(ctx).AddInt("chunks", int64(out.chunks))
 		// Classify the outcome. A real execution error always wins; a
 		// cancellation that traces to the parent context is reported as
 		// an abort; a cancellation caused solely by Close is a clean

@@ -3,7 +3,13 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
+	"strconv"
 	"testing"
+	"time"
+
+	"github.com/aiql/aiql/internal/aiql/semantic"
 )
 
 // drain pulls every row from a cursor and returns them with the final
@@ -193,5 +199,137 @@ func TestCursorCompileErrors(t *testing.T) {
 	}
 	if _, err := eng.ExecuteCursor(context.Background(), "proc p write file f as evt return q", CursorOptions{}); err == nil {
 		t.Error("semantic error not surfaced")
+	}
+}
+
+// chunkedRun streams n one-cell rows ("0", "1", ...) through a cursor's
+// row chunker with its hold pinned, marking a scan-unit boundary after
+// every third row, and returns what the consumer received chunk by
+// chunk, the statistics, and whether the producer was told to stop.
+func chunkedRun(t *testing.T, n int, hold time.Duration, limit int) (chunks [][][]string, stats ExecStats, stopped bool) {
+	t.Helper()
+	p := &Prepared{info: &semantic.Info{Columns: []string{"i"}}}
+	cur := (&Engine{}).startCursor(context.Background(), p, CursorOptions{Limit: limit}, ExecStats{},
+		func(_ context.Context, _ *ExecStats, out *rowChunker) error {
+			out.hold = hold
+			for i := 0; i < n; i++ {
+				row := out.row(1)
+				row[0] = strconv.Itoa(i)
+				if !out.emit(row) {
+					stopped = true
+					return nil
+				}
+				if i%3 == 2 && (!out.boundary() || !out.boundary()) { // a second boundary finds nothing new
+					stopped = true
+					return nil
+				}
+			}
+			return nil
+		})
+	defer cur.Close()
+	for chunk := cur.NextChunk(); chunk != nil; chunk = cur.NextChunk() {
+		chunks = append(chunks, chunk)
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return chunks, cur.Stats(), stopped
+}
+
+func chunkSizes(chunks [][][]string) []int {
+	var sizes []int
+	for _, c := range chunks {
+		sizes = append(sizes, len(c))
+	}
+	return sizes
+}
+
+// TestRowChunkerFillsChunks: scan-unit boundaries are not flush points
+// while the pending rows are younger than the hold — a fast scan hands
+// over its first row alone and then full chunks — and the rows, cut
+// from the chunker's arenas, are whole, in order, and capped so that
+// appending to one never overwrites the next.
+func TestRowChunkerFillsChunks(t *testing.T) {
+	chunks, stats, stopped := chunkedRun(t, 1000, math.MaxInt64, 0)
+	if got, want := chunkSizes(chunks), []int{1, 256, 256, 256, 231}; !slices.Equal(got, want) {
+		t.Fatalf("chunk sizes %v, want %v", got, want)
+	}
+	if stopped || stats.Chunks != len(chunks) {
+		t.Errorf("stopped %v, Stats.Chunks %d; want false, %d", stopped, stats.Chunks, len(chunks))
+	}
+	var rows [][]string
+	for _, c := range chunks {
+		rows = append(rows, c...)
+	}
+	for i, row := range rows {
+		if len(row) != 1 || cap(row) != 1 || row[0] != strconv.Itoa(i) {
+			t.Fatalf("row %d is %q (cap %d), want [%d] capped at 1", i, row, cap(row), i)
+		}
+	}
+	_ = append(rows[0], "x")
+	if rows[1][0] != "1" {
+		t.Errorf("appending to row 0 overwrote row 1: %q", rows[1])
+	}
+}
+
+// TestRowChunkerZeroHold: with no hold, every boundary that has pending
+// rows hands them over, and one that has none sends nothing.
+func TestRowChunkerZeroHold(t *testing.T) {
+	chunks, stats, _ := chunkedRun(t, 30, 0, 0)
+	want := []int{1, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3}
+	if got := chunkSizes(chunks); !slices.Equal(got, want) {
+		t.Fatalf("chunk sizes %v, want %v", got, want)
+	}
+	if stats.Chunks != len(want) {
+		t.Errorf("Stats.Chunks = %d, want %d", stats.Chunks, len(want))
+	}
+}
+
+// TestRowChunkerLimit: the row that reaches the limit is handed over in
+// a final chunk with those held before it, and emit reports that demand
+// is satisfied.
+func TestRowChunkerLimit(t *testing.T) {
+	chunks, _, stopped := chunkedRun(t, 1000, math.MaxInt64, 10)
+	if got, want := chunkSizes(chunks), []int{1, 9}; !slices.Equal(got, want) {
+		t.Fatalf("chunk sizes %v, want %v", got, want)
+	}
+	if !stopped {
+		t.Error("emit did not report the limit reached")
+	}
+}
+
+// TestRowChunkerCloseWhileHolding: rows held when the cursor is closed
+// are dropped — the handoff that would carry them, at a boundary whose
+// hold has run out or at the end, reports that the stream must stop —
+// and the consumer received only the first row's chunk.
+func TestRowChunkerCloseWhileHolding(t *testing.T) {
+	held, closed := make(chan struct{}), make(chan struct{})
+	var goOn, flushed bool
+	p := &Prepared{info: &semantic.Info{Columns: []string{"i"}}}
+	cur := (&Engine{}).startCursor(context.Background(), p, CursorOptions{}, ExecStats{},
+		func(_ context.Context, _ *ExecStats, out *rowChunker) error {
+			out.hold = math.MaxInt64
+			for i := 0; i < 3; i++ {
+				row := out.row(1)
+				row[0] = strconv.Itoa(i)
+				out.emit(row)
+			}
+			close(held)
+			<-closed
+			out.hold = 0
+			goOn, flushed = out.boundary(), out.flush()
+			return nil
+		})
+	<-held
+	go func() {
+		<-cur.h.ch // Close has triggered the halt
+		close(closed)
+	}()
+	cur.Close()
+	if goOn || flushed {
+		t.Errorf("after Close: boundary %v, flush %v; want false, false", goOn, flushed)
+	}
+	if st := cur.Stats(); st.Chunks != 1 {
+		t.Errorf("Stats.Chunks = %d, want 1 (the first row's)", st.Chunks)
 	}
 }

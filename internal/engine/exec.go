@@ -181,19 +181,22 @@ func (e *Engine) runMultievent(ctx context.Context, snap *eventstore.Snapshot, q
 // streamFinal scans the final pattern and pushes each full match through
 // join → projection → emit without collecting events or bindings: every
 // match is composed in one scratch binding that the projector reads and
-// nobody retains, so the per-event cost is the row itself. Scan units
+// nobody retains, and rendered straight into a row cut from the
+// chunker's arena, so the per-event cost is the row's cells. Scan units
 // are filtered in parallel on the worker pool but consumed strictly in
 // unit order (see forEachUnitOrdered), so emission order, limit
 // pushdown, and the visited-event accounting do not depend on how many
 // helpers run — with none (ScanWorkers: 1) the same loop is a plain
 // sequential walk. Sealed-segment batches come from the scan cache when
-// it holds them. Pending rows are handed to the cursor at every unit
-// boundary: the next unit may take a while, and a consumer should not
-// wait on rows that already exist.
+// it holds them. A unit boundary hands pending rows to the cursor only
+// once the oldest has waited chunkMaxHold (see rowChunker.boundary):
+// rows that already exist reach a consumer within about that long plus
+// one unit, and a fast scan still fills its chunks.
 func (e *Engine) streamFinal(ctx context.Context, snap *eventstore.Snapshot, filter *eventstore.EventFilter, pp *patternPlan, j *joiner, proj *projector, stats *ExecStats, out *rowChunker, limitHint int) error {
 	var (
 		ferr     error
 		produced int
+		width    = len(proj.getters)
 		scratch  = binding{
 			ents: make([]sysmon.EntityID, j.nVars),
 			evts: make([]sysmon.Event, j.nEvts),
@@ -209,7 +212,8 @@ func (e *Engine) streamFinal(ctx context.Context, snap *eventstore.Snapshot, fil
 			return false
 		}
 		j.extend(&scratch, prefix, ev)
-		row, keep, err := proj.row(&scratch)
+		row := out.row(width)
+		keep, err := proj.row(&scratch, row)
 		if err != nil {
 			ferr = err
 			return false
@@ -236,7 +240,7 @@ func (e *Engine) streamFinal(ctx context.Context, snap *eventstore.Snapshot, fil
 				return false
 			}
 		}
-		return out.flush()
+		return out.boundary()
 	})
 	if ferr != nil {
 		return ferr
@@ -540,9 +544,8 @@ func temporalOK(checks []tcheck, b *binding, ev *sysmon.Event) bool {
 // projector renders the return clause for one binding at a time,
 // carrying the distinct-dedup state across the stream. The clause is
 // compiled once into one getter per column, so rendering a row resolves
-// no variable names.
+// no variable or attribute names.
 type projector struct {
-	dict    *eventstore.Dictionary
 	getters []colGetter
 	seen    map[string]struct{} // non-nil iff the query is distinct
 	keyBuf  []byte              // scratch for the distinct key
@@ -562,24 +565,17 @@ const (
 type colGetter struct {
 	kind getterKind
 	slot int
-	typ  sysmon.EntityType
+	ent  func(sysmon.EntityID) string // getEntAttr: the compiled attribute read
 	attr string
 	lit  string
 	err  error
-	// memo fronts Dictionary.Attr — a lock and an attribute switch per
-	// call — for this execution: result rows name the same few entities
-	// over and over. A column that turns out to name more than
-	// attrMemoCap distinct entities (file paths, say) drops its memo — it
-	// was mostly missing, and must not grow with the result.
-	memo map[sysmon.EntityID]string
 }
 
-const attrMemoCap = 4096
-
 func newProjector(e *Engine, q *ast.MultieventQuery, info *semantic.Info, sl *slots) *projector {
-	p := &projector{dict: e.store.Dict(), getters: make([]colGetter, len(q.Return))}
+	ents := newEntityReader(e.store.Dict())
+	p := &projector{getters: make([]colGetter, len(q.Return))}
 	for i := range q.Return {
-		p.getters[i] = compileGetter(q.Return[i].Expr, info, sl)
+		p.getters[i] = compileGetter(q.Return[i].Expr, info, sl, ents)
 	}
 	if q.Distinct {
 		p.seen = map[string]struct{}{}
@@ -587,15 +583,14 @@ func newProjector(e *Engine, q *ast.MultieventQuery, info *semantic.Info, sl *sl
 	return p
 }
 
-func compileGetter(expr ast.Expr, info *semantic.Info, sl *slots) colGetter {
+func compileGetter(expr ast.Expr, info *semantic.Info, sl *slots, ents *entityReader) colGetter {
 	fail := func(format string, args ...any) colGetter {
 		return colGetter{kind: getErr, err: fmt.Errorf(format, args...)}
 	}
 	switch x := expr.(type) {
 	case *ast.AttrExpr:
 		if t, ok := info.Vars[x.Var]; ok {
-			return colGetter{kind: getEntAttr, slot: sl.vars[x.Var], typ: t, attr: x.Attr,
-				memo: map[sysmon.EntityID]string{}}
+			return colGetter{kind: getEntAttr, slot: sl.vars[x.Var], ent: ents.attrFunc(t, x.Attr)}
 		}
 		if _, ok := info.Events[x.Var]; ok {
 			if !sysmon.ValidEventAttr(x.Attr) {
@@ -618,27 +613,15 @@ func compileGetter(expr ast.Expr, info *semantic.Info, sl *slots) colGetter {
 	}
 }
 
-// row renders one binding. keep is false when the row is a distinct
-// duplicate and must be dropped.
-func (p *projector) row(b *binding) (row []string, keep bool, err error) {
-	row = make([]string, len(p.getters))
+// row renders one binding into row, which has one cell per return
+// column. keep is false when the row is a distinct duplicate and must
+// be dropped; its cells may then be overwritten.
+func (p *projector) row(b *binding, row []string) (keep bool, err error) {
 	for i := range p.getters {
 		g := &p.getters[i]
 		switch g.kind {
 		case getEntAttr:
-			id := b.ents[g.slot]
-			v, ok := g.memo[id]
-			if !ok {
-				v = p.dict.Attr(g.typ, id, g.attr)
-				switch {
-				case g.memo == nil: // dropped: lookups in a nil map just miss
-				case len(g.memo) < attrMemoCap:
-					g.memo[id] = v
-				default:
-					g.memo = nil
-				}
-			}
-			row[i] = v
+			row[i] = g.ent(b.ents[g.slot])
 		case getEvtAttr:
 			row[i], _ = sysmon.EventAttr(&b.evts[g.slot], g.attr)
 		case getEvtID:
@@ -646,17 +629,63 @@ func (p *projector) row(b *binding) (row []string, keep bool, err error) {
 		case getLiteral:
 			row[i] = g.lit
 		case getErr:
-			return nil, false, g.err
+			return false, g.err
 		}
 	}
 	if p.seen != nil {
 		p.keyBuf = appendRowKey(p.keyBuf[:0], row)
 		if _, dup := p.seen[string(p.keyBuf)]; dup {
-			return nil, false, nil
+			return false, nil
 		}
 		p.seen[string(p.keyBuf)] = struct{}{}
 	}
-	return row, true, nil
+	return true, nil
+}
+
+// entityReader renders entity attributes for one execution from a view
+// of the dictionary's entity tables taken when it starts: an attribute
+// read is a bounds check, a table index and a field load, with no lock
+// and no per-name switch. The view covers every entity the execution's
+// store snapshot references (entities are interned before the events
+// naming them commit); an ID past it falls back to the locked
+// Dictionary.Attr.
+type entityReader struct {
+	tabs eventstore.Tables
+	dict *eventstore.Dictionary
+}
+
+func newEntityReader(dict *eventstore.Dictionary) *entityReader {
+	return &entityReader{tabs: dict.Tables(), dict: dict}
+}
+
+// attrFunc compiles reading the (canonical) attribute attr of type-t
+// entities into a function of the entity ID.
+func (r *entityReader) attrFunc(t sysmon.EntityType, attr string) func(sysmon.EntityID) string {
+	fallback := func(id sysmon.EntityID) string { return r.dict.Attr(t, id, attr) }
+	switch t {
+	case sysmon.EntityProcess:
+		return tableAttr(r.tabs.Procs, sysmon.ProcessField(attr), fallback)
+	case sysmon.EntityFile:
+		return tableAttr(r.tabs.Files, sysmon.FileField(attr), fallback)
+	case sysmon.EntityNetconn:
+		return tableAttr(r.tabs.Conns, sysmon.NetconnField(attr), fallback)
+	}
+	return func(sysmon.EntityID) string { return "" }
+}
+
+// tableAttr reads field of the entity with a given ID from table, whose
+// position i holds ID i+1; an ID past the table goes to fallback. A nil
+// field (an unknown attribute) reads as "".
+func tableAttr[E any](table []E, field func(*E) string, fallback func(sysmon.EntityID) string) func(sysmon.EntityID) string {
+	if field == nil {
+		return func(sysmon.EntityID) string { return "" }
+	}
+	return func(id sysmon.EntityID) string {
+		if i := int(id) - 1; i >= 0 && i < len(table) {
+			return field(&table[i])
+		}
+		return fallback(id)
+	}
 }
 
 // appendRowKey appends an injective encoding of row — each cell behind

@@ -47,6 +47,10 @@ type ExecStats struct {
 	// (zero under sequential scanning): high values mean the shared
 	// worker pool, not this query's own scanning, bounded the latency.
 	PoolWait time.Duration
+	// Chunks is how many chunks the cursor handed its consumer: rows
+	// over Chunks is the rows each handoff (and each write and flush of
+	// a streaming consumer) carried.
+	Chunks int
 }
 
 // Accumulate folds another execution's counters into s — the shard
@@ -67,6 +71,7 @@ func (s *ExecStats) Accumulate(o ExecStats) {
 	s.ResolveExtends += o.ResolveExtends
 	s.ResolveMisses += o.ResolveMisses
 	s.PoolWait += o.PoolWait
+	s.Chunks += o.Chunks
 }
 
 func (s *ExecStats) addResolve(r resolveStats) {

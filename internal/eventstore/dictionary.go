@@ -57,6 +57,23 @@ func (d *Dictionary) tableHeaders() (procs []sysmon.Process, files []sysmon.File
 	return d.procs, d.files, d.conns
 }
 
+// Tables is a view of the entity tables at one instant: position i of a
+// table holds the entity whose ID is i+1. The tables are append-only and
+// their entries immutable, so a view stays exact for every ID it covers
+// while the dictionary keeps interning, and it is read with no lock
+// held. Its slices must not be mutated.
+type Tables struct {
+	Procs []sysmon.Process
+	Files []sysmon.File
+	Conns []sysmon.Netconn
+}
+
+// Tables snapshots the entity tables: one read lock, no copy.
+func (d *Dictionary) Tables() Tables {
+	procs, files, conns := d.tableHeaders()
+	return Tables{Procs: procs, Files: files, Conns: conns}
+}
+
 // restoreTables installs persisted entity tables into an empty
 // dictionary. Entity IDs are table positions, so restoring the tables
 // verbatim preserves every ID referenced by persisted events.
@@ -196,16 +213,16 @@ func (d *Dictionary) Netconn(id sysmon.EntityID) *sysmon.Netconn {
 func (d *Dictionary) Attr(t sysmon.EntityType, id sysmon.EntityID, attr string) string {
 	switch t {
 	case sysmon.EntityProcess:
-		if p := d.Process(id); p != nil {
-			return sysmon.ProcessAttr(p, attr)
+		if p, field := d.Process(id), sysmon.ProcessField(attr); p != nil && field != nil {
+			return field(p)
 		}
 	case sysmon.EntityFile:
-		if f := d.File(id); f != nil {
-			return sysmon.FileAttr(f, attr)
+		if f, field := d.File(id), sysmon.FileField(attr); f != nil && field != nil {
+			return field(f)
 		}
 	case sysmon.EntityNetconn:
-		if n := d.Netconn(id); n != nil {
-			return sysmon.NetconnAttr(n, attr)
+		if n, field := d.Netconn(id), sysmon.NetconnField(attr); n != nil && field != nil {
+			return field(n)
 		}
 	}
 	return ""
@@ -289,24 +306,33 @@ func (f *AttrFilter) match(v string) bool {
 // Every filter kind — LIKE, =, != and numeric — walks the new table
 // entries the same way, without holding the dictionary lock.
 func (d *Dictionary) ResolveEntities(t sysmon.EntityType, attr string, f *AttrFilter, prev *IDSet, from int) (set *IDSet, upto int) {
-	attr, known := sysmon.CanonicalAttr(t, attr)
+	attr, _ = sysmon.CanonicalAttr(t, attr) // "" when unknown: no field, no match
 	procs, files, conns := d.tableHeaders()
-	var value func(i int) string // attr of the entity at table position i
+	set = prev.grow()
 	switch t {
 	case sysmon.EntityProcess:
-		upto, value = len(procs), func(i int) string { return sysmon.ProcessAttr(&procs[i], attr) }
+		upto = len(procs)
+		matchTable(set, procs, from, sysmon.ProcessField(attr), f)
 	case sysmon.EntityFile:
-		upto, value = len(files), func(i int) string { return sysmon.FileAttr(&files[i], attr) }
+		upto = len(files)
+		matchTable(set, files, from, sysmon.FileField(attr), f)
 	case sysmon.EntityNetconn:
-		upto, value = len(conns), func(i int) string { return sysmon.NetconnAttr(&conns[i], attr) }
-	}
-	set = prev.grow()
-	if known && value != nil {
-		for i := from; i < upto; i++ {
-			if f.match(value(i)) {
-				set.add(sysmon.EntityID(i + 1))
-			}
-		}
+		upto = len(conns)
+		matchTable(set, conns, from, sysmon.NetconnField(attr), f)
 	}
 	return set, upto
+}
+
+// matchTable adds to set the ID of every entity of table from position
+// from on whose field matches f; a nil field (an unknown attribute)
+// matches nothing.
+func matchTable[E any](set *IDSet, table []E, from int, field func(*E) string, f *AttrFilter) {
+	if field == nil {
+		return
+	}
+	for i := from; i < len(table); i++ {
+		if f.match(field(&table[i])) {
+			set.add(sysmon.EntityID(i + 1))
+		}
+	}
 }

@@ -1,15 +1,24 @@
 // Package like implements SQL-LIKE-style pattern matching as used by AIQL
 // attribute filters: '%' matches any (possibly empty) substring and '_'
-// matches exactly one byte. Matching is case-insensitive for ASCII, which
-// mirrors how security analysts filter executable and file names collected
-// from mixed Windows/Linux fleets.
+// matches exactly one character (rune). Matching is case-insensitive
+// under Unicode simple case folding, as in SQL and in regexp's (?i),
+// which mirrors how security analysts filter executable and file names
+// collected from mixed Windows/Linux fleets. A byte that is not valid
+// UTF-8 is one character, U+FFFD, on either side.
 package like
 
-import "strings"
+import (
+	"strings"
+	"unicode"
+	"unicode/utf8"
+)
 
 // Pattern is a compiled LIKE pattern.
 type Pattern struct {
-	raw      string
+	raw   string
+	ascii bool // raw is all ASCII: the byte-folding fast path applies
+
+	// The ASCII fast path's form of the pattern (set only when ascii).
 	lower    string   // raw lowercased once, at compile time
 	segments []string // literal segments between '%' wildcards, lowercased
 	leading  bool     // pattern starts with '%'
@@ -21,8 +30,12 @@ type Pattern struct {
 // Compile parses a LIKE pattern. Compile never fails: every string is a
 // valid pattern; strings without wildcards require an exact match.
 func Compile(raw string) *Pattern {
+	p := &Pattern{raw: raw, ascii: isASCII(raw)}
+	if !p.ascii {
+		return p
+	}
 	lower := strings.ToLower(raw)
-	p := &Pattern{raw: raw, lower: lower}
+	p.lower = lower
 	p.hasUnder = strings.ContainsRune(lower, '_')
 	if !strings.ContainsRune(lower, '%') && !p.hasUnder {
 		p.exact = true
@@ -42,31 +55,43 @@ func Compile(raw string) *Pattern {
 // Raw returns the original pattern text.
 func (p *Pattern) Raw() string { return p.raw }
 
-// Prefix returns the literal prefix the pattern demands, if any.
-// Useful for index range scans: "C:\Win%" has prefix "c:\win".
+// Prefix returns the lowercased literal prefix every matching subject
+// starts with under an ASCII case-insensitive comparison, for index
+// range scans: "C:\Win%" has prefix "c:\win". It ends before the first
+// wildcard and before the first character that a differently spelled one
+// folds to ('k' and the Kelvin sign, 'é' and 'É'), so a range built from
+// it never excludes a subject Match accepts.
 func (p *Pattern) Prefix() string {
-	if p.exact {
-		return p.segments[0]
+	for i, r := range p.raw {
+		if r == '%' || r == '_' || !prefixSafe(r) {
+			return strings.ToLower(p.raw[:i])
+		}
 	}
-	if p.leading || len(p.segments) == 0 {
-		return ""
-	}
-	// the first segment is a required prefix only if no '_' precedes it
-	first, _, _ := strings.Cut(p.lower, "%")
-	if i := strings.IndexByte(first, '_'); i >= 0 {
-		return first[:i]
-	}
-	return first
+	return strings.ToLower(p.raw)
 }
 
-// Match reports whether s matches the pattern, case-insensitively: the
-// answer is always that of matching the lowercased pattern against
-// strings.ToLower(s). An ASCII subject is folded byte by byte as it is
-// compared, allocating nothing; any other subject is lowered with
-// strings.ToLower first, and folding leaves its lowered form unchanged.
+// prefixSafe reports whether every character that folds to r is spelled
+// with r's bytes up to ASCII case. U+FFFD is not: it stands for any
+// invalid byte.
+func prefixSafe(r rune) bool {
+	if r == utf8.RuneError {
+		return false
+	}
+	for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
+		if f >= utf8.RuneSelf || r >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// Match reports whether s matches the pattern, case-insensitively. An
+// ASCII subject of an ASCII pattern is folded byte by byte as it is
+// compared; any other pair is compared rune by rune under Unicode simple
+// folding. Neither allocates.
 func (p *Pattern) Match(s string) bool {
-	if !isASCII(s) {
-		s = strings.ToLower(s)
+	if !p.ascii || !isASCII(s) {
+		return matchRunes(p.raw, s)
 	}
 	if p.hasUnder {
 		return matchFold(p.lower, s)
@@ -174,6 +199,59 @@ func matchFold(pat, s string) bool {
 		pi++
 	}
 	return pi == plen
+}
+
+// foldRune maps r to one representative of its Unicode simple case-folding
+// orbit (the smallest rune in it), so two runes are equal under folding
+// exactly when their representatives are: 'k', 'K' and the Kelvin sign
+// share one, and so do 'σ', 'ς' and 'Σ'.
+func foldRune(r rune) rune {
+	min := r
+	for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
+		if f < min {
+			min = f
+		}
+	}
+	return min
+}
+
+// matchRunes is matchFold over runes: both strings are decoded as they
+// are compared, runes are equal when they fold alike, and '_' consumes
+// one rune of s.
+func matchRunes(pat, s string) bool {
+	var (
+		pi, si int
+		starPi = -1
+		starSi int
+	)
+	for si < len(s) {
+		r, n := utf8.DecodeRuneInString(s[si:])
+		var pr rune
+		pn := 0
+		if pi < len(pat) {
+			pr, pn = utf8.DecodeRuneInString(pat[pi:])
+		}
+		switch {
+		case pn > 0 && pr == '%':
+			starPi = pi
+			starSi = si
+			pi++
+		case pn > 0 && (pr == '_' || pr == r || foldRune(pr) == foldRune(r)):
+			pi += pn
+			si += n
+		case starPi >= 0:
+			pi = starPi + 1
+			_, n = utf8.DecodeRuneInString(s[starSi:])
+			starSi += n
+			si = starSi
+		default:
+			return false
+		}
+	}
+	for pi < len(pat) && pat[pi] == '%' {
+		pi++
+	}
+	return pi == len(pat)
 }
 
 // Match is a convenience for one-shot matching.

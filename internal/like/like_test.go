@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 )
 
 func TestMatchBasics(t *testing.T) {
@@ -81,6 +82,11 @@ func TestPrefix(t *testing.T) {
 		{"ab_c%", "ab"},
 		{"a%b", "a"},
 		{"%", ""},
+		{`C:\Win%`, `c:\win`},
+		{"desk%", "de"},             // 'k' folds with the Kelvin sign
+		{"ls -la%", "l"},            // 's' with the long s
+		{"\u00e9t\u00e9", ""},       // é with É
+		{"ab\u20acc%", "ab\u20acc"}, // € folds with nothing
 	}
 	for _, c := range cases {
 		if got := Compile(c.pattern).Prefix(); got != c.want {
@@ -110,8 +116,8 @@ func TestExact(t *testing.T) {
 // regular-expression translation on random patterns and inputs.
 func TestMatchAgainstRegexp(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	alphabet := []rune("ab%_c")
-	inputs := []rune("abcx%_")
+	alphabet := []rune("ab%_ck\u00e9\u03c3")
+	inputs := []rune("abcx%_K\u00c9\u03c2\u212a")
 	gen := func(letters []rune, n int) string {
 		var b strings.Builder
 		for i := 0; i < n; i++ {
@@ -167,28 +173,27 @@ func TestToRegexpEscapesMeta(t *testing.T) {
 	}
 }
 
-// FuzzLikeMatch: on ASCII inputs, Match answers exactly as the
-// pattern's ToRegexp translation, the reference SQL LIKE semantics also
-// used by the Cypher baseline. Outside ASCII the two definitions part
-// ('_' is one byte of the lowered subject, not one rune, and case
-// folding follows strings.ToLower, not Unicode simple folding), so there,
-// on arbitrary bytes, Match, which folds ASCII subjects in place and
-// lowers only non-ASCII ones, must answer as it does for the subject
-// lowered by strings.ToLower.
+// FuzzLikeMatch: on valid UTF-8, Match answers exactly as the pattern's
+// ToRegexp translation, the reference SQL LIKE semantics also used by
+// the Cypher baseline: '_' is one rune and case folds as regexp's (?i)
+// folds it. A byte that is not valid UTF-8 is one U+FFFD on either side,
+// so any other input answers as it does with each such byte replaced.
+// Whatever Match accepts also starts with the pattern's Prefix under
+// the ASCII case-insensitive order the relational range scan uses.
 func FuzzLikeMatch(f *testing.F) {
 	seeds := []struct{ pattern, s string }{
 		{"%cmd.exe", `C:\Windows\System32\CMD.EXE`},
 		{"c:\\win%", `C:\WINDOWS\notepad.exe`},
-		{"%Stra\u00dfe%", "HAUPTSTRASSE 1"},       // ß has no one-byte lowercase
+		{"%Stra\u00dfe%", "HAUPTSTRASSE 1"},       // ß folds to no ASCII pair
 		{"%stra\u00dfe%", "Stra\u00dfe"},          // non-ASCII subject
-		{"\u212a%", "kelvin"},                     // Kelvin sign lowers to ASCII 'k'
+		{"\u212a%", "kelvin"},                     // the Kelvin sign folds with 'k'
 		{"%k", "\u212a"},                          // and so does a subject's
-		{"%\u0130%", "\u0130stanbul"},             // dotted capital I lowers to two bytes
-		{"_", "\u00c9"},                           // '_' is one byte of the lowered subject
+		{"%\u0130%", "\u0130stanbul"},             // dotted capital I folds with nothing
+		{"_", "\u00c9"},                           // '_' is one rune of the subject
 		{"a_c%", "A\xffC\xfe"},                    // invalid UTF-8 subject
 		{"\xff%", "\xffabc"},                      // invalid UTF-8 pattern
 		{"%a_%b%", "XaYzBq"},                      // mixed '%' and '_'
-		{"_%_%_", "ab"},                           // more '_' than bytes
+		{"_%_%_", "ab"},                           // more '_' than runes
 		{"%%__%%", "AbC"},                         // doubled wildcards
 		{"%b_", "%ABC"},                           // '%' in the subject
 		{"", ""},                                  // empty pattern
@@ -202,26 +207,72 @@ func FuzzLikeMatch(f *testing.F) {
 		{"a%_", "a%"},                             // a '%' facing a subject '%' is a wildcard
 		{"%b_", "%abc"},                           // and may match more than that '%'
 		{"a%_", "A\nB\n"},                         // wildcards span newlines
+		{"\u03c3", "\u03c2"},                      // σ and ς fold together
+		{"s%", "\u017ftop"},                       // and 's' with the long s
 	}
 	for _, sd := range seeds {
 		f.Add(sd.pattern, sd.s)
 	}
 	f.Fuzz(func(t *testing.T, pattern, s string) {
 		got := Compile(pattern).Match(s)
-		if !isASCII(pattern) || !isASCII(s) {
-			if want := Compile(pattern).Match(strings.ToLower(s)); got != want {
-				t.Fatalf("Match(%q, %q) = %v, but %v for the lowered subject", pattern, s, got, want)
+		if !utf8.ValidString(pattern) || !utf8.ValidString(s) {
+			if want := Compile(perByteFFFD(pattern)).Match(perByteFFFD(s)); got != want {
+				t.Fatalf("Match(%q, %q) = %v, but %v with invalid bytes as U+FFFD", pattern, s, got, want)
 			}
-			return
+		} else {
+			re, err := regexp.Compile(ToRegexp(pattern))
+			if err != nil {
+				t.Fatalf("ToRegexp(%q) does not compile: %v", pattern, err)
+			}
+			if want := re.MatchString(s); got != want {
+				t.Fatalf("Match(%q, %q) = %v, regexp %s says %v", pattern, s, got, re, want)
+			}
 		}
-		re, err := regexp.Compile(ToRegexp(pattern))
-		if err != nil {
-			t.Fatalf("ToRegexp(%q) does not compile: %v", pattern, err)
-		}
-		if want := re.MatchString(s); got != want {
-			t.Fatalf("Match(%q, %q) = %v, regexp %s says %v", pattern, s, got, re, want)
+		if prefix := Compile(pattern).Prefix(); got && !hasPrefixFold(s, prefix) {
+			t.Fatalf("Match(%q, %q) is true, but the subject does not start with Prefix %q", pattern, s, prefix)
 		}
 	})
+}
+
+// perByteFFFD replaces each byte of s that is not valid UTF-8 with
+// U+FFFD, one for one.
+func perByteFFFD(s string) string {
+	var b strings.Builder
+	for _, r := range s {
+		b.WriteRune(r)
+	}
+	return b.String()
+}
+
+// TestMatchUnicode: '_' consumes one rune however many bytes spell it,
+// and case folds under Unicode simple folding, with the prefix cut
+// before any character a differently spelled one folds to.
+func TestMatchUnicode(t *testing.T) {
+	cases := []struct {
+		pattern, s string
+		want       bool
+	}{
+		{"_", "\u00c9", true},      // É is two bytes, one rune
+		{"__", "\u00c9", false},    // and not two
+		{"\u03c3", "\u03c2", true}, // σ and final ς
+		{"\u03c3", "\u03a3", true}, // σ and Σ
+		{"\u00e9cole", "\u00c9COLE", true},
+		{"k%", "\u212aelvin", true}, // Kelvin sign
+		{"\u212a", "K", true},
+		{"s", "\u017f", true},           // long s
+		{"%\u0130%", "istanbul", false}, // İ folds with nothing
+		{"i", "\u0131", false},          // nor does dotless ı
+		{"a_c", "a\u20acc", true},       // '_' over a three-byte rune
+		{"%\u00df", "STRASSE", false},   // ß is not 'ss' under simple folding
+	}
+	for _, c := range cases {
+		if got := Match(c.pattern, c.s); got != c.want {
+			t.Errorf("Match(%q, %q) = %v, want %v", c.pattern, c.s, got, c.want)
+		}
+		if want := regexp.MustCompile(ToRegexp(c.pattern)).MatchString(c.s); c.want != want {
+			t.Errorf("table says Match(%q, %q) = %v, regexp says %v", c.pattern, c.s, c.want, want)
+		}
+	}
 }
 
 // TestMatchASCIIAllocatesNothing: matching a mixed-case ASCII subject

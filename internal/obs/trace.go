@@ -76,20 +76,29 @@ func (s *Span) End() {
 }
 
 // SetInt records (or replaces) an integer attribute on the span.
-func (s *Span) SetInt(key string, v int64) {
+func (s *Span) SetInt(key string, v int64) { s.updateInt(key, v, false) }
+
+// AddInt adds v to an integer attribute of the span (absent reads as
+// 0): a count that several executions under one span contribute to,
+// such as the member cursors of an in-process scatter-gather query.
+func (s *Span) AddInt(key string, v int64) { s.updateInt(key, v, true) }
+
+func (s *Span) updateInt(key string, v int64, add bool) {
 	if s == nil {
 		return
 	}
 	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
 	for i := range s.attrs {
 		if s.attrs[i].key == key {
+			if add {
+				v += s.attrs[i].val
+			}
 			s.attrs[i].val = v
-			s.t.mu.Unlock()
 			return
 		}
 	}
 	s.attrs = append(s.attrs, spanAttr{key, v})
-	s.t.mu.Unlock()
 }
 
 type spanCtxKey struct{}

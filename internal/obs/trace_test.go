@@ -14,6 +14,8 @@ func TestTraceTree(t *testing.T) {
 	scan.SetInt("events_scanned", 100)
 	scan.SetInt("events_scanned", 150) // replace, not append
 	scan.SetInt("hits", 3)
+	scan.AddInt("chunks", 2)
+	scan.AddInt("chunks", 5) // accumulate
 	scan.End()
 	root.End()
 
@@ -22,10 +24,10 @@ func TestTraceTree(t *testing.T) {
 		t.Fatalf("tree = %+v", n)
 	}
 	sc := n.Children[1]
-	if sc.Name != "scan e1" || sc.Attrs["events_scanned"] != 150 || sc.Attrs["hits"] != 3 {
+	if sc.Name != "scan e1" || sc.Attrs["events_scanned"] != 150 || sc.Attrs["hits"] != 3 || sc.Attrs["chunks"] != 7 {
 		t.Fatalf("scan node = %+v", sc)
 	}
-	if len(sc.Attrs) != 2 {
+	if len(sc.Attrs) != 3 {
 		t.Fatalf("SetInt appended instead of replacing: %v", sc.Attrs)
 	}
 	if sc.DurationUS < 0 || sc.StartUS < 0 {
@@ -40,6 +42,7 @@ func TestNilSpanSafety(t *testing.T) {
 		t.Fatal("nil span produced a child")
 	}
 	s.SetInt("k", 1)
+	s.AddInt("k", 1)
 	s.End()
 	var tr *Trace
 	if tr.Root() != nil || tr.Tree() != nil {

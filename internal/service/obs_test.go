@@ -60,6 +60,10 @@ func TestTraceSpanTree(t *testing.T) {
 	if resp.Stats.ScannedEvents == 0 {
 		t.Error("fig4 query scanned zero events; trace accounting untestable")
 	}
+	// rows per chunk is read off the query span
+	if got, want := resp.Trace.Attrs["chunks"], int64(resp.Stats.Chunks); got != want || (resp.TotalRows > 0 && got == 0) {
+		t.Errorf("query span chunks = %d, Stats.Chunks = %d, for %d rows", got, want, resp.TotalRows)
+	}
 
 	// An untraced request must not leak the tree.
 	plain, err := svc.Do(context.Background(), Request{Query: fig4Query})

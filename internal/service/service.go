@@ -828,8 +828,10 @@ func (s *Service) run(ctx context.Context, req Request, t *execTarget, limit int
 }
 
 // execLocal is the local executor: the engine cursor, limit pushed down,
-// handing over its chunks — the first row alone, then whatever
-// accumulated up to a scan-unit boundary or a full chunk.
+// handing over its chunks — the first row alone, then full chunks of
+// 256 rows, or fewer when the limit is met, the scan ends, or the oldest
+// pending row has waited a couple of milliseconds at a scan-unit
+// boundary.
 func (s *Service) execLocal(ctx context.Context, req Request, t *execTarget, limit int, out *runOutcome, header func([]string) error, rows func([][]string) error) error {
 	var (
 		cur *aiql.Cursor
@@ -1128,8 +1130,9 @@ func (s *Service) DoStream(ctx context.Context, req Request, header func(cols []
 
 // DoStreamChunks is DoStream handing rows over in the chunks the
 // execution produced them in: the first row on its own, so it is never
-// held back, then whatever accumulated up to a scan-unit boundary, a
-// full chunk, or a merge waiting on a shard member. A sink that writes
+// held back, then full chunks, or whatever accumulated when the engine's
+// hold at a scan-unit boundary ran out or a merge waited on a shard
+// member. A sink that writes
 // to a connection does one write and one flush per chunk instead of per
 // row. The rows are the callback's to keep; the chunk slice holding them
 // is valid only during the call.

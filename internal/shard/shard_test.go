@@ -12,6 +12,7 @@ import (
 
 	aiql "github.com/aiql/aiql"
 	"github.com/aiql/aiql/internal/engine"
+	"github.com/aiql/aiql/internal/obs"
 	"github.com/aiql/aiql/internal/service"
 	"github.com/aiql/aiql/internal/shard/client"
 )
@@ -192,9 +193,14 @@ func TestScatterGatherGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, warns, err := coord.Run(context.Background(), shardQueryFor(t, demoQuery, nil))
+	tr := obs.NewTrace("query")
+	got, warns, err := coord.Run(obs.WithSpan(context.Background(), tr.Root()), shardQueryFor(t, demoQuery, nil))
 	if err != nil || len(warns) != 0 {
 		t.Fatalf("scatter failed: err=%v warns=%v", err, warns)
+	}
+	// every member's cursor adds its handoffs to the query span
+	if n := tr.Tree().Attrs["chunks"]; n < int64(len(members)) || n != int64(got.Stats.Chunks) {
+		t.Errorf("query span chunks = %d, Stats.Chunks = %d; want equal and at least one per member", n, got.Stats.Chunks)
 	}
 	if !reflect.DeepEqual(got.Columns, want.Columns) {
 		t.Fatalf("columns %v != %v", got.Columns, want.Columns)

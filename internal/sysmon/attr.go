@@ -93,51 +93,53 @@ func CanonicalAttr(t EntityType, name string) (string, bool) {
 	return name, true
 }
 
-// ProcessAttr returns the string form of a process attribute.
-func ProcessAttr(p *Process, attr string) string {
+// ProcessField returns the function rendering a process attribute as a
+// string (nil for an unknown name), so a caller reading one attribute of
+// many processes resolves the name once.
+func ProcessField(attr string) func(*Process) string {
 	switch attr {
 	case "pid":
-		return strconv.FormatUint(uint64(p.PID), 10)
+		return func(p *Process) string { return strconv.FormatUint(uint64(p.PID), 10) }
 	case "exe_name":
-		return p.ExeName
+		return func(p *Process) string { return p.ExeName }
 	case "path":
-		return p.Path
+		return func(p *Process) string { return p.Path }
 	case "user":
-		return p.User
+		return func(p *Process) string { return p.User }
 	case "cmdline":
-		return p.CmdLine
+		return func(p *Process) string { return p.CmdLine }
 	default:
-		return ""
+		return nil
 	}
 }
 
-// FileAttr returns the string form of a file attribute.
-func FileAttr(f *File, attr string) string {
+// FileField is ProcessField for file attributes.
+func FileField(attr string) func(*File) string {
 	switch attr {
 	case "name", "path":
-		return f.Path
+		return func(f *File) string { return f.Path }
 	case "owner":
-		return f.Owner
+		return func(f *File) string { return f.Owner }
 	default:
-		return ""
+		return nil
 	}
 }
 
-// NetconnAttr returns the string form of a network-connection attribute.
-func NetconnAttr(n *Netconn, attr string) string {
+// NetconnField is ProcessField for network-connection attributes.
+func NetconnField(attr string) func(*Netconn) string {
 	switch attr {
 	case "src_ip":
-		return n.SrcIP
+		return func(n *Netconn) string { return n.SrcIP }
 	case "src_port":
-		return strconv.FormatUint(uint64(n.SrcPort), 10)
+		return func(n *Netconn) string { return strconv.FormatUint(uint64(n.SrcPort), 10) }
 	case "dst_ip":
-		return n.DstIP
+		return func(n *Netconn) string { return n.DstIP }
 	case "dst_port":
-		return strconv.FormatUint(uint64(n.DstPort), 10)
+		return func(n *Netconn) string { return strconv.FormatUint(uint64(n.DstPort), 10) }
 	case "protocol":
-		return n.Protocol
+		return func(n *Netconn) string { return n.Protocol }
 	default:
-		return ""
+		return nil
 	}
 }
 

@@ -93,17 +93,20 @@ func TestCanonicalAttr(t *testing.T) {
 
 func TestAttrAccessors(t *testing.T) {
 	p := Process{PID: 42, ExeName: "x.exe", Path: `C:\x.exe`, User: "u", CmdLine: "x -a"}
-	if ProcessAttr(&p, "pid") != "42" || ProcessAttr(&p, "exe_name") != "x.exe" ||
-		ProcessAttr(&p, "user") != "u" || ProcessAttr(&p, "cmdline") != "x -a" {
-		t.Error("ProcessAttr mismatch")
+	if ProcessField("pid")(&p) != "42" || ProcessField("exe_name")(&p) != "x.exe" ||
+		ProcessField("user")(&p) != "u" || ProcessField("cmdline")(&p) != "x -a" {
+		t.Error("ProcessField mismatch")
 	}
 	f := File{Path: "/etc/passwd", Owner: "root"}
-	if FileAttr(&f, "name") != "/etc/passwd" || FileAttr(&f, "path") != "/etc/passwd" || FileAttr(&f, "owner") != "root" {
-		t.Error("FileAttr mismatch")
+	if FileField("name")(&f) != "/etc/passwd" || FileField("path")(&f) != "/etc/passwd" || FileField("owner")(&f) != "root" {
+		t.Error("FileField mismatch")
 	}
 	n := Netconn{SrcIP: "1.2.3.4", SrcPort: 80, DstIP: "5.6.7.8", DstPort: 443, Protocol: "tcp"}
-	if NetconnAttr(&n, "src_ip") != "1.2.3.4" || NetconnAttr(&n, "dst_port") != "443" || NetconnAttr(&n, "protocol") != "tcp" {
-		t.Error("NetconnAttr mismatch")
+	if NetconnField("src_ip")(&n) != "1.2.3.4" || NetconnField("dst_port")(&n) != "443" || NetconnField("protocol")(&n) != "tcp" {
+		t.Error("NetconnField mismatch")
+	}
+	if ProcessField("srcip") != nil || FileField("pid") != nil || NetconnField("") != nil {
+		t.Error("an unknown attribute has a field")
 	}
 }
 
