@@ -24,9 +24,10 @@ race:
 
 # The storage packages again with mmap compiled out (pread fallback):
 # keeps the aiql_nommap build honest and races the same code paths the
-# fallback exercises on platforms without mmap.
+# fallback exercises on platforms without mmap. The engine rides along:
+# its storage-layout invariance test queries a reopened store.
 race-nommap:
-	$(GO) test -race -tags aiql_nommap ./internal/durable/... ./internal/eventstore/...
+	$(GO) test -race -tags aiql_nommap ./internal/durable/... ./internal/eventstore/... ./internal/engine/...
 
 # The end-to-end benchmark (benchmark/, see BENCHMARK.json) is a Go
 # module of its own that imports internal/ through a replace directive,

@@ -19,7 +19,7 @@
 // Basic usage:
 //
 //	db := aiql.Open()
-//	db.Append(aiql.Record{ ... })
+//	db.AppendAll([]aiql.Record{ ... })
 //	db.Flush()
 //	res, err := db.Query(`
 //	    agentid = 2
@@ -62,7 +62,7 @@ type (
 	// Result is a query result: columns, string-rendered rows, and
 	// execution statistics.
 	Result = engine.Result
-	// StorageOptions toggles the storage optimizations.
+	// StorageOptions sizes segments and configures durability.
 	StorageOptions = eventstore.Options
 	// EngineConfig toggles the query engine optimizations.
 	EngineConfig = engine.Config
@@ -206,18 +206,15 @@ func (db *DB) SaveDir(dir string) error { return db.store.SaveDir(dir) }
 // write is rejected cleanly; nothing is partially applied.
 var ErrClosed = eventstore.ErrClosed
 
-// Append ingests one monitoring record. Returns ErrClosed after Close.
-func (db *DB) Append(r Record) error { return db.store.Append(r) }
-
-// AppendAll bulk-ingests records: the whole batch is committed (visible
-// to queries) before the call returns, and under durable storage the
-// batch is group-committed with a single WAL fsync. Returns ErrClosed
-// after Close, and the write-ahead log's error when the batch could not
-// be made durable.
+// AppendAll is the one ingest call, for one record or many: the whole
+// batch is committed (visible to queries) before the call returns, and
+// under durable storage the batch is group-committed with a single WAL
+// fsync. Returns ErrClosed after Close, and the write-ahead log's error
+// when the batch could not be made durable.
 func (db *DB) AppendAll(rs []Record) error { return db.store.AppendAll(rs) }
 
-// Flush commits buffered records and seals every active memtable.
-// Returns ErrClosed after Close.
+// Flush seals every active memtable into an immutable segment (AppendAll
+// has already committed every record). Returns ErrClosed after Close.
 func (db *DB) Flush() error { return db.store.Flush() }
 
 // Commits reports the store's commit counter: it advances whenever new
@@ -478,8 +475,6 @@ func FromStore(store *eventstore.Store) *DB {
 	return &DB{store: store, eng: engine.New(store)}
 }
 
-// DefaultStorage returns the fully optimized storage configuration.
+// DefaultStorage returns the storage configuration: in memory, default
+// segment size.
 func DefaultStorage() StorageOptions { return eventstore.DefaultOptions() }
-
-// PlainStorage returns the unoptimized storage configuration (ablations).
-func PlainStorage() StorageOptions { return eventstore.PlainOptions() }

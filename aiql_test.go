@@ -147,14 +147,14 @@ func TestMigrateRoundTrip(t *testing.T) {
 	if st := dur.DurableStats(); st.SegmentFiles == 0 || st.ManifestEdition == 0 {
 		t.Fatalf("durable stats of a saved directory: %+v", st)
 	}
-	dur.Append(aiql.Record{
+	dur.AppendAll([]aiql.Record{{
 		AgentID: 7,
 		Subject: aiql.Process{PID: 999, ExeName: "late.exe", Path: `C:\late.exe`, User: "x"},
 		Op:      aiql.OpRead,
 		ObjType: aiql.EntityFile,
 		ObjFile: aiql.File{Path: `C:\late.txt`},
 		StartTS: time.Date(2018, 5, 10, 14, 0, 0, 0, time.UTC).UnixNano(),
-	})
+	}})
 	dur.Flush()
 	n := dur.Len()
 	if err := dur.Close(); err != nil {

@@ -9,11 +9,13 @@
 //	            and 157x)
 //	concise   — the conciseness comparison (paper: SQL ≥3.0x
 //	            constraints, 3.5x words, 5.2x characters)
-//	storage   — storage-optimization ablation (dedup, indexes,
-//	            partitioning, batch commit)
 //	ablation  — engine-scheduling ablation (pruning-power ordering,
 //	            partition parallelism)
 //	all       — everything above
+//
+// There is no storage ablation: entity deduplication, posting indexes,
+// (host, hour) chunking and batch commit are the store's one layout.
+// The store's footprint is reported by aiqlserver's /api/v1/stats.
 //
 // Usage:
 //
@@ -26,7 +28,6 @@ import (
 	"log"
 	"os"
 
-	"github.com/aiql/aiql/internal/datagen"
 	"github.com/aiql/aiql/internal/experiments"
 )
 
@@ -34,7 +35,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("aiqlbench: ")
 	var (
-		experiment = flag.String("experiment", "all", "fig4 | fig5 | concise | storage | ablation | all")
+		experiment = flag.String("experiment", "all", "fig4 | fig5 | concise | ablation | all")
 		events     = flag.Int("events", 200000, "background events in generated datasets")
 		hosts      = flag.Int("hosts", 12, "hosts in generated datasets")
 		seed       = flag.Int64("seed", 42, "random seed")
@@ -87,18 +88,6 @@ func main() {
 			return err
 		}
 		fmt.Println(experiments.RenderConciseness(rows))
-		return nil
-	})
-
-	run("storage", func() error {
-		rows, err := experiments.RunStorageAblation(datagen.Config{
-			Seed: *seed, Hosts: *hosts, Events: *events,
-			Scenarios: []datagen.Scenario{datagen.ScenarioDemoAPT},
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.RenderStorage(rows))
 		return nil
 	})
 

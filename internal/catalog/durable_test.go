@@ -22,7 +22,6 @@ func buildSegmentedDir(t testing.TB, dir string, batches, perBatch int) int {
 	t.Helper()
 	storage := eventstore.DefaultOptions()
 	storage.Dir = dir
-	storage.BatchCommit = false
 	storage.CompactTargetEvents = batches * perBatch
 	db, err := aiql.OpenDirWithOptions(storage, aiql.EngineConfig{})
 	if err != nil {

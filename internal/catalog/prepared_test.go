@@ -117,13 +117,13 @@ func TestPreparedConcurrentAcrossAppendSealAndHotSwap(t *testing.T) {
 				continue
 			}
 			db := s.DB()
-			db.Append(aiql.Record{
+			db.AppendAll([]aiql.Record{{
 				AgentID: uint32(1 + i%3),
 				Subject: aiql.Process{PID: 100, ExeName: "worker.exe", Path: `C:\bin\worker.exe`, User: "alice"},
 				Op:      aiql.OpWrite, ObjType: aiql.EntityFile,
 				ObjFile: aiql.File{Path: fmt.Sprintf(`C:\live\%d.log`, i)},
 				StartTS: int64(1000+i) * int64(time.Second),
-			})
+			}})
 			if i%25 == 0 {
 				db.Flush() // seal
 			}

@@ -65,11 +65,11 @@ type Manifest struct {
 	Conns       []sysmon.Netconn
 	Segments    []SegmentRef
 
-	// Layout-affecting store options, enforced on reopen: chunk routing
-	// (partitioning, chunk width) decides which chain an event belongs
-	// to, and dedup decides how WAL entity deltas were produced —
-	// reopening with different values would scatter recovered events
-	// across the wrong chunks or diverge the dictionary.
+	// The store layout the directory was written under, checked on
+	// reopen: chunk routing (partitioning, chunk width) decides which
+	// chain an event belongs to, and dedup decides how WAL entity deltas
+	// were produced. The event store writes and accepts one value of
+	// each (partitioned, 1-hour chunks, dedup); any other is corrupt.
 	Partitioning    bool
 	ChunkDurationNS int64
 	Dedup           bool

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -78,39 +79,72 @@ func TestResultInvariantUnderScheduling(t *testing.T) {
 	}
 }
 
-// TestResultInvariantUnderStorageOptions: storage optimizations must not
-// change answers either.
-func TestResultInvariantUnderStorageOptions(t *testing.T) {
+// TestResultInvariantUnderStorageLayout: where the events sit — active
+// memtables, tiny segments merged by compaction, or segment files
+// reopened from a durable directory — must not change answers. Each
+// layout is compared with the same records sealed in memory.
+func TestResultInvariantUnderStorageLayout(t *testing.T) {
 	recs := datagen.Generate(datagen.Config{
 		Seed: 21, Hosts: 8, Events: 8000,
 		Scenarios: []datagen.Scenario{datagen.ScenarioDemoAPT},
 	})
-	// every variant keeps Dedup on: entity interning provides the
-	// identity that shared-variable joins match on (see Options.Dedup)
-	noIdx := eventstore.DefaultOptions()
-	noIdx.Indexes = false
-	noPart := eventstore.DefaultOptions()
-	noPart.Partitioning = false
-	noBatch := eventstore.DefaultOptions()
-	noBatch.BatchCommit = false
-	variants := []eventstore.Options{eventstore.DefaultOptions(), noIdx, noPart, noBatch}
+	sealed := eventstore.New(eventstore.DefaultOptions())
+	sealed.AppendAll(recs)
+	sealed.Flush()
 
+	memOpts := eventstore.DefaultOptions()
+	memOpts.SegmentEvents = 1 << 20
+	memtables := eventstore.New(memOpts)
+	memtables.AppendAll(recs)
+	if n := memtables.NumSegments(); n != 0 {
+		t.Fatalf("memtable layout sealed %d segments", n)
+	}
+
+	tinyOpts := eventstore.DefaultOptions()
+	tinyOpts.SegmentEvents = 64
+	compacted := eventstore.New(tinyOpts)
+	for i := 0; i < len(recs); i += 64 {
+		compacted.AppendAll(recs[i:min(i+64, len(recs))])
+	}
+	compacted.Flush()
+	if res := compacted.Compact(); res.Passes == 0 {
+		t.Fatalf("compaction merged nothing over %d tiny segments", compacted.NumSegments())
+	}
+
+	dirOpts := eventstore.DefaultOptions()
+	dirOpts.Dir = filepath.Join(t.TempDir(), "store")
+	if err := sealed.SaveDir(dirOpts.Dir); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := eventstore.Open(dirOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+
+	layouts := []struct {
+		name  string
+		store *eventstore.Store
+	}{
+		{"memtables", memtables},
+		{"compacted", compacted},
+		{"reopened", reopened},
+	}
 	for qi, src := range invarianceQueries {
-		var want [][]string
-		for vi, opts := range variants {
-			s := eventstore.New(opts)
-			s.AppendAll(recs)
-			s.Flush()
-			res, err := New(s).Execute(context.Background(), src)
+		want, err := New(sealed).Execute(context.Background(), src)
+		if err != nil {
+			t.Fatalf("query %d sealed: %v", qi, err)
+		}
+		if len(want.Rows) == 0 {
+			t.Fatalf("query %d returned no rows; invariance test is vacuous", qi)
+		}
+		for _, l := range layouts {
+			res, err := New(l.store).Execute(context.Background(), src)
 			if err != nil {
-				t.Fatalf("query %d variant %d: %v", qi, vi, err)
+				t.Fatalf("query %d %s: %v", qi, l.name, err)
 			}
-			if vi == 0 {
-				want = res.Rows
-				continue
-			}
-			if !reflect.DeepEqual(res.Rows, want) {
-				t.Errorf("query %d: storage variant %d disagrees\nwant %v\ngot  %v", qi, vi, want, res.Rows)
+			if !reflect.DeepEqual(res.Rows, want.Rows) {
+				t.Errorf("query %d: %s layout disagrees\nwant %v\ngot  %v", qi, l.name, want.Rows, res.Rows)
 			}
 		}
 	}

@@ -292,18 +292,21 @@ func TestPreparedConcurrentExecutionsUnderAppend(t *testing.T) {
 	wg.Add(1)
 	go func() { // writer: append + seal continuously
 		defer wg.Done()
+		var batch []eventstore.Record
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			s.Append(eventstore.Record{
+			batch = append(batch, eventstore.Record{
 				AgentID: uint32(1 + i%4), Subject: proc("writer.exe"), Op: sysmon.OpWrite,
 				ObjType: sysmon.EntityFile, ObjFile: sysmon.File{Path: fmt.Sprintf(`C:\w\%d.log`, i)},
 				StartTS: ts(10 + i),
 			})
 			if i%50 == 0 {
+				s.AppendAll(batch)
+				batch = batch[:0]
 				s.Flush()
 			}
 		}
@@ -404,10 +407,10 @@ func TestParameterlessPlanReuse(t *testing.T) {
 
 	// a commit invalidates the frozen candidate sets: the next
 	// execution recompiles and sees the new entity
-	s.Append(eventstore.Record{
+	s.AppendAll([]eventstore.Record{{
 		AgentID: 7, Subject: proc("worker.exe"), Op: sysmon.OpWrite,
 		ObjType: sysmon.EntityFile, ObjFile: sysmon.File{Path: `C:\w\new.log`}, StartTS: ts(30),
-	})
+	}})
 	s.Flush()
 	res, err := e.ExecutePrepared(context.Background(), p, nil)
 	if err != nil {

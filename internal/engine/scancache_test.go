@@ -16,7 +16,6 @@ func buildSegmentedStore(t testing.TB, sealEvery, events, tail int) *eventstore.
 	t.Helper()
 	opts := eventstore.DefaultOptions()
 	opts.SegmentEvents = sealEvery
-	opts.BatchSize = 1 // commit per record so tail events land in the memtable
 	s := eventstore.New(opts)
 	rec := func(i int) eventstore.Record {
 		return eventstore.Record{
@@ -29,14 +28,20 @@ func buildSegmentedStore(t testing.TB, sealEvery, events, tail int) *eventstore.
 			Amount:  uint64(i),
 		}
 	}
-	recs := make([]eventstore.Record, 0, events)
+	// batches of sealEvery events commit often enough that memtables
+	// seal near sealEvery events each
+	recs := make([]eventstore.Record, 0, sealEvery)
 	for i := 0; i < events; i++ {
 		recs = append(recs, rec(i))
+		if len(recs) == sealEvery || i == events-1 {
+			s.AppendAll(recs)
+			recs = recs[:0]
+		}
 	}
-	s.AppendAll(recs)
 	s.Flush() // everything so far sealed
+	// the tail commits one record at a time and stays in memtables
 	for i := 0; i < tail; i++ {
-		s.Append(rec(events + i))
+		s.AppendAll([]eventstore.Record{rec(events + i)})
 	}
 	return s
 }

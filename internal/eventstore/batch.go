@@ -148,7 +148,7 @@ func (u *ScanUnit) CollectBatchInto(ctx context.Context, cf *CompiledFilter, kee
 	)
 	g := u.seg
 	if g != nil {
-		if g.indexed && (g.ready.Load() || (g.fileBacked() && g.postingApplicable(cf.f) && g.ensureIndexes())) {
+		if g.ready.Load() || (g.fileBacked() && g.postingApplicable(cf.f) && g.ensureIndexes()) {
 			list, posting = g.bestPostingList(cf.f)
 		}
 	}

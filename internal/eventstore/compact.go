@@ -102,7 +102,7 @@ func (s *Store) CompactOnce() (CompactionResult, bool) {
 	s.nextSegID++
 	id := s.nextSegID
 	s.mu.Unlock()
-	g := newSegment(id, run.key, merged, s.opts.Indexes)
+	g := newSegment(id, run.key, merged)
 	g.buildIndexes()
 
 	// Durable stores persist the merged segment before installing it,

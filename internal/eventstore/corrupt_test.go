@@ -235,7 +235,6 @@ func TestCompactionSkipsCorruptSegment(t *testing.T) {
 	dir := t.TempDir()
 	opts := DefaultOptions()
 	opts.Dir = dir
-	opts.BatchCommit = false
 	opts.CompactTargetEvents = 64
 	s := sealMany(t, opts, 8, 4)
 	if err := s.Close(); err != nil {

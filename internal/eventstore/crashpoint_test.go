@@ -56,8 +56,6 @@ type crashOutcome struct {
 func crashWorkload(dir string) crashOutcome {
 	out := crashOutcome{acked: map[uint64]bool{}, failed: map[uint64]bool{}}
 	opts := durableOpts(dir)
-	opts.BatchCommit = true
-	opts.BatchSize = 64 // one commit per AppendAll
 	opts.SegmentEvents = 1 << 20
 	s, err := Open(opts)
 	if err != nil {

@@ -8,11 +8,11 @@ import (
 	"github.com/aiql/aiql/internal/sysmon"
 )
 
-// Dictionary holds the entity tables. With deduplication enabled,
-// structurally identical entities are interned to a single ID. Entity
-// IDs are dense table positions: ID→entity lookups index the tables
-// directly, and attribute filters resolve by walking them (see
-// ResolveEntities).
+// Dictionary holds the entity tables. Structurally identical entities
+// are interned to a single ID, which is the identity shared-variable
+// joins match on. Entity IDs are dense table positions: ID→entity
+// lookups index the tables directly, and attribute filters resolve by
+// walking them (see ResolveEntities).
 //
 // Interning always runs under the Store's write lock, but the streaming
 // execution pipeline projects rows (reading Attr) while partitions are
@@ -21,8 +21,7 @@ import (
 // immutable once interned, so readers only need the lock to snapshot
 // the table headers.
 type Dictionary struct {
-	mu    sync.RWMutex
-	dedup bool
+	mu sync.RWMutex
 
 	// needsBuild marks a restored dictionary whose intern maps have not
 	// been hydrated yet (see restoreTables). Guarded by mu's write lock.
@@ -37,14 +36,12 @@ type Dictionary struct {
 	connIntern map[sysmon.Netconn]sysmon.EntityID
 }
 
-func newDictionary(dedup bool) *Dictionary {
-	d := &Dictionary{dedup: dedup}
-	if dedup {
-		d.procIntern = make(map[sysmon.Process]sysmon.EntityID)
-		d.fileIntern = make(map[sysmon.File]sysmon.EntityID)
-		d.connIntern = make(map[sysmon.Netconn]sysmon.EntityID)
+func newDictionary() *Dictionary {
+	return &Dictionary{
+		procIntern: make(map[sysmon.Process]sysmon.EntityID),
+		fileIntern: make(map[sysmon.File]sysmon.EntityID),
+		connIntern: make(map[sysmon.Netconn]sysmon.EntityID),
 	}
-	return d
 }
 
 // tableHeaders snapshots the entity table slice headers. Tables are
@@ -88,7 +85,7 @@ func (d *Dictionary) restoreTables(procs []sysmon.Process, files []sysmon.File, 
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.procs, d.files, d.conns = procs, files, conns
-	d.needsBuild = d.dedup
+	d.needsBuild = true
 }
 
 // buildLocked hydrates the intern maps deferred by restoreTables; a
@@ -125,22 +122,23 @@ func internMap[E comparable](table []E) map[E]sysmon.EntityID {
 	return m
 }
 
+// intern returns e's ID, appending e to its table if new.
+func intern[E comparable](table *[]E, ids map[E]sysmon.EntityID, e E) sysmon.EntityID {
+	if id, ok := ids[e]; ok {
+		return id
+	}
+	*table = append(*table, e)
+	id := sysmon.EntityID(len(*table))
+	ids[e] = id
+	return id
+}
+
 // InternProcess returns the ID for p, creating it if new.
 func (d *Dictionary) InternProcess(p sysmon.Process) sysmon.EntityID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.buildLocked()
-	if d.dedup {
-		if id, ok := d.procIntern[p]; ok {
-			return id
-		}
-	}
-	d.procs = append(d.procs, p)
-	id := sysmon.EntityID(len(d.procs))
-	if d.dedup {
-		d.procIntern[p] = id
-	}
-	return id
+	return intern(&d.procs, d.procIntern, p)
 }
 
 // InternFile returns the ID for f, creating it if new.
@@ -148,17 +146,7 @@ func (d *Dictionary) InternFile(f sysmon.File) sysmon.EntityID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.buildLocked()
-	if d.dedup {
-		if id, ok := d.fileIntern[f]; ok {
-			return id
-		}
-	}
-	d.files = append(d.files, f)
-	id := sysmon.EntityID(len(d.files))
-	if d.dedup {
-		d.fileIntern[f] = id
-	}
-	return id
+	return intern(&d.files, d.fileIntern, f)
 }
 
 // InternNetconn returns the ID for n, creating it if new.
@@ -166,17 +154,7 @@ func (d *Dictionary) InternNetconn(n sysmon.Netconn) sysmon.EntityID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.buildLocked()
-	if d.dedup {
-		if id, ok := d.connIntern[n]; ok {
-			return id
-		}
-	}
-	d.conns = append(d.conns, n)
-	id := sysmon.EntityID(len(d.conns))
-	if d.dedup {
-		d.connIntern[n] = id
-	}
-	return id
+	return intern(&d.conns, d.connIntern, n)
 }
 
 // Process returns the process entity for id, or nil if out of range.

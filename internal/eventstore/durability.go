@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
 	"github.com/aiql/aiql/internal/durable"
 	"github.com/aiql/aiql/internal/sysmon"
@@ -28,8 +29,11 @@ import (
 //     WAL replay skips exactly the records whose event ID falls at or
 //     below the listed segments' max event ID for their chunk.
 //  2. The WAL is truncated only when a manifest edition covers every
-//     committed event (all chains fully persisted, all memtables and
-//     the append batch empty). Until then replay stays idempotent:
+//     committed event (all chains fully persisted, all memtables
+//     empty; the append batch is empty by construction, since it never
+//     outlives one AppendAll call under the store lock, and the
+//     coverage checks run under that lock). Until then replay stays
+//     idempotent:
 //     entity records carry their dictionary ID and event records their
 //     event ID, so records already captured by a newer manifest are
 //     recognized and skipped.
@@ -105,9 +109,10 @@ func (d *durableState) lastError() error {
 // re-chunked, re-interned, or re-indexed — and the WAL replays the
 // committed-but-unsealed tail into memtables. A torn final WAL record
 // (crash mid append) is truncated; every record before it is recovered.
-// A manifest other than version 3, a ref to a segment format other than
-// v2, or a corrupt WAL record fails with an error wrapping
-// durable.ErrCorrupt.
+// A manifest other than version 3, a manifest naming a layout other
+// than (agent, hour) chunks with interned entities, a ref to a segment
+// format other than v2, or a corrupt WAL record fails with an error
+// wrapping durable.ErrCorrupt.
 func Open(opts Options) (*Store, error) {
 	opts = opts.normalized()
 	if opts.Dir == "" {
@@ -143,9 +148,12 @@ func Open(opts Options) (*Store, error) {
 	m, err := durable.ReadManifest(opts.Dir)
 	switch {
 	case err == nil:
-		if m.Partitioning != opts.Partitioning || m.ChunkDurationNS != int64(opts.ChunkDuration) || m.Dedup != opts.Dedup {
-			return nil, fmt.Errorf("eventstore: %s: manifest layout (partitioning=%v chunk=%v dedup=%v) does not match Open options (partitioning=%v chunk=%v dedup=%v)",
-				opts.Dir, m.Partitioning, m.ChunkDurationNS, m.Dedup, opts.Partitioning, int64(opts.ChunkDuration), opts.Dedup)
+		// The store reads one layout: (agent, hour) chunks over
+		// interned entities. Events and entity IDs written under any
+		// other cannot be served as this one.
+		if !m.Partitioning || m.ChunkDurationNS != int64(chunkDuration) || !m.Dedup {
+			return nil, fmt.Errorf("eventstore: recover %s: manifest layout (partitioning=%v chunk=%v dedup=%v), want (partitioning=true chunk=%v dedup=true): %w",
+				opts.Dir, m.Partitioning, time.Duration(m.ChunkDurationNS), m.Dedup, chunkDuration, durable.ErrCorrupt)
 		}
 		// Fold the incremental edition log into the base manifest first:
 		// the WAL may already have been truncated against a delta-covered
@@ -179,7 +187,7 @@ func Open(opts Options) (*Store, error) {
 				loadErr = fmt.Errorf("segment file %s: %w", ref.File, err)
 				break
 			}
-			g := restoreSegmentLazy(ref, path, opts.Indexes, s.blockCache, d.setErr)
+			g := restoreSegmentLazy(ref, path, s.blockCache, d.setErr)
 			p := s.parts[g.key]
 			if p == nil {
 				p = &partState{key: g.key}
@@ -234,7 +242,7 @@ func Open(opts Options) (*Store, error) {
 			if err := s.checkEventRefs(&ev); err != nil {
 				return fmt.Errorf("eventstore: recover %s: WAL %w", opts.Dir, err)
 			}
-			key := s.partKey(ev.AgentID, ev.StartTS)
+			key := partKey(ev.AgentID, ev.StartTS)
 			if ev.ID <= maxSealed[key] {
 				return nil // already durable in a manifest-listed segment
 			}
@@ -327,11 +335,11 @@ func (s *Store) noteEventsLocked(n int, minTS, maxTS int64) {
 // visible: first the dictionary entries interned since the last logged
 // point (replay must be able to resolve the events' entity IDs), then
 // the batch's events. Runs under the store's write lock, which is what
-// guarantees WAL order equals commit order. sync=false skips the fsync
-// even under SyncWAL: AppendAll group-commits, issuing one Sync for the
-// whole batch after its final commit. A failed append is returned (and
-// recorded): the commit must not be acknowledged as durable.
-func (d *durableState) logCommitLocked(s *Store, sync bool) error {
+// guarantees WAL order equals commit order. The append never fsyncs:
+// AppendAll group-commits, issuing one Sync for the whole batch after
+// its final commit. A failed append is returned (and recorded): the
+// commit must not be acknowledged as durable.
+func (d *durableState) logCommitLocked(s *Store) error {
 	procs, files, conns := s.dict.tableHeaders()
 	recs := make([]durable.Rec, 0,
 		len(s.batch)+(len(procs)-d.loggedProcs)+(len(files)-d.loggedFiles)+(len(conns)-d.loggedConns))
@@ -348,7 +356,7 @@ func (d *durableState) logCommitLocked(s *Store, sync bool) error {
 	for i := range s.batch {
 		recs = append(recs, durable.Rec{Kind: durable.RecEvent, Event: s.batch[i]})
 	}
-	err := d.wal.Append(recs, sync && d.syncWAL)
+	err := d.wal.Append(recs, false)
 	d.setErr(err)
 	return err
 }
@@ -410,7 +418,7 @@ func (s *Store) appendManifestDeltaLocked() bool {
 	delta.Procs = procs[d.manifestedProcs:]
 	delta.Files = files[d.manifestedFiles:]
 	delta.Conns = conns[d.manifestedConns:]
-	covered := len(s.batch) == 0
+	covered := true
 	for _, key := range s.order {
 		p := s.parts[key]
 		if len(p.mem.events) > 0 {
@@ -475,15 +483,15 @@ func (s *Store) writeManifestLocked() bool {
 		NextSegID:       s.nextSegID,
 		NextEventID:     s.nextEventID,
 		NextSeq:         make(map[uint32]uint64, len(s.nextSeq)),
-		Partitioning:    s.opts.Partitioning,
-		ChunkDurationNS: int64(s.opts.ChunkDuration),
-		Dedup:           s.opts.Dedup,
+		Partitioning:    true,
+		ChunkDurationNS: int64(chunkDuration),
+		Dedup:           true,
 	}
 	for agent, seq := range s.nextSeq {
 		m.NextSeq[agent] = seq
 	}
 	m.Procs, m.Files, m.Conns = s.dict.tableHeaders()
-	covered := len(s.batch) == 0
+	covered := true
 	for _, key := range s.order {
 		p := s.parts[key]
 		if len(p.mem.events) > 0 {
@@ -571,9 +579,9 @@ func (s *Store) SaveDir(dir string) error {
 		NextSegID:       s.nextSegID,
 		NextEventID:     s.nextEventID,
 		NextSeq:         make(map[uint32]uint64, len(s.nextSeq)),
-		Partitioning:    s.opts.Partitioning,
-		ChunkDurationNS: int64(s.opts.ChunkDuration),
-		Dedup:           s.opts.Dedup,
+		Partitioning:    true,
+		ChunkDurationNS: int64(chunkDuration),
+		Dedup:           true,
 	}
 	for agent, seq := range s.nextSeq {
 		m.NextSeq[agent] = seq
@@ -631,7 +639,7 @@ func (s *Store) Close() error {
 	// later one re-checks the flag under the mutex it holds.
 	s.compactMu.Lock()
 	s.compactMu.Unlock() //nolint:staticcheck // empty critical section is the point
-	// Append/AppendAll/Flush check the closed flag under s.mu before
+	// AppendAll and Flush check the closed flag under s.mu before
 	// touching the WAL, so draining s.mu here guarantees no straggler
 	// ingest write reaches the log after it closes below; the writer
 	// instead observes the flag and returns ErrClosed.

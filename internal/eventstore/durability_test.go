@@ -22,16 +22,17 @@ func durableOpts(dir string) Options {
 	opts := DefaultOptions()
 	opts.Dir = dir
 	opts.SyncWAL = true
-	opts.BatchCommit = false // every Append commits (and is acknowledged)
 	opts.SegmentEvents = 8
 	return opts
 }
 
-// fill appends n distinct-ish records across two agents.
+// fill appends n distinct-ish records across two agents, one record
+// per call, so every record is its own commit (and, with SyncWAL, its
+// own acknowledged fsync).
 func fill(s *Store, n, from int) {
 	for i := from; i < from+n; i++ {
 		agent := uint32(1 + i%2)
-		s.Append(mkRecord(agent, fmt.Sprintf("exe%d", i%5), sysmon.OpWrite, fmt.Sprintf("f%d.txt", i%7), i))
+		s.AppendAll([]Record{mkRecord(agent, fmt.Sprintf("exe%d", i%5), sysmon.OpWrite, fmt.Sprintf("f%d.txt", i%7), i)})
 	}
 }
 
@@ -244,25 +245,45 @@ func TestOpenEnforcesSingleWriter(t *testing.T) {
 	s2.Close()
 }
 
+// The store has one layout. A manifest naming any other — unchunked,
+// entities not interned, or chunks of another width — fails Open as
+// corrupt.
 func TestOpenRejectsMismatchedLayout(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(durableOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill(s, 10, 0)
-	s.Flush()
-	s.Close()
+	for _, tc := range []struct {
+		name   string
+		mutate func(*durable.Manifest)
+	}{
+		{"unpartitioned", func(m *durable.Manifest) { m.Partitioning = false }},
+		{"no dedup", func(m *durable.Manifest) { m.Dedup = false }},
+		{"2h chunks", func(m *durable.Manifest) { m.ChunkDurationNS = int64(2 * time.Hour) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(durableOpts(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(s, 10, 0)
+			s.Flush()
+			s.Close()
+			own, err := Open(durableOpts(dir))
+			if err != nil {
+				t.Fatalf("own layout rejected: %v", err)
+			}
+			own.Close()
 
-	opts := durableOpts(dir)
-	opts.Partitioning = false
-	if _, err := Open(opts); err == nil || !strings.Contains(err.Error(), "manifest layout") {
-		t.Fatalf("mismatched partitioning accepted: %v", err)
-	}
-	opts = durableOpts(dir)
-	opts.ChunkDuration = 2 * time.Hour
-	if _, err := Open(opts); err == nil {
-		t.Fatal("mismatched chunk duration accepted")
+			m, err := durable.ReadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(m)
+			if err := durable.WriteManifest(dir, m); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(durableOpts(dir)); !errors.Is(err, durable.ErrCorrupt) {
+				t.Fatalf("foreign layout: err=%v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 
@@ -288,7 +309,7 @@ func TestSaveDirMigrateRoundTrip(t *testing.T) {
 		t.Fatalf("saved store differs: %d vs %d events", len(got), len(want))
 	}
 	if st := s.DurableStats(); st.WALBytes != 0 || st.SegmentFiles == 0 {
-		t.Fatalf("saved directory: %+v", st)
+		t.Fatalf("saved directory: want an empty WAL and some segment files, got %+v", st)
 	}
 	// saving onto an existing durable directory must refuse
 	if err := mem.SaveDir(dir); err == nil {
@@ -362,7 +383,6 @@ func TestCompactionReducesSegmentsWithoutChangingResults(t *testing.T) {
 		name := map[bool]string{false: "memory", true: "durable"}[durableStore]
 		t.Run(name, func(t *testing.T) {
 			opts := DefaultOptions()
-			opts.BatchCommit = false
 			opts.CompactFanIn = 8
 			opts.CompactTargetEvents = 64
 			if durableStore {
@@ -430,7 +450,6 @@ func TestCompactionReducesSegmentsWithoutChangingResults(t *testing.T) {
 // the compactor must never mutate it. Run with -race.
 func TestCompactionConcurrentWithScans(t *testing.T) {
 	opts := DefaultOptions()
-	opts.BatchCommit = false
 	opts.CompactTargetEvents = 128
 	s := sealMany(t, opts, 32, 4)
 	defer s.Close()
@@ -476,7 +495,6 @@ func TestCompactionConcurrentWithScans(t *testing.T) {
 // The background compactor drains tiny segments on its own.
 func TestBackgroundCompactor(t *testing.T) {
 	opts := DefaultOptions()
-	opts.BatchCommit = false
 	opts.CompactTargetEvents = 256
 	s := sealMany(t, opts, 16, 4)
 	before := s.NumSegments()
@@ -555,52 +573,39 @@ func TestEncodeConcurrentWithAppends(t *testing.T) {
 }
 
 // A bulk AppendAll under SyncWAL must group-commit: the batch spans
-// many internal commits (BatchSize boundaries plus the tail), but the
+// many internal commits (commitBatch boundaries plus the tail), but the
 // whole call costs exactly one WAL fsync. Before the fix every commit
 // fsynced individually, cratering bulk-ingest throughput.
 func TestAppendAllGroupCommitSingleSync(t *testing.T) {
 	opts := durableOpts(t.TempDir())
-	opts.BatchCommit = true
-	opts.BatchSize = 8 // 100 records → 13 internal commits
+	opts.SegmentEvents = 1 << 20
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	recs := make([]Record, 100)
+	recs := make([]Record, 3*commitBatch+100) // 3 full commits + the tail
 	for i := range recs {
 		recs[i] = mkRecord(uint32(1+i%2), fmt.Sprintf("exe%d", i%5), sysmon.OpWrite, fmt.Sprintf("f%d.txt", i%7), i)
 	}
-	before := s.dur.wal.Syncs()
+	before, commits := s.dur.wal.Syncs(), s.Commits()
 	if err := s.AppendAll(recs); err != nil {
 		t.Fatal(err)
+	}
+	if got := s.Commits() - commits; got != 4 {
+		t.Fatalf("AppendAll of %d records made %d commits, want 4", len(recs), got)
 	}
 	if got := s.dur.wal.Syncs() - before; got != 1 {
 		t.Fatalf("AppendAll of %d records issued %d WAL fsyncs, want exactly 1 (group commit)", len(recs), got)
 	}
 	// The batch must be fully committed (visible) at return, not parked
-	// in the append buffer waiting for a BatchSize boundary.
+	// in the append buffer waiting for a commitBatch boundary.
 	if s.Len() != len(recs) {
 		t.Fatalf("after AppendAll: Len=%d, want %d (tail must commit)", s.Len(), len(recs))
 	}
 	if st := s.DurableStats(); st.WALSyncs == 0 {
 		t.Fatalf("DurableStats.WALSyncs = 0, want > 0")
-	}
-
-	// Single-record Append keeps per-commit acknowledged durability:
-	// each call fsyncs once.
-	before = s.dur.wal.Syncs()
-	if err := s.Append(mkRecord(1, "solo", sysmon.OpWrite, "solo.txt", 500)); err != nil {
-		t.Fatal(err)
-	}
-	// BatchCommit buffers until BatchSize; force the commit so the sync
-	// accounting is observable.
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.dur.wal.Syncs() - before; got != 1 {
-		t.Fatalf("Append+Flush of one record issued %d WAL fsyncs, want 1", got)
 	}
 }
 
@@ -617,9 +622,6 @@ func TestAppendAfterCloseReturnsErrClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := mkRecord(1, "late", sysmon.OpWrite, "late.txt", 0)
-	if err := s.Append(r); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Append after Close: err=%v, want ErrClosed", err)
-	}
 	if err := s.AppendAll([]Record{r, r}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("AppendAll after Close: err=%v, want ErrClosed", err)
 	}

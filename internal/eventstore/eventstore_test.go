@@ -39,9 +39,11 @@ func mkRecord(agent uint32, exe string, op sysmon.Operation, obj string, minute 
 
 func TestDedupInterning(t *testing.T) {
 	s := New(DefaultOptions())
+	var recs []Record
 	for i := 0; i < 10; i++ {
-		s.Append(mkRecord(1, "bash", sysmon.OpRead, "f.txt", i))
+		recs = append(recs, mkRecord(1, "bash", sysmon.OpRead, "f.txt", i))
 	}
+	s.AppendAll(recs)
 	s.Flush()
 	if got := s.Dict().Count(sysmon.EntityProcess); got != 1 {
 		t.Errorf("deduped store has %d processes, want 1", got)
@@ -49,43 +51,21 @@ func TestDedupInterning(t *testing.T) {
 	if got := s.Dict().Count(sysmon.EntityFile); got != 1 {
 		t.Errorf("deduped store has %d files, want 1", got)
 	}
-
-	plain := New(PlainOptions())
-	for i := 0; i < 10; i++ {
-		plain.Append(mkRecord(1, "bash", sysmon.OpRead, "f.txt", i))
-	}
-	plain.Flush()
-	if got := plain.Dict().Count(sysmon.EntityProcess); got != 10 {
-		t.Errorf("plain store has %d processes, want 10", got)
-	}
 }
 
 func TestPartitioningByAgentAndTime(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ChunkDuration = time.Hour
-	s := New(opts)
+	s := New(DefaultOptions())
 	// two agents, events spread over 3 hours → 6 chunks
+	var recs []Record
 	for agent := uint32(1); agent <= 2; agent++ {
 		for h := 0; h < 3; h++ {
-			s.Append(mkRecord(agent, "bash", sysmon.OpRead, "f.txt", h*60+5))
+			recs = append(recs, mkRecord(agent, "bash", sysmon.OpRead, "f.txt", h*60+5))
 		}
 	}
+	s.AppendAll(recs)
 	s.Flush()
 	if got := s.NumPartitions(); got != 6 {
 		t.Errorf("got %d partitions, want 6", got)
-	}
-
-	noPart := DefaultOptions()
-	noPart.Partitioning = false
-	s2 := New(noPart)
-	for agent := uint32(1); agent <= 2; agent++ {
-		for h := 0; h < 3; h++ {
-			s2.Append(mkRecord(agent, "bash", sysmon.OpRead, "f.txt", h*60+5))
-		}
-	}
-	s2.Flush()
-	if got := s2.NumPartitions(); got != 1 {
-		t.Errorf("unpartitioned store has %d chunks, want 1", got)
 	}
 }
 
@@ -134,13 +114,15 @@ func TestEstimateNeverUndercounts(t *testing.T) {
 	s := New(DefaultOptions())
 	rng := rand.New(rand.NewSource(3))
 	exes := []string{"bash", "vim", "curl", "python"}
+	var recs []Record
 	for i := 0; i < 500; i++ {
 		op := sysmon.OpRead
 		if rng.Intn(2) == 0 {
 			op = sysmon.OpWrite
 		}
-		s.Append(mkRecord(uint32(1+rng.Intn(3)), exes[rng.Intn(len(exes))], op, "f.txt", rng.Intn(300)))
+		recs = append(recs, mkRecord(uint32(1+rng.Intn(3)), exes[rng.Intn(len(exes))], op, "f.txt", rng.Intn(300)))
 	}
+	s.AppendAll(recs)
 	s.Flush()
 	filters := []*EventFilter{
 		{},
@@ -196,29 +178,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchCommitVisibility(t *testing.T) {
-	opts := DefaultOptions()
-	opts.BatchSize = 100
-	s := New(opts)
-	for i := 0; i < 10; i++ {
-		s.Append(mkRecord(1, "bash", sysmon.OpRead, "a.txt", i))
-	}
-	// below batch size: nothing committed yet
-	if s.Len() != 0 {
-		t.Errorf("uncommitted events visible: %d", s.Len())
-	}
-	s.Flush()
-	if s.Len() != 10 {
-		t.Errorf("after flush: %d events", s.Len())
-	}
-}
-
 func TestOutOfOrderAppendsStaySorted(t *testing.T) {
-	opts := DefaultOptions()
-	opts.BatchSize = 1
-	s := New(opts)
-	for _, m := range []int{30, 10, 50, 20, 40} {
-		s.Append(mkRecord(1, "bash", sysmon.OpRead, "a.txt", m))
+	s := New(DefaultOptions())
+	for _, m := range []int{30, 10, 50, 20, 40} { // one commit per record
+		s.AppendAll([]Record{mkRecord(1, "bash", sysmon.OpRead, "a.txt", m)})
 	}
 	s.Flush()
 	var last int64
@@ -251,9 +214,11 @@ func TestEveryEventInExactlyOneChunk(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := New(DefaultOptions())
 		n := 50 + rng.Intn(100)
+		recs := make([]Record, 0, n)
 		for i := 0; i < n; i++ {
-			s.Append(mkRecord(uint32(1+rng.Intn(3)), "bash", sysmon.OpRead, "f.txt", rng.Intn(36*60)))
+			recs = append(recs, mkRecord(uint32(1+rng.Intn(3)), "bash", sysmon.OpRead, "f.txt", rng.Intn(36*60)))
 		}
+		s.AppendAll(recs)
 		s.Flush()
 		total := 0
 		for _, u := range s.Snapshot().Units(&EventFilter{}) {
@@ -355,14 +320,20 @@ func TestStatsReflectContents(t *testing.T) {
 // a commit boundary is sealed; smaller tails stay in the memtable.
 func TestSealThresholdCreatesSegments(t *testing.T) {
 	opts := DefaultOptions()
-	opts.Partitioning = false
-	opts.BatchSize = 10
 	opts.SegmentEvents = 25
 	s := New(opts)
-	for i := 0; i < 107; i++ {
-		s.Append(mkRecord(1, "bash", sysmon.OpRead, "f.txt", i))
+	for i := 0; i < 107; i += 10 {
+		var recs []Record
+		for j := i; j < min(i+10, 107); j++ {
+			recs = append(recs, mkRecord(1, "bash", sysmon.OpRead, "f.txt", j))
+		}
+		s.AppendAll(recs)
 	}
-	// commits at 10,20,...,100 events; seals when the memtable crosses 25
+	// commits of 10 events (7 last); a chunk's memtable seals at the
+	// first commit that takes it to 25 or more
+	if got := s.Commits(); got != 11 {
+		t.Errorf("11 AppendAll calls made %d commits", got)
+	}
 	if got := s.NumSegments(); got == 0 {
 		t.Fatalf("threshold sealing produced no segments")
 	}
@@ -371,20 +342,16 @@ func TestSealThresholdCreatesSegments(t *testing.T) {
 		t.Errorf("sealed %d + memtable %d != committed %d", st.SealedEvents, st.MemtableEvents, s.Len())
 	}
 	before := s.Commits()
-	s.Flush() // commits the 7-event batch tail, then seals everything
+	s.Flush() // seals every memtable tail
 	if got := s.SegmentStats().MemtableEvents; got != 0 {
 		t.Errorf("flush left %d memtable events", got)
 	}
 	if s.Len() != 107 {
 		t.Errorf("store has %d events, want 107", s.Len())
 	}
-	if got := s.Commits(); got != before+1 {
-		t.Errorf("flush with a buffered batch bumped commits %d → %d, want one commit", before, got)
-	}
-	// sealing with no new data must not bump the commit counter
-	s.Flush()
-	if got := s.Commits(); got != before+1 {
-		t.Errorf("pure seal bumped commits to %d", got)
+	// sealing moves no data, so it must not bump the commit counter
+	if got := s.Commits(); got != before {
+		t.Errorf("seal bumped commits %d → %d", before, got)
 	}
 }
 
@@ -394,10 +361,13 @@ func TestSealThresholdCreatesSegments(t *testing.T) {
 func TestSnapshotFrozenDuringAppendAndSeal(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SegmentEvents = 64 // force frequent seals
-	opts.BatchSize = 16
 	s := New(opts)
-	for i := 0; i < 500; i++ {
-		s.Append(mkRecord(uint32(1+i%3), "bash", sysmon.OpRead, "f.txt", i%240))
+	for i := 0; i < 500; i += 16 {
+		var recs []Record
+		for j := i; j < min(i+16, 500); j++ {
+			recs = append(recs, mkRecord(uint32(1+j%3), "bash", sysmon.OpRead, "f.txt", j%240))
+		}
+		s.AppendAll(recs)
 	}
 	s.Flush()
 	snap := s.Snapshot()
@@ -448,13 +418,15 @@ func TestScanDuringIndexBuild(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var recs []Record
 		for i := 0; i < 2000; i++ {
-			s.Append(mkRecord(1, "bash", sysmon.OpRead, "f.txt", i%600))
-			if i%256 == 255 {
+			recs = append(recs, mkRecord(1, "bash", sysmon.OpRead, "f.txt", i%600))
+			if i%256 == 255 || i == 1999 {
+				s.AppendAll(recs)
+				recs = recs[:0]
 				s.Flush()
 			}
 		}
-		s.Flush()
 	}()
 	for i := 0; i < 200; i++ {
 		f := &EventFilter{Subjects: resolveLike(s.Dict(), sysmon.EntityProcess, "exe_name", "bash")}
@@ -473,15 +445,20 @@ func TestScanDuringIndexBuild(t *testing.T) {
 func TestUnitsDeterministicOrder(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SegmentEvents = 8
-	opts.BatchSize = 4
 	s := New(opts)
-	for i := 0; i < 50; i++ {
-		s.Append(mkRecord(1, "bash", sysmon.OpRead, "f.txt", i))
+	for i := 0; i < 50; i += 4 {
+		var recs []Record
+		for j := i; j < min(i+4, 50); j++ {
+			recs = append(recs, mkRecord(1, "bash", sysmon.OpRead, "f.txt", j))
+		}
+		s.AppendAll(recs)
 	}
 	s.Flush()
-	for i := 0; i < 3; i++ { // unsealed tail
-		s.Append(mkRecord(1, "bash", sysmon.OpRead, "g.txt", 50+i))
+	var tail []Record // committed but unsealed
+	for i := 0; i < 3; i++ {
+		tail = append(tail, mkRecord(1, "bash", sysmon.OpRead, "g.txt", 50+i))
 	}
+	s.AppendAll(tail)
 	snap := s.Snapshot()
 	units := snap.Units(&EventFilter{})
 	total := 0

@@ -56,7 +56,6 @@ type Segment struct {
 	minEventID uint64
 	maxEventID uint64
 
-	indexed    bool // whether posting indexes are wanted at all
 	buildOnce  sync.Once
 	ready      atomic.Bool
 	postingSub map[sysmon.EntityID][]int32
@@ -120,7 +119,7 @@ func (g *Segment) fileReader() *durable.SegmentReader {
 				g.lazyPath, rd.ID, g.id, rd.Count, g.count, durable.ErrCorrupt))
 			return
 		}
-		if g.indexed && rd.Indexed {
+		if rd.Indexed {
 			for op, c := range rd.OpCount {
 				if op < sysmon.NumOperations {
 					g.opCount[op] = c
@@ -249,8 +248,8 @@ func (g *Segment) materialize() []sysmon.Event {
 
 // newSegment seals a sorted event run into an immutable segment. The
 // caller must not retain write access to events.
-func newSegment(id uint64, key PartKey, events []sysmon.Event, indexed bool) *Segment {
-	g := &Segment{id: id, key: key, events: events, count: len(events), indexed: indexed}
+func newSegment(id uint64, key PartKey, events []sysmon.Event) *Segment {
+	g := &Segment{id: id, key: key, events: events, count: len(events)}
 	if len(events) > 0 {
 		g.minTS = events[0].StartTS
 		g.maxTS = events[len(events)-1].StartTS
@@ -270,7 +269,7 @@ func newSegment(id uint64, key PartKey, events []sysmon.Event, indexed bool) *Se
 // alone, without opening the segment file: count, time range, and ID
 // bounds all come from the ref, so a reopening store pays zero per-file
 // syscalls until a scan first touches the segment.
-func restoreSegmentLazy(ref *durable.SegmentRef, path string, indexed bool, bc *BlockCache, onErr func(error)) *Segment {
+func restoreSegmentLazy(ref *durable.SegmentRef, path string, bc *BlockCache, onErr func(error)) *Segment {
 	return &Segment{
 		id:         ref.ID,
 		key:        PartKey{AgentID: ref.AgentID, Bucket: ref.Bucket},
@@ -279,7 +278,6 @@ func restoreSegmentLazy(ref *durable.SegmentRef, path string, indexed bool, bc *
 		maxTS:      ref.MaxTS,
 		minEventID: ref.MinEventID,
 		maxEventID: ref.MaxEventID,
-		indexed:    indexed,
 		lazyPath:   path,
 		bc:         bc,
 		onErr:      onErr,
@@ -302,7 +300,7 @@ func (g *Segment) segmentData() *durable.SegmentData {
 		MinEventID: g.minEventID,
 		MaxEventID: g.maxEventID,
 	}
-	if g.indexed && g.ready.Load() {
+	if g.ready.Load() {
 		d.Indexed = true
 		d.PostingSub = g.postingSub
 		d.PostingObj = g.postingObj
@@ -344,8 +342,8 @@ func (g *Segment) ApproxBytes() uint64 {
 // after sealing, with no locks held. Reader-backed segments whose file
 // carries indexes defer to the lazy load instead of rebuilding.
 func (g *Segment) buildIndexes() {
-	if !g.indexed || g.ready.Load() {
-		return // unindexed, or restored with prebuilt indexes
+	if g.ready.Load() {
+		return // already built, or restored with prebuilt indexes
 	}
 	if g.fileBacked() {
 		if rd := g.fileReader(); rd != nil && rd.Indexed {
@@ -372,9 +370,6 @@ func (g *Segment) buildIndexes() {
 // without a rebuild, loading a reader-backed segment's index section on
 // first need. Returns whether indexed scans may proceed.
 func (g *Segment) ensureIndexes() bool {
-	if !g.indexed {
-		return false
-	}
 	if g.ready.Load() {
 		return true
 	}
@@ -433,7 +428,7 @@ func (g *Segment) overlaps(from, to int64) bool {
 // row-at-a-time reference the batch tests cross-check against and for
 // Snapshot.Scan/Collect consumers (export, baseline loaders).
 func (g *Segment) scan(f *EventFilter, ops *[sysmon.NumOperations]bool, agents map[uint32]struct{}, fn func(*sysmon.Event) bool) bool {
-	if g.indexed && (g.ready.Load() || (g.fileBacked() && g.postingApplicable(f) && g.ensureIndexes())) {
+	if g.ready.Load() || (g.fileBacked() && g.postingApplicable(f) && g.ensureIndexes()) {
 		if list, ok := g.bestPostingList(f); ok {
 			events := g.materialize()
 			for _, pos := range list {
@@ -545,9 +540,6 @@ func (g *Segment) estimate(f *EventFilter) (n int, probes int64) {
 	n = hi - lo
 	if n <= 0 {
 		return 0, 0
-	}
-	if !g.indexed {
-		return n, 0
 	}
 	if len(f.Ops) > 0 && g.opsReady.Load() {
 		opN := 0

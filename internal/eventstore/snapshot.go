@@ -19,7 +19,6 @@ import (
 // while the store absorbs new data still sees exactly the segment set
 // that existed when execution began.
 type Snapshot struct {
-	opts    Options
 	dict    *Dictionary
 	commits uint64
 	total   int
@@ -58,7 +57,6 @@ func (s *Store) Snapshot() *Snapshot {
 // the write lock.
 func (s *Store) buildSnapshotLocked() *Snapshot {
 	sn := &Snapshot{
-		opts:    s.opts,
 		dict:    s.dict,
 		commits: s.commits,
 		total:   s.total,
@@ -165,7 +163,7 @@ func (sn *Snapshot) Units(f *EventFilter) []ScanUnit {
 	out := make([]ScanUnit, 0, len(sn.parts))
 	for i := range sn.parts {
 		p := &sn.parts[i]
-		if sn.opts.Partitioning && agents != nil {
+		if agents != nil {
 			if _, ok := agents[p.key.AgentID]; !ok {
 				continue
 			}
@@ -266,21 +264,7 @@ func (sn *Snapshot) EstimateMatches(f *EventFilter) (total int, cost EstimateCos
 func (sn *Snapshot) Agents() []uint32 {
 	seen := map[uint32]struct{}{}
 	for i := range sn.parts {
-		p := &sn.parts[i]
-		if sn.opts.Partitioning {
-			seen[p.key.AgentID] = struct{}{}
-			continue
-		}
-		for _, g := range p.segs {
-			evs := g.Events()
-			for j := range evs {
-				seen[evs[j].AgentID] = struct{}{}
-			}
-		}
-		evs := p.mem.Events()
-		for j := range evs {
-			seen[evs[j].AgentID] = struct{}{}
-		}
+		seen[sn.parts[i].key.AgentID] = struct{}{}
 	}
 	out := make([]uint32, 0, len(seen))
 	for a := range seen {

@@ -6,8 +6,7 @@ import (
 	"github.com/aiql/aiql/internal/sysmon"
 )
 
-// Stats summarizes a store's contents and footprint; the storage ablation
-// experiment (E5) reports these numbers with each optimization toggled.
+// Stats summarizes a store's contents and footprint.
 type Stats struct {
 	Events     int
 	Partitions int

@@ -23,11 +23,10 @@ var ErrClosed = errors.New("eventstore: store is closed")
 // checked.
 const scanCheckInterval = 2048
 
-// PartKey identifies a hypertable chunk: one agent over one time bucket.
-// With partitioning disabled all events live in the zero-key chunk.
+// PartKey identifies a hypertable chunk: one agent over one hour.
 type PartKey struct {
 	AgentID uint32
-	Bucket  int64 // StartTS / ChunkDuration
+	Bucket  int64 // StartTS / chunkDuration
 }
 
 // partState is one hypertable chunk's LSM state: the active memtable
@@ -52,6 +51,9 @@ type Store struct {
 	parts map[PartKey]*partState
 	order []PartKey // insertion-ordered keys for deterministic iteration
 
+	// batch holds AppendAll's events up to the next commit boundary.
+	// It is empty whenever the write lock is not held; its capacity is
+	// reused across calls.
 	batch       []sysmon.Event
 	commits     uint64
 	nextSegID   uint64
@@ -123,22 +125,19 @@ func New(opts Options) *Store {
 	opts = opts.normalized()
 	return &Store{
 		opts:       opts,
-		dict:       newDictionary(opts.Dedup),
+		dict:       newDictionary(),
 		parts:      make(map[PartKey]*partState),
 		nextSeq:    make(map[uint32]uint64),
 		blockCache: NewBlockCache(opts.BlockCacheBytes),
 	}
 }
 
-// Options returns the store's configuration.
-func (s *Store) Options() Options { return s.opts }
-
 // Dict returns the entity dictionary.
 func (s *Store) Dict() *Dictionary { return s.dict }
 
 // Record is one raw monitoring record as produced by a collection agent:
 // the subject process and object entity are given by value, and the store
-// interns them according to its deduplication policy.
+// interns them: identical entities share one dictionary ID.
 type Record struct {
 	AgentID uint32
 	Subject sysmon.Process
@@ -152,36 +151,13 @@ type Record struct {
 	Amount  uint64
 }
 
-// Append ingests one raw record. With batch commit enabled the record is
-// buffered and committed when the batch fills; call Flush to force.
-// Returns ErrClosed after Close, and the write-ahead log's error when a
-// commit it made could not be logged: that record is then visible but
-// not durable.
-func (s *Store) Append(r Record) error {
-	s.mu.Lock()
-	if s.closed.Load() {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.appendLocked(r)
-	var (
-		sealed []*Segment
-		err    error
-	)
-	if !s.opts.BatchCommit || len(s.batch) >= s.opts.BatchSize {
-		sealed, err = s.commitLocked(true)
-	}
-	s.mu.Unlock()
-	s.afterCommit(sealed)
-	return err
-}
-
-// AppendAll ingests one acknowledged batch under a single lock
-// acquisition: intermediate commit boundaries follow the batch-commit
-// policy, the tail commits before the call returns, and the whole batch
-// is group-committed — with SyncWAL, every commit the call makes is
-// covered by ONE WAL fsync instead of one per commit, so bulk-ingest
-// durability costs a single syscall per batch. When the call returns nil
+// AppendAll is the store's one ingest path. It takes one acknowledged
+// batch under a single lock acquisition: the batch commits in steps of
+// commitBatch events, the tail commits before the call returns, and the
+// whole batch is group-committed — with SyncWAL, every commit the call
+// makes is covered by ONE WAL fsync instead of one per commit, so
+// bulk-ingest durability costs a single syscall per batch. The append
+// buffer never outlives the call. When the call returns nil
 // the records are visible to queries and (with SyncWAL) durable.
 // Returns ErrClosed after Close, and the write-ahead log's error when
 // the batch could not be logged: the records are then visible but not
@@ -198,7 +174,7 @@ func (s *Store) AppendAll(rs []Record) error {
 		firstErr  error
 	)
 	commit := func() {
-		segs, err := s.commitLocked(false)
+		segs, err := s.commitLocked()
 		sealed = append(sealed, segs...)
 		committed = true
 		if firstErr == nil {
@@ -207,7 +183,7 @@ func (s *Store) AppendAll(rs []Record) error {
 	}
 	for i := range rs {
 		s.appendLocked(rs[i])
-		if !s.opts.BatchCommit || len(s.batch) >= s.opts.BatchSize {
+		if len(s.batch) >= commitBatch {
 			commit()
 		}
 	}
@@ -262,44 +238,39 @@ func (s *Store) appendLocked(r Record) {
 	})
 }
 
-// Flush commits any buffered events and seals every non-empty memtable
-// into an immutable segment, so the whole store becomes reusable sealed
-// state. Sealing moves no data and bumps no commit counter — results
-// (and result-cache entries) computed before a seal stay valid — and
-// segment index builds run after the store lock is released, so a seal
-// never stalls concurrent appends or queries. Returns ErrClosed after
-// Close, and the write-ahead log's error when the buffered events could
-// not be logged.
+// Flush seals every non-empty memtable into an immutable segment, so
+// the whole store becomes reusable sealed state. Sealing moves no data
+// and bumps no commit counter — results (and result-cache entries)
+// computed before a seal stay valid — and segment index builds run
+// after the store lock is released, so a seal never stalls concurrent
+// appends or queries. Returns ErrClosed after Close.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	sealed, err := s.commitLocked(true)
-	sealed = append(sealed, s.sealAllLocked()...)
+	sealed := s.sealAllLocked()
 	s.mu.Unlock()
 	s.afterCommit(sealed)
-	return err
+	return nil
 }
 
-// commitLocked makes the buffered batch visible: events are grouped by
-// partition key and appended to each chunk's memtable; memtables that
-// reach the seal threshold are sealed. Returns the segments sealed, for
+// commitLocked makes AppendAll's pending batch visible: events are
+// grouped by partition key and appended to each chunk's memtable;
+// memtables that reach the seal threshold are sealed. Returns the segments sealed, for
 // index building outside the lock, and the WAL append's error: the
-// commit still becomes visible, but it is not durable. sync=false
-// defers the WAL fsync to a caller-issued group commit (AppendAll syncs
-// once after its last commit); callers without a later sync point must
-// pass true.
-func (s *Store) commitLocked(sync bool) ([]*Segment, error) {
+// commit still becomes visible, but it is not durable. The WAL fsync is
+// left to AppendAll's group commit after its last commit.
+func (s *Store) commitLocked() ([]*Segment, error) {
 	if len(s.batch) == 0 {
 		return nil, nil
 	}
 	var err error
 	if s.dur != nil {
-		// WAL first: the commit is durable (and, with SyncWAL, fsynced
-		// — acknowledged) before it becomes visible.
-		err = s.dur.logCommitLocked(s, sync)
+		// WAL first: the commit is logged before it becomes visible,
+		// and (with SyncWAL) fsynced before AppendAll acknowledges it.
+		err = s.dur.logCommitLocked(s)
 	}
 	s.commits++
 	s.snap = nil
@@ -307,7 +278,7 @@ func (s *Store) commitLocked(sync bool) ([]*Segment, error) {
 	groups := make(map[PartKey][]sysmon.Event)
 	var keys []PartKey
 	for _, ev := range s.batch {
-		key := s.partKey(ev.AgentID, ev.StartTS)
+		key := partKey(ev.AgentID, ev.StartTS)
 		if _, ok := groups[key]; !ok {
 			keys = append(keys, key)
 		}
@@ -374,7 +345,7 @@ func (s *Store) sealAllLocked() []*Segment {
 func (s *Store) sealPartLocked(p *partState) *Segment {
 	s.nextSegID++
 	s.snap = nil
-	g := newSegment(s.nextSegID, p.key, p.mem.events, s.opts.Indexes)
+	g := newSegment(s.nextSegID, p.key, p.mem.events)
 	p.segs = append(p.segs, g)
 	p.mem = memtable{}
 	return g
@@ -389,16 +360,13 @@ func indexSegments(segs []*Segment) {
 	}
 }
 
-func (s *Store) partKey(agent uint32, ts int64) PartKey {
-	if !s.opts.Partitioning {
-		return PartKey{}
-	}
-	return PartKey{AgentID: agent, Bucket: ts / int64(s.opts.ChunkDuration)}
+func partKey(agent uint32, ts int64) PartKey {
+	return PartKey{AgentID: agent, Bucket: ts / int64(chunkDuration)}
 }
 
-// Commits returns the number of commit boundaries so far — each would be
-// one durable transaction in a disk-backed deployment, which is what
-// batch commit amortizes. Sealing does not bump the counter: it moves no
+// Commits returns the number of commit boundaries so far — each is one
+// WAL append in a durable store, which AppendAll's commitBatch steps
+// amortize. Sealing does not bump the counter: it moves no
 // data, so results computed before a seal remain valid.
 func (s *Store) Commits() uint64 {
 	s.mu.RLock()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"github.com/aiql/aiql/internal/datagen"
 	"github.com/aiql/aiql/internal/engine"
 )
 
@@ -101,31 +100,6 @@ func TestConcisenessRatios(t *testing.T) {
 	}
 	if float64(sH) < 1.5*float64(aH) {
 		t.Errorf("char ratio %.2f below 1.5x", float64(sH)/float64(aH))
-	}
-}
-
-func TestStorageAblation(t *testing.T) {
-	rows, err := RunStorageAblation(datagen.Config{
-		Seed: testSeed, Hosts: testHosts, Events: 5000,
-		Scenarios: []datagen.Scenario{datagen.ScenarioDemoAPT},
-	})
-	if err != nil {
-		t.Fatalf("RunStorageAblation: %v", err)
-	}
-	byName := map[string]StorageResult{}
-	for _, r := range rows {
-		byName[r.Name] = r
-	}
-	if byName["no-dedup"].Processes <= byName["all-on"].Processes {
-		t.Errorf("disabling dedup should inflate the process table: %d vs %d",
-			byName["no-dedup"].Processes, byName["all-on"].Processes)
-	}
-	if byName["no-partitioning"].Partitions >= byName["all-on"].Partitions {
-		t.Errorf("disabling partitioning should collapse chunks: %d vs %d",
-			byName["no-partitioning"].Partitions, byName["all-on"].Partitions)
-	}
-	if byName["no-dedup"].ApproxBytes <= byName["all-on"].ApproxBytes {
-		t.Errorf("disabling dedup should grow the footprint")
 	}
 }
 

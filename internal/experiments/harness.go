@@ -235,93 +235,6 @@ type MetricsTriple struct {
 	Chars       int
 }
 
-// ---------------------------------------------------------------- E5
-
-// StorageVariant is one storage-ablation configuration.
-type StorageVariant struct {
-	Name string
-	Opts eventstore.Options
-}
-
-// StorageVariants enumerates the ablation grid: all optimizations on,
-// each one individually off, and all off. "no-indexes" turns off the
-// per-segment entity→event posting lists; entity attribute filters
-// resolve by the same dictionary walk in every variant.
-func StorageVariants() []StorageVariant {
-	full := eventstore.DefaultOptions()
-	noDedup := full
-	noDedup.Dedup = false
-	noIdx := full
-	noIdx.Indexes = false
-	noPart := full
-	noPart.Partitioning = false
-	noBatch := full
-	noBatch.BatchCommit = false
-	return []StorageVariant{
-		{Name: "all-on", Opts: full},
-		{Name: "no-dedup", Opts: noDedup},
-		{Name: "no-indexes", Opts: noIdx},
-		{Name: "no-partitioning", Opts: noPart},
-		{Name: "no-batch-commit", Opts: noBatch},
-		{Name: "all-off", Opts: eventstore.PlainOptions()},
-	}
-}
-
-// StorageResult is one storage-ablation measurement.
-type StorageResult struct {
-	Name         string
-	IngestTime   time.Duration
-	EventsPerSec float64
-	ApproxBytes  uint64
-	Partitions   int
-	Processes    int
-	Commits      uint64        // commit boundaries (durable transactions)
-	QueryTime    time.Duration // representative query (Fig4 a5-5)
-}
-
-// RunStorageAblation ingests the same record stream under every storage
-// variant and measures ingest throughput, footprint, and the time of a
-// representative investigation query.
-func RunStorageAblation(cfg datagen.Config) ([]StorageResult, error) {
-	recs := datagen.Generate(cfg)
-	// The representative query is single-pattern (a5-3): entity interning
-	// is part of the data model — shared-variable joins across events
-	// match on entity identity, so multievent joins require Dedup and
-	// cannot run meaningfully on the no-dedup variants.
-	repQuery := Fig4Queries()[16].Text // a5-3: who wrote db.bak
-	var out []StorageResult
-	for _, v := range StorageVariants() {
-		s := eventstore.New(v.Opts)
-		start := time.Now()
-		s.AppendAll(recs)
-		s.Flush()
-		ingest := time.Since(start)
-		stats := s.Stats()
-		eng := engine.New(s)
-		var best time.Duration
-		for r := 0; r < 3; r++ { // best of three: query times are µs–ms scale
-			qStart := time.Now()
-			if _, err := eng.Execute(context.Background(), repQuery); err != nil {
-				return nil, fmt.Errorf("storage ablation %s: %w", v.Name, err)
-			}
-			if el := time.Since(qStart); r == 0 || el < best {
-				best = el
-			}
-		}
-		out = append(out, StorageResult{
-			Name:         v.Name,
-			IngestTime:   ingest,
-			EventsPerSec: float64(len(recs)) / ingest.Seconds(),
-			ApproxBytes:  stats.ApproxBytes,
-			Partitions:   stats.Partitions,
-			Processes:    stats.Processes,
-			Commits:      s.Commits(),
-			QueryTime:    best,
-		})
-	}
-	return out, nil
-}
-
 // ---------------------------------------------------------------- E6
 
 // SchedulingVariant is one engine-configuration ablation.

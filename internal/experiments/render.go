@@ -162,22 +162,6 @@ func RenderConciseness(rows []ConcisenessRow) string {
 	return b.String()
 }
 
-// RenderStorage renders the E5 ablation table.
-func RenderStorage(rows []StorageResult) string {
-	var b strings.Builder
-	b.WriteString("Storage optimization ablation\n")
-	b.WriteString("=============================\n")
-	fmt.Fprintf(&b, "%-16s  %12s  %14s  %12s  %10s  %10s  %10s  %12s\n",
-		"variant", "ingest (ms)", "events/sec", "approx MB", "chunks", "procs", "commits", "query (ms)")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s  %12.1f  %14.0f  %12.2f  %10d  %10d  %10d  %12.3f\n",
-			r.Name, float64(r.IngestTime)/1e6, r.EventsPerSec,
-			float64(r.ApproxBytes)/1e6, r.Partitions, r.Processes, r.Commits,
-			float64(r.QueryTime)/1e6)
-	}
-	return b.String()
-}
-
 // RenderScheduling renders the E6 ablation table.
 func RenderScheduling(rows []SchedulingResult) string {
 	var b strings.Builder

@@ -11,21 +11,24 @@ import (
 	"github.com/aiql/aiql/internal/experiments"
 )
 
-// newSegmentedTestDB builds a database with many small sealed segments,
-// the segment scan cache enabled, and per-record commits so appended
-// tails land in memtables.
+// newSegmentedTestDB builds a database with many small sealed segments
+// and the segment scan cache enabled. Records arrive in batches of the
+// segment size, so memtables seal near 16 events each.
 func newSegmentedTestDB(t testing.TB, events int) *aiql.DB {
 	t.Helper()
+	const segEvents = 16
 	storage := aiql.DefaultStorage()
-	storage.SegmentEvents = 16
-	storage.BatchSize = 1
+	storage.SegmentEvents = segEvents
 	db := aiql.OpenWithOptions(storage, aiql.EngineConfig{})
 	db.EnableSegmentScanCache(8 << 20)
-	recs := make([]aiql.Record, 0, events)
+	recs := make([]aiql.Record, 0, segEvents)
 	for i := 0; i < events; i++ {
 		recs = append(recs, demoRecord(i))
+		if len(recs) == segEvents || i == events-1 {
+			db.AppendAll(recs)
+			recs = recs[:0]
+		}
 	}
-	db.AppendAll(recs)
 	db.Flush() // seal everything loaded so far
 	return db
 }

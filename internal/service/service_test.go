@@ -110,7 +110,7 @@ func TestCacheHitAndInvalidationOnAppend(t *testing.T) {
 
 	// appending invalidates: the commit counter moves, so the next
 	// lookup misses and sees the new data
-	db.Append(demoRecord(500))
+	db.AppendAll([]aiql.Record{demoRecord(500)})
 	db.Flush()
 	after, err := svc.Do(ctx, Request{Query: demoQuery})
 	if err != nil {

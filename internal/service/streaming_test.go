@@ -187,7 +187,7 @@ func TestPaginationTokenValidation(t *testing.T) {
 	if _, err := svc.Do(ctx, Request{Query: otherQuery}); err != nil {
 		t.Fatal(err)
 	}
-	db.Append(demoRecord(50))
+	db.AppendAll([]aiql.Record{demoRecord(50)})
 	db.Flush()
 	if _, err := svc.Do(ctx, Request{Query: demoQuery, Cursor: first.NextCursor}); !errors.Is(err, ErrCursorExpired) {
 		t.Errorf("superseded snapshot: got %v, want ErrCursorExpired", err)
@@ -609,7 +609,7 @@ func TestHTTPQueryCursorExpired(t *testing.T) {
 	// evict the snapshot, then advance the store
 	doJSON(t, h, http.MethodPost, "/api/v1/query",
 		`{"query": "proc p write file f[\"%out1.log\"] as evt return p, f"}`)
-	db.Append(demoRecord(25))
+	db.AppendAll([]aiql.Record{demoRecord(25)})
 	db.Flush()
 
 	rec := doJSON(t, h, http.MethodPost, "/api/v1/query",

@@ -447,7 +447,7 @@ func TestGenerationTracksMembers(t *testing.T) {
 	coord := NewCoordinator("events", []Member{{Name: "m", Source: NewLocalSource(db)}}, Options{})
 	defer coord.Close()
 	g1 := coord.Generation()
-	db.Append(record(1, day(10), "late"))
+	db.AppendAll([]aiql.Record{record(1, day(10), "late")})
 	db.Flush()
 	if g2 := coord.Generation(); g2 == g1 {
 		t.Fatal("generation unchanged after member commit")
