@@ -99,18 +99,11 @@ func main() {
 		defName    = flag.String("default", "", "default dataset name (default: first registered)")
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", 0, "max concurrent query executions per dataset (0 = GOMAXPROCS)")
-		scanWork   = flag.Int("scan-workers", 0, "parallel-scan worker pool shared by all datasets (0 = match -workers, 1 = sequential scans)")
-		queue      = flag.Int("queue", 0, "admission queue depth beyond workers (0 = 4x workers)")
-		cache      = flag.Int("cache", 256, "result cache entries per dataset (negative disables)")
-		cacheBytes = flag.Int64("cache-bytes", 0, "result cache byte budget per dataset (0 = 64 MiB, negative = unbounded)")
+		cacheBytes = flag.Int64("cache-bytes", 0, "result cache byte budget per dataset (0 = 64 MiB)")
 		scanCache  = flag.Int64("scan-cache-bytes", 0, "segment scan cache byte budget per dataset (0 = 64 MiB, negative disables)")
-		perClient  = flag.Int("client-inflight", 0, "max concurrent executions per client (0 = half the workers, negative disables)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "default per-query execution timeout")
 		compact    = flag.Duration("compact", 0, "background segment-compaction interval per dataset (0 disables), e.g. 30s")
-		ingestRecs = flag.Int("ingest-max-records", 0, "max event records per ingest request (0 = 10000, negative disables the cap)")
 		ingestMax  = flag.Int64("ingest-max-bytes", 0, "max ingest request body bytes (0 = 8 MiB)")
-		maxWatches = flag.Int("max-watches", 0, "max standing queries per dataset (0 = 64, negative disables standing queries)")
-		watchBuf   = flag.Int("watch-buffer", 0, "buffered matches per SSE subscriber before drop-oldest (0 = 256)")
 		blockCache = flag.Int64("block-cache-bytes", 0, "decompressed-block cache byte budget per dataset (0 = 32 MiB, negative disables)")
 		shards     = flag.String("shards", "", "partition-map JSON declaring sharded datasets; each member is a local store dir or a remote peer URL (see README \"Sharded deployment\")")
 		shardTO    = flag.Duration("shard-timeout", 30*time.Second, "per-member execution timeout for sharded queries")
@@ -118,7 +111,6 @@ func main() {
 		shardProbe = flag.Duration("shard-probe", 15*time.Second, "remote member health/epoch probe interval (0 disables background probes)")
 		opsAddr    = flag.String("ops-addr", "", "optional separate listen address for the ops surface (/metrics + /debug/pprof); empty serves /metrics on -addr only")
 		slowMS     = flag.Int64("slow-query-ms", 500, "slow-query log threshold in milliseconds (0 logs every query, negative disables the log)")
-		slowCap    = flag.Int("slow-query-entries", 0, "slow-query log ring capacity (0 = 128)")
 		version    = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -131,24 +123,17 @@ func main() {
 
 	metrics := obs.NewRegistry()
 	obs.RegisterRuntimeCollector(metrics)
-	slowLog := obs.NewSlowLog(*slowMS, *slowCap)
+	slowLog := obs.NewSlowLog(*slowMS, 0)
 
 	cat := catalog.New(catalog.Config{
 		Service: service.Config{
-			Workers:          *workers,
-			QueueDepth:       *queue,
-			CacheEntries:     *cache,
-			MaxCacheBytes:    *cacheBytes,
-			ClientInflight:   *perClient,
-			DefaultTimeout:   *timeout,
-			IngestMaxRecords: *ingestRecs,
-			IngestMaxBytes:   *ingestMax,
-			MaxWatches:       *maxWatches,
-			WatchBuffer:      *watchBuf,
+			Workers:        *workers,
+			MaxCacheBytes:  *cacheBytes,
+			DefaultTimeout: *timeout,
+			IngestMaxBytes: *ingestMax,
 		},
 		ScanCacheBytes:  *scanCache,
 		CompactInterval: *compact,
-		ScanWorkers:     *scanWork,
 		BlockCacheBytes: *blockCache,
 		Metrics:         metrics,
 		SlowLog:         slowLog,

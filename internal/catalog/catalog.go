@@ -35,7 +35,11 @@ const DefaultScanCacheBytes = 64 << 20
 // Config shapes every dataset the catalog creates.
 type Config struct {
 	// Service sizes each dataset's service layer (workers, result
-	// cache, timeouts). Zero values select the service defaults.
+	// cache, timeouts). Zero values select the service defaults. Its
+	// Workers also sizes the parallel-scan worker pool shared by every
+	// dataset the catalog creates (a query's merging goroutine plus
+	// Workers-1 pooled helpers, clamped to GOMAXPROCS), so total scan
+	// CPU is governed in one place alongside the admission pool.
 	Service service.Config
 	// ScanCacheBytes budgets each dataset's segment scan cache; 0
 	// selects DefaultScanCacheBytes, negative disables the cache.
@@ -45,13 +49,6 @@ type Config struct {
 	// segments (and re-pointing the scan cache) while the dataset
 	// serves queries. Zero disables background compaction.
 	CompactInterval time.Duration
-	// ScanWorkers caps the parallel-scan worker pool shared by every
-	// dataset the catalog creates (a query's merging goroutine plus
-	// ScanWorkers-1 pooled helpers), so total scan CPU is governed in
-	// one place alongside the admission pool. Zero matches the
-	// admission pool's worker count (Service.Workers, itself defaulting
-	// to GOMAXPROCS); 1 scans sequentially.
-	ScanWorkers int
 	// BlockCacheBytes budgets each dataset's decompressed-block cache;
 	// 0 selects the store default, negative disables it.
 	BlockCacheBytes int64
@@ -111,18 +108,15 @@ func New(cfg Config) *Catalog {
 	if cfg.ScanCacheBytes == 0 {
 		cfg.ScanCacheBytes = DefaultScanCacheBytes
 	}
-	workers := cfg.ScanWorkers
-	if workers <= 0 {
-		workers = cfg.Service.Workers
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// Scan helpers are CPU-bound, so a pool wider than the machine only
 	// adds scheduling overhead: clamp to the cores available.
+	workers := runtime.GOMAXPROCS(0)
+	if w := cfg.Service.Workers; w > 0 {
+		workers = min(w, workers)
+	}
 	c := &Catalog{
 		cfg:      cfg,
-		scanPool: workpool.New(min(workers, runtime.GOMAXPROCS(0)) - 1),
+		scanPool: workpool.New(workers - 1),
 		sets:     make(map[string]*Dataset),
 	}
 	c.registerCollector(cfg.Metrics)

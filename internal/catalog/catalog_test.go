@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -263,5 +264,29 @@ func TestHTTPDatasetRoutingAndManagement(t *testing.T) {
 	// a pathless load of an unregistered name is a 404, not a 400
 	if rec := do(http.MethodPost, "/api/v1/datasets/ghost/load", ""); rec.Code != http.StatusNotFound {
 		t.Errorf("pathless load of unknown dataset: status %d, want 404", rec.Code)
+	}
+}
+
+// TestCatalogScanPoolFollowsWorkers: the shared scan pool takes its
+// size from Service.Workers, clamped to the cores available, and every
+// dataset scans on it: min(workers, GOMAXPROCS)-1 helpers beside each
+// query's own goroutine.
+func TestCatalogScanPoolFollowsWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ workers, helpers int }{
+		{0, procs - 1}, // Workers defaults to GOMAXPROCS
+		{1, 0},
+		{2, min(2, procs) - 1},
+		{procs + 3, procs - 1},
+	} {
+		c := New(Config{Service: service.Config{Workers: tc.workers}})
+		d, err := c.AddDB("ds", buildDB(t, "a", 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Service().DatasetStats("ds").Scan.Workers; got != tc.helpers {
+			t.Errorf("Workers %d: scan pool has %d helpers, want %d", tc.workers, got, tc.helpers)
+		}
+		c.Close()
 	}
 }

@@ -241,10 +241,13 @@ func TestWALAppendReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := walRecs(20)
-	if err := w.Append(recs[:5], false); err != nil {
+	if err := w.Append(recs[:5]); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(recs[5:], true); err != nil {
+	if err := w.Append(recs[5:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if w.Records() != uint64(len(recs)) {
@@ -272,7 +275,10 @@ func TestWALTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := walRecs(10)
-	if err := w.Append(recs, true); err != nil {
+	if err := w.Append(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	full := w.Size()
@@ -293,7 +299,10 @@ func TestWALTornTail(t *testing.T) {
 		}
 		// the tail was truncated; appending and replaying again must
 		// see the old records plus the new one, with no gap
-		if err := w2.Append(recs[:1], true); err != nil {
+		if err := w2.Append(recs[:1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w2.Sync(); err != nil {
 			t.Fatal(err)
 		}
 		w2.Close()
@@ -313,7 +322,10 @@ func TestWALCorruptMidFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(walRecs(10), true); err != nil {
+	if err := w.Append(walRecs(10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -335,7 +347,7 @@ func TestWALTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(walRecs(5), false); err != nil {
+	if err := w.Append(walRecs(5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Truncate(); err != nil {
@@ -344,7 +356,10 @@ func TestWALTruncate(t *testing.T) {
 	if w.Size() != 0 || w.Records() != 0 {
 		t.Fatalf("after truncate: %d bytes, %d records", w.Size(), w.Records())
 	}
-	if err := w.Append(walRecs(2), true); err != nil {
+	if err := w.Append(walRecs(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

@@ -227,10 +227,10 @@ func OpenWAL(path string, apply func(Rec) error) (*WAL, error) {
 	return &WAL{f: f, path: path, size: int64(good), records: records}, nil
 }
 
-// Append writes the records as one contiguous run of frames. With sync
-// the data is fsynced before returning — the commit is then durable
-// against power loss, which is what makes it "acknowledged".
-func (w *WAL) Append(recs []Rec, sync bool) error {
+// Append writes the records as one contiguous run of frames. It does
+// not fsync: the commit is durable against power loss, and so
+// "acknowledged", only once a later Sync returns.
+func (w *WAL) Append(recs []Rec) error {
 	if len(recs) == 0 {
 		return nil
 	}
@@ -253,9 +253,6 @@ func (w *WAL) Append(recs []Rec, sync bool) error {
 	}
 	w.size += int64(len(enc.buf))
 	w.records += uint64(len(recs))
-	if sync {
-		return w.syncLocked()
-	}
 	return nil
 }
 

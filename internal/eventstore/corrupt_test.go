@@ -120,7 +120,10 @@ func TestDecodeRejectsDanglingEntityRefs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := wal.Append([]durable.Rec{{Kind: durable.RecEvent, Event: bad}}, true); err != nil {
+			if err := wal.Append([]durable.Rec{{Kind: durable.RecEvent, Event: bad}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := wal.Sync(); err != nil {
 				t.Fatal(err)
 			}
 			wal.Close()

@@ -356,7 +356,7 @@ func (d *durableState) logCommitLocked(s *Store) error {
 	for i := range s.batch {
 		recs = append(recs, durable.Rec{Kind: durable.RecEvent, Event: s.batch[i]})
 	}
-	err := d.wal.Append(recs, false)
+	err := d.wal.Append(recs)
 	d.setErr(err)
 	return err
 }

@@ -71,22 +71,16 @@ type resultCache struct {
 	order    *list.List // front = most recently used
 }
 
-func newResultCache(capacity int, maxBytes int64) *resultCache {
-	if capacity <= 0 {
-		return nil // caching disabled
-	}
+func newResultCache(maxBytes int64) *resultCache {
 	return &resultCache{
-		cap:      capacity,
+		cap:      resultCacheEntries,
 		maxBytes: maxBytes,
-		entries:  make(map[cacheKey]*list.Element, capacity),
+		entries:  make(map[cacheKey]*list.Element, resultCacheEntries),
 		order:    list.New(),
 	}
 }
 
 func (c *resultCache) get(key cacheKey) (*cacheEntry, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -98,9 +92,6 @@ func (c *resultCache) get(key cacheKey) (*cacheEntry, bool) {
 }
 
 func (c *resultCache) put(entry *cacheEntry) {
-	if c == nil {
-		return
-	}
 	if entry.bytes == 0 {
 		entry.bytes = approxResultBytes(entry.result)
 	}
@@ -108,7 +99,7 @@ func (c *resultCache) put(entry *cacheEntry) {
 	defer c.mu.Unlock()
 	// an entry larger than the whole budget would evict everything and
 	// still not fit; don't admit it
-	if c.maxBytes > 0 && entry.bytes > c.maxBytes {
+	if entry.bytes > c.maxBytes {
 		return
 	}
 	if el, ok := c.entries[entry.key]; ok {
@@ -119,7 +110,7 @@ func (c *resultCache) put(entry *cacheEntry) {
 		c.entries[entry.key] = c.order.PushFront(entry)
 		c.bytes += entry.bytes
 	}
-	for c.order.Len() > c.cap || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
+	for c.order.Len() > c.cap || c.bytes > c.maxBytes {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
 		old := oldest.Value.(*cacheEntry)
@@ -129,18 +120,12 @@ func (c *resultCache) put(entry *cacheEntry) {
 }
 
 func (c *resultCache) len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
 
 func (c *resultCache) sizeBytes() int64 {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes

@@ -654,6 +654,7 @@ func (h *apiHandler) handleIngest(w http.ResponseWriter, r *http.Request) {
 		recs = append(recs, rec)
 	}
 	if len(recs) == 0 {
+		svc.ingestRejected.Add(1)
 		WriteError(w, &apiError{status: http.StatusBadRequest, code: CodeBadRequest,
 			msg: "ingest body carries no records"})
 		return

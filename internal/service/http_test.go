@@ -115,7 +115,8 @@ func TestHTTPQueryTimeout(t *testing.T) {
 }
 
 func TestHTTPQueryOverloaded(t *testing.T) {
-	svc := New(newTestDB(t, 5), Config{Workers: 1, QueueDepth: 1, QueueWait: 20 * time.Millisecond, CacheEntries: -1})
+	svc := New(newTestDB(t, 5), Config{Workers: 1})
+	svc.queueDepth, svc.queueWait = 1, 20*time.Millisecond
 	svc.sem <- struct{}{} // jam the only worker
 	defer func() { <-svc.sem }()
 	svc.queued.Add(1) // and the only queue slot

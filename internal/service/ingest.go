@@ -188,10 +188,10 @@ func (s *Service) Ingest(ctx context.Context, client string, recs []aiql.Record)
 		return nil, &apiError{status: http.StatusBadRequest, code: CodeUnsupported,
 			msg: "service: a sharded dataset is read-only at the coordinator; ingest to the member owning the partition"}
 	}
-	if s.cfg.IngestMaxRecords > 0 && len(recs) > s.cfg.IngestMaxRecords {
+	if len(recs) > s.maxRecords {
 		s.ingestRejected.Add(1)
 		return nil, &apiError{status: http.StatusRequestEntityTooLarge, code: CodeTooLarge,
-			msg: fmt.Sprintf("service: ingest batch of %d records exceeds the %d-record cap, split it", len(recs), s.cfg.IngestMaxRecords)}
+			msg: fmt.Sprintf("service: ingest batch of %d records exceeds the %d-record cap, split it", len(recs), s.maxRecords)}
 	}
 	if err := s.acquireClient(client); err != nil {
 		s.ingestRejected.Add(1)

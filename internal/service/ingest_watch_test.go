@@ -64,7 +64,8 @@ func TestHTTPIngestCommitsAndQueries(t *testing.T) {
 }
 
 func TestHTTPIngestValidation(t *testing.T) {
-	svc := New(newTestDB(t, 5), Config{IngestMaxRecords: 4})
+	svc := New(newTestDB(t, 5), Config{})
+	svc.maxRecords = 4
 	h := svc.Handler()
 	cases := []struct {
 		name, body string
@@ -153,9 +154,10 @@ func TestHTTPIngestClosedStore(t *testing.T) {
 
 // TestRetryAfterProportional: the Retry-After hint scales with live
 // queue pressure instead of the old hardcoded "1" — a full queue tells
-// shed clients to stay away for the whole QueueWait.
+// shed clients to stay away for the whole queue wait.
 func TestRetryAfterProportional(t *testing.T) {
-	svc := New(newTestDB(t, 5), Config{Workers: 1, QueueDepth: 4, QueueWait: 20 * time.Second, CacheEntries: -1})
+	svc := New(newTestDB(t, 5), Config{Workers: 1})
+	svc.queueDepth, svc.queueWait = 4, 20*time.Second
 	svc.sem <- struct{}{} // jam the only worker
 	defer func() { <-svc.sem }()
 	svc.queued.Add(4) // report a full queue
@@ -175,7 +177,7 @@ func TestRetryAfterProportional(t *testing.T) {
 		// 4 queued x 20s / depth 4 = 20s; anything proportional (> 1s
 		// floor) proves the hint is load-derived
 		if secs != 20 {
-			t.Errorf("%s: Retry-After = %d, want 20 (full queue x QueueWait)", ep.path, secs)
+			t.Errorf("%s: Retry-After = %d, want 20 (full queue x queue wait)", ep.path, secs)
 		}
 	}
 }
@@ -183,14 +185,15 @@ func TestRetryAfterProportional(t *testing.T) {
 // TestRetryAfterIdleQueueFloor: with no queue pressure the hint stays
 // at the 1-second floor.
 func TestRetryAfterIdleQueueFloor(t *testing.T) {
-	svc := New(newTestDB(t, 5), Config{Workers: 1, QueueDepth: 8, QueueWait: 20 * time.Second, ClientInflight: 1, CacheEntries: -1})
+	svc := New(newTestDB(t, 5), Config{Workers: 1})
+	svc.queueDepth, svc.queueWait = 8, 20*time.Second
 	if err := svc.acquireClient("agent"); err != nil {
 		t.Fatal(err)
 	}
 	defer svc.releaseClient("agent")
 	err := svc.acquireClient("agent")
 	if err == nil {
-		t.Fatal("second acquire admitted past ClientInflight=1")
+		t.Fatal("second acquire admitted past a client cap of 1")
 	}
 	var hint *retryHintError
 	if !errors.As(err, &hint) {
@@ -320,8 +323,9 @@ func TestWatchTellsApartRowsThatJoinAlike(t *testing.T) {
 	}
 }
 
-func TestWatchLimitAndDisabled(t *testing.T) {
-	svc := New(newTestDB(t, 5), Config{MaxWatches: 1})
+func TestWatchLimit(t *testing.T) {
+	svc := New(newTestDB(t, 5), Config{})
+	svc.watches.cap = 1
 	h := svc.Handler()
 	registerWatch(t, h, demoQuery)
 	body, _ := json.Marshal(WatchRequest{Query: demoQuery})
@@ -338,11 +342,34 @@ func TestWatchLimitAndDisabled(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("bad query registration: status %d, want 400", rec.Code)
 	}
+}
 
-	disabled := New(newTestDB(t, 5), Config{MaxWatches: -1})
-	rec = doJSON(t, disabled.Handler(), http.MethodPost, "/api/v1/watch", string(body))
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("disabled registry: status %d, want 400: %s", rec.Code, rec.Body.String())
+// TestWatchLimitRefusesBeforeBaseline: a registration against a full
+// registry is refused before its baseline evaluation, so it neither
+// runs the baseline nor waits for a worker slot.
+func TestWatchLimitRefusesBeforeBaseline(t *testing.T) {
+	svc := New(newTestDB(t, 5), Config{Workers: 1})
+	svc.watches.cap = 1
+	svc.queueWait = 20 * time.Millisecond
+	h := svc.Handler()
+	registerWatch(t, h, demoQuery)
+	evals := svc.WatchStats().Evals
+	svc.sem <- struct{}{} // jam the only worker
+	defer func() { <-svc.sem }()
+
+	body, _ := json.Marshal(WatchRequest{Query: demoQuery})
+	rec := doJSON(t, h, http.MethodPost, "/api/v1/watch", string(body))
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("registration at the cap: status %d, want 429: %s", rec.Code, rec.Body.String())
+	}
+	if e := decodeError(t, rec); e.Code != CodeWatchLimit {
+		t.Errorf("code %q, want %q", e.Code, CodeWatchLimit)
+	}
+	if got := svc.WatchStats().Evals; got != evals {
+		t.Errorf("evals %d -> %d: the refused registration ran a baseline", evals, got)
+	}
+	if st := svc.Stats(); st.Rejected != 0 || st.Queued != 0 {
+		t.Errorf("the refused registration waited for a worker: %+v", st)
 	}
 }
 
@@ -514,7 +541,8 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 // TestWatchSlowSubscriberDropsOldest: a stalled consumer loses its
 // oldest matches, keeps the freshest, and never blocks the ingest path.
 func TestWatchSlowSubscriberDropsOldest(t *testing.T) {
-	svc := New(newTestDB(t, 0), Config{WatchBuffer: 2})
+	svc := New(newTestDB(t, 0), Config{})
+	svc.watches.buffer = 2
 	h := svc.Handler()
 	id := registerWatch(t, h, demoQuery)
 	sub, err := svc.Subscribe(id)

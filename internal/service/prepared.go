@@ -73,14 +73,11 @@ type preparedRegistry struct {
 	hits, misses, evictions, expired uint64
 }
 
-func newPreparedRegistry(capacity int, ttl time.Duration) *preparedRegistry {
-	if capacity <= 0 {
-		return nil // registry disabled
-	}
+func newPreparedRegistry() *preparedRegistry {
 	return &preparedRegistry{
-		cap:     capacity,
-		ttl:     ttl,
-		entries: make(map[string]*list.Element, capacity),
+		cap:     preparedEntries,
+		ttl:     preparedTTL,
+		entries: make(map[string]*list.Element, preparedEntries),
 		order:   list.New(),
 	}
 }
@@ -97,9 +94,6 @@ func newStmtID() string {
 // put registers a statement under a fresh id (or the given id, for
 // hot-swap adoption) and returns the id.
 func (r *preparedRegistry) put(id string, stmt *aiql.Stmt, now time.Time) string {
-	if r == nil {
-		return ""
-	}
 	if id == "" {
 		id = newStmtID()
 	}
@@ -123,14 +117,11 @@ func (r *preparedRegistry) put(id string, stmt *aiql.Stmt, now time.Time) string
 
 // get looks up a statement, refreshing its LRU position and idle TTL.
 func (r *preparedRegistry) get(id string, now time.Time) (*aiql.Stmt, error) {
-	if r == nil {
-		return nil, ErrStmtNotFound
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if el, ok := r.entries[id]; ok {
 		e := el.Value.(*stmtEntry)
-		if r.ttl <= 0 || now.Sub(e.lastUsed) <= r.ttl {
+		if now.Sub(e.lastUsed) <= r.ttl {
 			e.lastUsed = now
 			r.order.MoveToFront(el)
 			r.hits++
@@ -146,9 +137,6 @@ func (r *preparedRegistry) get(id string, now time.Time) (*aiql.Stmt, error) {
 
 // pruneExpired drops idle-expired entries; the caller holds the lock.
 func (r *preparedRegistry) pruneExpired(now time.Time) {
-	if r.ttl <= 0 {
-		return
-	}
 	for el := r.order.Back(); el != nil; {
 		e := el.Value.(*stmtEntry)
 		if now.Sub(e.lastUsed) <= r.ttl {
@@ -164,9 +152,6 @@ func (r *preparedRegistry) pruneExpired(now time.Time) {
 
 // stats snapshots the registry counters.
 func (r *preparedRegistry) stats(now time.Time) PreparedStats {
-	if r == nil {
-		return PreparedStats{}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.pruneExpired(now)
@@ -182,9 +167,6 @@ func (r *preparedRegistry) stats(now time.Time) PreparedStats {
 // seeds exports the held statements (most recently used first) for
 // hot-swap adoption.
 func (r *preparedRegistry) seeds() []PreparedSeed {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]PreparedSeed, 0, r.order.Len())
@@ -198,10 +180,6 @@ func (r *preparedRegistry) seeds() []PreparedSeed {
 // Prepare compiles a query into the per-dataset registry and returns
 // its handle and typed parameter signature.
 func (s *Service) Prepare(src string) (PreparedInfo, error) {
-	if s.prepared == nil {
-		return PreparedInfo{}, &apiError{status: 400, code: CodeUnsupported,
-			msg: "service: prepared statements are disabled on this dataset"}
-	}
 	stmt, err := s.db.Prepare(src)
 	if err != nil {
 		return PreparedInfo{}, err
@@ -234,9 +212,6 @@ func (s *Service) PreparedSeeds() []PreparedSeed {
 // Seeds that no longer compile are dropped silently (their ids answer
 // stmt_not_found, the same contract as expiry).
 func (s *Service) AdoptPrepared(seeds []PreparedSeed) {
-	if s.prepared == nil {
-		return
-	}
 	now := time.Now()
 	// Insert in reverse so the most recently used seed ends up at the
 	// front of the adopted LRU.

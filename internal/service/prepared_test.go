@@ -94,7 +94,8 @@ func TestInlineParamsShareCacheWithStmt(t *testing.T) {
 }
 
 func TestPreparedRegistryEviction(t *testing.T) {
-	svc := New(newTestDB(t, 5), Config{PreparedEntries: 2})
+	svc := New(newTestDB(t, 5), Config{})
+	svc.prepared.cap = 2
 	ids := make([]string, 3)
 	for i := range ids {
 		info, err := svc.Prepare(fmt.Sprintf(`proc p[$e%d] write file f as evt return p`, i))
@@ -115,7 +116,8 @@ func TestPreparedRegistryEviction(t *testing.T) {
 }
 
 func TestPreparedRegistryTTL(t *testing.T) {
-	svc := New(newTestDB(t, 5), Config{PreparedTTL: time.Nanosecond})
+	svc := New(newTestDB(t, 5), Config{})
+	svc.prepared.ttl = time.Nanosecond
 	info, err := svc.Prepare(paramQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +180,8 @@ func TestHTTPPrepareRoundTrip(t *testing.T) {
 // machine-readable codes, line/col positions for query-text errors, and
 // the parameter name in detail for binding errors.
 func TestHTTPErrorModelGolden(t *testing.T) {
-	svc := New(newTestDB(t, 5), Config{PreparedTTL: time.Nanosecond})
+	svc := New(newTestDB(t, 5), Config{})
+	svc.prepared.ttl = time.Nanosecond
 	h := svc.Handler()
 
 	expired, err := svc.Prepare(paramQuery)

@@ -168,13 +168,14 @@ func segDeltaRecord(i int) aiql.Record {
 const segHuntQuery = `proc p read || write || execute || delete file f as evt with evt.amount > 10000000 return p, f`
 
 // BenchmarkSegmentsCold is the baseline: every iteration re-executes
-// the hunting query with no result cache and no segment reuse.
+// the hunting query with no result cache and no segment reuse: each
+// iteration runs on a fresh service, whose result cache is empty.
 func BenchmarkSegmentsCold(b *testing.B) {
-	svc := New(fig4DB(), Config{CacheEntries: -1})
+	db := fig4DB()
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svc.Do(ctx, Request{Query: segHuntQuery}); err != nil {
+		if _, err := New(db, Config{}).Do(ctx, Request{Query: segHuntQuery}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -67,53 +67,48 @@ const maxTimeout = 2 * time.Minute
 // bounded only by their own limit.
 const maxRows = 5000
 
+// Fixed service sizes. The admission queue depth and the per-client
+// cap follow Config.Workers (4×Workers and half the workers); the rest
+// are constants.
+const (
+	// queueWait bounds how long an admitted query may wait for a worker
+	// before being shed with ErrOverloaded.
+	queueWait = 2 * time.Second
+	// resultCacheEntries is the result cache's LRU entry capacity; the
+	// byte bound is Config.MaxCacheBytes.
+	resultCacheEntries = 256
+	// preparedEntries caps the prepared-statement registry (LRU).
+	preparedEntries = 256
+	// preparedTTL expires statements idle longer than this; each lookup
+	// refreshes the clock.
+	preparedTTL = 15 * time.Minute
+	// ingestMaxRecords caps events per ingest request; larger batches
+	// are rejected before any append.
+	ingestMaxRecords = 10000
+	// maxWatches caps registered standing queries per dataset.
+	maxWatches = 64
+	// watchBuffer is each SSE subscriber's buffered match capacity; a
+	// full buffer drops its oldest match (drop-oldest backpressure) so a
+	// slow consumer sees the freshest matches, never a stalled ingest
+	// path.
+	watchBuffer = 256
+)
+
 // Config sizes the service. Zero values select the documented defaults.
 type Config struct {
-	// Workers caps concurrent query executions. Default: GOMAXPROCS.
+	// Workers caps concurrent query executions; the admission queue
+	// holds 4×Workers more, and one client key may hold half of them
+	// (at least 1). Default: GOMAXPROCS.
 	Workers int
-	// QueueDepth caps queries waiting for a worker beyond Workers.
-	// Default: 4×Workers.
-	QueueDepth int
-	// QueueWait bounds how long an admitted query may wait for a worker
-	// before being shed with ErrOverloaded. Default: 2s.
-	QueueWait time.Duration
 	// DefaultTimeout bounds execution when the request names none.
 	// Default: 30s.
 	DefaultTimeout time.Duration
-	// CacheEntries is the LRU result-cache entry capacity. Negative
-	// disables caching. Default: 256.
-	CacheEntries int
 	// MaxCacheBytes bounds the approximate memory footprint of cached
 	// rows; the LRU evicts past whichever of the entry and byte bounds
-	// is hit first. Negative removes the byte bound. Default: 64 MiB.
+	// is hit first. Default: 64 MiB.
 	MaxCacheBytes int64
-	// ClientInflight caps concurrent executions per client key
-	// (Request.Client); requests beyond the cap are rejected with
-	// ErrClientThrottled so one noisy client cannot monopolize the
-	// worker pool. Requests with an empty client key are exempt.
-	// Negative disables the cap. Default: half the workers (at least 1).
-	ClientInflight int
-	// PreparedEntries caps the prepared-statement registry (LRU).
-	// Negative disables prepared statements. Default: 256.
-	PreparedEntries int
-	// PreparedTTL expires statements idle longer than this; each
-	// lookup refreshes the clock. Negative disables expiry.
-	// Default: 15m.
-	PreparedTTL time.Duration
-	// IngestMaxRecords caps events per ingest request; oversized
-	// batches are rejected before any append. Negative disables the
-	// cap. Default: 10000.
-	IngestMaxRecords int
 	// IngestMaxBytes caps an ingest request body. Default: 8 MiB.
 	IngestMaxBytes int64
-	// MaxWatches caps registered standing queries per dataset.
-	// Negative disables standing queries entirely. Default: 64.
-	MaxWatches int
-	// WatchBuffer is each SSE subscriber's buffered match capacity;
-	// a full buffer drops its oldest match (drop-oldest backpressure)
-	// so a slow consumer sees the freshest matches, never a stalled
-	// ingest path. Default: 256.
-	WatchBuffer int
 	// Dataset names the dataset this service fronts; it labels the
 	// service's metric series and slow-query entries. Empty emits
 	// unlabeled series.
@@ -126,48 +121,19 @@ type Config struct {
 	SlowLog *obs.SlowLog
 }
 
+// withDefaults fills every zero or negative size with its default.
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.Workers
-	}
-	if c.QueueWait <= 0 {
-		c.QueueWait = 2 * time.Second
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 256
-	}
-	if c.MaxCacheBytes == 0 {
+	if c.MaxCacheBytes <= 0 {
 		c.MaxCacheBytes = 64 << 20
-	}
-	if c.ClientInflight == 0 {
-		c.ClientInflight = (c.Workers + 1) / 2
-		if c.ClientInflight < 1 {
-			c.ClientInflight = 1
-		}
-	}
-	if c.PreparedEntries == 0 {
-		c.PreparedEntries = 256
-	}
-	if c.PreparedTTL == 0 {
-		c.PreparedTTL = 15 * time.Minute
-	}
-	if c.IngestMaxRecords == 0 {
-		c.IngestMaxRecords = 10000
 	}
 	if c.IngestMaxBytes <= 0 {
 		c.IngestMaxBytes = 8 << 20
-	}
-	if c.MaxWatches == 0 {
-		c.MaxWatches = 64
-	}
-	if c.WatchBuffer <= 0 {
-		c.WatchBuffer = 256
 	}
 	return c
 }
@@ -372,6 +338,15 @@ type Service struct {
 	prepared *preparedRegistry
 	watches  *watchRegistry
 
+	// Admission sizes, fixed by New (tests shrink them): queueDepth
+	// waiters beyond the workers, each for at most queueWait;
+	// clientInflight concurrent executions per client key; maxRecords
+	// events per ingest batch.
+	queueDepth     int
+	queueWait      time.Duration
+	clientInflight int
+	maxRecords     int
+
 	flightMu sync.Mutex
 	flights  map[cacheKey]*flight
 
@@ -411,12 +386,17 @@ func New(db *aiql.DB, cfg Config) *Service {
 		db:       db,
 		cfg:      cfg,
 		sem:      make(chan struct{}, cfg.Workers),
-		cache:    newResultCache(cfg.CacheEntries, cfg.MaxCacheBytes),
-		prepared: newPreparedRegistry(cfg.PreparedEntries, cfg.PreparedTTL),
-		watches:  newWatchRegistry(cfg.MaxWatches, cfg.WatchBuffer),
+		cache:    newResultCache(cfg.MaxCacheBytes),
+		prepared: newPreparedRegistry(),
+		watches:  newWatchRegistry(),
 		flights:  map[cacheKey]*flight{},
 		clients:  map[string]int{},
 		slow:     cfg.SlowLog,
+
+		queueDepth:     4 * cfg.Workers,
+		queueWait:      queueWait,
+		clientInflight: (cfg.Workers + 1) / 2,
+		maxRecords:     ingestMaxRecords,
 	}
 	if cfg.Metrics != nil {
 		var lbls []obs.Label
@@ -678,9 +658,7 @@ func (s *Service) lookup(req Request, key cacheKey) *cacheEntry {
 		s.cacheHits.Add(1)
 		return entry
 	}
-	if s.cache != nil {
-		s.cacheMisses.Add(1)
-	}
+	s.cacheMisses.Add(1)
 	return nil
 }
 
@@ -913,7 +891,7 @@ func (s *Service) timeout(req Request) time.Duration {
 
 // retryAfter derives the Retry-After hint (whole seconds) from live
 // queue pressure: an idle queue suggests an immediate 1s retry, a full
-// queue the whole QueueWait, scaling linearly between — so a fleet of
+// queue the whole queue wait, scaling linearly between — so a fleet of
 // shed clients spreads its retries proportionally to how far behind the
 // service actually is instead of stampeding back after a fixed second.
 func (s *Service) retryAfter() int {
@@ -921,7 +899,7 @@ func (s *Service) retryAfter() int {
 	if depth < 0 {
 		depth = 0
 	}
-	secs := int((time.Duration(depth)*s.cfg.QueueWait/time.Duration(s.cfg.QueueDepth) + time.Second - 1) / time.Second)
+	secs := int((time.Duration(depth)*s.queueWait/time.Duration(s.queueDepth) + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}
@@ -936,12 +914,12 @@ func (s *Service) shed(err error) error {
 
 // acquireClient reserves one of the client's concurrent execution slots.
 func (s *Service) acquireClient(client string) error {
-	if client == "" || s.cfg.ClientInflight < 0 {
+	if client == "" {
 		return nil
 	}
 	s.clientMu.Lock()
 	defer s.clientMu.Unlock()
-	if s.clients[client] >= s.cfg.ClientInflight {
+	if s.clients[client] >= s.clientInflight {
 		s.throttled.Add(1)
 		return s.shed(ErrClientThrottled)
 	}
@@ -950,7 +928,7 @@ func (s *Service) acquireClient(client string) error {
 }
 
 func (s *Service) releaseClient(client string) {
-	if client == "" || s.cfg.ClientInflight < 0 {
+	if client == "" {
 		return
 	}
 	s.clientMu.Lock()
@@ -960,8 +938,8 @@ func (s *Service) releaseClient(client string) {
 	}
 }
 
-// admit acquires a worker slot, queueing up to cfg.QueueDepth waiters for
-// at most cfg.QueueWait.
+// admit acquires a worker slot, queueing up to queueDepth waiters for at
+// most queueWait.
 func (s *Service) admit(ctx context.Context) error {
 	select {
 	case s.sem <- struct{}{}:
@@ -969,13 +947,13 @@ func (s *Service) admit(ctx context.Context) error {
 	default:
 	}
 	// all workers busy: join the bounded queue
-	if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
+	if s.queued.Add(1) > int64(s.queueDepth) {
 		s.queued.Add(-1)
 		s.rejected.Add(1)
 		return s.shed(ErrOverloaded)
 	}
 	defer s.queued.Add(-1)
-	wait := time.NewTimer(s.cfg.QueueWait)
+	wait := time.NewTimer(s.queueWait)
 	defer wait.Stop()
 	select {
 	case s.sem <- struct{}{}:

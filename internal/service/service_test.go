@@ -153,7 +153,8 @@ func TestLimitTruncationShapesNotMutates(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	db := newTestDB(t, 10)
-	svc := New(db, Config{CacheEntries: 2})
+	svc := New(db, Config{})
+	svc.cache.cap = 2
 	ctx := context.Background()
 	queries := []string{
 		demoQuery,
@@ -189,7 +190,8 @@ func TestAdmissionControl(t *testing.T) {
 	db := newTestDB(t, 10)
 
 	t.Run("queue full sheds immediately", func(t *testing.T) {
-		svc := New(db, Config{Workers: 1, QueueDepth: 1, QueueWait: 50 * time.Millisecond, CacheEntries: -1})
+		svc := New(db, Config{Workers: 1})
+		svc.queueDepth, svc.queueWait = 1, 50*time.Millisecond
 		svc.sem <- struct{}{} // occupy the only worker
 		defer func() { <-svc.sem }()
 		svc.queued.Add(1) // occupy the only queue slot
@@ -200,7 +202,8 @@ func TestAdmissionControl(t *testing.T) {
 	})
 
 	t.Run("queue wait expiry sheds", func(t *testing.T) {
-		svc := New(db, Config{Workers: 1, QueueDepth: 4, QueueWait: 30 * time.Millisecond, CacheEntries: -1})
+		svc := New(db, Config{Workers: 1})
+		svc.queueWait = 30 * time.Millisecond
 		svc.sem <- struct{}{}
 		defer func() { <-svc.sem }()
 		start := time.Now()
@@ -217,7 +220,8 @@ func TestAdmissionControl(t *testing.T) {
 	})
 
 	t.Run("cancelled while queued returns context error", func(t *testing.T) {
-		svc := New(db, Config{Workers: 1, QueueDepth: 4, QueueWait: time.Minute, CacheEntries: -1})
+		svc := New(db, Config{Workers: 1})
+		svc.queueWait = time.Minute
 		svc.sem <- struct{}{}
 		defer func() { <-svc.sem }()
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -233,7 +237,8 @@ func TestAdmissionControl(t *testing.T) {
 	})
 
 	t.Run("client disconnect while queued counts as canceled", func(t *testing.T) {
-		svc := New(db, Config{Workers: 1, QueueDepth: 4, QueueWait: time.Minute, CacheEntries: -1})
+		svc := New(db, Config{Workers: 1})
+		svc.queueWait = time.Minute
 		svc.sem <- struct{}{}
 		defer func() { <-svc.sem }()
 		ctx, cancel := context.WithCancel(context.Background())
@@ -250,7 +255,8 @@ func TestAdmissionControl(t *testing.T) {
 	})
 
 	t.Run("worker release admits the next query", func(t *testing.T) {
-		svc := New(db, Config{Workers: 1, QueueDepth: 4, QueueWait: 5 * time.Second, CacheEntries: -1})
+		svc := New(db, Config{Workers: 1})
+		svc.queueWait = 5 * time.Second
 		svc.sem <- struct{}{}
 		go func() {
 			time.Sleep(20 * time.Millisecond)
@@ -277,7 +283,8 @@ func TestConcurrentClientsWithWriter(t *testing.T) {
 		batchSize     = 20
 	)
 	db := newTestDB(t, initialEvents)
-	svc := New(db, Config{Workers: 8, QueueDepth: clients * 2, QueueWait: 30 * time.Second})
+	svc := New(db, Config{Workers: 8})
+	svc.queueDepth, svc.queueWait = clients*2, 30*time.Second
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -430,14 +437,15 @@ func TestWarmCacheSpeedup(t *testing.T) {
 	t.Logf("cold %v, warm %v (%.0fx)", coldTime, warmTime, float64(coldTime)/float64(warmTime))
 }
 
-// BenchmarkColdQuery measures repeated execution with caching disabled —
-// the price every repeat pays without the result cache.
+// BenchmarkColdQuery measures repeated execution against an empty result
+// cache — the price every repeat pays without it. Each iteration runs on
+// a fresh service, so every one executes.
 func BenchmarkColdQuery(b *testing.B) {
-	svc := New(fig4DB(), Config{CacheEntries: -1})
+	db := fig4DB()
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svc.Do(ctx, Request{Query: fig4Query}); err != nil {
+		if _, err := New(db, Config{}).Do(ctx, Request{Query: fig4Query}); err != nil {
 			b.Fatal(err)
 		}
 	}

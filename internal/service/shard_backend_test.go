@@ -71,7 +71,7 @@ func newShardedService(t *testing.T, f *fakeShards, cfg Config) *Service {
 // client's Retry-After header.
 func TestShardRetryAfterPropagates(t *testing.T) {
 	f := &fakeShards{err: WithRetryHint(fmt.Errorf("shard m2: %w", ErrClientThrottled), 9)}
-	svc := newShardedService(t, f, Config{CacheEntries: -1})
+	svc := newShardedService(t, f, Config{})
 	rec := doJSON(t, svc.Handler(), http.MethodPost, "/api/v1/query",
 		`{"query": "`+shardTestQuery+`"}`)
 	if rec.Code != http.StatusTooManyRequests {

@@ -80,8 +80,8 @@ func TestHTTPStreamFlushesPerChunk(t *testing.T) {
 		name string
 		svc  *Service
 	}{
-		{"local", New(singleAgentDB(t, events), Config{CacheEntries: -1})},
-		{"sharded", NewSharded(aiql.Open(), merged, Config{CacheEntries: -1})},
+		{"local", New(singleAgentDB(t, events), Config{})},
+		{"sharded", NewSharded(aiql.Open(), merged, Config{})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			svc := tc.svc

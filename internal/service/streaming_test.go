@@ -162,7 +162,8 @@ func TestDoPagination(t *testing.T) {
 // the submitted query, and point at a still-available snapshot.
 func TestPaginationTokenValidation(t *testing.T) {
 	db := newTestDB(t, 50)
-	svc := New(db, Config{CacheEntries: 1})
+	svc := New(db, Config{})
+	svc.cache.cap = 1
 	ctx := context.Background()
 
 	first, err := svc.Do(ctx, Request{Query: demoQuery, Limit: 10})
@@ -210,7 +211,8 @@ func TestPaginationSnapshotUnderWrites(t *testing.T) {
 		batch    = 10
 	)
 	db := newTestDB(t, initial)
-	svc := New(db, Config{Workers: 8, CacheEntries: 64})
+	svc := New(db, Config{Workers: 8})
+	svc.cache.cap = 64
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -368,7 +370,8 @@ func TestFollowerOutlivesCancelledLeader(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			svc := New(newTestDB(t, events), Config{Workers: 1, QueueWait: time.Minute})
+			svc := New(newTestDB(t, events), Config{Workers: 1})
+			svc.queueWait = time.Minute
 			svc.sem <- struct{}{} // hold the only worker: the leader queues behind it
 
 			leaderCtx, cancelLeader := context.WithCancel(context.Background())
@@ -414,7 +417,8 @@ func TestFollowerOutlivesCancelledLeader(t *testing.T) {
 // ErrClientThrottled while other clients (and unkeyed requests) proceed.
 func TestClientThrottling(t *testing.T) {
 	db := newTestDB(t, 10)
-	svc := New(db, Config{Workers: 4, ClientInflight: 1, CacheEntries: -1})
+	svc := New(db, Config{Workers: 4})
+	svc.clientInflight = 1
 	ctx := context.Background()
 
 	svc.clientMu.Lock()
@@ -432,18 +436,21 @@ func TestClientThrottling(t *testing.T) {
 	if _, err := svc.Do(ctx, Request{Query: demoQuery, Client: "calm"}); err != nil {
 		t.Fatalf("calm client rejected: %v", err)
 	}
-	if _, err := svc.Do(ctx, Request{Query: demoQuery}); err != nil {
+	// another query, so the unkeyed request executes rather than hitting
+	// the entry the calm client's request cached
+	if _, err := svc.Do(ctx, Request{Query: `proc p write file f["%out1.log"] as evt return p, f`}); err != nil {
 		t.Fatalf("unkeyed request rejected: %v", err)
 	}
-	if st := svc.Stats(); st.Throttled != 1 {
-		t.Errorf("throttled = %d, want 1", st.Throttled)
+	if st := svc.Stats(); st.Throttled != 1 || st.Executions != 2 {
+		t.Errorf("throttled = %d, executions = %d, want 1 and 2", st.Throttled, st.Executions)
 	}
 }
 
 // TestHTTPClientThrottled: the API maps ErrClientThrottled to 429 with
 // Retry-After, keyed by the X-Client-Id header.
 func TestHTTPClientThrottled(t *testing.T) {
-	svc := New(newTestDB(t, 5), Config{ClientInflight: 1, CacheEntries: -1})
+	svc := New(newTestDB(t, 5), Config{})
+	svc.clientInflight = 1
 	svc.clientMu.Lock()
 	svc.clients["tenant-a"] = 1
 	svc.clientMu.Unlock()
@@ -467,7 +474,7 @@ func TestCacheByteBudget(t *testing.T) {
 	db := newTestDB(t, 100)
 	// ~100 rows x ~2 cells x ~(len+16) ≈ 10 KiB per entry: budget one
 	// entry but allow many by count
-	svc := New(db, Config{CacheEntries: 64, MaxCacheBytes: 15 << 10})
+	svc := New(db, Config{MaxCacheBytes: 15 << 10})
 	ctx := context.Background()
 
 	if _, err := svc.Do(ctx, Request{Query: demoQuery}); err != nil {
@@ -505,7 +512,7 @@ func TestCacheByteBudget(t *testing.T) {
 // budget must not wipe the cache to admit itself.
 func TestCacheRejectsOversizedEntry(t *testing.T) {
 	db := newTestDB(t, 200)
-	svc := New(db, Config{CacheEntries: 64, MaxCacheBytes: 1 << 10})
+	svc := New(db, Config{MaxCacheBytes: 1 << 10})
 	if _, err := svc.Do(context.Background(), Request{Query: demoQuery}); err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +525,7 @@ func TestCacheRejectsOversizedEntry(t *testing.T) {
 // rows aborts the stream with a context error — the deterministic
 // mid-stream disconnect path.
 func TestDoStreamCancelMidStream(t *testing.T) {
-	svc := New(fig4DB(), Config{CacheEntries: -1})
+	svc := New(fig4DB(), Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -551,7 +558,7 @@ func TestDoStreamCancelMidStream(t *testing.T) {
 // TestDoStreamLimitPushdown: the stream's limit reaches the engine — the
 // scan stops after the limit instead of draining the store.
 func TestDoStreamLimitPushdown(t *testing.T) {
-	svc := New(fig4DB(), Config{CacheEntries: -1})
+	svc := New(fig4DB(), Config{})
 	rows := 0
 	resp, err := svc.DoStream(context.Background(), Request{Query: fig4StreamQuery, Limit: 25},
 		func([]string, bool) error { return nil },
@@ -601,7 +608,8 @@ func TestHTTPQueryPagination(t *testing.T) {
 // superseded maps to 410 Gone.
 func TestHTTPQueryCursorExpired(t *testing.T) {
 	db := newTestDB(t, 25)
-	svc := New(db, Config{CacheEntries: 1})
+	svc := New(db, Config{})
+	svc.cache.cap = 1
 	h := svc.Handler()
 
 	first := decodeResult(t, doJSON(t, h, http.MethodPost, "/api/v1/query",
@@ -675,7 +683,7 @@ func TestHTTPStreamParseError(t *testing.T) {
 // running when the disconnect lands.
 func TestHTTPStreamClientDisconnect(t *testing.T) {
 	const totalRows = 1500 * 1499 / 2 // ordered pairs under `e1 before e2`
-	svc := New(singleAgentDB(t, 1500), Config{CacheEntries: -1})
+	svc := New(singleAgentDB(t, 1500), Config{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 

@@ -28,7 +28,7 @@ import (
 var ErrWatchNotFound = errors.New("service: unknown or deleted watch id")
 
 // ErrWatchLimit reports that the dataset's standing-query capacity is
-// reached; delete a watch or raise -max-watches.
+// reached; delete a watch first.
 var ErrWatchLimit = errors.New("service: standing-query limit reached")
 
 // WatchMatch is one push to a watch's subscribers: the rows a single
@@ -162,22 +162,33 @@ type watchRegistry struct {
 	dropped atomic.Uint64 // drops by watches since removed
 }
 
-func newWatchRegistry(capacity, buffer int) *watchRegistry {
-	if capacity <= 0 {
-		return nil // standing queries disabled
-	}
-	return &watchRegistry{cap: capacity, buffer: buffer, watches: make(map[string]*watch, capacity)}
+func newWatchRegistry() *watchRegistry {
+	return &watchRegistry{cap: maxWatches, buffer: watchBuffer, watches: make(map[string]*watch, maxWatches)}
 }
 
 // newWatchID mints an unguessable watch handle.
 func newWatchID() string { return "watch_" + newStmtID()[len("stmt_"):] }
 
+// full reports ErrWatchLimit when the registry is at its cap.
+func (r *watchRegistry) full() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.fullLocked()
+}
+
+func (r *watchRegistry) fullLocked() error {
+	if len(r.watches) >= r.cap {
+		return fmt.Errorf("%w (%d)", ErrWatchLimit, r.cap)
+	}
+	return nil
+}
+
 // insert registers w, enforcing the capacity cap.
 func (r *watchRegistry) insert(w *watch) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.watches) >= r.cap {
-		return fmt.Errorf("%w (%d)", ErrWatchLimit, r.cap)
+	if err := r.fullLocked(); err != nil {
+		return err
 	}
 	r.watches[w.id] = w
 	r.order = append(r.order, w.id)
@@ -186,9 +197,6 @@ func (r *watchRegistry) insert(w *watch) error {
 
 // get looks up a watch by id.
 func (r *watchRegistry) get(id string) (*watch, error) {
-	if r == nil {
-		return nil, ErrWatchNotFound
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	w, ok := r.watches[id]
@@ -200,9 +208,6 @@ func (r *watchRegistry) get(id string) (*watch, error) {
 
 // remove deletes a watch, returning it for subscriber shutdown.
 func (r *watchRegistry) remove(id string) (*watch, error) {
-	if r == nil {
-		return nil, ErrWatchNotFound
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	w, ok := r.watches[id]
@@ -221,9 +226,6 @@ func (r *watchRegistry) remove(id string) (*watch, error) {
 
 // snapshot returns the live watches in registration order.
 func (r *watchRegistry) snapshot() []*watch {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]*watch, 0, len(r.watches))
@@ -260,10 +262,6 @@ func (w *watch) info() WatchInfo {
 // are recorded, not pushed, so subscribers receive only matches caused
 // by data that arrives after registration.
 func (s *Service) Watch(ctx context.Context, src string, params map[string]any) (WatchInfo, error) {
-	if s.watches == nil {
-		return WatchInfo{}, &apiError{status: http.StatusBadRequest, code: CodeUnsupported,
-			msg: "service: standing queries are disabled on this dataset"}
-	}
 	if s.shards != nil {
 		return WatchInfo{}, &apiError{status: http.StatusBadRequest, code: CodeUnsupported,
 			msg: "service: standing queries are not supported on a sharded dataset; watch the member datasets"}
@@ -283,8 +281,13 @@ func (s *Service) Watch(ctx context.Context, src string, params map[string]any) 
 		state:  aiql.NewStandingState(),
 		subs:   make(map[*watchSub]struct{}),
 	}
-	// The baseline runs under admission like any query — registration
-	// is the one expensive evaluation (full scan, cold cache).
+	// A full registry refuses before the baseline, the one expensive
+	// evaluation (full scan, cold cache), which runs under admission
+	// like any query. insert checks the cap again: registrations can
+	// race past this check.
+	if err := s.watches.full(); err != nil {
+		return WatchInfo{}, err
+	}
 	if err := s.admit(ctx); err != nil {
 		return WatchInfo{}, err
 	}
@@ -348,7 +351,7 @@ func (s *Service) Subscribe(id string) (*watchSub, error) {
 	if err != nil {
 		return nil, err
 	}
-	sub := &watchSub{ch: make(chan WatchMatch, s.cfg.WatchBuffer), closed: make(chan struct{})}
+	sub := &watchSub{ch: make(chan WatchMatch, s.watches.buffer), closed: make(chan struct{})}
 	w.mu.Lock()
 	w.subs[sub] = struct{}{}
 	w.mu.Unlock()
@@ -420,9 +423,6 @@ func (s *Service) evalWatches(ctx context.Context) (evaluated, fresh int) {
 // WatchStats aggregates the registry's counters.
 func (s *Service) WatchStats() WatchStats {
 	r := s.watches
-	if r == nil {
-		return WatchStats{}
-	}
 	st := WatchStats{
 		Evals:   r.evals.Load(),
 		Matches: r.matches.Load(),
@@ -471,14 +471,6 @@ func (s *Service) WatchSeeds() []WatchSeed {
 // receiving matches caused by post-swap ingests. Seeds whose query no
 // longer compiles are dropped and their subscribers' streams closed.
 func (s *Service) AdoptWatches(seeds []WatchSeed) {
-	if s.watches == nil {
-		for _, seed := range seeds {
-			for sub := range seed.subs {
-				sub.close()
-			}
-		}
-		return
-	}
 	for _, seed := range seeds {
 		stmt, err := s.db.Prepare(seed.Source)
 		if err == nil {
