@@ -123,7 +123,7 @@ func main() {
 
 	metrics := obs.NewRegistry()
 	obs.RegisterRuntimeCollector(metrics)
-	slowLog := obs.NewSlowLog(*slowMS, 0)
+	slowLog := obs.NewSlowLog(*slowMS)
 
 	cat := catalog.New(catalog.Config{
 		Service: service.Config{

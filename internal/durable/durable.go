@@ -132,7 +132,9 @@ func (r *byteReader) i64() int64 { return int64(r.u64()) }
 
 func (r *byteReader) str() string {
 	n, sz := binary.Uvarint(r.buf[r.off:])
-	if sz <= 0 {
+	// A length whose final varint byte is 0 is padded: writers emit
+	// only the minimal encoding, so such a field is corrupt.
+	if sz <= 0 || sz > 1 && r.buf[r.off+sz-1] == 0 {
 		r.fail = true
 		return ""
 	}

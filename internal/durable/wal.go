@@ -37,7 +37,9 @@ const (
 	RecEvent
 )
 
-// Rec is one WAL record; Kind selects which payload field is set.
+// Rec is one WAL record; Kind selects which payload field is set, and
+// the others are zero. OpenWAL delivers records through a pointer to
+// one reused Rec, valid only during the apply call.
 type Rec struct {
 	Kind RecKind
 	// ID is the entity's dictionary ID for entity records. Replay uses
@@ -94,10 +96,25 @@ func encodeRec(w *byteWriter, r *Rec) {
 	}
 }
 
-func decodeRec(payload []byte) (Rec, error) {
-	r := &byteReader{buf: payload}
-	var rec Rec
-	rec.Kind = RecKind(r.u8())
+// decodeRec decodes payload into rec. Every field of the decoded kind's
+// payload is overwritten, and a payload of a different previous kind is
+// zeroed, so rec ends up exactly as a fresh decode would leave it while
+// a run of same-kind records reuses it without clearing.
+func decodeRec(payload []byte, rec *Rec) error {
+	r := byteReader{buf: payload}
+	if kind := RecKind(r.u8()); kind != rec.Kind {
+		switch rec.Kind {
+		case RecProc:
+			rec.Proc = sysmon.Process{}
+		case RecFile:
+			rec.File = sysmon.File{}
+		case RecConn:
+			rec.Conn = sysmon.Netconn{}
+		case RecEvent:
+			rec.Event = sysmon.Event{}
+		}
+		rec.Kind = kind
+	}
 	switch rec.Kind {
 	case RecProc:
 		rec.ID = sysmon.EntityID(r.u32())
@@ -118,6 +135,7 @@ func decodeRec(payload []byte) (Rec, error) {
 		rec.Conn.DstPort = r.u16()
 		rec.Conn.Protocol = r.str()
 	case RecEvent:
+		rec.ID = 0
 		e := &rec.Event
 		e.ID = r.u64()
 		e.AgentID = r.u32()
@@ -130,9 +148,15 @@ func decodeRec(payload []byte) (Rec, error) {
 		e.Amount = r.u64()
 		e.Seq = r.u64()
 	default:
-		return rec, fmt.Errorf("durable: unknown WAL record kind %d", rec.Kind)
+		return fmt.Errorf("durable: unknown WAL record kind %d", rec.Kind)
 	}
-	return rec, r.err("WAL record")
+	if err := r.err("WAL record"); err != nil {
+		return err
+	}
+	if r.off != len(payload) {
+		return fmt.Errorf("durable: WAL record has %d trailing bytes", len(payload)-r.off)
+	}
+	return nil
 }
 
 // WAL is an open write-ahead log. Appends are serialized internally;
@@ -180,13 +204,19 @@ func (w *WAL) poison(err error) error {
 // intact frame so subsequent appends extend a clean log; the records
 // before the tear are all delivered. apply may be nil to skip replay
 // delivery (the scan still locates the tail).
-func OpenWAL(path string, apply func(Rec) error) (*WAL, error) {
+//
+// Every record is decoded into one reused Rec: the pointer apply
+// receives is valid only for the duration of the call, so apply copies
+// out what it keeps (the strings it holds stay valid; they do not alias
+// the log's bytes).
+func OpenWAL(path string, apply func(*Rec) error) (*WAL, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
 	good := 0
 	var records uint64
+	var rec Rec
 	for off := 0; off+walFrameOverhead <= len(buf); {
 		n := int(binary.LittleEndian.Uint32(buf[off:]))
 		crc := binary.LittleEndian.Uint32(buf[off+4:])
@@ -197,12 +227,11 @@ func OpenWAL(path string, apply func(Rec) error) (*WAL, error) {
 		if checksum(payload) != crc {
 			break // corrupt tail
 		}
-		rec, err := decodeRec(payload)
-		if err != nil {
+		if err := decodeRec(payload, &rec); err != nil {
 			break // undecodable: treat as the tear point
 		}
 		if apply != nil {
-			if err := apply(rec); err != nil {
+			if err := apply(&rec); err != nil {
 				return nil, err
 			}
 		}

@@ -310,3 +310,84 @@ func TestV1SegmentCompat(t *testing.T) {
 		t.Fatal("the read failure was not recorded in DurableStats")
 	}
 }
+
+// A checksummed WAL entity record that could not have been logged — its
+// ID skips a position, or it repeats an entity already in its table —
+// is corrupt: replay appends entities by position, so either would
+// shift every later entity ID.
+func TestOpenRejectsCorruptWALEntities(t *testing.T) {
+	proc := sysmon.Process{PID: 9, ExeName: "new.exe", Path: "/bin/new.exe", User: "u"}
+	file := sysmon.File{Path: "/data/new.txt"}
+	conn := sysmon.Netconn{SrcIP: "10.0.0.9", SrcPort: 9, DstIP: "10.0.0.10", DstPort: 443, Protocol: "tcp"}
+	cases := []struct {
+		name string
+		rec  func(d *Dictionary) durable.Rec
+	}{
+		{"process skips an id", func(d *Dictionary) durable.Rec {
+			return durable.Rec{Kind: durable.RecProc, ID: sysmon.EntityID(d.Count(sysmon.EntityProcess) + 2), Proc: proc}
+		}},
+		{"file skips an id", func(d *Dictionary) durable.Rec {
+			return durable.Rec{Kind: durable.RecFile, ID: sysmon.EntityID(d.Count(sysmon.EntityFile) + 2), File: file}
+		}},
+		{"connection skips an id", func(d *Dictionary) durable.Rec {
+			return durable.Rec{Kind: durable.RecConn, ID: sysmon.EntityID(d.Count(sysmon.EntityNetconn) + 2), Conn: conn}
+		}},
+		{"process repeats one in the table", func(d *Dictionary) durable.Rec {
+			return durable.Rec{Kind: durable.RecProc, ID: sysmon.EntityID(d.Count(sysmon.EntityProcess) + 1), Proc: *d.Process(1)}
+		}},
+		{"file repeats one in the table", func(d *Dictionary) durable.Rec {
+			return durable.Rec{Kind: durable.RecFile, ID: sysmon.EntityID(d.Count(sysmon.EntityFile) + 1), File: *d.File(1)}
+		}},
+		{"connection repeats one in the table", func(d *Dictionary) durable.Rec {
+			return durable.Rec{Kind: durable.RecConn, ID: sysmon.EntityID(d.Count(sysmon.EntityNetconn) + 1), Conn: *d.Netconn(1)}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(durableOpts(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Eight records seal a segment, so the manifest lists the
+			// first entities; the next commit's entities are past it,
+			// in the WAL only.
+			var recs []Record
+			for i := 0; i < 8; i++ {
+				recs = append(recs, mkRecord(1, "a.exe", sysmon.OpWrite, "a.txt", i))
+			}
+			recs[7] = mkRecord(1, "a.exe", sysmon.OpConnect, "10.1.1.1", 7)
+			s.AppendAll(recs)
+			s.AppendAll([]Record{
+				mkRecord(1, "b.exe", sysmon.OpWrite, "b.txt", 8),
+				mkRecord(1, "b.exe", sysmon.OpConnect, "10.1.1.2", 9),
+			})
+			if st := s.DurableStats(); st.ManifestEdition == 0 || st.WALRecords == 0 {
+				t.Fatalf("setup: manifest edition %d, %d WAL records", st.ManifestEdition, st.WALRecords)
+			}
+			rec := tc.rec(s.Dict())
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			wal, err := durable.OpenWAL(filepath.Join(dir, durable.WALName), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wal.Append([]durable.Rec{rec}); err != nil {
+				t.Fatal(err)
+			}
+			if err := wal.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			wal.Close()
+			s2, err := Open(durableOpts(dir))
+			if err == nil {
+				s2.Close()
+				t.Fatal("corrupt entity record accepted")
+			}
+			if !errors.Is(err, durable.ErrCorrupt) {
+				t.Fatalf("error %v, want durable.ErrCorrupt", err)
+			}
+		})
+	}
+}

@@ -1,9 +1,11 @@
 package eventstore
 
 import (
+	"fmt"
 	"strconv"
 	"sync"
 
+	"github.com/aiql/aiql/internal/durable"
 	"github.com/aiql/aiql/internal/like"
 	"github.com/aiql/aiql/internal/sysmon"
 )
@@ -75,12 +77,13 @@ func (d *Dictionary) Tables() Tables {
 // dictionary. Entity IDs are table positions, so restoring the tables
 // verbatim preserves every ID referenced by persisted events.
 //
-// The intern maps are NOT rebuilt here: they hydrate on the first
-// intern (WAL replay or ingest), keeping dataset open latency down to
-// reading the tables themselves. Queries never need them: ID→entity
-// lookups index the tables directly, and every attribute filter is
-// resolved by walking the table once and then, through the engine's
-// memo, only over the entities interned since (see ResolveEntities).
+// The intern maps are NOT rebuilt here: they hydrate at open when WAL
+// replay appends entities (appendReplayed), and otherwise on the first
+// ingest, keeping dataset open latency down to reading the tables
+// themselves. Queries never need them: ID→entity lookups index the
+// tables directly, and every attribute filter is resolved by walking
+// the table once and then, through the engine's memo, only over the
+// entities interned since (see ResolveEntities).
 func (d *Dictionary) restoreTables(procs []sysmon.Process, files []sysmon.File, conns []sysmon.Netconn) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -88,38 +91,80 @@ func (d *Dictionary) restoreTables(procs []sysmon.Process, files []sysmon.File, 
 	d.needsBuild = true
 }
 
-// buildLocked hydrates the intern maps deferred by restoreTables; a
-// no-op once built. The three entity types rebuild concurrently — their
-// maps are disjoint. Caller holds the write lock.
-func (d *Dictionary) buildLocked() {
+// appendReplayed appends the entities WAL replay recovered past the
+// tables, each already checked to sit at its logged ID, and builds the
+// intern maps over the full tables, presized. The live store never
+// interns an entity twice, so a repeat fails with durable.ErrCorrupt.
+// A no-op when replay recovered no entity: the maps then stay lazy.
+func (d *Dictionary) appendReplayed(procs []sysmon.Process, files []sysmon.File, conns []sysmon.Netconn) error {
+	if len(procs)+len(files)+len(conns) == 0 {
+		return nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.procs = append(d.procs, procs...)
+	d.files = append(d.files, files...)
+	d.conns = append(d.conns, conns...)
+	d.needsBuild = true
+	return d.buildLocked()
+}
+
+// buildLocked hydrates the intern maps deferred by restoreTables (or
+// extended by appendReplayed); a no-op once built. The three entity
+// types rebuild concurrently — their maps are disjoint. It reports the
+// first entity that repeats an earlier one of its table. Caller holds
+// the write lock.
+func (d *Dictionary) buildLocked() error {
 	if !d.needsBuild {
-		return
+		return nil
 	}
 	var wg sync.WaitGroup
+	var procDup, fileDup, connDup sysmon.EntityID
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		d.procIntern = internMap(d.procs)
+		d.procIntern, procDup = internMap(d.procs)
 	}()
 	go func() {
 		defer wg.Done()
-		d.fileIntern = internMap(d.files)
+		d.fileIntern, fileDup = internMap(d.files)
 	}()
 	go func() {
 		defer wg.Done()
-		d.connIntern = internMap(d.conns)
+		d.connIntern, connDup = internMap(d.conns)
 	}()
 	wg.Wait()
 	d.needsBuild = false
+	for _, dup := range []struct {
+		t  sysmon.EntityType
+		id sysmon.EntityID
+	}{{sysmon.EntityProcess, procDup}, {sysmon.EntityFile, fileDup}, {sysmon.EntityNetconn, connDup}} {
+		if dup.id != 0 {
+			return fmt.Errorf("%s entity %d repeats an earlier one: %w", dup.t, dup.id, durable.ErrCorrupt)
+		}
+	}
+	return nil
 }
 
-// internMap maps every entity of a table to its ID.
-func internMap[E comparable](table []E) map[E]sysmon.EntityID {
-	m := make(map[E]sysmon.EntityID, len(table))
+// hydrateLocked builds the intern maps before an ingest interns. Ingest
+// has no recovery error path, so a repeat in restored tables is not
+// reported here: the map keeps the later ID. Open rejects one whenever
+// replay builds the maps (appendReplayed). Caller holds the write lock.
+func (d *Dictionary) hydrateLocked() {
+	_ = d.buildLocked()
+}
+
+// internMap maps every entity of a table to its ID. dup is the ID of
+// the first entity that repeats an earlier one, or 0.
+func internMap[E comparable](table []E) (ids map[E]sysmon.EntityID, dup sysmon.EntityID) {
+	ids = make(map[E]sysmon.EntityID, len(table))
 	for i, e := range table {
-		m[e] = sysmon.EntityID(i + 1)
+		ids[e] = sysmon.EntityID(i + 1)
+		if dup == 0 && len(ids) != i+1 {
+			dup = sysmon.EntityID(i + 1)
+		}
 	}
-	return m
+	return ids, dup
 }
 
 // intern returns e's ID, appending e to its table if new.
@@ -137,7 +182,7 @@ func intern[E comparable](table *[]E, ids map[E]sysmon.EntityID, e E) sysmon.Ent
 func (d *Dictionary) InternProcess(p sysmon.Process) sysmon.EntityID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.buildLocked()
+	d.hydrateLocked()
 	return intern(&d.procs, d.procIntern, p)
 }
 
@@ -145,7 +190,7 @@ func (d *Dictionary) InternProcess(p sysmon.Process) sysmon.EntityID {
 func (d *Dictionary) InternFile(f sysmon.File) sysmon.EntityID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.buildLocked()
+	d.hydrateLocked()
 	return intern(&d.files, d.fileIntern, f)
 }
 
@@ -153,7 +198,7 @@ func (d *Dictionary) InternFile(f sysmon.File) sysmon.EntityID {
 func (d *Dictionary) InternNetconn(n sysmon.Netconn) sysmon.EntityID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.buildLocked()
+	d.hydrateLocked()
 	return intern(&d.conns, d.connIntern, n)
 }
 

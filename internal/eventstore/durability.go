@@ -1,11 +1,12 @@
 package eventstore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -80,6 +81,12 @@ type durableState struct {
 	loggedFiles int
 	loggedConns int
 
+	// recoveredEvents and recoverMS describe Open's WAL replay: the
+	// events it returned to memtables and its wall time. Set once by
+	// Open.
+	recoveredEvents int
+	recoverMS       float64
+
 	errMu   sync.Mutex
 	lastErr error
 }
@@ -109,10 +116,22 @@ func (d *durableState) lastError() error {
 // re-chunked, re-interned, or re-indexed — and the WAL replays the
 // committed-but-unsealed tail into memtables. A torn final WAL record
 // (crash mid append) is truncated; every record before it is recovered.
+//
+// Replay costs a decode and an append per record. Logged entities past
+// the manifest's tables are appended by position, and once the log
+// ends the intern maps are built over the full tables in one pass;
+// with no such entity they stay unbuilt until the first ingest. Events
+// not covered by a listed segment are appended to their chunk's replay
+// slice, which becomes the chunk's memtable (sorted by start time only
+// if the log delivered it out of order).
+//
 // A manifest other than version 3, a manifest naming a layout other
 // than (agent, hour) chunks with interned entities, a ref to a segment
 // format other than v2, or a corrupt WAL record fails with an error
-// wrapping durable.ErrCorrupt.
+// wrapping durable.ErrCorrupt. A WAL record is corrupt when it passed
+// its checksum but could not have been logged: an entity whose ID skips
+// a position, an entity repeating one already in its table, or an
+// event referencing an entity the log has not reached.
 func Open(opts Options) (*Store, error) {
 	opts = opts.normalized()
 	if opts.Dir == "" {
@@ -144,7 +163,7 @@ func Open(opts Options) (*Store, error) {
 		manifested: make(map[uint64]bool),
 	}
 
-	maxSealed := make(map[PartKey]uint64)
+	parts := make(map[PartKey]*replayPart)
 	m, err := durable.ReadManifest(opts.Dir)
 	switch {
 	case err == nil:
@@ -197,8 +216,10 @@ func Open(opts Options) (*Store, error) {
 			p.segs = append(p.segs, g)
 			d.persisted[g.id] = persistedSeg{file: ref.File, bytes: fi.Size()}
 			d.manifested[g.id] = true
-			if g.maxEventID > maxSealed[g.key] {
-				maxSealed[g.key] = g.maxEventID
+			if rp := parts[g.key]; rp == nil {
+				parts[g.key] = &replayPart{key: g.key, maxSealed: g.maxEventID}
+			} else {
+				rp.maxSealed = max(rp.maxSealed, g.maxEventID)
 			}
 			s.noteEventsLocked(g.Len(), g.minTS, g.maxTS)
 		}
@@ -215,70 +236,20 @@ func Open(opts Options) (*Store, error) {
 	// Replay the WAL tail: entity deltas the manifest does not capture
 	// extend the dictionary; events not covered by a listed segment go
 	// back to their chunk's memtable.
-	pending := make(map[PartKey][]sysmon.Event)
-	var pendingOrder []PartKey
-	wal, err := durable.OpenWAL(filepath.Join(opts.Dir, durable.WALName), func(rec durable.Rec) error {
-		switch rec.Kind {
-		case durable.RecProc:
-			if int(rec.ID) > s.dict.Count(sysmon.EntityProcess) {
-				if id := s.dict.InternProcess(rec.Proc); id != rec.ID {
-					return fmt.Errorf("eventstore: recover %s: WAL process entity landed at id %d, logged as %d", opts.Dir, id, rec.ID)
-				}
-			}
-		case durable.RecFile:
-			if int(rec.ID) > s.dict.Count(sysmon.EntityFile) {
-				if id := s.dict.InternFile(rec.File); id != rec.ID {
-					return fmt.Errorf("eventstore: recover %s: WAL file entity landed at id %d, logged as %d", opts.Dir, id, rec.ID)
-				}
-			}
-		case durable.RecConn:
-			if int(rec.ID) > s.dict.Count(sysmon.EntityNetconn) {
-				if id := s.dict.InternNetconn(rec.Conn); id != rec.ID {
-					return fmt.Errorf("eventstore: recover %s: WAL connection entity landed at id %d, logged as %d", opts.Dir, id, rec.ID)
-				}
-			}
-		case durable.RecEvent:
-			ev := rec.Event
-			if err := s.checkEventRefs(&ev); err != nil {
-				return fmt.Errorf("eventstore: recover %s: WAL %w", opts.Dir, err)
-			}
-			key := partKey(ev.AgentID, ev.StartTS)
-			if ev.ID <= maxSealed[key] {
-				return nil // already durable in a manifest-listed segment
-			}
-			if _, ok := pending[key]; !ok {
-				pendingOrder = append(pendingOrder, key)
-			}
-			pending[key] = append(pending[key], ev)
-			if ev.ID > s.nextEventID {
-				s.nextEventID = ev.ID
-			}
-			if ev.Seq > s.nextSeq[ev.AgentID] {
-				s.nextSeq[ev.AgentID] = ev.Seq
-			}
-		}
-		return nil
-	})
+	replayStart := time.Now()
+	procs, files, conns := s.dict.tableHeaders()
+	r := walReplay{parts: parts, nProcs: len(procs), nFiles: len(files), nConns: len(conns)}
+	wal, err := durable.OpenWAL(filepath.Join(opts.Dir, durable.WALName), r.apply)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("eventstore: recover %s: %w", opts.Dir, err)
 	}
 	d.wal = wal
-	for _, key := range pendingOrder {
-		evs := pending[key]
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].StartTS < evs[j].StartTS })
-		p := s.parts[key]
-		if p == nil {
-			p = &partState{key: key}
-			s.parts[key] = p
-			s.order = append(s.order, key)
-		}
-		var minTS, maxTS int64
-		if len(evs) > 0 {
-			minTS, maxTS = evs[0].StartTS, evs[len(evs)-1].StartTS
-		}
-		p.mem.appendBatch(evs)
-		s.noteEventsLocked(len(evs), minTS, maxTS)
+	if err := r.install(s); err != nil {
+		wal.Close()
+		return nil, fmt.Errorf("eventstore: recover %s: WAL %w", opts.Dir, err)
 	}
+	d.recoveredEvents = r.events
+	d.recoverMS = float64(time.Since(replayStart).Microseconds()) / 1000
 	d.loggedProcs = s.dict.Count(sysmon.EntityProcess)
 	d.loggedFiles = s.dict.Count(sysmon.EntityFile)
 	d.loggedConns = s.dict.Count(sysmon.EntityNetconn)
@@ -292,28 +263,159 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
+// walReplay gathers what the WAL holds past the manifest, for Open to
+// install in one step once the log ends. Replay costs a decode and an
+// append per record: logged entities are appended by position (entity
+// IDs are dense table positions), so no intern map is touched until
+// install builds the maps once; each event costs one map lookup.
+type walReplay struct {
+	// procs/files/conns are the logged entities past the tables, in ID
+	// order; the tables held nProcs/nFiles/nConns entities before.
+	procs                  []sysmon.Process
+	files                  []sysmon.File
+	conns                  []sysmon.Netconn
+	nProcs, nFiles, nConns int
+
+	// parts holds every chunk with sealed segments in the manifest and
+	// every chunk replay gave events; order lists the latter, in the
+	// order their first event arrived.
+	parts map[PartKey]*replayPart
+	order []*replayPart
+	// maxEventID is the highest recovered event ID; events counts the
+	// recovered events once installed.
+	maxEventID uint64
+	events     int
+}
+
+// replayPart is one chunk's replay state.
+type replayPart struct {
+	key PartKey
+	// maxSealed is the highest event ID the chunk's manifest-listed
+	// segments cover: a logged event at or below it is already durable.
+	maxSealed uint64
+	// events are the chunk's recovered events in log order; maxSeq is
+	// the highest per-agent sequence among them.
+	events []sysmon.Event
+	maxSeq uint64
+}
+
+// apply consumes one WAL record. rec is only valid during the call.
+func (r *walReplay) apply(rec *durable.Rec) error {
+	switch rec.Kind {
+	case durable.RecProc:
+		return appendLogged(&r.procs, r.nProcs, rec.ID, &rec.Proc, sysmon.EntityProcess)
+	case durable.RecFile:
+		return appendLogged(&r.files, r.nFiles, rec.ID, &rec.File, sysmon.EntityFile)
+	case durable.RecConn:
+		return appendLogged(&r.conns, r.nConns, rec.ID, &rec.Conn, sysmon.EntityNetconn)
+	case durable.RecEvent:
+		ev := &rec.Event
+		if err := r.checkEventRefs(ev); err != nil {
+			return err
+		}
+		key := partKey(ev.AgentID, ev.StartTS)
+		p := r.parts[key]
+		if p == nil {
+			p = &replayPart{key: key}
+			r.parts[key] = p
+		}
+		if ev.ID <= p.maxSealed {
+			return nil // already durable in a manifest-listed segment
+		}
+		if len(p.events) == 0 {
+			r.order = append(r.order, p)
+		}
+		p.events = append(p.events, *ev)
+		p.maxSeq = max(p.maxSeq, ev.Seq)
+		r.maxEventID = max(r.maxEventID, ev.ID)
+	}
+	return nil
+}
+
+// appendLogged appends a logged entity to its replay-local table when
+// its ID is the next position. An ID already within the table (base
+// plus what replay appended) was captured by the manifest or an earlier
+// record and is skipped. Any other ID leaves a gap no commit could
+// have logged, so the record is corrupt.
+func appendLogged[E any](pending *[]E, base int, id sysmon.EntityID, e *E, t sysmon.EntityType) error {
+	switch n := base + len(*pending); {
+	case int(id) <= n:
+		return nil
+	case int(id) == n+1:
+		*pending = append(*pending, *e)
+		return nil
+	default:
+		return fmt.Errorf("WAL %s entity logged as id %d, next id is %d: %w", t, id, n+1, durable.ErrCorrupt)
+	}
+}
+
 // checkEventRefs rejects a replayed event whose entity references fall
-// outside the dictionary. Every commit logs its entities before its
-// events, so such a record passed its checksum but is corrupt: recovery
-// must fail rather than serve dangling references.
-func (s *Store) checkEventRefs(ev *sysmon.Event) error {
-	if int(ev.Subject) > s.dict.Count(sysmon.EntityProcess) {
-		return fmt.Errorf("event %d references process %d of %d: %w",
-			ev.ID, ev.Subject, s.dict.Count(sysmon.EntityProcess), durable.ErrCorrupt)
+// outside the dictionary as of its place in the log. Every commit logs
+// its entities before its events, so such a record passed its checksum
+// but is corrupt: recovery must fail rather than serve dangling
+// references.
+func (r *walReplay) checkEventRefs(ev *sysmon.Event) error {
+	if n := r.count(sysmon.EntityProcess); int(ev.Subject) > n {
+		return fmt.Errorf("WAL event %d references process %d of %d: %w",
+			ev.ID, ev.Subject, n, durable.ErrCorrupt)
 	}
 	switch ev.ObjType {
 	case sysmon.EntityProcess, sysmon.EntityFile, sysmon.EntityNetconn:
-		if n := s.dict.Count(ev.ObjType); int(ev.Object) > n {
-			return fmt.Errorf("event %d references %s object %d of %d: %w", ev.ID, ev.ObjType, ev.Object, n, durable.ErrCorrupt)
+		if n := r.count(ev.ObjType); int(ev.Object) > n {
+			return fmt.Errorf("WAL event %d references %s object %d of %d: %w", ev.ID, ev.ObjType, ev.Object, n, durable.ErrCorrupt)
 		}
 	case sysmon.EntityInvalid:
 		// an operation whose object type was never resolved carries no
 		// object reference
 	default:
-		return fmt.Errorf("event %d has object type %d: %w", ev.ID, ev.ObjType, durable.ErrCorrupt)
+		return fmt.Errorf("WAL event %d has object type %d: %w", ev.ID, ev.ObjType, durable.ErrCorrupt)
 	}
 	return nil
 }
+
+// count returns how many entities of type t the dictionary holds at
+// this point of the replay.
+func (r *walReplay) count(t sysmon.EntityType) int {
+	switch t {
+	case sysmon.EntityProcess:
+		return r.nProcs + len(r.procs)
+	case sysmon.EntityFile:
+		return r.nFiles + len(r.files)
+	case sysmon.EntityNetconn:
+		return r.nConns + len(r.conns)
+	default:
+		return 0
+	}
+}
+
+// install appends the recovered entities to the dictionary and makes
+// each chunk's recovered events its memtable: the replayed slice itself,
+// sorted by start time only when the log delivered it out of order.
+func (r *walReplay) install(s *Store) error {
+	if err := s.dict.appendReplayed(r.procs, r.files, r.conns); err != nil {
+		return err
+	}
+	for _, rp := range r.order {
+		evs := rp.events
+		if !slices.IsSortedFunc(evs, byStartTS) {
+			slices.SortStableFunc(evs, byStartTS)
+		}
+		p := s.parts[rp.key]
+		if p == nil {
+			p = &partState{key: rp.key}
+			s.parts[rp.key] = p
+			s.order = append(s.order, rp.key)
+		}
+		p.mem = memtable{events: evs, minTS: evs[0].StartTS, maxTS: evs[len(evs)-1].StartTS}
+		s.noteEventsLocked(len(evs), p.mem.minTS, p.mem.maxTS)
+		s.nextSeq[rp.key.AgentID] = max(s.nextSeq[rp.key.AgentID], rp.maxSeq)
+		r.events += len(evs)
+	}
+	s.nextEventID = max(s.nextEventID, r.maxEventID)
+	return nil
+}
+
+func byStartTS(a, b sysmon.Event) int { return cmp.Compare(a.StartTS, b.StartTS) }
 
 // noteEventsLocked accounts n restored events with the given time range
 // into the store's totals. Open runs single-threaded, so "locked" is by
@@ -671,7 +773,12 @@ type DurableStats struct {
 	ManifestDeltas    int64  `json:"manifest_delta_bytes"`
 	Compactions       uint64 `json:"compactions"`
 	SegmentsCompacted uint64 `json:"segments_compacted"`
-	LastError         string `json:"last_error,omitempty"`
+	// RecoveredEvents and RecoverMS describe the WAL replay of the
+	// Open that produced the store: the events it returned to
+	// memtables and its wall time in milliseconds.
+	RecoveredEvents int     `json:"recovered_events"`
+	RecoverMS       float64 `json:"recover_ms"`
+	LastError       string  `json:"last_error,omitempty"`
 }
 
 // DurableStats reports the durable subsystem's figures.
@@ -685,6 +792,7 @@ func (s *Store) DurableStats() DurableStats {
 		return st
 	}
 	st.Dir = d.dir
+	st.RecoveredEvents, st.RecoverMS = d.recoveredEvents, d.recoverMS
 	d.mu.Lock()
 	st.ManifestEdition = d.edition
 	st.SegmentFiles = len(d.persisted)

@@ -39,15 +39,16 @@ type SlowLog struct {
 	total uint64
 }
 
-// NewSlowLog creates a slow-query log keeping the most recent capacity
+// slowLogCapacity is how many of the most recent slow queries a log
+// keeps.
+const slowLogCapacity = 128
+
+// NewSlowLog creates a slow-query log keeping the most recent 128
 // entries at or above thresholdMS milliseconds. A negative threshold
 // disables recording (the log stays queryable, always empty); zero
-// records every query. A non-positive capacity selects 128.
-func NewSlowLog(thresholdMS int64, capacity int) *SlowLog {
-	if capacity <= 0 {
-		capacity = 128
-	}
-	return &SlowLog{thresholdMS: thresholdMS, capacity: capacity}
+// records every query.
+func NewSlowLog(thresholdMS int64) *SlowLog {
+	return &SlowLog{thresholdMS: thresholdMS, capacity: slowLogCapacity}
 }
 
 // ThresholdMS returns the configured threshold (-1 for a nil log).

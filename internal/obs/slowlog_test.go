@@ -6,7 +6,8 @@ import (
 )
 
 func TestSlowLogThreshold(t *testing.T) {
-	l := NewSlowLog(100, 8)
+	l := NewSlowLog(100)
+	l.capacity = 8
 	l.Record(SlowEntry{Query: "fast", DurationMS: 99.9})
 	l.Record(SlowEntry{Query: "slow", DurationMS: 100})
 	entries, total := l.Snapshot()
@@ -19,7 +20,8 @@ func TestSlowLogThreshold(t *testing.T) {
 }
 
 func TestSlowLogZeroLogsEverything(t *testing.T) {
-	l := NewSlowLog(0, 4)
+	l := NewSlowLog(0)
+	l.capacity = 4
 	l.Record(SlowEntry{Query: "q", DurationMS: 0})
 	if _, total := l.Snapshot(); total != 1 {
 		t.Fatalf("threshold 0 skipped a query; total=%d", total)
@@ -27,7 +29,8 @@ func TestSlowLogZeroLogsEverything(t *testing.T) {
 }
 
 func TestSlowLogNegativeDisables(t *testing.T) {
-	l := NewSlowLog(-1, 4)
+	l := NewSlowLog(-1)
+	l.capacity = 4
 	l.Record(SlowEntry{Query: "q", DurationMS: 1e9})
 	if entries, total := l.Snapshot(); total != 0 || len(entries) != 0 {
 		t.Fatalf("disabled log recorded: entries=%d total=%d", len(entries), total)
@@ -35,7 +38,8 @@ func TestSlowLogNegativeDisables(t *testing.T) {
 }
 
 func TestSlowLogRingWrapNewestFirst(t *testing.T) {
-	l := NewSlowLog(0, 3)
+	l := NewSlowLog(0)
+	l.capacity = 3
 	for i := 0; i < 5; i++ {
 		l.Record(SlowEntry{Query: fmt.Sprintf("q%d", i), DurationMS: float64(i)})
 	}

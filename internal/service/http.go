@@ -615,7 +615,8 @@ type WatchRequest struct {
 // handleIngest commits one NDJSON batch of monitoring events. The body
 // is a stream of IngestRecord JSON values (one per line by convention);
 // the whole batch commits atomically — any invalid record rejects the
-// request before a single append.
+// request before a single append. Decoding stops at the first record
+// past the record cap, which answers 413 without reading the rest.
 func (h *apiHandler) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		WriteError(w, &apiError{status: http.StatusMethodNotAllowed, code: CodeMethodNotAllowed, msg: "POST only"})
@@ -643,6 +644,11 @@ func (h *apiHandler) handleIngest(w http.ResponseWriter, r *http.Request) {
 			svc.ingestRejected.Add(1)
 			WriteError(w, &apiError{status: http.StatusBadRequest, code: CodeBadRequest,
 				msg: fmt.Sprintf("ingest record %d: bad JSON: %v", line, err)})
+			return
+		}
+		if line > svc.maxRecords {
+			// the rest of an oversized batch is not worth decoding
+			WriteError(w, svc.rejectRecordCap())
 			return
 		}
 		rec, err := ir.toRecord(line)

@@ -175,6 +175,13 @@ type IngestResult struct {
 	DurationMS float64 `json:"duration_ms"`
 }
 
+// rejectRecordCap counts and answers a batch over the record cap.
+func (s *Service) rejectRecordCap() error {
+	s.ingestRejected.Add(1)
+	return &apiError{status: http.StatusRequestEntityTooLarge, code: CodeTooLarge,
+		msg: fmt.Sprintf("service: ingest batch exceeds the %d-record cap, split it", s.maxRecords)}
+}
+
 // Ingest commits one batch of validated records: admission control
 // (shared worker pool, per-client fairness), a group-committed
 // AppendAll, then incremental re-evaluation of every registered
@@ -189,9 +196,7 @@ func (s *Service) Ingest(ctx context.Context, client string, recs []aiql.Record)
 			msg: "service: a sharded dataset is read-only at the coordinator; ingest to the member owning the partition"}
 	}
 	if len(recs) > s.maxRecords {
-		s.ingestRejected.Add(1)
-		return nil, &apiError{status: http.StatusRequestEntityTooLarge, code: CodeTooLarge,
-			msg: fmt.Sprintf("service: ingest batch of %d records exceeds the %d-record cap, split it", len(recs), s.maxRecords)}
+		return nil, s.rejectRecordCap()
 	}
 	if err := s.acquireClient(client); err != nil {
 		s.ingestRejected.Add(1)

@@ -89,6 +89,10 @@ func TestHTTPIngestValidation(t *testing.T) {
 		{"empty body", "", http.StatusBadRequest, CodeBadRequest, "no records"},
 		{"record cap", ingestLine(0) + "\n" + ingestLine(1) + "\n" + ingestLine(2) + "\n" + ingestLine(3) + "\n" + ingestLine(4),
 			http.StatusRequestEntityTooLarge, CodeTooLarge, "cap"},
+		// decoding stops at the record past the cap: what follows it is
+		// never read, so malformed JSON there cannot turn 413 into 400
+		{"record cap before bad JSON", ingestLine(0) + "\n" + ingestLine(1) + "\n" + ingestLine(2) + "\n" + ingestLine(3) + "\n" + ingestLine(4) + "\n" + `{"agentid": `,
+			http.StatusRequestEntityTooLarge, CodeTooLarge, "cap"},
 	}
 	for _, tc := range cases {
 		rec := doJSON(t, h, http.MethodPost, "/api/v1/ingest", tc.body)
@@ -108,8 +112,8 @@ func TestHTTPIngestValidation(t *testing.T) {
 	if n := svc.DB().Len(); n != 5 {
 		t.Errorf("store grew to %d events, want the seed 5 — a rejected batch committed", n)
 	}
-	if st := svc.IngestStats(); st.Requests != 0 || st.Rejected == 0 {
-		t.Errorf("ingest stats = %+v, want 0 accepted and > 0 rejected", st)
+	if st := svc.IngestStats(); st.Requests != 0 || int(st.Rejected) != len(cases) {
+		t.Errorf("ingest stats = %+v, want 0 accepted and one rejection per case (%d)", st, len(cases))
 	}
 	// method gate
 	if rec := doJSON(t, h, http.MethodGet, "/api/v1/ingest", ""); rec.Code != http.StatusMethodNotAllowed {

@@ -133,7 +133,7 @@ func TestConcurrentTracedQueries(t *testing.T) {
 // TestSlowLogRecordsExecutions: with a zero threshold every query lands
 // in the log, carrying dataset, normalized text, and span summaries.
 func TestSlowLogRecordsExecutions(t *testing.T) {
-	sl := obs.NewSlowLog(0, 8)
+	sl := obs.NewSlowLog(0)
 	svc := New(newTestDB(t, 30), Config{Dataset: "unit", SlowLog: sl})
 	if _, err := svc.Do(context.Background(), Request{Query: "  proc   p  write file f as evt\nreturn p, f"}); err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestSlowLogRecordsExecutions(t *testing.T) {
 // mid-stream (row sink fails), latency and scanned-events metrics must
 // still be recorded (satellite: disconnect paths feed observability).
 func TestStreamSinkErrorStillObserved(t *testing.T) {
-	sl := obs.NewSlowLog(0, 8)
+	sl := obs.NewSlowLog(0)
 	svc := New(newTestDB(t, 100), Config{Dataset: "unit", SlowLog: sl})
 	sinkErr := errors.New("client went away")
 	n := 0
@@ -240,7 +240,7 @@ func TestQueryMetricsRegistered(t *testing.T) {
 // TestHTTPTraceAndSlowEndpoints: the trace flag round-trips the JSON
 // API and /api/v1/queries/slow serves the shared log.
 func TestHTTPTraceAndSlowEndpoints(t *testing.T) {
-	sl := obs.NewSlowLog(0, 8)
+	sl := obs.NewSlowLog(0)
 	svc := New(newTestDB(t, 10), Config{Dataset: "unit", SlowLog: sl})
 	h := svc.Handler()
 
