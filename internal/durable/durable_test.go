@@ -157,12 +157,9 @@ func TestSegmentFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestManifestRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := ReadManifest(dir); err != ErrNoManifest {
-		t.Fatalf("empty dir: got %v, want ErrNoManifest", err)
-	}
-	m := &Manifest{
+// testManifest returns a small manifest at edition 3.
+func testManifest() *Manifest {
+	return &Manifest{
 		Edition:     3,
 		NextSegID:   9,
 		NextEventID: 1234,
@@ -175,7 +172,15 @@ func TestManifestRoundTrip(t *testing.T) {
 			{ID: 2, AgentID: 1, File: SegmentFileName(2), Events: 50, MinEventID: 101, MaxEventID: 150, Format: SegmentFormatV2},
 		},
 	}
-	if err := WriteManifest(dir, m); err != nil {
+}
+
+func TestManifestRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := ReadManifest(dir); err != ErrNoManifest {
+		t.Fatalf("empty dir: got %v, want ErrNoManifest", err)
+	}
+	m := testManifest()
+	if _, err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadManifest(dir)
@@ -383,20 +388,55 @@ func walFrames(payloads ...[]byte) []byte {
 	return out
 }
 
+// TestWALUndecodableFrameIsCorrupt: a frame whose checksum matches but
+// whose payload is no record (kind byte 9) was never torn, so OpenWAL
+// fails with ErrCorrupt and leaves the log (125 bytes here) as it found
+// it, instead of cutting it and every record after it.
+func TestWALUndecodableFrameIsCorrupt(t *testing.T) {
+	recs := walRecs(1)
+	data := walFrames(recPayload(&recs[0]), []byte{9}, recPayload(&recs[len(recs)-1]))
+	path := filepath.Join(t.TempDir(), WALName)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	w, err := OpenWAL(path, func(*Rec) error { delivered++; return nil })
+	if !errors.Is(err, ErrCorrupt) {
+		if w != nil {
+			w.Close()
+		}
+		t.Fatalf("OpenWAL over an undecodable frame: error %v, want ErrCorrupt", err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(data)) {
+		t.Fatalf("log cut to %v bytes (%v), want it intact at %d", fi.Size(), err, len(data))
+	}
+	if delivered != 1 {
+		t.Fatalf("delivered %d records before the corrupt frame, want 1", delivered)
+	}
+}
+
+// recPayload encodes one WAL record's payload.
+func recPayload(r *Rec) []byte {
+	w := &byteWriter{}
+	encodeRec(w, r)
+	return w.buf
+}
+
 // FuzzOpenWAL writes arbitrary bytes as a WAL file. OpenWAL must never
-// panic; each record it delivers must re-encode to its frame's payload;
-// the file must be truncated to the end of the last intact frame; and a
-// second open must deliver the same records. Since a mutated frame
-// rarely keeps a valid checksum, each input is also tried as the payload
-// of one correctly checksummed frame after a valid prefix, which drives
+// panic. Walking the frames, the log holds intact frames up to a torn
+// tail (a short frame or a checksum mismatch) or a corrupt frame (a
+// checksum match that does not decode). With a corrupt frame OpenWAL
+// fails with ErrCorrupt and the file is unchanged. Otherwise each
+// record it delivers must re-encode to its frame's payload, the file
+// must be truncated to the end of the last intact frame, and a second
+// open must deliver the same records. Since a mutated frame rarely
+// keeps a valid checksum, each input is also tried as the payload of
+// one correctly checksummed frame after a valid prefix, which drives
 // the record decoder itself.
 func FuzzOpenWAL(f *testing.F) {
-	w := &byteWriter{}
 	var payloads [][]byte
 	for _, r := range walRecs(3) {
-		w.buf = w.buf[:0]
-		encodeRec(w, &r)
-		payloads = append(payloads, append([]byte(nil), w.buf...))
+		payloads = append(payloads, recPayload(&r))
 	}
 	valid := walFrames(payloads...)
 	f.Add(valid)
@@ -405,6 +445,7 @@ func FuzzOpenWAL(f *testing.F) {
 	f.Add(payloads[len(payloads)-1])
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	f.Add([]byte{9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		checkOpenWAL(t, filepath.Join(dir, "raw.wal"), data)
@@ -414,60 +455,194 @@ func FuzzOpenWAL(f *testing.F) {
 	})
 }
 
+// intactFrames walks data as a frame log and returns the payloads of
+// its intact frames, the offset where they end, and whether the walk
+// stopped at a checksummed frame that decode rejects (corruption) rather
+// than at a torn tail or the end.
+func intactFrames(data []byte, decode func([]byte) error) (payloads [][]byte, end int, corrupt bool) {
+	for end+walFrameOverhead <= len(data) {
+		n := int(binary.LittleEndian.Uint32(data[end:]))
+		if n <= 0 || n > maxWALRecord || end+walFrameOverhead+n > len(data) {
+			break
+		}
+		payload := data[end+walFrameOverhead : end+walFrameOverhead+n]
+		if checksum(payload) != binary.LittleEndian.Uint32(data[end+4:]) {
+			break
+		}
+		if decode(payload) != nil {
+			return payloads, end, true
+		}
+		payloads = append(payloads, payload)
+		end += walFrameOverhead + n
+	}
+	return payloads, end, false
+}
+
 // checkOpenWAL writes data as the WAL at path and checks FuzzOpenWAL's
-// four properties on it.
+// properties on it.
 func checkOpenWAL(t *testing.T, path string, data []byte) {
 	t.Helper()
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Skip()
 	}
+	frames, end, corrupt := intactFrames(data, func(p []byte) error { var rec Rec; return decodeRec(p, &rec) })
 	var got []Rec
 	var encoded [][]byte
 	w, err := OpenWAL(path, func(r *Rec) error {
 		got = append(got, *r)
-		e := &byteWriter{}
-		encodeRec(e, r)
-		encoded = append(encoded, e.buf)
+		encoded = append(encoded, recPayload(r))
 		return nil
 	})
+	if corrupt {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("open over a corrupt frame at offset %d: error %v, want ErrCorrupt", end, err)
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(data)) {
+			t.Fatalf("corrupt log changed on disk: %v bytes (%v), want %d", fi.Size(), err, len(data))
+		}
+		return
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	size := w.Size()
 	w.Close()
-	// Walk the frames the delivered records claim to have come from.
-	off := 0
-	for i, enc := range encoded {
-		if off+walFrameOverhead > len(data) {
-			t.Fatalf("record %d delivered past the last frame", i)
-		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if payload := data[off+walFrameOverhead : off+walFrameOverhead+n]; !bytes.Equal(payload, enc) {
-			t.Fatalf("record %d re-encodes to %x, frame payload %x", i, enc, payload)
-		}
-		off += walFrameOverhead + n
+	if len(encoded) != len(frames) {
+		t.Fatalf("delivered %d records, the log holds %d intact frames", len(encoded), len(frames))
 	}
-	// The next frame, if any, must not be intact.
-	if rest := data[off:]; len(rest) >= walFrameOverhead {
-		n := int(binary.LittleEndian.Uint32(rest))
-		if n > 0 && n <= maxWALRecord && walFrameOverhead+n <= len(rest) {
-			payload := rest[walFrameOverhead : walFrameOverhead+n]
-			var rec Rec
-			if checksum(payload) == binary.LittleEndian.Uint32(rest[4:]) && decodeRec(payload, &rec) == nil {
-				t.Fatalf("replay stopped at offset %d before an intact frame", off)
-			}
+	for i, enc := range encoded {
+		if !bytes.Equal(frames[i], enc) {
+			t.Fatalf("record %d re-encodes to %x, frame payload %x", i, enc, frames[i])
 		}
 	}
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() != int64(off) || size != int64(off) {
-		t.Fatalf("file truncated to %d bytes (log size %d), want %d", fi.Size(), size, off)
+	if fi.Size() != int64(end) || size != int64(end) {
+		t.Fatalf("file truncated to %d bytes (log size %d), want %d", fi.Size(), size, end)
 	}
 	again, w2 := replayAll(t, path)
 	w2.Close()
 	if !reflect.DeepEqual(again, got) {
 		t.Fatalf("second open delivered %d records, first %d", len(again), len(got))
+	}
+}
+
+// testDeltas returns the two delta frames' payloads that extend
+// testManifest to editions 4 and 5, each adding a process and a segment.
+func testDeltas() [][]byte {
+	var out [][]byte
+	for e := uint64(4); e <= 5; e++ {
+		out = append(out, encodeManifestDelta(&ManifestDelta{
+			Edition:     e,
+			NextSegID:   e + 6,
+			NextEventID: 1234 + e*10,
+			NextSeq:     map[uint32]uint64{1: 10 + e},
+			Procs:       []sysmon.Process{{PID: uint32(e), ExeName: "sh"}},
+			Segments: []SegmentRef{{ID: e - 1, AgentID: 1, File: SegmentFileName(e - 1), Events: 10,
+				MinEventID: 1234 + e*10 - 9, MaxEventID: 1234 + e*10, Format: SegmentFormatV2}},
+		}))
+	}
+	return out
+}
+
+// writeDeltaDir writes testManifest and data as its MANIFEST.delta into
+// a new directory (without fsyncs, which would slow fuzzing to a crawl).
+func writeDeltaDir(t *testing.T, data []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	base, err := EncodeManifest(testManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), base, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ManifestDeltaName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// A checksummed delta frame that does not decode between two valid
+// ones is corruption: ApplyManifestDeltas fails with ErrCorrupt and
+// leaves the log untruncated.
+func TestManifestDeltaUndecodableFrameIsCorrupt(t *testing.T) {
+	ds := testDeltas()
+	data := walFrames(ds[0], []byte{9}, ds[1])
+	dir := writeDeltaDir(t, data)
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ApplyManifestDeltas(dir, m); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ApplyManifestDeltas over an undecodable frame: error %v, want ErrCorrupt", err)
+	}
+	if got := ManifestDeltaSize(dir); got != int64(len(data)) {
+		t.Fatalf("delta log cut to %d bytes, want it intact at %d", got, len(data))
+	}
+}
+
+// FuzzApplyManifestDeltas writes arbitrary bytes as MANIFEST.delta over
+// a valid base manifest. ApplyManifestDeltas must never panic, and must
+// either fail with ErrCorrupt, leaving the log as it was, or fold the
+// log into the base so that a second open, over whatever the first left
+// on disk, folds exactly the same manifest. Each input is also tried as
+// the payload of one checksummed frame after a valid one, which drives
+// the delta decoder itself.
+func FuzzApplyManifestDeltas(f *testing.F) {
+	ds := testDeltas()
+	valid := walFrames(ds...)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
+	f.Add(walFrames(ds[1], ds[0]))
+	f.Add(ds[0])
+	f.Add([]byte{})
+	f.Add([]byte{9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkApplyDeltas(t, data)
+		if len(data) > 0 && len(data) <= maxWALRecord {
+			checkApplyDeltas(t, append(walFrames(ds[0]), walFrames(data)...))
+		}
+	})
+}
+
+// checkApplyDeltas writes data as a delta log over testManifest and
+// checks FuzzApplyManifestDeltas's properties on it.
+func checkApplyDeltas(t *testing.T, data []byte) {
+	t.Helper()
+	dir := writeDeltaDir(t, data)
+	fold := func() (*Manifest, int, error) {
+		m, err := ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := ApplyManifestDeltas(dir, m)
+		return m, n, err
+	}
+	m, n, err := fold()
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("error %v, want ErrCorrupt", err)
+		}
+		if got := ManifestDeltaSize(dir); got != int64(len(data)) {
+			t.Fatalf("corrupt delta log changed on disk: %d bytes, want %d", got, len(data))
+		}
+		return
+	}
+	if m.Edition != testManifest().Edition+uint64(n) {
+		t.Fatalf("folded %d deltas into edition %d over base %d", n, m.Edition, testManifest().Edition)
+	}
+	size := ManifestDeltaSize(dir)
+	m2, n2, err := fold()
+	if err != nil {
+		t.Fatalf("second open: %v", err)
+	}
+	if n2 != n || !reflect.DeepEqual(m2, m) {
+		t.Fatalf("second open folded %d deltas into edition %d, first %d into %d", n2, m2.Edition, n, m.Edition)
+	}
+	if got := ManifestDeltaSize(dir); got != size {
+		t.Fatalf("second open cut the delta log again: %d -> %d bytes", size, got)
 	}
 }

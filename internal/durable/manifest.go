@@ -261,16 +261,17 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 
 // WriteManifest atomically installs a manifest edition in dir: the
 // image is staged in a temporary file, fsynced, renamed over MANIFEST,
-// and the directory fsynced so the rename itself is durable. A failure
-// at any step leaves the previous edition in place.
-func WriteManifest(dir string, m *Manifest) error {
+// and the directory fsynced so the rename itself is durable. It returns
+// the edition's byte length. A failure at any step leaves the previous
+// edition in place.
+func WriteManifest(dir string, m *Manifest) (int64, error) {
 	buf, err := EncodeManifest(m)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	tmp, err := createTemp(SiteManifestCreate, dir, tmpPrefix+"*")
 	if err != nil {
-		return fmt.Errorf("durable: %w", err)
+		return 0, fmt.Errorf("durable: %w", err)
 	}
 	err = writeAll(SiteManifestWrite, tmp, buf)
 	if err == nil {
@@ -284,9 +285,9 @@ func WriteManifest(dir string, m *Manifest) error {
 	}
 	if err != nil {
 		remove(SiteManifestRemove, tmp.Name())
-		return fmt.Errorf("durable: write manifest in %s: %w", dir, err)
+		return 0, fmt.Errorf("durable: write manifest in %s: %w", dir, err)
 	}
-	return syncDir(dir)
+	return int64(len(buf)), syncDir(dir)
 }
 
 // ReadManifest loads the directory's current manifest; ErrNoManifest if

@@ -21,17 +21,19 @@ const ManifestDeltaName = "MANIFEST.delta"
 // changed — the new segment refs, the dictionary rows interned since
 // the last edition, and the updated counters. The on-disk manifest is
 // then base MANIFEST + every intact delta frame with a consecutive
-// edition above it. Compaction (which removes segments — something a
-// delta cannot express) and recovery still write full manifests, and a
-// full write truncates the delta log, so the log's length is bounded by
-// the seals between compactions.
+// edition above it. Compaction removes segments, which a delta cannot
+// express, so each Compact call writes one full manifest for all of its
+// merges (and a seal that lands while merges await that edition writes
+// a full one too); a full write truncates the delta log, so the log's
+// length is bounded by the seals between compactions.
 //
 // Frames reuse the WAL's [u32 len | u32 crc | payload] framing: a crash
 // mid-append leaves a torn tail that replay detects and truncates. A
 // crash between "full manifest written" and "delta log truncated"
 // leaves stale frames whose editions the new base already covers;
 // replay skips frames with edition <= base and tolerates a log that
-// starts mid-sequence.
+// starts mid-sequence. A frame whose checksum matches but whose payload
+// does not decode was never torn; it is corruption (ErrCorrupt).
 
 // ManifestDelta is one incremental manifest edition: everything a seal
 // changes relative to the previous edition.
@@ -219,8 +221,10 @@ func AppendManifestDelta(dir string, d *ManifestDelta) error {
 // mutating m in place, and returns the number of deltas applied.
 // Frames with editions the base already covers are skipped (a crash
 // between full-manifest write and delta truncation leaves them); a
-// torn, corrupt, or non-consecutive tail ends replay and is truncated
-// away, exactly like a torn WAL tail.
+// torn, checksum-failing, or non-consecutive tail ends replay and is
+// truncated away, exactly like a torn WAL tail. A checksummed frame
+// that does not decode fails with an error wrapping ErrCorrupt and
+// leaves the log untruncated.
 func ApplyManifestDeltas(dir string, m *Manifest) (int, error) {
 	path := filepath.Join(dir, ManifestDeltaName)
 	buf, err := os.ReadFile(path)
@@ -243,7 +247,7 @@ func ApplyManifestDeltas(dir string, m *Manifest) (int, error) {
 		}
 		d, err := decodeManifestDelta(payload)
 		if err != nil {
-			break // undecodable: treat as the tear point
+			return 0, fmt.Errorf("durable: manifest delta frame at offset %d: %w: %w", off, err, ErrCorrupt)
 		}
 		off += walFrameOverhead + n
 		if d.Edition <= m.Edition {

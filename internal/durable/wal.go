@@ -18,7 +18,10 @@ import (
 // store performed. A crash mid-write leaves a torn final record: replay
 // stops at the first frame whose length or checksum does not line up,
 // OpenWAL truncates the tail back to the last durable frame, and every
-// record before the tear is recovered.
+// record before the tear is recovered. A frame whose checksum matches
+// but whose payload does not decode was never torn — no writer emits
+// it — so it is corruption: OpenWAL fails with ErrCorrupt and leaves
+// the file as it found it.
 
 // RecKind discriminates WAL record payloads.
 type RecKind uint8
@@ -159,9 +162,10 @@ func decodeRec(payload []byte, rec *Rec) error {
 	return nil
 }
 
-// WAL is an open write-ahead log. Appends are serialized internally;
-// the caller decides per append whether to fsync (acknowledged
-// durability) or just flush to the OS (crash-of-process durability).
+// WAL is an open write-ahead log. Appends are serialized internally
+// and never fsync; an append is durable against power loss once a later
+// Sync returns, so a caller acknowledges a group of appends with one
+// Sync.
 //
 // The first failed write, fsync or truncation poisons the log: it may
 // now end in a torn frame, behind which replay would never reach, or
@@ -174,7 +178,7 @@ type WAL struct {
 	path    string
 	size    int64
 	records uint64
-	// syncs counts append-path fsyncs (Append with sync, and Sync). The
+	// syncs counts Sync calls, the log's only append-path fsyncs. The
 	// group-commit tests assert on it: a bulk ingest must cost one fsync
 	// per batch, not one per commit.
 	syncs uint64
@@ -199,11 +203,14 @@ func (w *WAL) poison(err error) error {
 }
 
 // OpenWAL opens (creating if absent) the log at path, replaying every
-// intact record through apply in order. A torn or corrupt tail — the
-// signature of a crash mid-append — is truncated back to the last
-// intact frame so subsequent appends extend a clean log; the records
-// before the tear are all delivered. apply may be nil to skip replay
-// delivery (the scan still locates the tail).
+// intact record through apply in order. A torn tail — a short frame or
+// one whose checksum does not match, the signature of a crash
+// mid-append — is truncated back to the last intact frame so
+// subsequent appends extend a clean log; the records before the tear
+// are all delivered. A checksummed frame that does not decode fails
+// the open with an error wrapping ErrCorrupt, and the file is left
+// untruncated. apply may be nil to skip replay delivery (the scan
+// still locates the tail).
 //
 // Every record is decoded into one reused Rec: the pointer apply
 // receives is valid only for the duration of the call, so apply copies
@@ -228,7 +235,7 @@ func OpenWAL(path string, apply func(*Rec) error) (*WAL, error) {
 			break // corrupt tail
 		}
 		if err := decodeRec(payload, &rec); err != nil {
-			break // undecodable: treat as the tear point
+			return nil, fmt.Errorf("durable: WAL frame at offset %d: %w: %w", off, err, ErrCorrupt)
 		}
 		if apply != nil {
 			if err := apply(&rec); err != nil {

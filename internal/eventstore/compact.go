@@ -1,7 +1,6 @@
 package eventstore
 
 import (
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -19,9 +18,19 @@ import (
 // in-flight queries keep scanning the retired segments, which stay
 // immutable — and retires the old segment IDs through the store's
 // retire listeners so the engine's scan cache re-points at the merged
-// segment. Durable stores write the merged segment file and a new
-// manifest edition before deleting the retired files, so a crash at any
-// point recovers either the old chain or the new one, never neither.
+// segment.
+//
+// Durable stores write each merged segment's file before installing
+// it, and install one manifest edition per Compact call (CompactOnce:
+// per pass) after its last pass; only then are the retired files
+// deleted, so a crash at any point recovers either the old chains or
+// the new ones, never neither and never both. A full manifest is
+// O(dictionary), so one edition for a call's passes instead of one per
+// pass is most of what a drain costs. Between an install and that
+// edition a merge is pending: a seal then writes a full edition rather
+// than a delta frame, which could list the merged segment on top of a
+// base manifest that still lists its inputs. Lock order: compactMu,
+// then durableState.mu, then Store.mu.
 //
 // Compaction moves no events in or out of the store and does not bump
 // the commit counter: every result (and result-cache entry) computed
@@ -72,16 +81,53 @@ func (s *Store) findCompactRunLocked() *compactRun {
 	return nil
 }
 
-// CompactOnce performs at most one merge. It reports whether a merge
-// happened; callers loop (or use Compact) to drain all eligible chains.
-// Safe to call concurrently with appends, seals, and queries.
+// CompactOnce performs at most one merge and installs its manifest
+// edition. It reports whether a merge happened; Compact drains every
+// eligible chain under one edition. Safe to call concurrently with
+// appends, seals, and queries.
 func (s *Store) CompactOnce() (CompactionResult, bool) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 	if s.closed.Load() {
 		return CompactionResult{}, false
 	}
+	r, ok := s.compactPassLocked()
+	s.compactEditionLocked()
+	return r, ok
+}
 
+// Compact runs passes until no chain is eligible, then installs one
+// manifest edition for all of them, returning the sums.
+func (s *Store) Compact() CompactionResult {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	var total CompactionResult
+	if s.closed.Load() {
+		return total
+	}
+	for {
+		r, ok := s.compactPassLocked()
+		if !ok {
+			break
+		}
+		total.Passes += r.Passes
+		total.SegmentsRetired += r.SegmentsRetired
+		total.EventsMerged += r.EventsMerged
+	}
+	s.compactEditionLocked()
+	return total
+}
+
+// compactPassLocked performs at most one merge and installs it in the
+// chain, writing the merged segment's file first in a durable store.
+// The manifest edition is left to compactEditionLocked. The caller
+// holds compactMu. A Close that has begun stops the passes; it waits
+// on compactMu, so the edition that follows still lands before the WAL
+// closes.
+func (s *Store) compactPassLocked() (CompactionResult, bool) {
+	if s.closed.Load() {
+		return CompactionResult{}, false
+	}
 	s.mu.RLock()
 	run := s.findCompactRunLocked()
 	s.mu.RUnlock()
@@ -103,37 +149,32 @@ func (s *Store) CompactOnce() (CompactionResult, bool) {
 	id := s.nextSegID
 	s.mu.Unlock()
 	g := newSegment(id, run.key, merged)
-	g.buildIndexes()
-
-	// Durable stores persist the merged segment before installing it,
-	// so the manifest edition written below can list it immediately.
-	if d := s.dur; d != nil {
-		d.mu.Lock()
-		name := durable.SegmentFileName(id)
-		n, err := durable.WriteSegmentFileV2(filepath.Join(d.dir, name), g.segmentData())
-		if err != nil {
-			d.setErr(err)
-			d.mu.Unlock()
-			return CompactionResult{}, false
-		}
-		d.persisted[id] = persistedSeg{file: name, bytes: n}
-		d.mu.Unlock()
+	// A durable store persists the merged segment before installing it,
+	// so any edition written once it is in the chain can list it.
+	files, err := sealSegments(s.Dir(), []*Segment{g})
+	if err != nil {
+		s.dur.setErr(err)
+		return CompactionResult{}, false
 	}
 
 	// Install copy-on-write: pinned snapshots keep the old chain slice;
 	// only compaction removes or reorders chain elements and compactMu
 	// serializes it, so the run is still in place — seals can only have
-	// appended behind it.
+	// appended behind it. A durable store swaps the chain and marks the
+	// merge pending under d.mu, so a seal's edition sees either the old
+	// chain or the new one with the merge pending.
+	d := s.dur
+	if d != nil {
+		d.mu.Lock()
+	}
 	s.mu.Lock()
 	p := s.parts[run.key]
 	idx := runIndex(p.segs, run.segs)
 	if idx < 0 {
+		// No edition lists the merged file; the next Open's orphan
+		// sweep deletes it.
 		s.mu.Unlock()
-		if d := s.dur; d != nil {
-			// No manifest lists the merged file; the next Open's orphan
-			// sweep deletes it.
-			d.mu.Lock()
-			delete(d.persisted, id)
+		if d != nil {
 			d.mu.Unlock()
 		}
 		return CompactionResult{}, false
@@ -145,52 +186,52 @@ func (s *Store) CompactOnce() (CompactionResult, bool) {
 	p.segs = newSegs
 	s.snap = nil // same data, new segment set; commits stay unchanged
 	s.mu.Unlock()
+	if d != nil {
+		d.persisted[id] = files[0]
+		for _, old := range run.segs {
+			if ps, ok := d.persisted[old.id]; ok {
+				d.retired = append(d.retired, ps.file)
+				delete(d.persisted, old.id)
+			}
+		}
+		d.mergePending = true
+		d.mu.Unlock()
+	}
 
 	retired := make([]uint64, len(run.segs))
 	for i, old := range run.segs {
 		retired[i] = old.id
 	}
 	s.notifyRetire(retired)
-
-	if d := s.dur; d != nil {
-		d.mu.Lock()
-		var oldFiles []string
-		for _, old := range run.segs {
-			if ps, ok := d.persisted[old.id]; ok {
-				oldFiles = append(oldFiles, ps.file)
-				delete(d.persisted, old.id)
-			}
-		}
-		installed := s.writeManifestLocked()
-		d.mu.Unlock()
-		// Once the new edition no longer lists the retired files they
-		// can go at once: the merge opened each of them, and a pinned
-		// snapshot keeps reading through that open mapping or handle.
-		// A failed edition leaves them listed, so they stay; a failed
-		// removal leaves an orphan the next Open deletes.
-		if installed {
-			for _, f := range oldFiles {
-				durable.RemoveSegmentFile(d.dir, f)
-			}
-		}
-	}
-
 	s.compactions.Add(1)
 	s.segsCompacted.Add(uint64(len(run.segs)))
 	return CompactionResult{Passes: 1, SegmentsRetired: len(run.segs), EventsMerged: len(merged)}, true
 }
 
-// Compact runs passes until no chain is eligible, returning the sums.
-func (s *Store) Compact() CompactionResult {
-	var total CompactionResult
-	for {
-		r, ok := s.CompactOnce()
-		if !ok {
-			return total
-		}
-		total.Passes += r.Passes
-		total.SegmentsRetired += r.SegmentsRetired
-		total.EventsMerged += r.EventsMerged
+// compactEditionLocked installs one full manifest edition if a merge
+// is pending, then deletes the retired files once an edition no longer
+// lists them. Those can go at once: the merge opened each of them, and
+// a pinned snapshot keeps reading through that open mapping or handle.
+// A failed edition leaves them listed, so they stay (the merge stays
+// pending, and the next edition retries); a failed removal leaves an
+// orphan the next Open deletes. The caller holds compactMu and found
+// the store open when it took it, so Close is at most waiting on it.
+func (s *Store) compactEditionLocked() {
+	d := s.dur
+	if d == nil {
+		return
+	}
+	d.mu.Lock()
+	if d.mergePending {
+		s.writeManifestLocked()
+	}
+	var files []string
+	if !d.mergePending {
+		files, d.retired = d.retired, nil
+	}
+	d.mu.Unlock()
+	for _, f := range files {
+		durable.RemoveSegmentFile(d.dir, f)
 	}
 }
 

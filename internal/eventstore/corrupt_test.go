@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -162,7 +163,7 @@ func TestDecodeVersionMismatch(t *testing.T) {
 	}
 	for _, format := range []uint8{0, 1, 3} {
 		m.Segments[0].Format = format
-		if err := durable.WriteManifest(dir, m); err != nil {
+		if _, err := durable.WriteManifest(dir, m); err != nil {
 			t.Fatal(err)
 		}
 		openCorrupt(t, dir, fmt.Sprintf("segment ref format %d", format))
@@ -387,6 +388,51 @@ func TestOpenRejectsCorruptWALEntities(t *testing.T) {
 			}
 			if !errors.Is(err, durable.ErrCorrupt) {
 				t.Fatalf("error %v, want durable.ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// A checksummed frame that does not decode, in the WAL or in
+// MANIFEST.delta, fails Open with an error wrapping durable.ErrCorrupt
+// and leaves the file as it was: no writer emits such a frame, so it is
+// not the torn tail of a crash, and cutting the log there would drop
+// every record after it.
+func TestOpenRejectsUndecodableFrames(t *testing.T) {
+	for _, name := range []string{durable.WALName, durable.ManifestDeltaName} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(durableOpts(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(s, 20, 0) // two seals, a full edition and a delta; four events stay in the WAL
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, name)
+			payload := []byte{9}
+			frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+			frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(append(frame, payload...)); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			size := fileSize(t, path)
+			s2, err := Open(durableOpts(dir))
+			if err == nil {
+				s2.Close()
+				t.Fatal("undecodable frame accepted")
+			}
+			if !errors.Is(err, durable.ErrCorrupt) {
+				t.Fatalf("error %v, want durable.ErrCorrupt", err)
+			}
+			if got := fileSize(t, path); got != size {
+				t.Fatalf("%s cut from %d to %d bytes", name, size, got)
 			}
 		})
 	}

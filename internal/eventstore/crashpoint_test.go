@@ -41,18 +41,21 @@ func (p *crashPlan) decide(site durable.IOSite) durable.Fault {
 
 // crashOutcome is what a workload run was told: the events of every
 // AppendAll that returned nil (acknowledged) and of every one that
-// failed, keyed by their Amount, which is unique per appended event.
+// failed, keyed by their Amount, which is unique per appended event,
+// and the merges its Compact call made.
 type crashOutcome struct {
 	acked, failed map[uint64]bool
+	passes        int
 }
 
 // crashWorkload drives one durable store through every kind of write
 // the directory sees: acknowledged group commits under SyncWAL, seals
-// that write segment files, the first full manifest edition, delta
-// appends, a compaction with its full manifest rewrite, delta-log
-// removal, WAL truncation and retired-file deletion, and a tail left in
-// the WAL at Close. Faults make calls fail; the workload carries on
-// regardless, as a caller would until the process dies.
+// of three chunks at once whose segment files are written in parallel,
+// the first full manifest edition, delta appends, a Compact call whose
+// three merges share one full manifest edition, delta-log removal, WAL
+// truncation and retired-file deletion, and a tail left in the WAL at
+// Close. Faults make calls fail; the workload carries on regardless, as
+// a caller would until the process dies.
 func crashWorkload(dir string) crashOutcome {
 	out := crashOutcome{acked: map[uint64]bool{}, failed: map[uint64]bool{}}
 	opts := durableOpts(dir)
@@ -64,7 +67,7 @@ func crashWorkload(dir string) crashOutcome {
 	appendBatch := func(k int) {
 		recs := make([]Record, 6)
 		for i := range recs {
-			recs[i] = mkRecord(uint32(1+i%2), fmt.Sprintf("exe%d", i%3), sysmon.OpWrite, fmt.Sprintf("f%d.txt", k), k*10+i)
+			recs[i] = mkRecord(uint32(1+i%3), fmt.Sprintf("exe%d", i%3), sysmon.OpWrite, fmt.Sprintf("f%d.txt", k), k*10+i)
 			recs[i].Amount = uint64(k*100 + i + 1)
 		}
 		to := out.acked
@@ -76,12 +79,12 @@ func crashWorkload(dir string) crashOutcome {
 		}
 	}
 	appendBatch(0)
-	s.Flush() // seals; the first edition is a full manifest
+	s.Flush() // seals three chunks; the first edition is a full manifest
 	appendBatch(1)
 	s.Flush() // a MANIFEST.delta frame
 	appendBatch(2)
 	s.Flush() // another delta frame
-	s.CompactOnce()
+	out.passes = s.Compact().Passes
 	appendBatch(3) // stays in the WAL
 	s.Close()
 	return out
@@ -135,8 +138,9 @@ func TestCrashPointSweep(t *testing.T) {
 
 	clean, total := run(-1, durable.NoFault)
 	t.Logf("workload issues %d durable writes", total)
-	if len(clean.acked) != 24 || len(clean.failed) != 0 {
-		t.Fatalf("fault-free run acknowledged %d events, failed %d; want 24, 0", len(clean.acked), len(clean.failed))
+	if len(clean.acked) != 24 || len(clean.failed) != 0 || clean.passes != 3 {
+		t.Fatalf("fault-free run acknowledged %d events, failed %d, compacted in %d passes; want 24, 0, 3",
+			len(clean.acked), len(clean.failed), clean.passes)
 	}
 	for _, mode := range []durable.Fault{durable.FailOp, durable.TearOp} {
 		for at := 0; at < total; at++ {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/aiql/aiql/internal/durable"
@@ -74,6 +75,17 @@ type durableState struct {
 	manifestedConns int
 	deltaBroken     bool
 
+	// mergePending is set while a compaction merge is installed in the
+	// chains but the on-disk manifest still lists its inputs; a delta
+	// frame cannot retire them, so until the next full edition every
+	// edition is a full one. retired holds the merged-away segments'
+	// files, removed once an edition no longer lists them. manifestBytes
+	// sums the bytes of full manifests written since Open. All guarded
+	// by mu.
+	mergePending  bool
+	retired       []string
+	manifestBytes int64
+
 	// loggedProcs/Files/Conns count the dictionary entries already
 	// appended to the WAL; guarded by the Store's write lock (they are
 	// only touched inside commitLocked).
@@ -127,11 +139,12 @@ func (d *durableState) lastError() error {
 //
 // A manifest other than version 3, a manifest naming a layout other
 // than (agent, hour) chunks with interned entities, a ref to a segment
-// format other than v2, or a corrupt WAL record fails with an error
+// format other than v2, a MANIFEST.delta frame that passed its checksum
+// but does not decode, or a corrupt WAL record fails with an error
 // wrapping durable.ErrCorrupt. A WAL record is corrupt when it passed
-// its checksum but could not have been logged: an entity whose ID skips
-// a position, an entity repeating one already in its table, or an
-// event referencing an entity the log has not reached.
+// its checksum but does not decode or could not have been logged: an
+// entity whose ID skips a position, an entity repeating one already in
+// its table, or an event referencing an entity the log has not reached.
 func Open(opts Options) (*Store, error) {
 	opts = opts.normalized()
 	if opts.Dir == "" {
@@ -463,13 +476,84 @@ func (d *durableState) logCommitLocked(s *Store) error {
 	return err
 }
 
+// sealWriters is how many goroutines build the indexes of one batch of
+// sealed segments and encode, write and fsync their files. The files
+// are independent, and the disk overlaps their fsyncs.
+const sealWriters = 8
+
+// sealSegments builds each segment's indexes and, when dir is not
+// empty, writes it into dir as its own fsynced file, on up to
+// sealWriters goroutines. It returns the files written, in segs order
+// (a zero entry for a segment left unwritten), and the first error;
+// after an error no further file is started, but every index is still
+// built, since the segments stay in memory either way.
+func sealSegments(dir string, segs []*Segment) ([]persistedSeg, error) {
+	files := make([]persistedSeg, len(segs))
+	var (
+		next     atomic.Int64
+		errMu    sync.Mutex
+		firstErr error
+	)
+	failed := func() bool {
+		errMu.Lock()
+		defer errMu.Unlock()
+		return firstErr != nil
+	}
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(segs); i = int(next.Add(1)) - 1 {
+			g := segs[i]
+			g.buildIndexes()
+			if dir == "" || failed() {
+				continue
+			}
+			name := durable.SegmentFileName(g.id)
+			n, err := durable.WriteSegmentFileV2(filepath.Join(dir, name), g.segmentData())
+			if err != nil {
+				errMu.Lock()
+				firstErr = cmp.Or(firstErr, err)
+				errMu.Unlock()
+				continue
+			}
+			files[i] = persistedSeg{file: name, bytes: n}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(sealWriters, len(segs)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return files, firstErr
+}
+
+// ref is the manifest's reference to the segment stored as file.
+func (g *Segment) ref(file string) durable.SegmentRef {
+	return durable.SegmentRef{
+		ID:         g.id,
+		AgentID:    g.key.AgentID,
+		Bucket:     g.key.Bucket,
+		File:       file,
+		Events:     g.Len(),
+		MinTS:      g.minTS,
+		MaxTS:      g.maxTS,
+		MinEventID: g.minEventID,
+		MaxEventID: g.maxEventID,
+		Format:     durable.SegmentFormatV2,
+	}
+}
+
 // persistSealed writes freshly sealed segments as individual files and
-// installs a manifest edition covering them. Called with no store locks
-// held, after the segments' indexes are built, so a seal's disk work
-// never stalls appends or queries.
+// installs one manifest edition covering them. Called with no store
+// locks held, so a seal's index builds and disk work never stall
+// appends or queries. Every file is durable before the edition that
+// names it; after a failed write no edition is installed.
 func (s *Store) persistSealed(segs []*Segment) {
 	d := s.dur
-	if d == nil || len(segs) == 0 {
+	if len(segs) == 0 {
 		return
 	}
 	d.mu.Lock()
@@ -477,16 +561,18 @@ func (s *Store) persistSealed(segs []*Segment) {
 	// Re-checked under d.mu: Close drains this mutex after setting the
 	// flag, so once Close returns no straggler can touch the directory.
 	if s.closed.Load() {
+		sealSegments("", segs)
 		return
 	}
-	for _, g := range segs {
-		name := durable.SegmentFileName(g.id)
-		n, err := durable.WriteSegmentFileV2(filepath.Join(d.dir, name), g.segmentData())
-		if err != nil {
-			d.setErr(err)
-			return
+	files, err := sealSegments(d.dir, segs)
+	for i, ps := range files {
+		if ps.file != "" {
+			d.persisted[segs[i].id] = ps
 		}
-		d.persisted[g.id] = persistedSeg{file: name, bytes: n}
+	}
+	if err != nil {
+		d.setErr(err)
+		return
 	}
 	if !s.appendManifestDeltaLocked() {
 		s.writeManifestLocked()
@@ -497,12 +583,15 @@ func (s *Store) persistSealed(segs []*Segment) {
 // appended delta frame instead of a full rewrite, carrying only the
 // segment refs and dictionary rows added since the last edition. Returns
 // false when a full rewrite is required instead: no base manifest exists
-// yet, a previous append failed (the log tail is suspect), or the append
-// itself errors. The caller holds d.mu; like writeManifestLocked, the
-// store read lock spans the coverage check and the WAL truncation.
+// yet, a previous append failed (the log tail is suspect), a merge
+// awaits the edition that retires its inputs (a frame listing the
+// merged segment over a base that lists the inputs would recover their
+// events twice), or the append itself errors. The caller holds d.mu;
+// like writeManifestLocked, the store read lock spans the coverage
+// check and the WAL truncation.
 func (s *Store) appendManifestDeltaLocked() bool {
 	d := s.dur
-	if d.edition == 0 || d.deltaBroken {
+	if d.edition == 0 || d.deltaBroken || d.mergePending {
 		return false
 	}
 	s.mu.RLock()
@@ -537,18 +626,7 @@ func (s *Store) appendManifestDeltaLocked() bool {
 				covered = false
 				break
 			}
-			delta.Segments = append(delta.Segments, durable.SegmentRef{
-				ID:         g.id,
-				AgentID:    g.key.AgentID,
-				Bucket:     g.key.Bucket,
-				File:       ps.file,
-				Events:     g.Len(),
-				MinTS:      g.minTS,
-				MaxTS:      g.maxTS,
-				MinEventID: g.minEventID,
-				MaxEventID: g.maxEventID,
-				Format:     durable.SegmentFormatV2,
-			})
+			delta.Segments = append(delta.Segments, g.ref(ps.file))
 		}
 	}
 	if err := durable.AppendManifestDelta(d.dir, delta); err != nil {
@@ -572,11 +650,12 @@ func (s *Store) appendManifestDeltaLocked() bool {
 
 // writeManifestLocked installs a manifest edition reflecting the
 // store's current persisted state, then truncates the WAL if the
-// edition covers every committed event, and reports whether the
-// edition was installed. The caller holds d.mu; the store read lock is
-// held across the write and the truncation so no commit can slip
-// records into the WAL between the coverage check and the truncate.
-func (s *Store) writeManifestLocked() bool {
+// edition covers every committed event. A failure is recorded and
+// leaves the state as it was (a pending merge stays pending). The
+// caller holds d.mu; the store read lock is held across the write and
+// the truncation so no commit can slip records into the WAL between the
+// coverage check and the truncate.
+func (s *Store) writeManifestLocked() {
 	d := s.dur
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -607,25 +686,19 @@ func (s *Store) writeManifestLocked() bool {
 				covered = false
 				break
 			}
-			m.Segments = append(m.Segments, durable.SegmentRef{
-				ID:         g.id,
-				AgentID:    g.key.AgentID,
-				Bucket:     g.key.Bucket,
-				File:       ps.file,
-				Events:     g.Len(),
-				MinTS:      g.minTS,
-				MaxTS:      g.maxTS,
-				MinEventID: g.minEventID,
-				MaxEventID: g.maxEventID,
-				Format:     durable.SegmentFormatV2,
-			})
+			m.Segments = append(m.Segments, g.ref(ps.file))
 		}
 	}
-	if err := durable.WriteManifest(d.dir, m); err != nil {
+	n, err := durable.WriteManifest(d.dir, m)
+	d.manifestBytes += n
+	if err != nil {
 		d.setErr(err)
-		return false
+		return
 	}
 	d.edition = m.Edition
+	// The edition lists the chains as they stand, merged segments in
+	// place of their inputs.
+	d.mergePending = false
 	// The full rewrite captured everything the delta log carried (and
 	// re-baselined the dictionary counters), so the log restarts empty.
 	// Ordering matters: the new base is durable first, so a crash here
@@ -645,7 +718,6 @@ func (s *Store) writeManifestLocked() bool {
 			d.setErr(err)
 		}
 	}
-	return true
 }
 
 // SaveDir writes the store's sealed state into dir as a durable store
@@ -691,28 +763,19 @@ func (s *Store) SaveDir(dir string) error {
 	s.mu.RUnlock()
 	m.Procs, m.Files, m.Conns = s.dict.tableHeaders()
 
+	var segs []*Segment
 	for i := range sn.parts {
-		for _, g := range sn.parts[i].segs {
-			g.buildIndexes() // idempotent; ensures the file carries indexes
-			name := durable.SegmentFileName(g.id)
-			if _, err := durable.WriteSegmentFileV2(filepath.Join(dir, name), g.segmentData()); err != nil {
-				return err
-			}
-			m.Segments = append(m.Segments, durable.SegmentRef{
-				ID:         g.id,
-				AgentID:    g.key.AgentID,
-				Bucket:     g.key.Bucket,
-				File:       name,
-				Events:     g.Len(),
-				MinTS:      g.minTS,
-				MaxTS:      g.maxTS,
-				MinEventID: g.minEventID,
-				MaxEventID: g.maxEventID,
-				Format:     durable.SegmentFormatV2,
-			})
-		}
+		segs = append(segs, sn.parts[i].segs...)
 	}
-	return durable.WriteManifest(dir, m)
+	files, err := sealSegments(dir, segs)
+	if err != nil {
+		return err
+	}
+	for i, g := range segs {
+		m.Segments = append(m.Segments, g.ref(files[i].file))
+	}
+	_, err = durable.WriteManifest(dir, m)
+	return err
 }
 
 // Dir returns the durable directory backing the store; empty for
@@ -763,16 +826,19 @@ func (s *Store) Close() error {
 // subsystem's activity. Zero-valued (except compaction counters) for
 // in-memory stores.
 type DurableStats struct {
-	Dir               string `json:"dir,omitempty"`
-	SegmentFiles      int    `json:"segment_files"`
-	SegmentFileBytes  int64  `json:"segment_file_bytes"`
-	WALBytes          int64  `json:"wal_bytes"`
-	WALRecords        uint64 `json:"wal_records"`
-	WALSyncs          uint64 `json:"wal_syncs"`
-	ManifestEdition   uint64 `json:"manifest_edition"`
-	ManifestDeltas    int64  `json:"manifest_delta_bytes"`
-	Compactions       uint64 `json:"compactions"`
-	SegmentsCompacted uint64 `json:"segments_compacted"`
+	Dir              string `json:"dir,omitempty"`
+	SegmentFiles     int    `json:"segment_files"`
+	SegmentFileBytes int64  `json:"segment_file_bytes"`
+	WALBytes         int64  `json:"wal_bytes"`
+	WALRecords       uint64 `json:"wal_records"`
+	WALSyncs         uint64 `json:"wal_syncs"`
+	ManifestEdition  uint64 `json:"manifest_edition"`
+	ManifestDeltas   int64  `json:"manifest_delta_bytes"`
+	// ManifestBytesWritten sums the bytes of the full manifests written
+	// since Open (delta frames not included).
+	ManifestBytesWritten int64  `json:"manifest_bytes_written"`
+	Compactions          uint64 `json:"compactions"`
+	SegmentsCompacted    uint64 `json:"segments_compacted"`
 	// RecoveredEvents and RecoverMS describe the WAL replay of the
 	// Open that produced the store: the events it returned to
 	// memtables and its wall time in milliseconds.
@@ -795,6 +861,7 @@ func (s *Store) DurableStats() DurableStats {
 	st.RecoveredEvents, st.RecoverMS = d.recoveredEvents, d.recoverMS
 	d.mu.Lock()
 	st.ManifestEdition = d.edition
+	st.ManifestBytesWritten = d.manifestBytes
 	st.SegmentFiles = len(d.persisted)
 	for _, ps := range d.persisted {
 		st.SegmentFileBytes += ps.bytes

@@ -277,7 +277,7 @@ func TestOpenRejectsMismatchedLayout(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.mutate(m)
-			if err := durable.WriteManifest(dir, m); err != nil {
+			if _, err := durable.WriteManifest(dir, m); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := Open(durableOpts(dir)); !errors.Is(err, durable.ErrCorrupt) {

@@ -113,10 +113,13 @@ func (s *Store) notifyRetire(ids []uint64) {
 }
 
 // afterCommit finishes a commit outside the store lock: index builds
-// for freshly sealed segments, then (for durable stores) segment file
-// persistence and a manifest edition.
+// for freshly sealed segments and, for durable stores, their files and
+// a manifest edition.
 func (s *Store) afterCommit(sealed []*Segment) {
-	indexSegments(sealed)
+	if s.dur == nil {
+		sealSegments("", sealed)
+		return
+	}
 	s.persistSealed(sealed)
 }
 
@@ -349,15 +352,6 @@ func (s *Store) sealPartLocked(p *partState) *Segment {
 	p.segs = append(p.segs, g)
 	p.mem = memtable{}
 	return g
-}
-
-// indexSegments builds posting indexes for freshly sealed segments.
-// Callers invoke it with no locks held: this is the seal-time index
-// work that must not stall concurrent appends or queries.
-func indexSegments(segs []*Segment) {
-	for _, g := range segs {
-		g.buildIndexes()
-	}
 }
 
 func partKey(agent uint32, ts int64) PartKey {
