@@ -146,8 +146,8 @@ func OpenWithOptions(storage StorageOptions, cfg EngineConfig) *DB {
 // OpenDir opens (creating or recovering) the durable database rooted at
 // dir with default options: sealed segments live as individual files
 // loaded without re-indexing, a MANIFEST names the live segment set,
-// and a write-ahead log makes committed appends durable between seals.
-// Close the database to release the log.
+// and a write-ahead log, fsynced once per AppendAll, makes acknowledged
+// appends durable between seals. Close the database to release the log.
 func OpenDir(dir string) (*DB, error) {
 	storage := eventstore.DefaultOptions()
 	storage.Dir = dir
@@ -476,5 +476,6 @@ func FromStore(store *eventstore.Store) *DB {
 }
 
 // DefaultStorage returns the storage configuration: in memory, default
-// segment size.
+// segment size; with Dir set, appends acknowledged only after their WAL
+// fsync.
 func DefaultStorage() StorageOptions { return eventstore.DefaultOptions() }

@@ -246,3 +246,21 @@ func TestHTTPQueryOnCorruptSegment(t *testing.T) {
 		t.Fatalf("body %s does not name the corruption", rec.Body)
 	}
 }
+
+// A served directory acknowledges an ingest only after its WAL fsync:
+// the store's default options sync the log once per batch, so a 200
+// from the ingest endpoint survives power loss, not just a crash.
+func TestDurableIngestIsFsynced(t *testing.T) {
+	c := New(Config{})
+	defer c.Close()
+	d, err := c.AddDir("live", t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(t, c.Handler(), http.MethodPost, "/api/v1/ingest?dataset=live", watchIngestLine("x", 0)); rec.Code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", rec.Code, rec.Body.String())
+	}
+	if st := d.Service().DatasetStats("live").Durable; st.WALSyncs < 1 || st.WALRecords == 0 {
+		t.Fatalf("acknowledged ingest left %d WAL records after %d fsyncs, want at least one fsync", st.WALRecords, st.WALSyncs)
+	}
+}

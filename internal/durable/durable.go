@@ -11,16 +11,27 @@
 // min/max event ID — and loaded back without any re-chunking,
 // re-interning, or re-indexing. The MANIFEST records, per edition, the
 // live segment files together with the entity dictionary tables and the
-// store's ID counters; the WAL makes committed-but-unsealed events
-// durable between seals. Crash recovery is manifest load + WAL replay
-// of the tail; a torn final WAL record (the signature of a crash mid
-// write) truncates cleanly instead of poisoning the replay.
+// store's ID counters; MANIFEST.delta appends editions that carry only
+// what changed; the WAL makes committed events durable between seals.
+// Crash recovery is manifest load + delta fold + WAL replay of the tail.
+//
+// The three metadata files share one codec. A full manifest and a
+// delta frame are the same Manifest value, written by one body encoder
+// (the full one adds magic, version, the store's layout marker and a
+// crc); WAL entity records reuse its process/file/connection row
+// encoders. MANIFEST.delta and wal.log are the same frame log:
+// [u32 length | u32 crc32 | payload] frames, each bounded only by the
+// bytes the file holds. A short frame or a checksum mismatch is the torn
+// tail a crash mid-append leaves, and is truncated away; a checksummed
+// frame that does not decode, or does not apply, was never torn and is
+// ErrCorrupt, with the file left as it was.
 //
 // There is one on-disk format: v2 segment files (segfile2.go) listed by
-// version-3 manifests. A directory in any other format fails to open
-// with ErrCorrupt; its data is regenerated, not converted. Every write
-// the package issues goes through the seam in fs.go, where crash-point
-// tests inject faults.
+// version-3 manifests of one layout, (agent, hour) chunks over interned
+// entities. A directory in any other format fails to open with
+// ErrCorrupt; its data is regenerated, not converted. Every write the
+// package issues goes through the seam in fs.go, where crash-point tests
+// inject faults.
 //
 // The package speaks only sysmon types and bytes; the eventstore layers
 // its LSM store on top (see eventstore.Open), and the background
@@ -29,8 +40,12 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
+	"os"
+	"path/filepath"
 )
 
 // Well-known file names inside a durable store directory.
@@ -130,6 +145,17 @@ func (r *byteReader) u64() uint64 {
 
 func (r *byteReader) i64() int64 { return int64(r.u64()) }
 
+// count reads a table length. A length beyond the bytes the image
+// holds fails the reader instead of sizing an allocation.
+func (r *byteReader) count() int {
+	n := int(r.u32())
+	if n > len(r.buf) {
+		r.fail = true
+		return 0
+	}
+	return n
+}
+
 func (r *byteReader) str() string {
 	n, sz := binary.Uvarint(r.buf[r.off:])
 	// A length whose final varint byte is 0 is padded: writers emit
@@ -155,4 +181,51 @@ func (r *byteReader) err(what string) error {
 		return fmt.Errorf("durable: truncated %s", what)
 	}
 	return nil
+}
+
+// frameOverhead is a frame's header: u32 payload length, u32 crc32.
+const frameOverhead = 8
+
+// beginFrame reserves a frame header at the end of w and returns its
+// offset; the payload is encoded after it, then endFrame fills it in.
+func (w *byteWriter) beginFrame() int {
+	start := len(w.buf)
+	w.buf = append(w.buf, make([]byte, frameOverhead)...)
+	return start
+}
+
+func (w *byteWriter) endFrame(start int) {
+	payload := w.buf[start+frameOverhead:]
+	binary.LittleEndian.PutUint32(w.buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.buf[start+4:], checksum(payload))
+}
+
+// scanFrames reads the frame log at path (an absent file is empty) and
+// passes each intact frame's payload to fn, in order. The scan stops at
+// the torn tail: a frame longer than the bytes left, one whose checksum
+// does not match, or one of zero length, which no writer emits but a
+// zero-filled tail reads as. It returns the file's length and
+// the end of the last intact frame. An error from fn stops the scan and
+// is returned with the frame's offset.
+func scanFrames(path string, fn func(payload []byte) error) (size, end int64, err error) {
+	buf, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return 0, 0, fmt.Errorf("durable: %w", err)
+	}
+	off := 0
+	for off+frameOverhead <= len(buf) {
+		n := int(binary.LittleEndian.Uint32(buf[off:]))
+		if n == 0 || n > len(buf)-off-frameOverhead {
+			break
+		}
+		payload := buf[off+frameOverhead : off+frameOverhead+n]
+		if checksum(payload) != binary.LittleEndian.Uint32(buf[off+4:]) {
+			break
+		}
+		if err := fn(payload); err != nil {
+			return 0, 0, fmt.Errorf("durable: %s frame at offset %d: %w", filepath.Base(path), off, err)
+		}
+		off += frameOverhead + n
+	}
+	return int64(len(buf)), int64(off), nil
 }

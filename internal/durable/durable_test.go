@@ -168,8 +168,8 @@ func testManifest() *Manifest {
 		Files:       []sysmon.File{{Path: "/etc/passwd"}},
 		Conns:       []sysmon.Netconn{{SrcIP: "10.0.0.1", DstPort: 443, Protocol: "tcp"}},
 		Segments: []SegmentRef{
-			{ID: 1, AgentID: 1, File: SegmentFileName(1), Events: 100, MinEventID: 1, MaxEventID: 100, Format: SegmentFormatV2},
-			{ID: 2, AgentID: 1, File: SegmentFileName(2), Events: 50, MinEventID: 101, MaxEventID: 150, Format: SegmentFormatV2},
+			{ID: 1, AgentID: 1, File: SegmentFileName(1), Events: 100, MinEventID: 1, MaxEventID: 100},
+			{ID: 2, AgentID: 1, File: SegmentFileName(2), Events: 50, MinEventID: 101, MaxEventID: 150},
 		},
 	}
 }
@@ -449,7 +449,7 @@ func FuzzOpenWAL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		checkOpenWAL(t, filepath.Join(dir, "raw.wal"), data)
-		if len(data) > 0 && len(data) <= maxWALRecord {
+		if len(data) > 0 {
 			checkOpenWAL(t, filepath.Join(dir, "framed.wal"), append(walFrames(payloads[0]), walFrames(data)...))
 		}
 	})
@@ -460,12 +460,12 @@ func FuzzOpenWAL(f *testing.F) {
 // stopped at a checksummed frame that decode rejects (corruption) rather
 // than at a torn tail or the end.
 func intactFrames(data []byte, decode func([]byte) error) (payloads [][]byte, end int, corrupt bool) {
-	for end+walFrameOverhead <= len(data) {
+	for end+frameOverhead <= len(data) {
 		n := int(binary.LittleEndian.Uint32(data[end:]))
-		if n <= 0 || n > maxWALRecord || end+walFrameOverhead+n > len(data) {
+		if n == 0 || end+frameOverhead+n > len(data) {
 			break
 		}
-		payload := data[end+walFrameOverhead : end+walFrameOverhead+n]
+		payload := data[end+frameOverhead : end+frameOverhead+n]
 		if checksum(payload) != binary.LittleEndian.Uint32(data[end+4:]) {
 			break
 		}
@@ -473,7 +473,7 @@ func intactFrames(data []byte, decode func([]byte) error) (payloads [][]byte, en
 			return payloads, end, true
 		}
 		payloads = append(payloads, payload)
-		end += walFrameOverhead + n
+		end += frameOverhead + n
 	}
 	return payloads, end, false
 }
@@ -534,14 +534,14 @@ func checkOpenWAL(t *testing.T, path string, data []byte) {
 func testDeltas() [][]byte {
 	var out [][]byte
 	for e := uint64(4); e <= 5; e++ {
-		out = append(out, encodeManifestDelta(&ManifestDelta{
+		out = append(out, encodeManifestDelta(&Manifest{
 			Edition:     e,
 			NextSegID:   e + 6,
 			NextEventID: 1234 + e*10,
 			NextSeq:     map[uint32]uint64{1: 10 + e},
 			Procs:       []sysmon.Process{{PID: uint32(e), ExeName: "sh"}},
 			Segments: []SegmentRef{{ID: e - 1, AgentID: 1, File: SegmentFileName(e - 1), Events: 10,
-				MinEventID: 1234 + e*10 - 9, MaxEventID: 1234 + e*10, Format: SegmentFormatV2}},
+				MinEventID: 1234 + e*10 - 9, MaxEventID: 1234 + e*10}},
 		}))
 	}
 	return out
@@ -570,14 +570,31 @@ func writeDeltaDir(t *testing.T, data []byte) string {
 // leaves the log untruncated.
 func TestManifestDeltaUndecodableFrameIsCorrupt(t *testing.T) {
 	ds := testDeltas()
-	data := walFrames(ds[0], []byte{9}, ds[1])
+	checkCorruptDeltaLog(t, walFrames(ds[0], []byte{9}, ds[1]))
+}
+
+// A decodable frame whose edition is neither covered by the editions
+// before it nor the next one leaves a gap no writer produces, so it is
+// corruption too, at the head of the log or after applied and stale
+// frames.
+func TestManifestDeltaEditionGapIsCorrupt(t *testing.T) {
+	ds := testDeltas()
+	checkCorruptDeltaLog(t, walFrames(ds[1], ds[0]))
+	// editions 4 (applied), 4 (stale), 5 (applied), then 7
+	checkCorruptDeltaLog(t, walFrames(ds[0], ds[0], ds[1], encodeManifestDelta(&Manifest{Edition: 7})))
+}
+
+// checkCorruptDeltaLog folds data as a delta log over testManifest and
+// expects ErrCorrupt with the log left intact.
+func checkCorruptDeltaLog(t *testing.T, data []byte) {
+	t.Helper()
 	dir := writeDeltaDir(t, data)
 	m, err := ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ApplyManifestDeltas(dir, m); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ApplyManifestDeltas over an undecodable frame: error %v, want ErrCorrupt", err)
+		t.Fatalf("ApplyManifestDeltas: error %v, want ErrCorrupt", err)
 	}
 	if got := ManifestDeltaSize(dir); got != int64(len(data)) {
 		t.Fatalf("delta log cut to %d bytes, want it intact at %d", got, len(data))
@@ -585,12 +602,16 @@ func TestManifestDeltaUndecodableFrameIsCorrupt(t *testing.T) {
 }
 
 // FuzzApplyManifestDeltas writes arbitrary bytes as MANIFEST.delta over
-// a valid base manifest. ApplyManifestDeltas must never panic, and must
-// either fail with ErrCorrupt, leaving the log as it was, or fold the
-// log into the base so that a second open, over whatever the first left
-// on disk, folds exactly the same manifest. Each input is also tried as
-// the payload of one checksummed frame after a valid one, which drives
-// the delta decoder itself.
+// a valid base manifest. ApplyManifestDeltas must never panic. Walking
+// the frames, the log holds intact frames up to a torn tail or a
+// corrupt frame: a checksum match that does not decode, or whose
+// edition is neither covered by the editions before it nor the next.
+// With a corrupt frame ApplyManifestDeltas fails with ErrCorrupt and
+// leaves the log as it was. Otherwise it folds every frame with the next
+// edition, truncates the log to the end of the last intact frame, and a
+// second open, over what the first left on disk, folds exactly the same
+// manifest. Each input is also tried as the payload of one checksummed
+// frame after a valid one, which drives the delta decoder itself.
 func FuzzApplyManifestDeltas(f *testing.F) {
 	ds := testDeltas()
 	valid := walFrames(ds...)
@@ -602,7 +623,7 @@ func FuzzApplyManifestDeltas(f *testing.F) {
 	f.Add([]byte{9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkApplyDeltas(t, data)
-		if len(data) > 0 && len(data) <= maxWALRecord {
+		if len(data) > 0 {
 			checkApplyDeltas(t, append(walFrames(ds[0]), walFrames(data)...))
 		}
 	})
@@ -612,6 +633,20 @@ func FuzzApplyManifestDeltas(f *testing.F) {
 // checks FuzzApplyManifestDeltas's properties on it.
 func checkApplyDeltas(t *testing.T, data []byte) {
 	t.Helper()
+	base := testManifest().Edition
+	edition := base
+	_, end, corrupt := intactFrames(data, func(p []byte) error {
+		d, err := decodeManifestDelta(p)
+		switch {
+		case err != nil:
+			return err
+		case d.Edition == edition+1:
+			edition++
+		case d.Edition > edition:
+			return errors.New("edition gap")
+		}
+		return nil
+	})
 	dir := writeDeltaDir(t, data)
 	fold := func() (*Manifest, int, error) {
 		m, err := ReadManifest(dir)
@@ -622,19 +657,24 @@ func checkApplyDeltas(t *testing.T, data []byte) {
 		return m, n, err
 	}
 	m, n, err := fold()
-	if err != nil {
+	if corrupt {
 		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("error %v, want ErrCorrupt", err)
+			t.Fatalf("fold over a corrupt frame at offset %d: error %v, want ErrCorrupt", end, err)
 		}
 		if got := ManifestDeltaSize(dir); got != int64(len(data)) {
 			t.Fatalf("corrupt delta log changed on disk: %d bytes, want %d", got, len(data))
 		}
 		return
 	}
-	if m.Edition != testManifest().Edition+uint64(n) {
-		t.Fatalf("folded %d deltas into edition %d over base %d", n, m.Edition, testManifest().Edition)
+	if err != nil {
+		t.Fatal(err)
 	}
-	size := ManifestDeltaSize(dir)
+	if m.Edition != edition || uint64(n) != edition-base {
+		t.Fatalf("folded %d deltas into edition %d over base %d, want edition %d", n, m.Edition, base, edition)
+	}
+	if got := ManifestDeltaSize(dir); got != int64(end) {
+		t.Fatalf("delta log truncated to %d bytes, want %d", got, end)
+	}
 	m2, n2, err := fold()
 	if err != nil {
 		t.Fatalf("second open: %v", err)
@@ -642,7 +682,81 @@ func checkApplyDeltas(t *testing.T, data []byte) {
 	if n2 != n || !reflect.DeepEqual(m2, m) {
 		t.Fatalf("second open folded %d deltas into edition %d, first %d into %d", n2, m2.Edition, n, m.Edition)
 	}
-	if got := ManifestDeltaSize(dir); got != size {
-		t.Fatalf("second open cut the delta log again: %d -> %d bytes", size, got)
+	if got := ManifestDeltaSize(dir); got != int64(end) {
+		t.Fatalf("second open cut the delta log again: %d -> %d bytes", end, got)
+	}
+}
+
+// encodeManifestDelta encodes one delta frame's payload.
+func encodeManifestDelta(d *Manifest) []byte {
+	w := &byteWriter{}
+	encodeEdition(w, d, false)
+	return w.buf
+}
+
+// manifestImage wraps body in a manifest's magic, version and checksum.
+func manifestImage(body []byte) []byte {
+	img := binary.LittleEndian.AppendUint32([]byte(manifestMagic), manifestVersion)
+	img = append(img, body...)
+	return binary.LittleEndian.AppendUint32(img, checksum(body))
+}
+
+// FuzzDecodeManifest feeds arbitrary bytes to DecodeManifest, as an
+// image and as the body of an image with a valid header and checksum,
+// which drives the body decoder itself. It must never panic and must
+// fail only with ErrCorrupt. A manifest it decodes must re-encode to an
+// image that decodes to an equal value, and rewriting that image's
+// layout marker, or its last segment ref's format byte, to any other
+// value must fail with ErrCorrupt.
+func FuzzDecodeManifest(f *testing.F) {
+	valid, err := EncodeManifest(testManifest())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[8 : len(valid)-4])
+	f.Add(valid[:len(valid)-5])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeManifest(t, data)
+		checkDecodeManifest(t, manifestImage(data))
+	})
+}
+
+// checkDecodeManifest checks FuzzDecodeManifest's properties on data.
+func checkDecodeManifest(t *testing.T, data []byte) {
+	t.Helper()
+	m, err := DecodeManifest(data)
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("error %v, want ErrCorrupt", err)
+		}
+		return
+	}
+	img, err := EncodeManifest(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := DecodeManifest(img); err != nil || !reflect.DeepEqual(again, m) {
+		t.Fatalf("re-encoded manifest decodes to %+v (err %v), want %+v", again, err, m)
+	}
+	flip := byte(1)
+	if len(data) > 0 && data[0] != 0 {
+		flip = data[0]
+	}
+	body := img[8 : len(img)-4]
+	// The layout marker follows the counters and the sequence table:
+	// partitioned (1 byte), chunk width (8), interned (1).
+	marker := 3*8 + 4 + 12*len(m.NextSeq)
+	at := []int{marker, marker + 1 + int(flip)%8, marker + 9}
+	if len(m.Segments) > 0 {
+		at = append(at, len(body)-1) // the last ref's format byte
+	}
+	for _, pos := range at {
+		bad := append([]byte(nil), body...)
+		bad[pos] ^= flip
+		if _, err := DecodeManifest(manifestImage(bad)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("body byte %d xor %#x: error %v, want ErrCorrupt", pos, flip, err)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"sync"
@@ -10,18 +9,16 @@ import (
 )
 
 // The write-ahead log makes committed-but-unsealed events durable
-// between seals. Records are framed [u32 payload length | u32 crc32 |
-// payload] and appended in commit order; a commit appends its
-// dictionary deltas (entities interned since the last logged point)
-// followed by its events, so replaying the log front to back
-// reconstructs exactly the interning and append sequence the live
-// store performed. A crash mid-write leaves a torn final record: replay
-// stops at the first frame whose length or checksum does not line up,
-// OpenWAL truncates the tail back to the last durable frame, and every
-// record before the tear is recovered. A frame whose checksum matches
-// but whose payload does not decode was never torn — no writer emits
-// it — so it is corruption: OpenWAL fails with ErrCorrupt and leaves
-// the file as it found it.
+// between seals. It is a frame log (scanFrames): one record per frame,
+// appended in commit order; a commit appends its dictionary deltas
+// (entities interned since the last logged point) followed by its
+// events, so replaying the log front to back reconstructs exactly the
+// interning and append sequence the live store performed. A crash
+// mid-write leaves a torn final record, which OpenWAL truncates back to
+// the last intact frame; every record before the tear is recovered. A
+// frame whose checksum matches but whose payload does not decode was
+// never torn — no writer emits it — so it is corruption: OpenWAL fails
+// with ErrCorrupt and leaves the file as it found it.
 
 // RecKind discriminates WAL record payloads.
 type RecKind uint8
@@ -56,34 +53,18 @@ type Rec struct {
 	Event sysmon.Event
 }
 
-// walFrameOverhead is the per-record framing cost: length + crc.
-const walFrameOverhead = 8
-
-// maxWALRecord bounds a single record's payload; frames claiming more
-// are treated as corruption rather than allocated.
-const maxWALRecord = 1 << 20
-
 func encodeRec(w *byteWriter, r *Rec) {
 	w.u8(uint8(r.Kind))
 	switch r.Kind {
 	case RecProc:
 		w.u32(uint32(r.ID))
-		w.u32(r.Proc.PID)
-		w.str(r.Proc.ExeName)
-		w.str(r.Proc.Path)
-		w.str(r.Proc.User)
-		w.str(r.Proc.CmdLine)
+		putProc(w, &r.Proc)
 	case RecFile:
 		w.u32(uint32(r.ID))
-		w.str(r.File.Path)
-		w.str(r.File.Owner)
+		putFile(w, &r.File)
 	case RecConn:
 		w.u32(uint32(r.ID))
-		w.str(r.Conn.SrcIP)
-		w.u16(r.Conn.SrcPort)
-		w.str(r.Conn.DstIP)
-		w.u16(r.Conn.DstPort)
-		w.str(r.Conn.Protocol)
+		putConn(w, &r.Conn)
 	case RecEvent:
 		e := &r.Event
 		w.u64(e.ID)
@@ -121,22 +102,13 @@ func decodeRec(payload []byte, rec *Rec) error {
 	switch rec.Kind {
 	case RecProc:
 		rec.ID = sysmon.EntityID(r.u32())
-		rec.Proc.PID = r.u32()
-		rec.Proc.ExeName = r.str()
-		rec.Proc.Path = r.str()
-		rec.Proc.User = r.str()
-		rec.Proc.CmdLine = r.str()
+		getProc(&r, &rec.Proc)
 	case RecFile:
 		rec.ID = sysmon.EntityID(r.u32())
-		rec.File.Path = r.str()
-		rec.File.Owner = r.str()
+		getFile(&r, &rec.File)
 	case RecConn:
 		rec.ID = sysmon.EntityID(r.u32())
-		rec.Conn.SrcIP = r.str()
-		rec.Conn.SrcPort = r.u16()
-		rec.Conn.DstIP = r.str()
-		rec.Conn.DstPort = r.u16()
-		rec.Conn.Protocol = r.str()
+		getConn(&r, &rec.Conn)
 	case RecEvent:
 		rec.ID = 0
 		e := &rec.Event
@@ -151,13 +123,13 @@ func decodeRec(payload []byte, rec *Rec) error {
 		e.Amount = r.u64()
 		e.Seq = r.u64()
 	default:
-		return fmt.Errorf("durable: unknown WAL record kind %d", rec.Kind)
+		return corruptf("unknown WAL record kind %d", rec.Kind)
 	}
-	if err := r.err("WAL record"); err != nil {
-		return err
+	if r.fail {
+		return corruptf("truncated WAL record")
 	}
 	if r.off != len(payload) {
-		return fmt.Errorf("durable: WAL record has %d trailing bytes", len(payload)-r.off)
+		return corruptf("WAL record has %d trailing bytes", len(payload)-r.off)
 	}
 	return nil
 }
@@ -217,50 +189,36 @@ func (w *WAL) poison(err error) error {
 // out what it keeps (the strings it holds stay valid; they do not alias
 // the log's bytes).
 func OpenWAL(path string, apply func(*Rec) error) (*WAL, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("durable: %w", err)
-	}
-	good := 0
-	var records uint64
 	var rec Rec
-	for off := 0; off+walFrameOverhead <= len(buf); {
-		n := int(binary.LittleEndian.Uint32(buf[off:]))
-		crc := binary.LittleEndian.Uint32(buf[off+4:])
-		if n <= 0 || n > maxWALRecord || off+walFrameOverhead+n > len(buf) {
-			break // torn final record
-		}
-		payload := buf[off+walFrameOverhead : off+walFrameOverhead+n]
-		if checksum(payload) != crc {
-			break // corrupt tail
-		}
+	var records uint64
+	size, end, err := scanFrames(path, func(payload []byte) error {
 		if err := decodeRec(payload, &rec); err != nil {
-			return nil, fmt.Errorf("durable: WAL frame at offset %d: %w: %w", off, err, ErrCorrupt)
+			return err
 		}
-		if apply != nil {
-			if err := apply(&rec); err != nil {
-				return nil, err
-			}
-		}
-		off += walFrameOverhead + n
-		good = off
 		records++
+		if apply != nil {
+			return apply(&rec)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	f, err := openFile(SiteWALCreate, path, os.O_CREATE|os.O_RDWR)
 	if err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	if int64(good) != int64(len(buf)) {
-		if err := truncateFile(SiteWALTruncate, f, int64(good)); err != nil {
+	if end != size {
+		if err := truncateFile(SiteWALTruncate, f, end); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("durable: truncate torn WAL tail: %w", err)
 		}
 	}
-	if _, err := f.Seek(int64(good), 0); err != nil {
+	if _, err := f.Seek(end, 0); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	return &WAL{f: f, path: path, size: int64(good), records: records}, nil
+	return &WAL{f: f, path: path, size: end, records: records}, nil
 }
 
 // Append writes the records as one contiguous run of frames. It does
@@ -271,13 +229,10 @@ func (w *WAL) Append(recs []Rec) error {
 		return nil
 	}
 	enc := &byteWriter{}
-	frame := &byteWriter{buf: make([]byte, 0, 256)}
 	for i := range recs {
-		frame.buf = frame.buf[:0]
-		encodeRec(frame, &recs[i])
-		enc.u32(uint32(len(frame.buf)))
-		enc.u32(checksum(frame.buf))
-		enc.buf = append(enc.buf, frame.buf...)
+		start := enc.beginFrame()
+		encodeRec(enc, &recs[i])
+		enc.endFrame(start)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()

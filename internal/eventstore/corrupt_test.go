@@ -157,15 +157,13 @@ func TestDecodeVersionMismatch(t *testing.T) {
 	}
 	openCorrupt(t, dir, "manifest version 2")
 
-	m, err := durable.DecodeManifest(full)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, format := range []uint8{0, 1, 3} {
-		m.Segments[0].Format = format
-		if _, err := durable.WriteManifest(dir, m); err != nil {
+		if err := os.WriteFile(path, full, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		// a ref's format is its last byte, so the body's last byte is
+		// the last ref's
+		rewriteManifest(t, dir, func(_ *durable.Manifest, body []byte) { body[len(body)-1] = format })
 		openCorrupt(t, dir, fmt.Sprintf("segment ref format %d", format))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -64,16 +65,13 @@ type durableState struct {
 	persisted map[uint64]persistedSeg
 
 	// manifested tracks which persisted segments the on-disk manifest
-	// (base + delta log) already lists, and manifestedProcs/Files/Conns
-	// how many dictionary rows it carries — the baseline each delta
-	// frame appends on top of. deltaBroken forces full rewrites after a
-	// failed delta append (the log's tail state is then unknown). All
-	// guarded by mu.
-	manifested      map[uint64]bool
-	manifestedProcs int
-	manifestedFiles int
-	manifestedConns int
-	deltaBroken     bool
+	// (base + delta log) already lists, and manifestedRows how many
+	// dictionary rows it carries — the baseline each delta frame appends
+	// on top of. deltaBroken forces full rewrites after a failed delta
+	// append (the log's tail state is then unknown). All guarded by mu.
+	manifested     map[uint64]bool
+	manifestedRows dictRows
+	deltaBroken    bool
 
 	// mergePending is set while a compaction merge is installed in the
 	// chains but the on-disk manifest still lists its inputs; a delta
@@ -86,12 +84,10 @@ type durableState struct {
 	retired       []string
 	manifestBytes int64
 
-	// loggedProcs/Files/Conns count the dictionary entries already
-	// appended to the WAL; guarded by the Store's write lock (they are
-	// only touched inside commitLocked).
-	loggedProcs int
-	loggedFiles int
-	loggedConns int
+	// loggedRows counts the dictionary entries already appended to the
+	// WAL; guarded by the Store's write lock (it is only touched inside
+	// commitLocked).
+	loggedRows dictRows
 
 	// recoveredEvents and recoverMS describe Open's WAL replay: the
 	// events it returned to memtables and its wall time. Set once by
@@ -102,6 +98,9 @@ type durableState struct {
 	errMu   sync.Mutex
 	lastErr error
 }
+
+// dictRows counts rows of the three dictionary tables.
+type dictRows struct{ procs, files, conns int }
 
 // setErr records the first durability failure; the store keeps serving
 // from memory, and the error surfaces through DurableStats.
@@ -137,11 +136,12 @@ func (d *durableState) lastError() error {
 // slice, which becomes the chunk's memtable (sorted by start time only
 // if the log delivered it out of order).
 //
-// A manifest other than version 3, a manifest naming a layout other
-// than (agent, hour) chunks with interned entities, a ref to a segment
-// format other than v2, a MANIFEST.delta frame that passed its checksum
-// but does not decode, or a corrupt WAL record fails with an error
-// wrapping durable.ErrCorrupt. A WAL record is corrupt when it passed
+// A manifest durable cannot decode (a version other than 3, a layout
+// other than (agent, hour) chunks with interned entities, a ref to a
+// segment format other than v2), a MANIFEST.delta frame that passed its
+// checksum but does not decode or does not follow the editions before
+// it, or a corrupt WAL record fails with an error wrapping
+// durable.ErrCorrupt. A WAL record is corrupt when it passed
 // its checksum but does not decode or could not have been logged: an
 // entity whose ID skips a position, an entity repeating one already in
 // its table, or an event referencing an entity the log has not reached.
@@ -180,13 +180,6 @@ func Open(opts Options) (*Store, error) {
 	m, err := durable.ReadManifest(opts.Dir)
 	switch {
 	case err == nil:
-		// The store reads one layout: (agent, hour) chunks over
-		// interned entities. Events and entity IDs written under any
-		// other cannot be served as this one.
-		if !m.Partitioning || m.ChunkDurationNS != int64(chunkDuration) || !m.Dedup {
-			return nil, fmt.Errorf("eventstore: recover %s: manifest layout (partitioning=%v chunk=%v dedup=%v), want (partitioning=true chunk=%v dedup=true): %w",
-				opts.Dir, m.Partitioning, time.Duration(m.ChunkDurationNS), m.Dedup, chunkDuration, durable.ErrCorrupt)
-		}
 		// Fold the incremental edition log into the base manifest first:
 		// the WAL may already have been truncated against a delta-covered
 		// edition, so serving the base alone could lose sealed segments.
@@ -208,11 +201,6 @@ func Open(opts Options) (*Store, error) {
 		var loadErr error
 		for i := range m.Segments {
 			ref := &m.Segments[i]
-			if ref.Format != durable.SegmentFormatV2 {
-				loadErr = fmt.Errorf("segment %s has format %d, want %d (regenerate the data): %w",
-					ref.File, ref.Format, durable.SegmentFormatV2, durable.ErrCorrupt)
-				break
-			}
 			path := filepath.Join(opts.Dir, ref.File)
 			fi, err := os.Stat(path)
 			if err != nil {
@@ -239,7 +227,7 @@ func Open(opts Options) (*Store, error) {
 		if loadErr != nil {
 			return nil, fmt.Errorf("eventstore: recover %s: %w", opts.Dir, loadErr)
 		}
-		d.manifestedProcs, d.manifestedFiles, d.manifestedConns = len(m.Procs), len(m.Files), len(m.Conns)
+		d.manifestedRows = dictRows{len(m.Procs), len(m.Files), len(m.Conns)}
 	case errors.Is(err, durable.ErrNoManifest):
 		// fresh directory
 	default:
@@ -263,9 +251,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	d.recoveredEvents = r.events
 	d.recoverMS = float64(time.Since(replayStart).Microseconds()) / 1000
-	d.loggedProcs = s.dict.Count(sysmon.EntityProcess)
-	d.loggedFiles = s.dict.Count(sysmon.EntityFile)
-	d.loggedConns = s.dict.Count(sysmon.EntityNetconn)
+	d.loggedRows = dictRows{s.dict.Count(sysmon.EntityProcess), s.dict.Count(sysmon.EntityFile), s.dict.Count(sysmon.EntityNetconn)}
 	s.dur = d
 	live := make(map[string]bool, len(d.persisted))
 	for _, ps := range d.persisted {
@@ -456,18 +442,19 @@ func (s *Store) noteEventsLocked(n int, minTS, maxTS int64) {
 // commit must not be acknowledged as durable.
 func (d *durableState) logCommitLocked(s *Store) error {
 	procs, files, conns := s.dict.tableHeaders()
+	logged := d.loggedRows
 	recs := make([]durable.Rec, 0,
-		len(s.batch)+(len(procs)-d.loggedProcs)+(len(files)-d.loggedFiles)+(len(conns)-d.loggedConns))
-	for i := d.loggedProcs; i < len(procs); i++ {
+		len(s.batch)+(len(procs)-logged.procs)+(len(files)-logged.files)+(len(conns)-logged.conns))
+	for i := logged.procs; i < len(procs); i++ {
 		recs = append(recs, durable.Rec{Kind: durable.RecProc, ID: sysmon.EntityID(i + 1), Proc: procs[i]})
 	}
-	for i := d.loggedFiles; i < len(files); i++ {
+	for i := logged.files; i < len(files); i++ {
 		recs = append(recs, durable.Rec{Kind: durable.RecFile, ID: sysmon.EntityID(i + 1), File: files[i]})
 	}
-	for i := d.loggedConns; i < len(conns); i++ {
+	for i := logged.conns; i < len(conns); i++ {
 		recs = append(recs, durable.Rec{Kind: durable.RecConn, ID: sysmon.EntityID(i + 1), Conn: conns[i]})
 	}
-	d.loggedProcs, d.loggedFiles, d.loggedConns = len(procs), len(files), len(conns)
+	d.loggedRows = dictRows{len(procs), len(files), len(conns)}
 	for i := range s.batch {
 		recs = append(recs, durable.Rec{Kind: durable.RecEvent, Event: s.batch[i]})
 	}
@@ -542,7 +529,6 @@ func (g *Segment) ref(file string) durable.SegmentRef {
 		MaxTS:      g.maxTS,
 		MinEventID: g.minEventID,
 		MaxEventID: g.maxEventID,
-		Format:     durable.SegmentFormatV2,
 	}
 }
 
@@ -579,107 +565,33 @@ func (s *Store) persistSealed(segs []*Segment) {
 	}
 }
 
-// appendManifestDeltaLocked installs the next manifest edition as one
-// appended delta frame instead of a full rewrite, carrying only the
-// segment refs and dictionary rows added since the last edition. Returns
-// false when a full rewrite is required instead: no base manifest exists
-// yet, a previous append failed (the log tail is suspect), a merge
-// awaits the edition that retires its inputs (a frame listing the
-// merged segment over a base that lists the inputs would recover their
-// events twice), or the append itself errors. The caller holds d.mu;
-// like writeManifestLocked, the store read lock spans the coverage
-// check and the WAL truncation.
-func (s *Store) appendManifestDeltaLocked() bool {
-	d := s.dur
-	if d.edition == 0 || d.deltaBroken || d.mergePending {
-		return false
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	delta := &durable.ManifestDelta{
-		Edition:     d.edition + 1,
+// nextEdition builds manifest edition ed over the chunks parts: the
+// store's ID counters, the dictionary rows past from, and the longest
+// prefix of each chain whose segments have a file in files, except the
+// segments in listed, which the editions below it name already. covered
+// reports whether the edition, with those below it, lists every
+// committed event: no chunk holds unsealed events and no chain stops
+// short. The caller holds s.mu (read).
+func (s *Store) nextEdition(ed uint64, parts []snapPart, files map[uint64]persistedSeg, from dictRows, listed map[uint64]bool) (*durable.Manifest, bool) {
+	m := &durable.Manifest{
+		Edition:     ed,
 		NextSegID:   s.nextSegID,
 		NextEventID: s.nextEventID,
-		NextSeq:     make(map[uint32]uint64, len(s.nextSeq)),
+		NextSeq:     maps.Clone(s.nextSeq),
 	}
-	for agent, seq := range s.nextSeq {
-		delta.NextSeq[agent] = seq
-	}
-	procs, files, conns := s.dict.tableHeaders()
-	delta.Procs = procs[d.manifestedProcs:]
-	delta.Files = files[d.manifestedFiles:]
-	delta.Conns = conns[d.manifestedConns:]
+	procs, fileRows, conns := s.dict.tableHeaders()
+	m.Procs, m.Files, m.Conns = procs[from.procs:], fileRows[from.files:], conns[from.conns:]
 	covered := true
-	for _, key := range s.order {
-		p := s.parts[key]
-		if len(p.mem.events) > 0 {
+	for i := range parts {
+		p := &parts[i]
+		if p.mem.Len() > 0 {
 			covered = false
 		}
 		for _, g := range p.segs {
-			if d.manifested[g.id] {
+			if listed[g.id] {
 				continue
 			}
-			ps, ok := d.persisted[g.id]
-			if !ok {
-				// Same prefix rule as the full rewrite: a chain with an
-				// unpersisted middle must not list anything past the gap.
-				covered = false
-				break
-			}
-			delta.Segments = append(delta.Segments, g.ref(ps.file))
-		}
-	}
-	if err := durable.AppendManifestDelta(d.dir, delta); err != nil {
-		// Fall back to a full rewrite (which truncates the suspect log);
-		// only if that also fails does an error surface.
-		d.deltaBroken = true
-		return false
-	}
-	d.edition = delta.Edition
-	for i := range delta.Segments {
-		d.manifested[delta.Segments[i].ID] = true
-	}
-	d.manifestedProcs, d.manifestedFiles, d.manifestedConns = len(procs), len(files), len(conns)
-	if covered {
-		if err := d.wal.Truncate(); err != nil {
-			d.setErr(err)
-		}
-	}
-	return true
-}
-
-// writeManifestLocked installs a manifest edition reflecting the
-// store's current persisted state, then truncates the WAL if the
-// edition covers every committed event. A failure is recorded and
-// leaves the state as it was (a pending merge stays pending). The
-// caller holds d.mu; the store read lock is held across the write and
-// the truncation so no commit can slip records into the WAL between the
-// coverage check and the truncate.
-func (s *Store) writeManifestLocked() {
-	d := s.dur
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m := &durable.Manifest{
-		Edition:         d.edition + 1,
-		NextSegID:       s.nextSegID,
-		NextEventID:     s.nextEventID,
-		NextSeq:         make(map[uint32]uint64, len(s.nextSeq)),
-		Partitioning:    true,
-		ChunkDurationNS: int64(chunkDuration),
-		Dedup:           true,
-	}
-	for agent, seq := range s.nextSeq {
-		m.NextSeq[agent] = seq
-	}
-	m.Procs, m.Files, m.Conns = s.dict.tableHeaders()
-	covered := true
-	for _, key := range s.order {
-		p := s.parts[key]
-		if len(p.mem.events) > 0 {
-			covered = false
-		}
-		for _, g := range p.segs {
-			ps, ok := d.persisted[g.id]
+			ps, ok := files[g.id]
 			if !ok {
 				// List only the longest persisted prefix of the chain:
 				// recovery's ID-prefix skip rule depends on no gaps.
@@ -689,35 +601,86 @@ func (s *Store) writeManifestLocked() {
 			m.Segments = append(m.Segments, g.ref(ps.file))
 		}
 	}
+	return m, covered
+}
+
+// installed records edition m, now durable, as the newest the directory
+// holds: it lists m's segments and dictionary rows on top of what the
+// editions below it list, and the WAL is truncated if covered. The
+// caller holds d.mu and s.mu (read) from nextEdition on, so no commit
+// slips records into the WAL between the coverage check and the
+// truncation.
+func (d *durableState) installed(m *durable.Manifest, covered bool) {
+	d.edition = m.Edition
+	for i := range m.Segments {
+		d.manifested[m.Segments[i].ID] = true
+	}
+	d.manifestedRows.procs += len(m.Procs)
+	d.manifestedRows.files += len(m.Files)
+	d.manifestedRows.conns += len(m.Conns)
+	if covered {
+		if err := d.wal.Truncate(); err != nil {
+			d.setErr(err)
+		}
+	}
+}
+
+// appendManifestDeltaLocked installs the next manifest edition as one
+// appended delta frame instead of a full rewrite, carrying only the
+// segment refs and dictionary rows added since the last edition. Returns
+// false when a full rewrite is required instead: no base manifest exists
+// yet, a previous append failed (the log tail is suspect), a merge
+// awaits the edition that retires its inputs (a frame listing the
+// merged segment over a base that lists the inputs would recover their
+// events twice), or the append itself errors. The caller holds d.mu.
+func (s *Store) appendManifestDeltaLocked() bool {
+	d := s.dur
+	if d.edition == 0 || d.deltaBroken || d.mergePending {
+		return false
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	delta, covered := s.nextEdition(d.edition+1, s.partsLocked(), d.persisted, d.manifestedRows, d.manifested)
+	if err := durable.AppendManifestDelta(d.dir, delta); err != nil {
+		// Fall back to a full rewrite (which truncates the suspect log);
+		// only if that also fails does an error surface.
+		d.deltaBroken = true
+		return false
+	}
+	d.installed(delta, covered)
+	return true
+}
+
+// writeManifestLocked installs a full manifest edition reflecting the
+// store's current persisted state. A failure is recorded and leaves the
+// state as it was (a pending merge stays pending). The caller holds
+// d.mu.
+func (s *Store) writeManifestLocked() {
+	d := s.dur
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	m, covered := s.nextEdition(d.edition+1, s.partsLocked(), d.persisted, dictRows{}, nil)
 	n, err := durable.WriteManifest(d.dir, m)
 	d.manifestBytes += n
 	if err != nil {
 		d.setErr(err)
 		return
 	}
-	d.edition = m.Edition
 	// The edition lists the chains as they stand, merged segments in
 	// place of their inputs.
 	d.mergePending = false
-	// The full rewrite captured everything the delta log carried (and
-	// re-baselined the dictionary counters), so the log restarts empty.
-	// Ordering matters: the new base is durable first, so a crash here
-	// leaves stale frames recovery skips by edition.
+	// The full rewrite captured everything the delta log carried, so the
+	// log restarts empty. Ordering matters: the new base is durable
+	// first, so a crash here leaves stale frames recovery skips by
+	// edition.
 	if err := durable.RemoveManifestDelta(d.dir); err != nil {
 		d.setErr(err)
 	} else {
 		d.deltaBroken = false
 	}
 	d.manifested = make(map[uint64]bool, len(m.Segments))
-	for i := range m.Segments {
-		d.manifested[m.Segments[i].ID] = true
-	}
-	d.manifestedProcs, d.manifestedFiles, d.manifestedConns = len(m.Procs), len(m.Files), len(m.Conns)
-	if covered {
-		if err := d.wal.Truncate(); err != nil {
-			d.setErr(err)
-		}
-	}
+	d.manifestedRows = dictRows{}
+	d.installed(m, covered)
 }
 
 // SaveDir writes the store's sealed state into dir as a durable store
@@ -746,23 +709,6 @@ func (s *Store) SaveDir(dir string) error {
 		return err
 	}
 	sn := s.Snapshot()
-
-	s.mu.RLock()
-	m := &durable.Manifest{
-		Edition:         1,
-		NextSegID:       s.nextSegID,
-		NextEventID:     s.nextEventID,
-		NextSeq:         make(map[uint32]uint64, len(s.nextSeq)),
-		Partitioning:    true,
-		ChunkDurationNS: int64(chunkDuration),
-		Dedup:           true,
-	}
-	for agent, seq := range s.nextSeq {
-		m.NextSeq[agent] = seq
-	}
-	s.mu.RUnlock()
-	m.Procs, m.Files, m.Conns = s.dict.tableHeaders()
-
 	var segs []*Segment
 	for i := range sn.parts {
 		segs = append(segs, sn.parts[i].segs...)
@@ -771,9 +717,13 @@ func (s *Store) SaveDir(dir string) error {
 	if err != nil {
 		return err
 	}
+	written := make(map[uint64]persistedSeg, len(segs))
 	for i, g := range segs {
-		m.Segments = append(m.Segments, g.ref(files[i].file))
+		written[g.id] = files[i]
 	}
+	s.mu.RLock()
+	m, _ := s.nextEdition(1, sn.parts, written, dictRows{}, nil)
+	s.mu.RUnlock()
 	_, err = durable.WriteManifest(dir, m)
 	return err
 }

@@ -2,8 +2,10 @@ package eventstore
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -250,12 +252,14 @@ func TestOpenEnforcesSingleWriter(t *testing.T) {
 // corrupt.
 func TestOpenRejectsMismatchedLayout(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		mutate func(*durable.Manifest)
+		name string
+		// mutate edits the layout marker: partitioned (1 byte), chunk
+		// width (8), interned entities (1).
+		mutate func(marker []byte)
 	}{
-		{"unpartitioned", func(m *durable.Manifest) { m.Partitioning = false }},
-		{"no dedup", func(m *durable.Manifest) { m.Dedup = false }},
-		{"2h chunks", func(m *durable.Manifest) { m.ChunkDurationNS = int64(2 * time.Hour) }},
+		{"unpartitioned", func(b []byte) { b[0] = 0 }},
+		{"no dedup", func(b []byte) { b[9] = 0 }},
+		{"2h chunks", func(b []byte) { binary.LittleEndian.PutUint64(b[1:], uint64(2*time.Hour)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -272,18 +276,38 @@ func TestOpenRejectsMismatchedLayout(t *testing.T) {
 			}
 			own.Close()
 
-			m, err := durable.ReadManifest(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.mutate(m)
-			if _, err := durable.WriteManifest(dir, m); err != nil {
-				t.Fatal(err)
-			}
+			rewriteManifest(t, dir, func(m *durable.Manifest, body []byte) {
+				// the marker follows the three counters and the
+				// sequence table
+				tc.mutate(body[3*8+4+12*len(m.NextSeq):])
+			})
 			if _, err := Open(durableOpts(dir)); !errors.Is(err, durable.ErrCorrupt) {
 				t.Fatalf("foreign layout: err=%v, want ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// rewriteManifest lets edit change the body of dir's MANIFEST — the
+// bytes between its magic and version and its trailing crc32 — and
+// seals the result with a matching crc, so only the edit can make it
+// unreadable. m is the manifest as it decoded before the edit.
+func rewriteManifest(t *testing.T, dir string, edit func(m *durable.Manifest, body []byte)) {
+	t.Helper()
+	path := filepath.Join(dir, durable.ManifestName)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := durable.DecodeManifest(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := buf[8 : len(buf)-4]
+	edit(m, body)
+	binary.LittleEndian.PutUint32(buf[len(buf)-4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -697,9 +721,9 @@ func TestReplayMatchesLiveStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.dur.manifestedProcs == 0 || s.dur.manifestedProcs >= s.dict.Count(sysmon.EntityProcess) {
+	if n := s.dur.manifestedRows.procs; n == 0 || n >= s.dict.Count(sysmon.EntityProcess) {
 		t.Fatalf("setup: manifest lists %d of %d processes, want some but not all",
-			s.dur.manifestedProcs, s.dict.Count(sysmon.EntityProcess))
+			n, s.dict.Count(sysmon.EntityProcess))
 	}
 	memtables := func(s *Store) map[PartKey][]sysmon.Event {
 		out := map[PartKey][]sysmon.Event{}
@@ -778,5 +802,150 @@ func TestReplayMatchesLiveStore(t *testing.T) {
 	got := s2.Collect(&EventFilter{From: base.Add(50 * time.Minute).UnixNano()})
 	if len(got) != 1 || got[0].ID != lastID+1 || got[0].Seq != lastSeq+1 {
 		t.Fatalf("post-recovery append got %+v, want ID %d and seq %d", got, lastID+1, lastSeq+1)
+	}
+}
+
+// A WAL frame is bounded only by the bytes the log holds: a record
+// over 1 MiB (a long command line, which one ingest batch can carry)
+// is replayed, not cut off with every record after it.
+func TestWALRecordOverOneMiBSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(durableOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []Record{
+		mkRecord(1, "a.exe", sysmon.OpWrite, "a.txt", 1),
+		mkRecord(1, "big.exe", sysmon.OpWrite, "b.txt", 2),
+		mkRecord(1, "c.exe", sysmon.OpWrite, "c.txt", 3),
+	}
+	long := strings.Repeat("x", 1<<20+100)
+	recs[1].Subject.CmdLine = long
+	if err := s.AppendAll(recs); err != nil {
+		t.Fatal(err)
+	}
+	want := eventStrings(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(durableOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := eventStrings(s2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened %d of %d acknowledged events", len(got), len(want))
+	}
+	if got := s2.Dict().Attr(sysmon.EntityProcess, collectAll(s2)[1].Subject, "cmdline"); got != long {
+		t.Fatalf("reopened command line has %d bytes, want %d", len(got), len(long))
+	}
+}
+
+// A MANIFEST.delta frame is bounded only by the bytes the log holds: a
+// seal that interns tens of thousands of entities appends a frame of
+// several MiB, and the WAL is truncated against it, so losing the frame
+// would lose its events and delete its segment files as orphans.
+func TestLargeManifestDeltaSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	opts := durableOpts(dir)
+	opts.SegmentEvents = 1 << 20 // seal only on Flush
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendAll([]Record{mkRecord(1, "first.exe", sysmon.OpWrite, "first.txt", 0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil { // the first edition: a full manifest
+		t.Fatal(err)
+	}
+	recs := make([]Record, 30000)
+	for i := range recs {
+		recs[i] = mkRecord(2, fmt.Sprintf("tool-%06d.exe", i), sysmon.OpWrite, fmt.Sprintf("/data/out-%06d.bin", i), i%60)
+	}
+	if err := s.AppendAll(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil { // one delta frame for the second seal
+		t.Fatal(err)
+	}
+	st := s.DurableStats()
+	if st.ManifestDeltas <= 1<<20 || st.WALBytes != 0 || st.LastError != "" {
+		t.Fatalf("setup: %d-byte delta log, %d-byte WAL, error %q; want a frame over 1 MiB and a truncated WAL",
+			st.ManifestDeltas, st.WALBytes, st.LastError)
+	}
+	want := eventStrings(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := eventStrings(s2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened %d of %d acknowledged events", len(got), len(want))
+	}
+	if got := s2.DurableStats().SegmentFiles; got != st.SegmentFiles {
+		t.Fatalf("reopened with %d segment files, want %d", got, st.SegmentFiles)
+	}
+}
+
+// A torn MANIFEST.delta tail that Open cannot truncate must not stay
+// behind the frames later seals append: the next open would stop at the
+// torn bytes and drop those frames, whose events the WAL no longer
+// holds. Open fails instead, as it does when the WAL's torn tail cannot
+// be cut, and a later open repairs the log.
+func TestDeltaTailTruncateFailureKeepsLaterEditions(t *testing.T) {
+	dir := t.TempDir()
+	opts := durableOpts(dir)
+	opts.SegmentEvents = 1 << 20 // seal only on Flush
+	batch := func(s *Store, k int) {
+		t.Helper()
+		if err := s.AppendAll([]Record{mkRecord(1, fmt.Sprintf("b%d.exe", k), sysmon.OpWrite, fmt.Sprintf("b%d.txt", k), k)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch(s, 0) // full manifest
+	batch(s, 1) // delta frame
+	s.Close()
+	// a torn frame: a header claiming 64 bytes, then 3 of them
+	f, err := os.OpenFile(filepath.Join(dir, durable.ManifestDeltaName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{64, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7})
+	f.Close()
+
+	restore := durable.InjectFaults(func(site durable.IOSite) durable.Fault {
+		if site == durable.SiteDeltaTruncate {
+			return durable.FailOp
+		}
+		return durable.NoFault
+	})
+	acked := 2
+	s, err = Open(opts)
+	restore()
+	if err == nil {
+		batch(s, 2) // a delta frame behind the torn bytes; the WAL is truncated
+		acked++
+		s.Close()
+	} else if !errors.Is(err, durable.ErrStorage) {
+		t.Fatalf("open over an uncut torn tail: error %v, want a storage error", err)
+	}
+	s, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := len(collectAll(s)); got != acked {
+		t.Fatalf("reopened %d of %d acknowledged events", got, acked)
 	}
 }

@@ -17,10 +17,11 @@
 // by (agent, hour) and commits AppendAll batches in 4096-event steps.
 package eventstore
 
-import "time"
+import "github.com/aiql/aiql/internal/durable"
 
-// chunkDuration is the time width of a hypertable chunk.
-const chunkDuration = time.Hour
+// chunkDuration is the time width of a hypertable chunk: the one layout
+// durable manifests record.
+const chunkDuration = durable.ChunkDuration
 
 // commitBatch is how many events one commit boundary of AppendAll
 // carries: a longer call commits in steps of this size, amortizing
@@ -63,9 +64,10 @@ type Options struct {
 }
 
 // DefaultOptions returns the configuration used by the AIQL system:
-// 8192-event segments, in memory.
+// 8192-event segments, in memory; with Dir set, a durable store that
+// acknowledges an AppendAll only after its WAL fsync.
 func DefaultOptions() Options {
-	return Options{SegmentEvents: 8192}
+	return Options{SegmentEvents: 8192, SyncWAL: true}
 }
 
 func (o Options) normalized() Options {

@@ -56,23 +56,29 @@ func (s *Store) Snapshot() *Snapshot {
 // buildSnapshotLocked materializes the current view; the caller holds
 // the write lock.
 func (s *Store) buildSnapshotLocked() *Snapshot {
-	sn := &Snapshot{
+	return &Snapshot{
 		dict:    s.dict,
 		commits: s.commits,
 		total:   s.total,
 		minTS:   s.minTS,
 		maxTS:   s.maxTS,
-		parts:   make([]snapPart, 0, len(s.order)),
+		parts:   s.partsLocked(),
 	}
+}
+
+// partsLocked returns every chunk's view in scan order; the caller
+// holds s.mu.
+func (s *Store) partsLocked() []snapPart {
+	parts := make([]snapPart, 0, len(s.order))
 	for _, key := range s.order {
 		p := s.parts[key]
 		// The seg slice header is shared, not copied: segment chains are
 		// append-only (no compaction rewrites elements in place), so the
-		// snapshot's [0:len) window stays immutable even while sealers
-		// append past it.
-		sn.parts = append(sn.parts, snapPart{key: key, segs: p.segs, mem: p.mem.view()})
+		// view's [0:len) window stays immutable even while sealers append
+		// past it.
+		parts = append(parts, snapPart{key: key, segs: p.segs, mem: p.mem.view()})
 	}
-	return sn
+	return parts
 }
 
 // Dict returns the entity dictionary. The dictionary is append-only and
