@@ -56,15 +56,25 @@ bench-obs:
 	@rm -f bench.out
 
 # The command-line path end to end: aiqlgen writes a 5000-event store
-# directory, and a query through aiql over it must return rows.
+# directory, and a query through aiql over it must return rows. A
+# second aiqlgen into the same directory must refuse (exit non-zero)
+# and leave the store as it was: the same query returns the same rows.
 smoke-cli:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
-	$(GO) run ./cmd/aiqlgen -out $$tmp -events 5000 || exit 1; \
-	$(GO) run ./cmd/aiql -data $$tmp -stats=false \
+	$(GO) build -o $$tmp/aiqlgen ./cmd/aiqlgen || exit 1; \
+	$(GO) build -o $$tmp/aiql ./cmd/aiql || exit 1; \
+	$$tmp/aiqlgen -out $$tmp/store -events 5000 || exit 1; \
+	$$tmp/aiql -data $$tmp/store -stats=false \
 		-query 'proc p write file f as evt return distinct p, f' > $$tmp/rows.out || exit 1; \
 	rows=$$(($$(wc -l < $$tmp/rows.out) - 2)); \
 	[ $$rows -gt 0 ] || { echo "cli smoke: the query returned no rows:"; cat $$tmp/rows.out; exit 1; }; \
-	echo "cli smoke OK ($$rows rows)"
+	if $$tmp/aiqlgen -out $$tmp/store -events 5000 -seed 7 2> $$tmp/again.err; then \
+		echo "cli smoke: a second aiqlgen into a store directory succeeded"; exit 1; fi; \
+	$$tmp/aiql -data $$tmp/store -stats=false \
+		-query 'proc p write file f as evt return distinct p, f' > $$tmp/rows2.out || exit 1; \
+	rows2=$$(($$(wc -l < $$tmp/rows2.out) - 2)); \
+	[ $$rows2 -eq $$rows ] || { echo "cli smoke: $$rows2 rows after the refused aiqlgen, want $$rows"; exit 1; }; \
+	echo "cli smoke OK ($$rows rows; a second aiqlgen refused: $$(cat $$tmp/again.err))"
 
 # Boot aiqlserver on the built-in demo dataset, scrape /metrics on both
 # the API and ops listeners, and lint the expositions with promlint.

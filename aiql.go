@@ -62,7 +62,7 @@ type (
 	// Result is a query result: columns, string-rendered rows, and
 	// execution statistics.
 	Result = engine.Result
-	// StorageOptions sizes segments and configures durability.
+	// StorageOptions configures durability and the block cache.
 	StorageOptions = eventstore.Options
 	// EngineConfig toggles the query engine optimizations.
 	EngineConfig = engine.Config
@@ -195,11 +195,6 @@ func (db *DB) DurableStats() eventstore.DurableStats { return db.store.DurableSt
 // StorageStats reports where sealed-segment bytes live: mmap'd segment
 // files versus heap-resident events, plus block-cache counters.
 func (db *DB) StorageStats() eventstore.StorageStats { return db.store.StorageStats() }
-
-// SaveDir writes the database's full sealed state into dir as a durable
-// store directory, which OpenDir then serves: how a database built in
-// memory (a generated dataset, say) is persisted.
-func (db *DB) SaveDir(dir string) error { return db.store.SaveDir(dir) }
 
 // ErrClosed reports a write against a closed database — reachable when
 // a live writer races a catalog hot-swap that closes the store. The
@@ -475,7 +470,6 @@ func FromStore(store *eventstore.Store) *DB {
 	return &DB{store: store, eng: engine.New(store)}
 }
 
-// DefaultStorage returns the storage configuration: in memory, default
-// segment size; with Dir set, appends acknowledged only after their WAL
-// fsync.
+// DefaultStorage returns the storage configuration: in memory; with Dir
+// set, appends acknowledged only after their WAL fsync.
 func DefaultStorage() StorageOptions { return eventstore.DefaultOptions() }

@@ -16,6 +16,12 @@ import (
 func demoDB(t *testing.T) *aiql.DB {
 	t.Helper()
 	db := aiql.Open()
+	db.AppendAll(demoRecords())
+	db.Flush()
+	return db
+}
+
+func demoRecords() []aiql.Record {
 	base := time.Date(2018, 5, 10, 13, 30, 0, 0, time.UTC)
 	at := func(sec int) int64 { return base.Add(time.Duration(sec) * time.Second).UnixNano() }
 	cmd := aiql.Process{PID: 410, ExeName: "cmd.exe", Path: `C:\Windows\System32\cmd.exe`, User: "dbadmin"}
@@ -24,14 +30,31 @@ func demoDB(t *testing.T) *aiql.DB {
 	tool := aiql.Process{PID: 905, ExeName: "sbblv.exe", Path: `C:\Temp\sbblv.exe`, User: "dbadmin"}
 	dump := aiql.File{Path: `C:\SQLData\backup1.dmp`, Owner: "system"}
 	conn := aiql.Netconn{SrcIP: "10.0.0.2", SrcPort: 48600, DstIP: "203.0.113.129", DstPort: 443, Protocol: "tcp"}
-	db.AppendAll([]aiql.Record{
+	return []aiql.Record{
 		{AgentID: 7, Subject: cmd, Op: aiql.OpStart, ObjType: aiql.EntityProcess, ObjProc: osql, StartTS: at(0)},
 		{AgentID: 7, Subject: sqlservr, Op: aiql.OpWrite, ObjType: aiql.EntityFile, ObjFile: dump, StartTS: at(30), Amount: 850000},
 		{AgentID: 7, Subject: tool, Op: aiql.OpRead, ObjType: aiql.EntityFile, ObjFile: dump, StartTS: at(60), Amount: 850000},
 		{AgentID: 7, Subject: tool, Op: aiql.OpWrite, ObjType: aiql.EntityNetconn, ObjConn: conn, StartTS: at(90), Amount: 850000},
-	})
-	db.Flush()
-	return db
+	}
+}
+
+// writeDemoDir writes the demo records into a durable directory the one
+// way a directory is written: open, append, seal, close.
+func writeDemoDir(t *testing.T, dir string) {
+	t.Helper()
+	db, err := aiql.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AppendAll(demoRecords()); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -91,15 +114,13 @@ return p1`)
 	}
 }
 
-// A database saved to disk loads back with the same events and the
+// A database written to disk loads back with the same events and the
 // same answers. The one on-disk form is a durable directory, written
-// by SaveDir and loaded by OpenDir.
+// and loaded through OpenDir.
 func TestSaveLoadFile(t *testing.T) {
 	db := demoDB(t)
 	dir := filepath.Join(t.TempDir(), "store")
-	if err := db.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	writeDemoDir(t, dir)
 	db2, err := aiql.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -117,9 +138,10 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-// Moving an in-memory database to durable storage with SaveDir keeps
-// its answers, and the directory is a live durable store: it accepts
-// appends and recovers them on the next open.
+// The same records written to a durable directory give, once the
+// directory is reopened, the answers they give in memory, and the
+// directory is a live durable store: it accepts appends and recovers
+// them on the next open.
 func TestMigrateRoundTrip(t *testing.T) {
 	db := demoDB(t)
 	want, err := db.Query(investigationQuery)
@@ -127,9 +149,7 @@ func TestMigrateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "store")
-	if err := db.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	writeDemoDir(t, dir)
 	dur, err := aiql.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -142,10 +162,10 @@ func TestMigrateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Table() != want.Table() {
-		t.Fatalf("query results differ after SaveDir/OpenDir:\n%s\nwant:\n%s", res.Table(), want.Table())
+		t.Fatalf("query results differ after a write and reopen:\n%s\nwant:\n%s", res.Table(), want.Table())
 	}
 	if st := dur.DurableStats(); st.SegmentFiles == 0 || st.ManifestEdition == 0 {
-		t.Fatalf("durable stats of a saved directory: %+v", st)
+		t.Fatalf("durable stats of a written directory: %+v", st)
 	}
 	dur.AppendAll([]aiql.Record{{
 		AgentID: 7,
@@ -187,9 +207,7 @@ func TestOpenDirRejectsCorruptManifest(t *testing.T) {
 // silently read as absent.
 func TestQueryFailsOnCorruptSegment(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	if err := demoDB(t).SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	writeDemoDir(t, dir)
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segment files in %s (%v)", dir, err)

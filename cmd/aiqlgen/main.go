@@ -1,8 +1,9 @@
 // Command aiqlgen generates synthetic enterprise system-monitoring
 // datasets with the paper's APT attack scenarios injected, and writes
-// each as a durable store directory (segment files + MANIFEST) that
-// aiql -data and aiqlserver -data / -datasets open directly. The
-// target must not already hold a store.
+// each into a durable store directory (segment files + MANIFEST) that
+// aiql -data and aiqlserver -data / -datasets open directly. It writes
+// through the store itself: open the directory, append every record,
+// seal, close. A target whose store already holds events is refused.
 //
 // Usage:
 //
@@ -10,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -44,17 +46,33 @@ func main() {
 		}
 	}
 
-	store := eventstore.New(eventstore.DefaultOptions())
-	n := datagen.GenerateInto(store, datagen.Config{
+	opts := eventstore.DefaultOptions()
+	opts.Dir = *out
+	store, err := eventstore.Open(opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if n := store.Len(); n > 0 {
+		store.Close()
+		log.Fatalf("%s already holds a store of %d events", *out, n)
+	}
+	n, err := datagen.GenerateInto(store, datagen.Config{
 		Seed:      *seed,
 		Hosts:     *hosts,
 		Events:    *events,
 		Scenarios: scs,
 	})
-	if err := store.SaveDir(*out); err != nil {
-		log.Fatal(err)
+	if e := store.DurableStats().LastError; err == nil && e != "" {
+		// a failed segment file or manifest write is recorded, not returned
+		err = errors.New(e)
 	}
 	st := store.Stats()
+	if cerr := store.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("wrote %s: %d events, %d hosts, %d chunks, %d processes, %d files, %d connections (~%.1f MB in memory)\n",
 		*out, n, *hosts, st.Partitions, st.Processes, st.Files, st.Netconns, float64(st.ApproxBytes)/1e6)
 }

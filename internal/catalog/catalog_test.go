@@ -22,6 +22,31 @@ import (
 func buildDB(t testing.TB, prefix string, events int) *aiql.DB {
 	t.Helper()
 	db := aiql.Open()
+	db.AppendAll(records(prefix, events))
+	db.Flush()
+	return db
+}
+
+// writeDir writes buildDB's records into a durable store directory:
+// open, append, seal, close.
+func writeDir(t testing.TB, dir, prefix string, events int) {
+	t.Helper()
+	db, err := aiql.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AppendAll(records(prefix, events)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func records(prefix string, events int) []aiql.Record {
 	recs := make([]aiql.Record, 0, events)
 	for i := 0; i < events; i++ {
 		recs = append(recs, aiql.Record{
@@ -33,9 +58,7 @@ func buildDB(t testing.TB, prefix string, events int) *aiql.DB {
 			StartTS: int64(i) * int64(time.Second),
 		})
 	}
-	db.AppendAll(recs)
-	db.Flush()
-	return db
+	return recs
 }
 
 const demoQuery = `proc p["%worker.exe"] write file f as evt return p, f`
@@ -100,12 +123,8 @@ func TestHotSwapKeepsInflightQueries(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := filepath.Join(dir, "old")
 	newPath := filepath.Join(dir, "new")
-	if err := buildDB(t, "old", 2000).SaveDir(oldPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := buildDB(t, "new", 7).SaveDir(newPath); err != nil {
-		t.Fatal(err)
-	}
+	writeDir(t, oldPath, "old", 2000)
+	writeDir(t, newPath, "new", 7)
 
 	c := New(Config{})
 	if _, err := c.AddDir("inv", oldPath); err != nil {
@@ -172,9 +191,7 @@ func TestHotSwapKeepsInflightQueries(t *testing.T) {
 func TestHTTPDatasetRoutingAndManagement(t *testing.T) {
 	dir := t.TempDir()
 	betaPath := filepath.Join(dir, "beta")
-	if err := buildDB(t, "beta2", 4).SaveDir(betaPath); err != nil {
-		t.Fatal(err)
-	}
+	writeDir(t, betaPath, "beta2", 4)
 
 	c := New(Config{})
 	mustAdd(t, c, "alpha", buildDB(t, "alpha", 3))

@@ -20,10 +20,7 @@ import (
 // fragmented into many tiny sealed segments.
 func buildSegmentedDir(t testing.TB, dir string, batches, perBatch int) int {
 	t.Helper()
-	storage := eventstore.DefaultOptions()
-	storage.Dir = dir
-	storage.CompactTargetEvents = batches * perBatch
-	db, err := aiql.OpenDirWithOptions(storage, aiql.EngineConfig{})
+	db, err := aiql.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +171,7 @@ func TestHotSwapDuringCompaction(t *testing.T) {
 func TestLoadRefusesNonStorePath(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good")
-	if err := buildDB(t, "x", 6).SaveDir(good); err != nil {
-		t.Fatal(err)
-	}
+	writeDir(t, good, "x", 6)
 	empty := filepath.Join(dir, "empty")
 	if err := os.Mkdir(empty, 0o755); err != nil {
 		t.Fatal(err)
@@ -220,9 +215,7 @@ func TestLoadRefusesNonStorePath(t *testing.T) {
 // server's: 500 storage_error, never a 4xx blaming the request.
 func TestHTTPQueryOnCorruptSegment(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	if err := buildDB(t, "x", 6).SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	writeDir(t, dir, "x", 6)
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
 	if len(segs) == 0 {
 		t.Fatal("no segment files")

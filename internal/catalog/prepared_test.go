@@ -22,12 +22,8 @@ const paramQuery = `proc p[$exe] write file f as evt return p, f`
 func TestPreparedSurvivesHotSwap(t *testing.T) {
 	dir := t.TempDir()
 	small, big := filepath.Join(dir, "small"), filepath.Join(dir, "big")
-	if err := buildDB(t, "x", 5).SaveDir(small); err != nil {
-		t.Fatal(err)
-	}
-	if err := buildDB(t, "x", 40).SaveDir(big); err != nil {
-		t.Fatal(err)
-	}
+	writeDir(t, small, "x", 5)
+	writeDir(t, big, "x", 40)
 
 	c := New(Config{})
 	if _, err := c.AddDir("inv", small); err != nil {
@@ -79,9 +75,7 @@ func TestPreparedSurvivesHotSwap(t *testing.T) {
 func TestPreparedConcurrentAcrossAppendSealAndHotSwap(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "snap")
-	if err := buildDB(t, "x", 20).SaveDir(snap); err != nil {
-		t.Fatal(err)
-	}
+	writeDir(t, snap, "x", 20)
 
 	c := New(Config{})
 	if _, err := c.AddDir("inv", snap); err != nil {

@@ -40,9 +40,7 @@ func do(t *testing.T, h http.Handler, method, path, body string) *httptest.Respo
 func TestWatchSurvivesHotSwap(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "snap")
-	if err := buildDB(t, "x", 8).SaveDir(snap); err != nil {
-		t.Fatal(err)
-	}
+	writeDir(t, snap, "x", 8)
 	c := New(Config{})
 	if _, err := c.AddDir("inv", snap); err != nil {
 		t.Fatal(err)
@@ -134,9 +132,7 @@ func TestWatchSurvivesHotSwap(t *testing.T) {
 func TestConcurrentIngestWatchCursorHotSwap(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "snap")
-	if err := buildDB(t, "x", 30).SaveDir(snap); err != nil {
-		t.Fatal(err)
-	}
+	writeDir(t, snap, "x", 30)
 	c := New(Config{})
 	if _, err := c.AddDir("inv", snap); err != nil {
 		t.Fatal(err)

@@ -2,16 +2,11 @@ package datagen
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/aiql/aiql/internal/eventstore"
 	"github.com/aiql/aiql/internal/sysmon"
 )
-
-func stableSort(recs []eventstore.Record, less func(i, j int) bool) {
-	sort.SliceStable(recs, less)
-}
 
 // windowsServices and friends are the background process populations.
 var (

@@ -13,7 +13,9 @@
 package datagen
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/aiql/aiql/internal/eventstore"
@@ -102,28 +104,24 @@ func Generate(cfg Config) []eventstore.Record {
 			recs = append(recs, g.atcCase()...)
 		}
 	}
-	sortRecords(recs)
+	// stable, so records with equal timestamps keep their generation order
+	slices.SortStableFunc(recs, func(a, b eventstore.Record) int { return cmp.Compare(a.StartTS, b.StartTS) })
 	return recs
 }
 
-// GenerateInto generates and ingests into a store.
-func GenerateInto(s *eventstore.Store, cfg Config) int {
+// GenerateInto generates the records, ingests them into a store and
+// seals them (a durable store writes its segment files and manifest
+// edition). It returns how many records it ingested, or the error of
+// the append or the seal.
+func GenerateInto(s *eventstore.Store, cfg Config) (int, error) {
 	recs := Generate(cfg)
-	s.AppendAll(recs)
-	s.Flush()
-	return len(recs)
-}
-
-func sortRecords(recs []eventstore.Record) {
-	// insertion-friendly sort by timestamp: use sort.SliceStable for
-	// deterministic ordering of equal timestamps
-	sortSliceStable(recs, func(i, j int) bool { return recs[i].StartTS < recs[j].StartTS })
-}
-
-// sortSliceStable avoids importing sort in several files.
-func sortSliceStable(recs []eventstore.Record, less func(i, j int) bool) {
-	// simple binary insertion would be O(n^2); delegate to stdlib
-	stableSort(recs, less)
+	if err := s.AppendAll(recs); err != nil {
+		return 0, err
+	}
+	if err := s.Flush(); err != nil {
+		return 0, err
+	}
+	return len(recs), nil
 }
 
 // hostProfile describes one agent's background behavior.

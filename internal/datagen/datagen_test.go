@@ -2,6 +2,10 @@ package datagen
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -192,5 +196,31 @@ func TestBenignDecoyTrafficExists(t *testing.T) {
 	// admin noise: scheduled shells on windows servers
 	if !findEvent(t, s, AgentDBServer, "taskeng.exe", sysmon.OpStart, "cmd.exe") {
 		t.Error("scheduled cmd.exe noise missing")
+	}
+}
+
+// TestGenerateDigest pins Generate's output for one configuration: a
+// digest over every record, in order. A change to the generator or to
+// the order of its sort that moves one record fails here.
+func TestGenerateDigest(t *testing.T) {
+	recs := Generate(Config{Seed: 1000, Hosts: 8, Events: 20000, Scenarios: []Scenario{ScenarioDemoAPT, ScenarioATCCase}})
+	h := sha256.New()
+	for i := range recs {
+		fmt.Fprintf(h, "%+v\n", recs[i])
+	}
+	const want = "934df815114425d16a36df70d9698de288848b83554bc544a2104001b773b63f"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("Generate digest over %d records = %s, want %s", len(recs), got, want)
+	}
+}
+
+// GenerateInto reports a failed ingest instead of the record count: a
+// store closed before the call refuses the append.
+func TestGenerateIntoReportsAppendError(t *testing.T) {
+	s := eventstore.New(eventstore.DefaultOptions())
+	s.Close()
+	n, err := GenerateInto(s, Config{Seed: 3, Hosts: 5, Events: 200})
+	if !errors.Is(err, eventstore.ErrClosed) || n != 0 {
+		t.Fatalf("GenerateInto a closed store: %d records, error %v; want 0 and ErrClosed", n, err)
 	}
 }

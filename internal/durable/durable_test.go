@@ -32,7 +32,12 @@ func testEvents(n int) []sysmon.Event {
 }
 
 func testSegment(n int) *SegmentData {
-	evs := testEvents(n)
+	return indexedSegment(42, 1, 99, testEvents(n))
+}
+
+// indexedSegment is the segment data of evs with its posting indexes
+// and op histogram, as a seal builds them.
+func indexedSegment(id uint64, agent uint32, bucket int64, evs []sysmon.Event) *SegmentData {
 	sub := map[sysmon.EntityID][]int32{}
 	obj := map[sysmon.EntityID][]int32{}
 	ops := make([]int, sysmon.NumOperations)
@@ -42,8 +47,8 @@ func testSegment(n int) *SegmentData {
 		ops[evs[i].Op]++
 	}
 	return &SegmentData{
-		ID: 42, AgentID: 1, Bucket: 99, Events: evs,
-		Indexed: true, PostingSub: sub, PostingObj: obj, OpCount: ops,
+		ID: id, AgentID: agent, Bucket: bucket, Events: evs,
+		PostingSub: sub, PostingObj: obj, OpCount: ops,
 	}
 }
 
@@ -63,7 +68,7 @@ func decodeV2(t *testing.T, buf []byte) (*SegmentData, error) {
 	d := &SegmentData{
 		ID: rd.ID, AgentID: rd.AgentID, Bucket: rd.Bucket,
 		MinEventID: rd.MinEventID, MaxEventID: rd.MaxEventID,
-		Indexed: rd.Indexed, OpCount: rd.OpCount,
+		OpCount: rd.OpCount,
 	}
 	if d.Events, err = rd.MaterializeEvents(); err != nil {
 		return nil, err
@@ -102,17 +107,30 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSegmentRoundTripUnindexed(t *testing.T) {
-	d := &SegmentData{ID: 7, Events: testEvents(10)}
-	got, err := decodeV2(t, EncodeSegmentV2(d))
-	if err != nil {
+// withoutIndexedFlag returns a copy of the segment image buf whose
+// header and footer flags bytes lack the indexed bit, with the footer
+// checksum fixed up: the image an unindexed writer would have left.
+func withoutIndexedFlag(buf []byte) []byte {
+	out := append([]byte(nil), buf...)
+	out[seg2HeaderSize-2] &^= segFlagIndexed
+	foot := out[len(out)-seg2FooterSize:]
+	crcOff := seg2FooterSize - 8
+	foot[crcOff-1] &^= segFlagIndexed
+	binary.LittleEndian.PutUint32(foot[crcOff:], checksum(foot[:crcOff]))
+	return out
+}
+
+// Every segment file carries its indexes: a file whose flags byte lacks
+// the indexed bit, in header and footer alike and with every checksum
+// intact, is refused at open as ErrCorrupt.
+func TestSegmentUnindexedFlagsCorrupt(t *testing.T) {
+	buf := withoutIndexedFlag(EncodeSegmentV2(testSegment(10)))
+	path := filepath.Join(t.TempDir(), SegmentFileName(42))
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got.Indexed || got.PostingSub != nil || got.OpCount != nil {
-		t.Fatal("unindexed segment decoded with indexes")
-	}
-	if !reflect.DeepEqual(got.Events, d.Events) {
-		t.Fatal("events differ")
+	if _, err := OpenSegmentReader(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open of a segment without the indexed flag: error %v, want ErrCorrupt", err)
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 	"github.com/aiql/aiql/internal/sysmon"
 )
 
-// segFlagIndexed marks a segment file that carries its posting
-// indexes (the header and footer flags byte).
+// segFlagIndexed is the header and footer flags byte of every segment
+// file: the file carries its posting indexes. A reader refuses any
+// other value.
 const segFlagIndexed = 1
 
 // SegmentData is the serializable content of one sealed segment.
@@ -24,9 +25,9 @@ type SegmentData struct {
 	MinEventID uint64
 	MaxEventID uint64
 
-	// Indexed carries the posting indexes so a load restores them
-	// without rebuilding.
-	Indexed    bool
+	// PostingSub/PostingObj are the posting indexes (entity → event
+	// positions) and OpCount the operation histogram: every segment
+	// file carries them, so a load restores them without rebuilding.
 	PostingSub map[sysmon.EntityID][]int32
 	PostingObj map[sysmon.EntityID][]int32
 	OpCount    []int

@@ -22,8 +22,9 @@ import (
 //	           zigzag-varint delta for the monotone ID/Seq columns. The
 //	           StartTS and scan-key columns are ALWAYS raw: they are the
 //	           scan hot path and read zero-copy from the mapping.
-//	indexes:   (flags&segFlagIndexed) the serialized subject/object
-//	           posting lists, lz-compressed when that wins.
+//	indexes:   the serialized subject/object posting lists,
+//	           lz-compressed when that wins. Every file carries them:
+//	           the flags byte is always segFlagIndexed.
 //	directory: blockLen u32 | nBlocks u32 | per column nBlocks x
 //	           {off u64, encLen u32, rawLen u32, codec u8, crc u32} |
 //	           per-column min/max u64 | op histogram; the whole
@@ -186,11 +187,7 @@ func EncodeSegmentV2(d *SegmentData) []byte {
 	w.u32(d.AgentID)
 	w.i64(d.Bucket)
 	w.u32(uint32(n))
-	var flags uint8
-	if d.Indexed {
-		flags |= segFlagIndexed
-	}
-	w.u8(flags)
+	w.u8(segFlagIndexed)
 	w.u8(1) // compression: per-block codecs
 
 	var blocks [NumCols][]blockMeta
@@ -257,24 +254,21 @@ func EncodeSegmentV2(d *SegmentData) []byte {
 		}
 	}
 
-	var idx blockMeta
-	if d.Indexed {
-		iw := &byteWriter{buf: make([]byte, 0, 16+8*n)}
-		writePostings(iw, d.PostingSub)
-		writePostings(iw, d.PostingObj)
-		enc, codec := iw.buf, CodecRaw
-		if e := lzCompress(iw.buf); e != nil {
-			enc, codec = e, CodecLZ
-		}
-		idx = blockMeta{
-			off:    uint64(len(w.buf)),
-			encLen: uint32(len(enc)),
-			rawLen: uint32(len(iw.buf)),
-			codec:  codec,
-			crc:    checksum(enc),
-		}
-		w.buf = append(w.buf, enc...)
+	iw := &byteWriter{buf: make([]byte, 0, 16+8*n)}
+	writePostings(iw, d.PostingSub)
+	writePostings(iw, d.PostingObj)
+	enc, codec := iw.buf, CodecRaw
+	if e := lzCompress(iw.buf); e != nil {
+		enc, codec = e, CodecLZ
 	}
+	idx := blockMeta{
+		off:    uint64(len(w.buf)),
+		encLen: uint32(len(enc)),
+		rawLen: uint32(len(iw.buf)),
+		codec:  codec,
+		crc:    checksum(enc),
+	}
+	w.buf = append(w.buf, enc...)
 
 	dirOff := len(w.buf)
 	w.u32(seg2BlockLen)
@@ -317,7 +311,7 @@ func EncodeSegmentV2(d *SegmentData) []byte {
 	w.i64(minTS)
 	w.i64(maxTS)
 	w.u32(uint32(n))
-	w.u8(flags)
+	w.u8(segFlagIndexed)
 	w.u32(checksum(w.buf[footStart:]))
 	w.buf = append(w.buf, seg2MagicFooter...)
 	return w.buf
@@ -353,14 +347,12 @@ type SegmentReader struct {
 	AgentID    uint32
 	Bucket     int64
 	Count      int
-	Indexed    bool
 	MinEventID uint64
 	MaxEventID uint64
 	MinTS      int64
 	MaxTS      int64
 	BlockLen   int
-	// OpCount is the persisted operation histogram (nil when the
-	// segment was written unindexed).
+	// OpCount is the persisted operation histogram.
 	OpCount []int
 	// ColMin/ColMax are per-column value bounds (bit patterns for the
 	// signed timestamp columns).
@@ -443,9 +435,10 @@ func newSegmentReader(h *fileHandle) (*SegmentReader, error) {
 		h:          h,
 		idx:        idx,
 	}
-	flags := hr.u8()
-	rd.Indexed = flags&segFlagIndexed != 0
-	if footCount != rd.Count || footFlags != flags {
+	if flags := hr.u8(); flags != segFlagIndexed || footFlags != segFlagIndexed {
+		return nil, corruptf("segment %d: flags %#x (footer %#x), want %#x", rd.ID, flags, footFlags, segFlagIndexed)
+	}
+	if footCount != rd.Count {
 		return nil, corruptf("segment %d: header/footer disagree (count %d vs %d)", rd.ID, rd.Count, footCount)
 	}
 
@@ -506,10 +499,8 @@ func newSegmentReader(h *fileHandle) (*SegmentReader, error) {
 	if err := dr.err("segment block directory"); err != nil {
 		return nil, err
 	}
-	if rd.Indexed {
-		if rd.idx.off < seg2HeaderSize || rd.idx.off+uint64(rd.idx.encLen) > dirOff || rd.idx.codec > CodecLZ {
-			return nil, corruptf("segment %d: index section out of bounds", rd.ID)
-		}
+	if rd.idx.off < seg2HeaderSize || rd.idx.off+uint64(rd.idx.encLen) > dirOff || rd.idx.codec > CodecLZ {
+		return nil, corruptf("segment %d: index section out of bounds", rd.ID)
 	}
 	return rd, nil
 }
@@ -711,12 +702,8 @@ func (rd *SegmentReader) MaterializeEvents() ([]sysmon.Event, error) {
 	return evs, nil
 }
 
-// ReadIndexes decodes the posting-list section. Returns nils without
-// error when the segment was written unindexed.
+// ReadIndexes decodes the posting-list section.
 func (rd *SegmentReader) ReadIndexes() (sub, obj map[sysmon.EntityID][]int32, err error) {
-	if !rd.Indexed {
-		return nil, nil, nil
-	}
 	enc, _, err := rd.h.readAt(int64(rd.idx.off), int(rd.idx.encLen))
 	if err != nil {
 		return nil, nil, err

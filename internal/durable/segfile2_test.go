@@ -31,9 +31,6 @@ func TestSegmentV2RoundTrip(t *testing.T) {
 		if rd.ID != d.ID || rd.AgentID != d.AgentID || rd.Bucket != d.Bucket || rd.Count != n {
 			t.Fatalf("n=%d: identity differs: %+v", n, rd)
 		}
-		if !rd.Indexed {
-			t.Fatalf("n=%d: indexed segment reads back unindexed", n)
-		}
 		if rd.MinEventID != 1 || rd.MaxEventID != uint64(n) {
 			t.Fatalf("n=%d: event-ID bounds %d..%d", n, rd.MinEventID, rd.MaxEventID)
 		}
@@ -179,7 +176,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	small := testSegment(5)
 	big := testSegment(1500)
 	f.Add(EncodeSegmentV2(small))
-	f.Add(EncodeSegmentV2(&SegmentData{ID: 7, Events: small.Events}))
+	f.Add(withoutIndexedFlag(EncodeSegmentV2(small)))
 	f.Add(EncodeSegmentV2(big))
 	buf := EncodeSegmentV2(big)
 	f.Add(append([]byte("AQSG"), buf[4:]...))

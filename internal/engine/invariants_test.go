@@ -92,28 +92,36 @@ func TestResultInvariantUnderStorageLayout(t *testing.T) {
 	sealed.AppendAll(recs)
 	sealed.Flush()
 
-	memOpts := eventstore.DefaultOptions()
-	memOpts.SegmentEvents = 1 << 20
-	memtables := eventstore.New(memOpts)
+	memtables := eventstore.New(eventstore.DefaultOptions())
 	memtables.AppendAll(recs)
 	if n := memtables.NumSegments(); n != 0 {
 		t.Fatalf("memtable layout sealed %d segments", n)
 	}
 
-	tinyOpts := eventstore.DefaultOptions()
-	tinyOpts.SegmentEvents = 64
-	compacted := eventstore.New(tinyOpts)
+	// a seal after every 64 records leaves a chain of tiny segments per
+	// chunk for compaction to merge
+	compacted := eventstore.New(eventstore.DefaultOptions())
 	for i := 0; i < len(recs); i += 64 {
 		compacted.AppendAll(recs[i:min(i+64, len(recs))])
+		compacted.Flush()
 	}
-	compacted.Flush()
 	if res := compacted.Compact(); res.Passes == 0 {
 		t.Fatalf("compaction merged nothing over %d tiny segments", compacted.NumSegments())
 	}
 
 	dirOpts := eventstore.DefaultOptions()
 	dirOpts.Dir = filepath.Join(t.TempDir(), "store")
-	if err := sealed.SaveDir(dirOpts.Dir); err != nil {
+	written, err := eventstore.Open(dirOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := written.AppendAll(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := written.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := written.Close(); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := eventstore.Open(dirOpts)

@@ -123,9 +123,7 @@ func TestParallelCancellationMidFanout(t *testing.T) {
 // counts observed by one reader never go backwards, and the run is a
 // -race exercise of the scan path against concurrent seals.
 func TestParallelScanDuringAppendAndSeal(t *testing.T) {
-	opts := eventstore.DefaultOptions()
-	opts.SegmentEvents = 256 // seal often, so scans race real seals
-	store := eventstore.New(opts)
+	store := eventstore.New(eventstore.DefaultOptions())
 	eng := forceParallel(New(store), 3)
 
 	const writers, batches, perBatch = 1, 40, 200
@@ -151,9 +149,7 @@ func TestParallelScanDuringAppendAndSeal(t *testing.T) {
 					n++
 				}
 				store.AppendAll(recs)
-				if b%4 == 3 {
-					store.Flush()
-				}
+				store.Flush() // seal every batch, so scans race real seals
 			}
 			close(stop)
 		}()

@@ -278,9 +278,7 @@ func TestUnboundParamRejectedByDirectExecution(t *testing.T) {
 // the -race check that one immutable Prepared serves concurrent
 // executions across store mutations.
 func TestPreparedConcurrentExecutionsUnderAppend(t *testing.T) {
-	opts := eventstore.DefaultOptions()
-	opts.SegmentEvents = 64 // force frequent seals under the writer
-	s := buildAttackStore(t, opts)
+	s := buildAttackStore(t, eventstore.DefaultOptions())
 	e := New(s)
 	p, err := e.Prepare(`proc p[$exe] write file f return p, f`)
 	if err != nil {

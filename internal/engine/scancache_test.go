@@ -14,9 +14,7 @@ import (
 // plus an unsealed memtable tail, for scan-cache and snapshot tests.
 func buildSegmentedStore(t testing.TB, sealEvery, events, tail int) *eventstore.Store {
 	t.Helper()
-	opts := eventstore.DefaultOptions()
-	opts.SegmentEvents = sealEvery
-	s := eventstore.New(opts)
+	s := eventstore.New(eventstore.DefaultOptions())
 	rec := func(i int) eventstore.Record {
 		return eventstore.Record{
 			AgentID: uint32(1 + i%2),
@@ -28,13 +26,13 @@ func buildSegmentedStore(t testing.TB, sealEvery, events, tail int) *eventstore.
 			Amount:  uint64(i),
 		}
 	}
-	// batches of sealEvery events commit often enough that memtables
-	// seal near sealEvery events each
+	// each batch of sealEvery events is sealed on its own
 	recs := make([]eventstore.Record, 0, sealEvery)
 	for i := 0; i < events; i++ {
 		recs = append(recs, rec(i))
 		if len(recs) == sealEvery || i == events-1 {
 			s.AppendAll(recs)
+			s.Flush()
 			recs = recs[:0]
 		}
 	}

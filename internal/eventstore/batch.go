@@ -326,9 +326,9 @@ func (cg *colGather) cursorErr() error {
 
 // colView is a scan unit's storage layout reduced to the few questions
 // a filter asks of it — the one place that knows whether an attribute
-// comes from an AoS event array (memtable tails, heap-sealed and
-// materialized segments) or from a reader-backed segment's column
-// vectors. Exactly one of events/gather is set.
+// comes from an AoS event array (memtable tails, heap-sealed segments)
+// or from a reader-backed segment's column vectors. Exactly one of
+// events/gather is set.
 type colView struct {
 	n      int
 	events []sysmon.Event
@@ -351,8 +351,8 @@ func (u *ScanUnit) view(withKeys bool, cols ColMask) (v colView, ok bool) {
 	if g == nil {
 		return colView{n: len(u.mem.events), events: u.mem.events}, true
 	}
-	if events := g.loadedEvents(); events != nil {
-		v = colView{n: len(events), events: events}
+	if !g.fileBacked() {
+		v = colView{n: len(g.events), events: g.events}
 		if withKeys {
 			v.keys = g.keyColumn()
 		}

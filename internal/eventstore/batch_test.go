@@ -185,7 +185,7 @@ func TestCollectBatchMatchesScan(t *testing.T) {
 							}
 							r.events = append(r.events, batch...)
 							r.visited += v
-							if layout.columnar && (!units[i].Sealed() || units[i].seg.loadedEvents() != nil) {
+							if layout.columnar && (!units[i].Sealed() || !units[i].seg.fileBacked()) {
 								t.Fatalf("filter %d keep %d mask %d: unit %d (segment %d) is not column-backed", fi, ki, mi, i, units[i].SegmentID())
 							}
 						}

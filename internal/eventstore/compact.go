@@ -12,8 +12,8 @@ import (
 // small seals (frequent Flushes, trickling agents) leave chains of tiny
 // segments whose per-segment overhead — scan-cache entries, manifest
 // rows, file handles — dwarfs their data. A pass merges a chain of
-// adjacent small segments into one (bounded by CompactFanIn segments
-// and CompactTargetEvents merged events), installs the result by
+// adjacent small segments into one (bounded by compactFanIn segments
+// and compactTargetEvents merged events), installs the result by
 // replacing the chain slice copy-on-write — snapshots pinned by
 // in-flight queries keep scanning the retired segments, which stay
 // immutable — and retires the old segment IDs through the store's
@@ -21,12 +21,12 @@ import (
 // segment.
 //
 // Durable stores write each merged segment's file before installing
-// it, and install one manifest edition per Compact call (CompactOnce:
-// per pass) after its last pass; only then are the retired files
-// deleted, so a crash at any point recovers either the old chains or
-// the new ones, never neither and never both. A full manifest is
-// O(dictionary), so one edition for a call's passes instead of one per
-// pass is most of what a drain costs. Between an install and that
+// it, and install one manifest edition per Compact call after its last
+// pass; only then are the retired files deleted, so a crash at any
+// point recovers either the old chains or the new ones, never neither
+// and never both. A full manifest is O(dictionary), so one edition for
+// a call's passes instead of one per pass is most of what a drain
+// costs. Between an install and that
 // edition a merge is pending: a seal then writes a full edition rather
 // than a delta frame, which could list the merged segment on top of a
 // base manifest that still lists its inputs. Lock order: compactMu,
@@ -54,12 +54,11 @@ type compactRun struct {
 
 // findCompactRunLocked returns the first chain of ≥2 adjacent segments,
 // each smaller than the target, whose merged size stays within the
-// target, taking at most CompactFanIn inputs. A segment whose file
+// target, taking at most compactFanIn inputs. A segment whose file
 // failed to read is never an input: merging it would drop its rows.
 // Caller holds mu (read).
 func (s *Store) findCompactRunLocked() *compactRun {
-	target := s.opts.CompactTargetEvents
-	fanIn := s.opts.CompactFanIn
+	target := s.compactTarget
 	small := func(g *Segment) bool { return g.Len() < target && g.err() == nil }
 	for _, key := range s.order {
 		p := s.parts[key]
@@ -69,7 +68,7 @@ func (s *Store) findCompactRunLocked() *compactRun {
 			}
 			total := 0
 			j := i
-			for j < len(p.segs) && j-i < fanIn && small(p.segs[j]) && total+p.segs[j].Len() <= target {
+			for j < len(p.segs) && j-i < compactFanIn && small(p.segs[j]) && total+p.segs[j].Len() <= target {
 				total += p.segs[j].Len()
 				j++
 			}
@@ -81,23 +80,9 @@ func (s *Store) findCompactRunLocked() *compactRun {
 	return nil
 }
 
-// CompactOnce performs at most one merge and installs its manifest
-// edition. It reports whether a merge happened; Compact drains every
-// eligible chain under one edition. Safe to call concurrently with
-// appends, seals, and queries.
-func (s *Store) CompactOnce() (CompactionResult, bool) {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	if s.closed.Load() {
-		return CompactionResult{}, false
-	}
-	r, ok := s.compactPassLocked()
-	s.compactEditionLocked()
-	return r, ok
-}
-
 // Compact runs passes until no chain is eligible, then installs one
-// manifest edition for all of them, returning the sums.
+// manifest edition for all of them, returning the sums. Safe to call
+// concurrently with appends, seals, and queries.
 func (s *Store) Compact() CompactionResult {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -105,34 +90,27 @@ func (s *Store) Compact() CompactionResult {
 	if s.closed.Load() {
 		return total
 	}
-	for {
-		r, ok := s.compactPassLocked()
-		if !ok {
-			break
-		}
-		total.Passes += r.Passes
-		total.SegmentsRetired += r.SegmentsRetired
-		total.EventsMerged += r.EventsMerged
+	for s.compactPassLocked(&total) {
 	}
 	s.compactEditionLocked()
 	return total
 }
 
-// compactPassLocked performs at most one merge and installs it in the
-// chain, writing the merged segment's file first in a durable store.
-// The manifest edition is left to compactEditionLocked. The caller
-// holds compactMu. A Close that has begun stops the passes; it waits
+// compactPassLocked performs at most one merge, installs it in the
+// chain (writing the merged segment's file first in a durable store),
+// adds it to total and reports whether it merged. The manifest edition
+// is left to compactEditionLocked. The caller holds compactMu. A Close that has begun stops the passes; it waits
 // on compactMu, so the edition that follows still lands before the WAL
 // closes.
-func (s *Store) compactPassLocked() (CompactionResult, bool) {
+func (s *Store) compactPassLocked(total *CompactionResult) bool {
 	if s.closed.Load() {
-		return CompactionResult{}, false
+		return false
 	}
 	s.mu.RLock()
 	run := s.findCompactRunLocked()
 	s.mu.RUnlock()
 	if run == nil {
-		return CompactionResult{}, false
+		return false
 	}
 
 	// Merge outside any lock: the inputs are immutable. An input whose
@@ -141,7 +119,7 @@ func (s *Store) compactPassLocked() (CompactionResult, bool) {
 	merged := mergeSegmentEvents(run.segs)
 	for _, g := range run.segs {
 		if g.err() != nil {
-			return CompactionResult{}, false
+			return false
 		}
 	}
 	s.mu.Lock()
@@ -154,7 +132,7 @@ func (s *Store) compactPassLocked() (CompactionResult, bool) {
 	files, err := sealSegments(s.Dir(), []*Segment{g})
 	if err != nil {
 		s.dur.setErr(err)
-		return CompactionResult{}, false
+		return false
 	}
 
 	// Install copy-on-write: pinned snapshots keep the old chain slice;
@@ -177,7 +155,7 @@ func (s *Store) compactPassLocked() (CompactionResult, bool) {
 		if d != nil {
 			d.mu.Unlock()
 		}
-		return CompactionResult{}, false
+		return false
 	}
 	newSegs := make([]*Segment, 0, len(p.segs)-len(run.segs)+1)
 	newSegs = append(newSegs, p.segs[:idx]...)
@@ -205,7 +183,10 @@ func (s *Store) compactPassLocked() (CompactionResult, bool) {
 	s.notifyRetire(retired)
 	s.compactions.Add(1)
 	s.segsCompacted.Add(uint64(len(run.segs)))
-	return CompactionResult{Passes: 1, SegmentsRetired: len(run.segs), EventsMerged: len(merged)}, true
+	total.Passes++
+	total.SegmentsRetired += len(run.segs)
+	total.EventsMerged += len(merged)
+	return true
 }
 
 // compactEditionLocked installs one full manifest edition if a merge

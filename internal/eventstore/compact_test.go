@@ -30,7 +30,6 @@ func amountRecords(agent uint32, n, first int) []Record {
 func TestSealDuringCompactionRecoversOnce(t *testing.T) {
 	dir := t.TempDir()
 	opts := durableOpts(dir)
-	opts.SegmentEvents = 1 << 20
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +45,7 @@ func TestSealDuringCompactionRecoversOnce(t *testing.T) {
 		}
 	}
 	want := map[uint64]bool{}
-	for _, ev := range s.Collect(&EventFilter{}) {
+	for _, ev := range collect(s, &EventFilter{}) {
 		want[ev.Amount] = true
 	}
 	restore := func() {}
@@ -63,19 +62,19 @@ func TestSealDuringCompactionRecoversOnce(t *testing.T) {
 		}
 		restore = durable.InjectFaults(func(durable.IOSite) durable.Fault { return durable.FailOp })
 	})
-	if _, ok := s.CompactOnce(); !ok {
+	if s.Compact().Passes == 0 {
 		t.Fatal("no merge: the test needs a chain of two small segments")
 	}
 	s.Close()
 	restore()
 
-	s2, err := Open(durableOpts(dir))
+	s2, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
 	seen := map[uint64]int{}
-	for _, ev := range s2.Collect(&EventFilter{}) {
+	for _, ev := range collect(s2, &EventFilter{}) {
 		seen[ev.Amount]++
 	}
 	for a, n := range seen {
@@ -97,7 +96,6 @@ func TestSealDuringCompactionRecoversOnce(t *testing.T) {
 func TestCompactWritesOneEdition(t *testing.T) {
 	dir := t.TempDir()
 	opts := durableOpts(dir)
-	opts.SegmentEvents = 1 << 20
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -19,11 +19,18 @@ import (
 // savedStore writes a small valid store directory and returns its path.
 func savedStore(t *testing.T) string {
 	t.Helper()
-	s := New(DefaultOptions())
-	fill(s, 24, 0)
-	s.Flush()
 	dir := filepath.Join(t.TempDir(), "store")
-	if err := s.SaveDir(dir); err != nil {
+	opts := DefaultOptions()
+	opts.Dir = dir
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(s, 24, 0)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -105,7 +112,7 @@ func TestDecodeRejectsDanglingEntityRefs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := Open(durableOpts(dir))
+			s, err := small(Open(durableOpts(dir)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +135,7 @@ func TestDecodeRejectsDanglingEntityRefs(t *testing.T) {
 				t.Fatal(err)
 			}
 			wal.Close()
-			s2, err := Open(durableOpts(dir))
+			s2, err := small(Open(durableOpts(dir)))
 			if err == nil {
 				s2.Close()
 				t.Fatal("dangling reference accepted")
@@ -237,8 +244,7 @@ func TestCompactionSkipsCorruptSegment(t *testing.T) {
 	dir := t.TempDir()
 	opts := DefaultOptions()
 	opts.Dir = dir
-	opts.CompactTargetEvents = 64
-	s := sealMany(t, opts, 8, 4)
+	s := sealMany(t, opts, 64, 8, 4)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +267,7 @@ func TestCompactionSkipsCorruptSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
+	s2.compactTarget = 64
 	s2.Compact()
 	s2.Compact() // the pass that discovers the bad file retires nothing
 	if _, err := os.Stat(bad); err != nil {
@@ -344,7 +351,7 @@ func TestOpenRejectsCorruptWALEntities(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := Open(durableOpts(dir))
+			s, err := small(Open(durableOpts(dir)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -379,7 +386,7 @@ func TestOpenRejectsCorruptWALEntities(t *testing.T) {
 				t.Fatal(err)
 			}
 			wal.Close()
-			s2, err := Open(durableOpts(dir))
+			s2, err := small(Open(durableOpts(dir)))
 			if err == nil {
 				s2.Close()
 				t.Fatal("corrupt entity record accepted")
@@ -400,7 +407,7 @@ func TestOpenRejectsUndecodableFrames(t *testing.T) {
 	for _, name := range []string{durable.WALName, durable.ManifestDeltaName} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := Open(durableOpts(dir))
+			s, err := small(Open(durableOpts(dir)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -421,7 +428,7 @@ func TestOpenRejectsUndecodableFrames(t *testing.T) {
 			}
 			f.Close()
 			size := fileSize(t, path)
-			s2, err := Open(durableOpts(dir))
+			s2, err := small(Open(durableOpts(dir)))
 			if err == nil {
 				s2.Close()
 				t.Fatal("undecodable frame accepted")

@@ -59,7 +59,6 @@ type crashOutcome struct {
 func crashWorkload(dir string) crashOutcome {
 	out := crashOutcome{acked: map[uint64]bool{}, failed: map[uint64]bool{}}
 	opts := durableOpts(dir)
-	opts.SegmentEvents = 1 << 20
 	s, err := Open(opts)
 	if err != nil {
 		return out
@@ -112,13 +111,13 @@ func TestCrashPointSweep(t *testing.T) {
 		// removal).
 		observe := &crashPlan{at: -1, reached: &reached}
 		defer durable.InjectFaults(observe.decide)()
-		s, err := Open(durableOpts(dir))
+		s, err := small(Open(durableOpts(dir)))
 		if err != nil {
 			t.Fatalf("op %d %v: reopen: %v", at, mode, err)
 		}
 		defer s.Close()
 		seen := map[uint64]bool{}
-		for _, ev := range s.Collect(&EventFilter{}) {
+		for _, ev := range collect(s, &EventFilter{}) {
 			switch {
 			case seen[ev.Amount]:
 				t.Fatalf("op %d %v: event %d recovered twice", at, mode, ev.Amount)

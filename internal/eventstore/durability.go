@@ -146,7 +146,6 @@ func (d *durableState) lastError() error {
 // entity whose ID skips a position, an entity repeating one already in
 // its table, or an event referencing an entity the log has not reached.
 func Open(opts Options) (*Store, error) {
-	opts = opts.normalized()
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("eventstore: Open requires Options.Dir (use New for an in-memory store)")
 	}
@@ -565,16 +564,17 @@ func (s *Store) persistSealed(segs []*Segment) {
 	}
 }
 
-// nextEdition builds manifest edition ed over the chunks parts: the
-// store's ID counters, the dictionary rows past from, and the longest
-// prefix of each chain whose segments have a file in files, except the
-// segments in listed, which the editions below it name already. covered
-// reports whether the edition, with those below it, lists every
-// committed event: no chunk holds unsealed events and no chain stops
-// short. The caller holds s.mu (read).
-func (s *Store) nextEdition(ed uint64, parts []snapPart, files map[uint64]persistedSeg, from dictRows, listed map[uint64]bool) (*durable.Manifest, bool) {
+// nextEdition builds the manifest edition after the directory's newest:
+// the store's ID counters, the dictionary rows past from, and the
+// longest prefix of each chain whose segments have a persisted file,
+// except the segments in listed, which the editions below it name
+// already. covered reports whether the edition, with those below it,
+// lists every committed event: no chunk holds unsealed events and no
+// chain stops short. The caller holds d.mu and s.mu (read).
+func (s *Store) nextEdition(from dictRows, listed map[uint64]bool) (*durable.Manifest, bool) {
+	d := s.dur
 	m := &durable.Manifest{
-		Edition:     ed,
+		Edition:     d.edition + 1,
 		NextSegID:   s.nextSegID,
 		NextEventID: s.nextEventID,
 		NextSeq:     maps.Clone(s.nextSeq),
@@ -582,16 +582,16 @@ func (s *Store) nextEdition(ed uint64, parts []snapPart, files map[uint64]persis
 	procs, fileRows, conns := s.dict.tableHeaders()
 	m.Procs, m.Files, m.Conns = procs[from.procs:], fileRows[from.files:], conns[from.conns:]
 	covered := true
-	for i := range parts {
-		p := &parts[i]
-		if p.mem.Len() > 0 {
+	for _, key := range s.order {
+		p := s.parts[key]
+		if len(p.mem.events) > 0 {
 			covered = false
 		}
 		for _, g := range p.segs {
 			if listed[g.id] {
 				continue
 			}
-			ps, ok := files[g.id]
+			ps, ok := d.persisted[g.id]
 			if !ok {
 				// List only the longest persisted prefix of the chain:
 				// recovery's ID-prefix skip rule depends on no gaps.
@@ -640,7 +640,7 @@ func (s *Store) appendManifestDeltaLocked() bool {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	delta, covered := s.nextEdition(d.edition+1, s.partsLocked(), d.persisted, d.manifestedRows, d.manifested)
+	delta, covered := s.nextEdition(d.manifestedRows, d.manifested)
 	if err := durable.AppendManifestDelta(d.dir, delta); err != nil {
 		// Fall back to a full rewrite (which truncates the suspect log);
 		// only if that also fails does an error surface.
@@ -659,7 +659,7 @@ func (s *Store) writeManifestLocked() {
 	d := s.dur
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	m, covered := s.nextEdition(d.edition+1, s.partsLocked(), d.persisted, dictRows{}, nil)
+	m, covered := s.nextEdition(dictRows{}, nil)
 	n, err := durable.WriteManifest(d.dir, m)
 	d.manifestBytes += n
 	if err != nil {
@@ -681,51 +681,6 @@ func (s *Store) writeManifestLocked() {
 	d.manifested = make(map[uint64]bool, len(m.Segments))
 	d.manifestedRows = dictRows{}
 	d.installed(m, covered)
-}
-
-// SaveDir writes the store's sealed state into dir as a durable store
-// directory: every chunk is sealed, each segment becomes one file, and
-// a first manifest edition lists them all (so the WAL starts empty).
-// The target must not already contain a durable store. Writers may keep
-// appending meanwhile: the directory holds at least every event
-// committed before the call. This is how an in-memory store (a
-// generated dataset, say) becomes a directory that Open serves.
-func (s *Store) SaveDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("eventstore: %w", err)
-	}
-	if _, err := durable.ReadManifest(dir); err == nil {
-		return fmt.Errorf("eventstore: SaveDir target %s already contains a durable store", dir)
-	} else if !errors.Is(err, durable.ErrNoManifest) {
-		return err
-	}
-	// a store that has not sealed yet has a WAL but no manifest
-	if _, err := os.Stat(filepath.Join(dir, durable.WALName)); err == nil {
-		return fmt.Errorf("eventstore: SaveDir target %s already contains a durable store's WAL", dir)
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("eventstore: %w", err)
-	}
-	if err := s.Flush(); err != nil {
-		return err
-	}
-	sn := s.Snapshot()
-	var segs []*Segment
-	for i := range sn.parts {
-		segs = append(segs, sn.parts[i].segs...)
-	}
-	files, err := sealSegments(dir, segs)
-	if err != nil {
-		return err
-	}
-	written := make(map[uint64]persistedSeg, len(segs))
-	for i, g := range segs {
-		written[g.id] = files[i]
-	}
-	s.mu.RLock()
-	m, _ := s.nextEdition(1, sn.parts, written, dictRows{}, nil)
-	s.mu.RUnlock()
-	_, err = durable.WriteManifest(dir, m)
-	return err
 }
 
 // Dir returns the durable directory backing the store; empty for

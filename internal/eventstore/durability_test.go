@@ -19,13 +19,22 @@ import (
 	"github.com/aiql/aiql/internal/sysmon"
 )
 
-// durableOpts returns small-segment durable options rooted at dir.
+// durableOpts returns durable options rooted at dir.
 func durableOpts(dir string) Options {
 	opts := DefaultOptions()
 	opts.Dir = dir
 	opts.SyncWAL = true
-	opts.SegmentEvents = 8
 	return opts
+}
+
+// small lowers a freshly opened store's segment sizes, so a few records
+// make several segments: a chunk seals at 8 events, and compaction
+// merges toward 32. It passes Open's results through.
+func small(s *Store, err error) (*Store, error) {
+	if err == nil {
+		s.sealEvents, s.compactTarget = 8, 32
+	}
+	return s, err
 }
 
 // fill appends n distinct-ish records across two agents, one record
@@ -44,9 +53,20 @@ func fill(s *Store, n, from int) {
 // dropped so the reopening "process" can take over.
 func crash(s *Store) { s.dur.lock.Release() }
 
+// collect returns the events matching f. The tests that use it read
+// stores whose files are intact, so a scan error is a failure of the
+// store under test and panics.
+func collect(s *Store, f *EventFilter) []sysmon.Event {
+	evs, err := s.Collect(f)
+	if err != nil {
+		panic(fmt.Sprintf("collect: %v", err))
+	}
+	return evs
+}
+
 // collectAll returns every event, sorted by ID for comparison.
 func collectAll(s *Store) []sysmon.Event {
-	evs := s.Collect(&EventFilter{})
+	evs := collect(s, &EventFilter{})
 	sort.Slice(evs, func(i, j int) bool { return evs[i].ID < evs[j].ID })
 	return evs
 }
@@ -69,7 +89,7 @@ func eventStrings(s *Store) []string {
 
 func TestDurableOpenAppendReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(durableOpts(dir))
+	s, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +100,7 @@ func TestDurableOpenAppendReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(durableOpts(dir))
+	s2, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +130,7 @@ func TestDurableOpenAppendReopen(t *testing.T) {
 // acknowledged events from MANIFEST + WAL.
 func TestCrashRecoveryPastLastSeal(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(durableOpts(dir))
+	s, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +139,7 @@ func TestCrashRecoveryPastLastSeal(t *testing.T) {
 	want := eventStrings(s)
 	crash(s) // no Close: the WAL handle is simply abandoned
 
-	s2, err := Open(durableOpts(dir))
+	s2, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +153,7 @@ func TestCrashRecoveryPastLastSeal(t *testing.T) {
 // must not poison recovery: every record before the tear is recovered.
 func TestCrashRecoveryTornWALRecord(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(durableOpts(dir))
+	s, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +175,7 @@ func TestCrashRecoveryTornWALRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(durableOpts(dir))
+	s2, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +193,7 @@ func TestCrashRecoveryTornWALRecord(t *testing.T) {
 // and delete it, and recover its events from the WAL instead.
 func TestRecoveryRemovesOrphanSegments(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(durableOpts(dir))
+	s, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +205,7 @@ func TestRecoveryRemovesOrphanSegments(t *testing.T) {
 	if _, err := durable.WriteSegmentFileV2(orphan, &durable.SegmentData{ID: 999}); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(durableOpts(dir))
+	s2, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +222,7 @@ func TestRecoveryRemovesOrphanSegments(t *testing.T) {
 // the WAL must be empty: reopening performs zero replay.
 func TestWALTruncatedWhenFullySealed(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(durableOpts(dir))
+	s, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,18 +249,18 @@ func TestWALTruncatedWhenFullySealed(t *testing.T) {
 // lock so a successor can take over.
 func TestOpenEnforcesSingleWriter(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(durableOpts(dir))
+	s, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fill(s, 5, 0)
-	if _, err := Open(durableOpts(dir)); err == nil || !strings.Contains(err.Error(), "already open") {
+	if _, err := small(Open(durableOpts(dir))); err == nil || !strings.Contains(err.Error(), "already open") {
 		t.Fatalf("second Open on a live directory: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(durableOpts(dir))
+	s2, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatalf("Open after Close: %v", err)
 	}
@@ -263,14 +283,14 @@ func TestOpenRejectsMismatchedLayout(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := Open(durableOpts(dir))
+			s, err := small(Open(durableOpts(dir)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			fill(s, 10, 0)
 			s.Flush()
 			s.Close()
-			own, err := Open(durableOpts(dir))
+			own, err := small(Open(durableOpts(dir)))
 			if err != nil {
 				t.Fatalf("own layout rejected: %v", err)
 			}
@@ -281,7 +301,7 @@ func TestOpenRejectsMismatchedLayout(t *testing.T) {
 				// sequence table
 				tc.mutate(body[3*8+4+12*len(m.NextSeq):])
 			})
-			if _, err := Open(durableOpts(dir)); !errors.Is(err, durable.ErrCorrupt) {
+			if _, err := small(Open(durableOpts(dir))); !errors.Is(err, durable.ErrCorrupt) {
 				t.Fatalf("foreign layout: err=%v, want ErrCorrupt", err)
 			}
 		})
@@ -311,79 +331,9 @@ func rewriteManifest(t *testing.T, dir string, edit func(m *durable.Manifest, bo
 	}
 }
 
-func TestSaveDirMigrateRoundTrip(t *testing.T) {
-	// an in-memory store, saved as a durable directory
-	mem := New(DefaultOptions())
-	fill(mem, 40, 0)
-	mem.Flush()
-	want := eventStrings(mem)
-	dir := filepath.Join(t.TempDir(), "store")
-	if err := mem.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	opts := DefaultOptions()
-	opts.Dir = dir
-	s, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := eventStrings(s); !reflect.DeepEqual(got, want) {
-		t.Fatalf("saved store differs: %d vs %d events", len(got), len(want))
-	}
-	if st := s.DurableStats(); st.WALBytes != 0 || st.SegmentFiles == 0 {
-		t.Fatalf("saved directory: want an empty WAL and some segment files, got %+v", st)
-	}
-	// saving onto an existing durable directory must refuse
-	if err := mem.SaveDir(dir); err == nil {
-		t.Fatal("SaveDir overwrote an existing durable store")
-	}
-}
-
-// Loading a saved image must never merge into or over existing data.
-// SaveDir is the one writer of a whole-store image; onto a directory
-// that already holds a durable store, open or not, sealed segments or
-// only a WAL, it must refuse and leave that store's events intact.
-func TestDecodeRejectsNonEmptyStore(t *testing.T) {
-	mem := New(DefaultOptions())
-	fill(mem, 40, 1000)
-	mem.Flush()
-	for _, n := range []int{3, 20} { // WAL only; sealed segments + WAL
-		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := Open(durableOpts(dir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fill(s, n, 0)
-			want := eventStrings(s)
-			if err := mem.SaveDir(dir); err == nil {
-				t.Fatal("SaveDir wrote over an open durable store")
-			}
-			if got := eventStrings(s); !reflect.DeepEqual(got, want) {
-				t.Fatal("refused SaveDir changed the open store's events")
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := mem.SaveDir(dir); err == nil {
-				t.Fatal("SaveDir wrote over a closed durable store")
-			}
-			s2, err := Open(durableOpts(dir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			if got := eventStrings(s2); !reflect.DeepEqual(got, want) {
-				t.Fatalf("reopened store has %d events, want its own %d", len(got), len(want))
-			}
-		})
-	}
-}
-
-// sealMany builds a store with many deliberately tiny segments.
-func sealMany(t *testing.T, opts Options, batches, perBatch int) *Store {
+// sealMany builds a store with many deliberately tiny segments, whose
+// compaction merges toward target events.
+func sealMany(t *testing.T, opts Options, target, batches, perBatch int) *Store {
 	t.Helper()
 	var s *Store
 	var err error
@@ -395,6 +345,7 @@ func sealMany(t *testing.T, opts Options, batches, perBatch int) *Store {
 	} else {
 		s = New(opts)
 	}
+	s.compactTarget = target
 	for b := 0; b < batches; b++ {
 		fill(s, perBatch, b*perBatch)
 		s.Flush() // every flush seals → tiny segments pile up
@@ -407,12 +358,10 @@ func TestCompactionReducesSegmentsWithoutChangingResults(t *testing.T) {
 		name := map[bool]string{false: "memory", true: "durable"}[durableStore]
 		t.Run(name, func(t *testing.T) {
 			opts := DefaultOptions()
-			opts.CompactFanIn = 8
-			opts.CompactTargetEvents = 64
 			if durableStore {
 				opts.Dir = t.TempDir()
 			}
-			s := sealMany(t, opts, 16, 4) // 64 events in ≥16 tiny segments
+			s := sealMany(t, opts, 64, 16, 4) // 64 events in ≥16 tiny segments
 			defer s.Close()
 
 			before := s.NumSegments()
@@ -421,7 +370,7 @@ func TestCompactionReducesSegmentsWithoutChangingResults(t *testing.T) {
 			}
 			wantEvents := eventStrings(s)
 			filter := &EventFilter{Ops: []sysmon.Operation{sysmon.OpWrite}}
-			wantMatches := len(s.Collect(filter))
+			wantMatches := len(collect(s, filter))
 
 			res := s.Compact()
 			if res.Passes == 0 || res.SegmentsRetired == 0 {
@@ -439,7 +388,7 @@ func TestCompactionReducesSegmentsWithoutChangingResults(t *testing.T) {
 			if got := eventStrings(s); !reflect.DeepEqual(got, wantEvents) {
 				t.Fatal("compaction changed the event set")
 			}
-			if got := len(s.Collect(filter)); got != wantMatches {
+			if got := len(collect(s, filter)); got != wantMatches {
 				t.Fatalf("filtered scan after compaction: %d matches, want %d", got, wantMatches)
 			}
 			if st := s.DurableStats(); st.Compactions == 0 || st.SegmentsCompacted == 0 {
@@ -473,11 +422,9 @@ func TestCompactionReducesSegmentsWithoutChangingResults(t *testing.T) {
 // Snapshots pinned before a compaction keep scanning the retired chain;
 // the compactor must never mutate it. Run with -race.
 func TestCompactionConcurrentWithScans(t *testing.T) {
-	opts := DefaultOptions()
-	opts.CompactTargetEvents = 128
-	s := sealMany(t, opts, 32, 4)
+	s := sealMany(t, DefaultOptions(), 128, 32, 4)
 	defer s.Close()
-	want := len(s.Collect(&EventFilter{}))
+	want := len(collect(s, &EventFilter{}))
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -518,9 +465,7 @@ func TestCompactionConcurrentWithScans(t *testing.T) {
 
 // The background compactor drains tiny segments on its own.
 func TestBackgroundCompactor(t *testing.T) {
-	opts := DefaultOptions()
-	opts.CompactTargetEvents = 256
-	s := sealMany(t, opts, 16, 4)
+	s := sealMany(t, DefaultOptions(), 256, 16, 4)
 	before := s.NumSegments()
 	s.StartCompactor(time.Millisecond)
 	defer s.Close()
@@ -535,74 +480,12 @@ func TestBackgroundCompactor(t *testing.T) {
 	s.StopCompactor() // idempotent
 }
 
-// SaveDir must not hold the store lock for the whole write: a writer
-// appending concurrently must not deadlock or race, and each saved
-// directory must reopen to every event committed before its SaveDir
-// began, plus only events the writer really appended. Run with -race.
-func TestEncodeConcurrentWithAppends(t *testing.T) {
-	s := New(DefaultOptions())
-	fill(s, 64, 0)
-	s.Flush()
-	appended := make(map[string]bool)
-	for _, e := range eventStrings(s) {
-		appended[e] = true
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		fill(s, 256, 1000)
-	}()
-	for i := 0; i < 5; i++ {
-		before := s.Len()
-		dir := filepath.Join(t.TempDir(), "store")
-		if err := s.SaveDir(dir); err != nil {
-			t.Fatal(err)
-		}
-		opts := DefaultOptions()
-		opts.Dir = dir
-		saved, err := Open(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if saved.Len() < before {
-			t.Errorf("save %d: %d events, but %d were committed before it", i, saved.Len(), before)
-		}
-		saved.Close()
-	}
-	wg.Wait()
-	for _, e := range eventStrings(s) {
-		appended[e] = true
-	}
-	dir := filepath.Join(t.TempDir(), "final")
-	if err := s.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Dir = dir
-	final, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer final.Close()
-	got := eventStrings(final)
-	if len(got) != 64+256 {
-		t.Fatalf("quiesced save holds %d events, want %d", len(got), 64+256)
-	}
-	for _, e := range got {
-		if !appended[e] {
-			t.Fatalf("saved event %s was never appended", e)
-		}
-	}
-}
-
 // A bulk AppendAll under SyncWAL must group-commit: the batch spans
 // many internal commits (commitBatch boundaries plus the tail), but the
 // whole call costs exactly one WAL fsync. Before the fix every commit
 // fsynced individually, cratering bulk-ingest throughput.
 func TestAppendAllGroupCommitSingleSync(t *testing.T) {
 	opts := durableOpts(t.TempDir())
-	opts.SegmentEvents = 1 << 20
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -637,7 +520,7 @@ func TestAppendAllGroupCommitSingleSync(t *testing.T) {
 // reachable when an HTTP ingest races a catalog hot-swap — and must not
 // touch the closed WAL.
 func TestAppendAfterCloseReturnsErrClosed(t *testing.T) {
-	s, err := Open(durableOpts(t.TempDir()))
+	s, err := small(Open(durableOpts(t.TempDir())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,7 +545,7 @@ func TestAppendAfterCloseReturnsErrClosed(t *testing.T) {
 // (their events are durable and visible) or fail with ErrClosed —
 // never crash into the closed WAL. Run with -race.
 func TestAppendRacesClose(t *testing.T) {
-	s, err := Open(durableOpts(t.TempDir()))
+	s, err := small(Open(durableOpts(t.TempDir())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,7 +582,7 @@ func TestAppendRacesClose(t *testing.T) {
 // no memtable), and entities interned after the last manifest edition.
 func TestReplayMatchesLiveStore(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(durableOpts(dir))
+	s, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -744,7 +627,7 @@ func TestReplayMatchesLiveStore(t *testing.T) {
 		var out [][]string
 		for i := range filters {
 			var rows []string
-			for _, ev := range s.Collect(&filters[i]) {
+			for _, ev := range collect(s, &filters[i]) {
 				rows = append(rows, fmt.Sprintf("%d %s", ev.ID, s.dict.Attr(ev.ObjType, ev.Object, "name")))
 			}
 			out = append(out, rows)
@@ -764,7 +647,7 @@ func TestReplayMatchesLiveStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(durableOpts(dir))
+	s2, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -799,7 +682,7 @@ func TestReplayMatchesLiveStore(t *testing.T) {
 	if s2.dict.Count(sysmon.EntityProcess) != n {
 		t.Fatalf("a replayed process was interned again: %d processes, want %d", s2.dict.Count(sysmon.EntityProcess), n)
 	}
-	got := s2.Collect(&EventFilter{From: base.Add(50 * time.Minute).UnixNano()})
+	got := collect(s2, &EventFilter{From: base.Add(50 * time.Minute).UnixNano()})
 	if len(got) != 1 || got[0].ID != lastID+1 || got[0].Seq != lastSeq+1 {
 		t.Fatalf("post-recovery append got %+v, want ID %d and seq %d", got, lastID+1, lastSeq+1)
 	}
@@ -810,7 +693,7 @@ func TestReplayMatchesLiveStore(t *testing.T) {
 // is replayed, not cut off with every record after it.
 func TestWALRecordOverOneMiBSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(durableOpts(dir))
+	s, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -828,7 +711,7 @@ func TestWALRecordOverOneMiBSurvivesReopen(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(durableOpts(dir))
+	s2, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -848,11 +731,11 @@ func TestWALRecordOverOneMiBSurvivesReopen(t *testing.T) {
 func TestLargeManifestDeltaSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	opts := durableOpts(dir)
-	opts.SegmentEvents = 1 << 20 // seal only on Flush
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.sealEvents = 1 << 20 // seal only on Flush
 	if err := s.AppendAll([]Record{mkRecord(1, "first.exe", sysmon.OpWrite, "first.txt", 0)}); err != nil {
 		t.Fatal(err)
 	}
@@ -899,7 +782,6 @@ func TestLargeManifestDeltaSurvivesReopen(t *testing.T) {
 func TestDeltaTailTruncateFailureKeepsLaterEditions(t *testing.T) {
 	dir := t.TempDir()
 	opts := durableOpts(dir)
-	opts.SegmentEvents = 1 << 20 // seal only on Flush
 	batch := func(s *Store, k int) {
 		t.Helper()
 		if err := s.AppendAll([]Record{mkRecord(1, fmt.Sprintf("b%d.exe", k), sysmon.OpWrite, fmt.Sprintf("b%d.txt", k), k)}); err != nil {

@@ -29,7 +29,7 @@ func fileSize(t *testing.T, path string) int64 {
 // so the deltas are the only durable record of the sealed segments).
 func TestManifestDeltaEditions(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(durableOpts(dir))
+	s, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestManifestDeltaEditions(t *testing.T) {
 	wantLen := s.Len()
 	crash(s)
 
-	s2, err := Open(durableOpts(dir))
+	s2, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestManifestDeltaEditions(t *testing.T) {
 // the intact frames before it.
 func TestManifestDeltaTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(durableOpts(dir))
+	s, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestManifestDeltaTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	s2, err := Open(durableOpts(dir))
+	s2, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestManifestDeltaTornTail(t *testing.T) {
 // manifest's — recovery must skip them rather than re-apply old state.
 func TestManifestDeltaStaleFrames(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(durableOpts(dir))
+	s, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestManifestDeltaStaleFrames(t *testing.T) {
 	wantEdition := s.DurableStats().ManifestEdition
 	crash(s)
 
-	s2, err := Open(durableOpts(dir))
+	s2, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestManifestDeltaStaleFrames(t *testing.T) {
 // cache traffic once batch scans decode compressed columns.
 func TestStorageStatsBlockCache(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(durableOpts(dir))
+	s, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestStorageStatsBlockCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(durableOpts(dir))
+	s2, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}

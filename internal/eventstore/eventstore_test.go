@@ -141,21 +141,31 @@ func TestEstimateNeverUndercounts(t *testing.T) {
 	}
 }
 
-// A store saved as a durable directory reopens with the same events
-// and entity attributes, under the options it was saved with.
+// Records written to a durable directory reopen with the same events
+// and entity attributes as the same records appended in memory.
 func TestSnapshotRoundTrip(t *testing.T) {
-	s := New(DefaultOptions())
-	s.AppendAll([]Record{
+	recs := []Record{
 		mkRecord(1, "bash", sysmon.OpRead, "a.txt", 0),
 		mkRecord(2, "vim", sysmon.OpConnect, "9.9.9.9", 30),
-	})
+	}
+	s := New(DefaultOptions())
+	s.AppendAll(recs)
 	s.Flush()
-	dir := filepath.Join(t.TempDir(), "store")
-	if err := s.SaveDir(dir); err != nil {
+	opts := DefaultOptions()
+	opts.Dir = filepath.Join(t.TempDir(), "store")
+	w, err := Open(opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.Dir = dir
+	if err := w.AppendAll(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 	s2, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -164,8 +174,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if s2.Len() != s.Len() {
 		t.Errorf("loaded %d events, want %d", s2.Len(), s.Len())
 	}
-	a := s.Collect(&EventFilter{})
-	b := s2.Collect(&EventFilter{})
+	a := collect(s, &EventFilter{})
+	b := collect(s2, &EventFilter{})
 	if len(a) != len(b) {
 		t.Fatalf("collect mismatch: %d vs %d", len(a), len(b))
 	}
@@ -316,12 +326,11 @@ func TestStatsReflectContents(t *testing.T) {
 	}
 }
 
-// TestSealThresholdCreatesSegments: a memtable reaching SegmentEvents at
+// TestSealThresholdCreatesSegments: a memtable reaching the seal threshold at
 // a commit boundary is sealed; smaller tails stay in the memtable.
 func TestSealThresholdCreatesSegments(t *testing.T) {
-	opts := DefaultOptions()
-	opts.SegmentEvents = 25
-	s := New(opts)
+	s := New(DefaultOptions())
+	s.sealEvents = 25
 	for i := 0; i < 107; i += 10 {
 		var recs []Record
 		for j := i; j < min(i+10, 107); j++ {
@@ -359,9 +368,8 @@ func TestSealThresholdCreatesSegments(t *testing.T) {
 // concurrent appends and seals keeps returning exactly the event set it
 // pinned (run under -race to validate the lock-free read paths).
 func TestSnapshotFrozenDuringAppendAndSeal(t *testing.T) {
-	opts := DefaultOptions()
-	opts.SegmentEvents = 64 // force frequent seals
-	s := New(opts)
+	s := New(DefaultOptions())
+	s.sealEvents = 64 // force frequent seals
 	for i := 0; i < 500; i += 16 {
 		var recs []Record
 		for j := i; j < min(i+16, 500); j++ {
@@ -411,9 +419,8 @@ func TestSnapshotFrozenDuringAppendAndSeal(t *testing.T) {
 // TestScanDuringIndexBuild: scans racing a seal's out-of-lock index
 // build must fall back to the sequential path and stay correct.
 func TestScanDuringIndexBuild(t *testing.T) {
-	opts := DefaultOptions()
-	opts.SegmentEvents = 128
-	s := New(opts)
+	s := New(DefaultOptions())
+	s.sealEvents = 128
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -434,7 +441,7 @@ func TestScanDuringIndexBuild(t *testing.T) {
 		s.Scan(context.Background(), f, func(*sysmon.Event) bool { n++; return true })
 	}
 	wg.Wait()
-	if got := len(s.Collect(&EventFilter{})); got != 2000 {
+	if got := len(collect(s, &EventFilter{})); got != 2000 {
 		t.Errorf("collected %d events, want 2000", got)
 	}
 }
@@ -443,9 +450,8 @@ func TestScanDuringIndexBuild(t *testing.T) {
 // chunk with the memtable tail last, and every committed event appears
 // in exactly one unit.
 func TestUnitsDeterministicOrder(t *testing.T) {
-	opts := DefaultOptions()
-	opts.SegmentEvents = 8
-	s := New(opts)
+	s := New(DefaultOptions())
+	s.sealEvents = 8
 	for i := 0; i < 50; i += 4 {
 		var recs []Record
 		for j := i; j < min(i+4, 50); j++ {

@@ -15,6 +15,10 @@
 // time/space partitioning, batch commit) are the data model itself, not
 // options: every store interns entities, indexes sealed segments, chunks
 // by (agent, hour) and commits AppendAll batches in 4096-event steps.
+// Segment sizes are fixed too: a chunk seals at 8192 events, and
+// compaction merges up to 8 adjacent small segments toward 32768
+// events. Options keep only the directory, the WAL fsync and the block
+// cache's size.
 package eventstore
 
 import "github.com/aiql/aiql/internal/durable"
@@ -28,16 +32,28 @@ const chunkDuration = durable.ChunkDuration
 // sort and index maintenance, and commits its tail before returning.
 const commitBatch = 4096
 
-// Options configure a store's segment sizes and durability. The data
-// layout itself has one configuration (see the package doc).
-type Options struct {
-	// SegmentEvents is the seal threshold: a chunk's memtable reaching
-	// this many events at a commit boundary is sealed into an immutable
+// The segment sizes are constants of the data model. New copies the
+// seal threshold and the compaction target into unexported Store
+// fields, which only this package's tests lower.
+const (
+	// sealEvents is the seal threshold: a chunk's memtable reaching this
+	// many events at a commit boundary is sealed into an immutable
 	// segment. Flush additionally seals every non-empty memtable
-	// regardless of size. Smaller segments seal (and become cacheable)
-	// sooner; larger ones amortize per-segment overhead.
-	SegmentEvents int
+	// regardless of size.
+	sealEvents = 8192
+	// compactFanIn caps how many adjacent small segments one compaction
+	// merges into a single segment.
+	compactFanIn = 8
+	// compactTargetEvents is the compactor's target segment size:
+	// chains of adjacent sealed segments smaller than the target are
+	// merged until the merged segment would exceed it.
+	compactTargetEvents = 4 * sealEvents
+)
 
+// Options configure a store's durability and block cache. The data
+// layout and the segment sizes have one configuration each (see the
+// package doc).
+type Options struct {
 	// Dir enables the durable storage subsystem: sealed segments are
 	// written once as individual files under Dir, a MANIFEST records
 	// the live segment set plus the dictionary tables, and a
@@ -49,39 +65,15 @@ type Options struct {
 	// making acknowledged appends durable against power loss (not just
 	// process crashes) at the cost of one fsync per call.
 	SyncWAL bool
-	// CompactFanIn caps how many adjacent small segments one
-	// compaction merges into a single segment. Default 8.
-	CompactFanIn int
-	// CompactTargetEvents is the compactor's target segment size:
-	// chains of adjacent sealed segments smaller than the target are
-	// merged until the merged segment would exceed it. Default
-	// 4×SegmentEvents.
-	CompactTargetEvents int
 	// BlockCacheBytes bounds the cache of decompressed segment column
 	// blocks shared by all segments of the store. 0 selects
 	// DefaultBlockCacheBytes; negative disables the cache.
 	BlockCacheBytes int64
 }
 
-// DefaultOptions returns the configuration used by the AIQL system:
-// 8192-event segments, in memory; with Dir set, a durable store that
-// acknowledges an AppendAll only after its WAL fsync.
+// DefaultOptions returns the configuration used by the AIQL system: in
+// memory; with Dir set, a durable store that acknowledges an AppendAll
+// only after its WAL fsync.
 func DefaultOptions() Options {
-	return Options{SegmentEvents: 8192, SyncWAL: true}
-}
-
-func (o Options) normalized() Options {
-	if o.SegmentEvents <= 0 {
-		o.SegmentEvents = 8192
-	}
-	if o.CompactFanIn <= 1 {
-		o.CompactFanIn = 8
-	}
-	if o.CompactTargetEvents <= 0 {
-		o.CompactTargetEvents = 4 * o.SegmentEvents
-	}
-	if o.BlockCacheBytes == 0 {
-		o.BlockCacheBytes = DefaultBlockCacheBytes
-	}
-	return o
+	return Options{SyncWAL: true}
 }

@@ -92,7 +92,7 @@ func TestResolveEntitiesIncrementalMatchesScratch(t *testing.T) {
 				s.Flush()
 			case "reopened":
 				dir := t.TempDir()
-				first, err := Open(durableOpts(dir))
+				first, err := small(Open(durableOpts(dir)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +102,7 @@ func TestResolveEntitiesIncrementalMatchesScratch(t *testing.T) {
 				if err := first.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if s, err = Open(durableOpts(dir)); err != nil {
+				if s, err = small(Open(durableOpts(dir))); err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { s.Close() })
@@ -294,7 +294,7 @@ func coldInternMaps(d *Dictionary) bool {
 // intern maps; the first intern hydrates them.
 func TestReopenedExactFilterLeavesInternMapsCold(t *testing.T) {
 	dir := t.TempDir()
-	first, err := Open(durableOpts(dir))
+	first, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestReopenedExactFilterLeavesInternMapsCold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := Open(durableOpts(dir))
+	s, err := small(Open(durableOpts(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,6 @@ func TestReopenedExactFilterLeavesInternMapsCold(t *testing.T) {
 func TestReopenedStoreReusesEntityIDs(t *testing.T) {
 	dir := t.TempDir()
 	opts := durableOpts(dir)
-	opts.SegmentEvents = 1 << 20 // only Flush seals
 	first, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

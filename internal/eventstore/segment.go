@@ -19,32 +19,33 @@ import (
 // without any lock, and per-segment scan results can be cached by
 // (filter, segment id) and reused verbatim across appends.
 //
-// A segment has two backings. Freshly sealed segments own their event
-// array on the heap. Segments restored from their files keep only a
-// durable.SegmentReader over the mmap'd file: count and bounds come
-// from the manifest, the scan-key and timestamp columns are zero-copy
-// views of the mapping, per-attribute columns decode lazily through the
-// store's block cache, and the AoS event array materializes only if a
-// caller actually needs whole events (compaction merges, posting-path
-// scans). Resident memory for a cold dataset is therefore metadata, not
-// data. A file that turns out unreadable fails every scan that reaches
-// it with the read error; its data never silently reads as absent.
+// A segment has one of two backings for life. Freshly sealed segments
+// own their event array on the heap. Segments restored from their
+// files keep only a durable.SegmentReader over the mmap'd file: count
+// and bounds come from the manifest, the scan-key and timestamp columns
+// are zero-copy views of the mapping, and per-attribute columns decode
+// lazily through the store's block cache. A caller that needs whole
+// events (a compaction merge, the row-at-a-time reference scan) gets
+// its own decoded copy; the segment never caches one, so resident
+// memory for a cold dataset is metadata, not data. A file that turns
+// out unreadable fails every scan that reaches it with the read error;
+// its data never silently reads as absent.
 //
 // Posting indexes (entity → event positions, operation histogram) are
-// built once, outside the store's write lock, after the segment becomes
-// visible: a seal never stalls concurrent appends or queries on index
-// maintenance. Until the build finishes, scans fall back to the
+// built once, outside the store's write lock, after a heap segment
+// becomes visible: a seal never stalls concurrent appends or queries on
+// index maintenance. Until the build finishes, scans fall back to the
 // (time-bounded) sequential path; the ready flag publishes the indexes
-// with release/acquire semantics. For reader-backed segments the
-// "build" is a lazy load of the file's index section, triggered the
-// first time a filter could profit from it.
+// with release/acquire semantics. Every segment file carries its
+// indexes, so for reader-backed segments the "build" is a lazy load of
+// the file's index section, triggered the first time a filter could
+// profit from it.
 type Segment struct {
 	id    uint64
 	key   PartKey
 	count int
-	// events is the AoS event array: always set for heap-sealed
-	// segments, lazily materialized (evOnce/evDone) for reader-backed
-	// ones. Read it through loadedEvents/materialize only.
+	// events is the AoS event array of a heap-sealed segment; nil for
+	// reader-backed ones, whose whole events only materialize returns.
 	events []sysmon.Event
 	minTS  int64
 	maxTS  int64
@@ -62,7 +63,7 @@ type Segment struct {
 	postingObj map[sysmon.EntityID][]int32
 	opCount    [sysmon.NumOperations]int
 	// opsReady publishes opCount independently of the posting maps:
-	// v2 files persist the histogram in the block directory, so
+	// segment files persist the histogram in the block directory, so
 	// estimates use it without loading the index section. Atomic
 	// because the heap build path sets it concurrently with estimates.
 	opsReady atomic.Bool
@@ -90,9 +91,6 @@ type Segment struct {
 	// readErr latches the first failure to open or decode the file.
 	readErr atomic.Pointer[error]
 
-	evOnce sync.Once
-	evDone atomic.Bool
-
 	tsOnce sync.Once
 	tsCol  []int64
 }
@@ -119,14 +117,12 @@ func (g *Segment) fileReader() *durable.SegmentReader {
 				g.lazyPath, rd.ID, g.id, rd.Count, g.count, durable.ErrCorrupt))
 			return
 		}
-		if rd.Indexed {
-			for op, c := range rd.OpCount {
-				if op < sysmon.NumOperations {
-					g.opCount[op] = c
-				}
+		for op, c := range rd.OpCount {
+			if op < sysmon.NumOperations {
+				g.opCount[op] = c
 			}
-			g.opsReady.Store(true)
 		}
+		g.opsReady.Store(true)
 		g.rd.Store(rd)
 	})
 	return g.rd.Load()
@@ -213,37 +209,24 @@ func (g *Segment) tsColumn() []int64 {
 	return g.tsCol
 }
 
-// loadedEvents returns the AoS event array if it is resident, nil
-// otherwise — the batch path's column view uses it to pick the AoS or
-// the columnar backing, without forcing a materialize.
-func (g *Segment) loadedEvents() []sysmon.Event {
-	if !g.fileBacked() || g.evDone.Load() {
-		return g.events
-	}
-	return nil
-}
-
-// materialize returns the full AoS event array, decoding the segment
-// file on first call. On decode failure the error is latched (callers
-// check err) and an empty array is returned.
+// materialize returns the full AoS event array: the heap segment's own,
+// or for a reader-backed segment a fresh copy decoded from its file,
+// which the caller owns and the segment does not keep. On decode
+// failure the error is latched (callers check err) and nil is returned.
 func (g *Segment) materialize() []sysmon.Event {
-	if !g.fileBacked() || g.evDone.Load() {
+	if !g.fileBacked() {
 		return g.events
 	}
-	g.evOnce.Do(func() {
-		rd := g.fileReader()
-		if rd == nil {
-			return // open failed; the error is latched
-		}
-		evs, err := rd.MaterializeEvents()
-		if err != nil {
-			g.fail(err)
-			evs = nil
-		}
-		g.events = evs
-		g.evDone.Store(true)
-	})
-	return g.events
+	rd := g.fileReader()
+	if rd == nil {
+		return nil // open failed; the error is latched
+	}
+	evs, err := rd.MaterializeEvents()
+	if err != nil {
+		g.fail(err)
+		return nil
+	}
+	return evs
 }
 
 // newSegment seals a sorted event run into an immutable segment. The
@@ -288,25 +271,21 @@ func restoreSegmentLazy(ref *durable.SegmentRef, path string, bc *BlockCache, on
 // open (nil when heap-resident or not yet opened).
 func (g *Segment) reader() *durable.SegmentReader { return g.rd.Load() }
 
-// segmentData exports the segment's persisted form. The events and
-// posting slices are shared, not copied: both sides are immutable.
-// Reader-backed segments materialize first.
+// segmentData exports a heap segment's persisted form, once its
+// indexes are built. The events and posting slices are shared, not
+// copied: both sides are immutable.
 func (g *Segment) segmentData() *durable.SegmentData {
-	d := &durable.SegmentData{
+	return &durable.SegmentData{
 		ID:         g.id,
 		AgentID:    g.key.AgentID,
 		Bucket:     g.key.Bucket,
-		Events:     g.materialize(),
+		Events:     g.events,
 		MinEventID: g.minEventID,
 		MaxEventID: g.maxEventID,
+		PostingSub: g.postingSub,
+		PostingObj: g.postingObj,
+		OpCount:    append([]int(nil), g.opCount[:]...),
 	}
-	if g.ready.Load() {
-		d.Indexed = true
-		d.PostingSub = g.postingSub
-		d.PostingObj = g.postingObj
-		d.OpCount = append([]int(nil), g.opCount[:]...)
-	}
-	return d
 }
 
 // ID returns the segment's store-wide unique, monotonically assigned id.
@@ -321,38 +300,28 @@ func (g *Segment) Len() int { return g.count }
 // TimeRange returns the minimum and maximum start timestamps.
 func (g *Segment) TimeRange() (int64, int64) { return g.minTS, g.maxTS }
 
-// Events exposes the segment's raw events, materializing a
-// reader-backed segment on first call. The slice is immutable and must
-// not be modified.
+// Events exposes the segment's raw events: a heap segment's own array,
+// or a decoded copy of a reader-backed segment's file on every call.
+// The slice must not be modified.
 func (g *Segment) Events() []sysmon.Event { return g.materialize() }
 
 // ApproxBytes estimates the segment's resident heap footprint for the
-// event data (posting indexes excluded). A reader-backed segment that
-// has not materialized holds no AoS array, so its heap cost is ~zero —
-// the mapped file is accounted separately (see StorageStats).
+// event data (posting indexes excluded). A reader-backed segment holds
+// no AoS array, so its heap cost is ~zero — the mapped file is
+// accounted separately (see StorageStats).
 func (g *Segment) ApproxBytes() uint64 {
-	if g.fileBacked() && !g.evDone.Load() {
+	if g.fileBacked() {
 		return 0
 	}
 	return uint64(g.count) * uint64(unsafe.Sizeof(sysmon.Event{}))
 }
 
-// buildIndexes constructs the posting lists and operation histogram.
-// It is idempotent and safe to call concurrently; the store calls it
-// after sealing, with no locks held. Reader-backed segments whose file
-// carries indexes defer to the lazy load instead of rebuilding.
+// buildIndexes constructs a heap segment's posting lists and operation
+// histogram. It is idempotent and safe to call concurrently; the store
+// calls it after sealing, with no locks held.
 func (g *Segment) buildIndexes() {
-	if g.ready.Load() {
-		return // already built, or restored with prebuilt indexes
-	}
-	if g.fileBacked() {
-		if rd := g.fileReader(); rd != nil && rd.Indexed {
-			g.ensureIndexes()
-			return
-		}
-	}
 	g.buildOnce.Do(func() {
-		events := g.materialize()
+		events := g.events
 		g.postingSub = make(map[sysmon.EntityID][]int32)
 		g.postingObj = make(map[sysmon.EntityID][]int32)
 		for i := range events {
@@ -377,7 +346,7 @@ func (g *Segment) ensureIndexes() bool {
 		return false // heap segments index in the background post-seal
 	}
 	rd := g.fileReader()
-	if rd == nil || !rd.Indexed {
+	if rd == nil {
 		return false
 	}
 	g.buildOnce.Do(func() {
@@ -422,11 +391,11 @@ func (g *Segment) overlaps(from, to int64) bool {
 // With indexes built, the scan picks the cheapest access path: the
 // shorter of the subject/object posting lists restricted by the filter's
 // entity sets, falling back to a (time-bounded) sequential scan. The
-// callback shape needs whole events, so reader-backed segments
-// materialize here. The engine never takes this path — it scans through
-// CollectBatch, which gathers from columns; scan stays as the
-// row-at-a-time reference the batch tests cross-check against and for
-// Snapshot.Scan/Collect consumers (export, baseline loaders).
+// callback shape needs whole events, so a reader-backed segment is
+// decoded into a copy for each call. The engine never takes this path —
+// it scans through CollectBatch, which gathers from columns; scan stays
+// as the row-at-a-time reference the batch tests cross-check against
+// and for Snapshot.Scan/Collect consumers (export, baseline loaders).
 func (g *Segment) scan(f *EventFilter, ops *[sysmon.NumOperations]bool, agents map[uint32]struct{}, fn func(*sysmon.Event) bool) bool {
 	if g.ready.Load() || (g.fileBacked() && g.postingApplicable(f) && g.ensureIndexes()) {
 		if list, ok := g.bestPostingList(f); ok {
@@ -522,8 +491,8 @@ func (g *Segment) timeSliceIdx(from, to int64) (int, int) {
 	if (from == 0 || from <= g.minTS) && (to == 0 || to > g.maxTS) {
 		return 0, g.count
 	}
-	if evs := g.loadedEvents(); evs != nil || !g.fileBacked() {
-		return timeSlice(evs, from, to)
+	if !g.fileBacked() {
+		return timeSlice(g.events, from, to)
 	}
 	return timeSliceTS(g.tsColumn(), from, to)
 }

@@ -56,29 +56,23 @@ func (s *Store) Snapshot() *Snapshot {
 // buildSnapshotLocked materializes the current view; the caller holds
 // the write lock.
 func (s *Store) buildSnapshotLocked() *Snapshot {
-	return &Snapshot{
+	sn := &Snapshot{
 		dict:    s.dict,
 		commits: s.commits,
 		total:   s.total,
 		minTS:   s.minTS,
 		maxTS:   s.maxTS,
-		parts:   s.partsLocked(),
+		parts:   make([]snapPart, 0, len(s.order)),
 	}
-}
-
-// partsLocked returns every chunk's view in scan order; the caller
-// holds s.mu.
-func (s *Store) partsLocked() []snapPart {
-	parts := make([]snapPart, 0, len(s.order))
 	for _, key := range s.order {
 		p := s.parts[key]
 		// The seg slice header is shared, not copied: segment chains are
 		// append-only (no compaction rewrites elements in place), so the
-		// view's [0:len) window stays immutable even while sealers append
-		// past it.
-		parts = append(parts, snapPart{key: key, segs: p.segs, mem: p.mem.view()})
+		// snapshot's [0:len) window stays immutable even while sealers
+		// append past it.
+		sn.parts = append(sn.parts, snapPart{key: key, segs: p.segs, mem: p.mem.view()})
 	}
-	return parts
+	return sn
 }
 
 // Dict returns the entity dictionary. The dictionary is append-only and
@@ -234,14 +228,15 @@ func (sn *Snapshot) Scan(ctx context.Context, f *EventFilter, fn func(*sysmon.Ev
 	return nil
 }
 
-// Collect returns all events matching the filter.
-func (sn *Snapshot) Collect(f *EventFilter) []sysmon.Event {
+// Collect returns all events matching the filter, or the error of the
+// scan (see Scan) that read them.
+func (sn *Snapshot) Collect(f *EventFilter) ([]sysmon.Event, error) {
 	var out []sysmon.Event
-	sn.Scan(context.Background(), f, func(ev *sysmon.Event) bool {
+	err := sn.Scan(context.Background(), f, func(ev *sysmon.Event) bool {
 		out = append(out, *ev)
 		return true
 	})
-	return out
+	return out, err
 }
 
 // EstimateCost is the work one EstimateMatches call did: the scan units

@@ -51,8 +51,8 @@ func (s *Store) SegmentStats() SegmentStats {
 // StorageStats describes where sealed-segment bytes live: mapped
 // (segment files served through mmap — resident only as the page cache
 // decides), heap (segments sealed in this process and not yet reopened,
-// lazily materialized events, and cached decompressed blocks), and the
-// block cache's hit/miss/eviction counters.
+// and cached decompressed blocks), and the block cache's
+// hit/miss/eviction counters.
 type StorageStats struct {
 	MappedBytes int64           `json:"mapped_bytes"`
 	HeapBytes   int64           `json:"heap_bytes"`

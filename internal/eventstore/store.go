@@ -45,8 +45,13 @@ type partState struct {
 // and snapshot capture. It is safe for concurrent readers and writers.
 type Store struct {
 	mu   sync.RWMutex
-	opts Options
 	dict *Dictionary
+
+	// sealEvents and compactTarget are the package's segment-size
+	// constants; this package's tests lower them to force seals and
+	// merges at small sizes.
+	sealEvents    int
+	compactTarget int
 
 	parts map[PartKey]*partState
 	order []PartKey // insertion-ordered keys for deterministic iteration
@@ -125,13 +130,16 @@ func (s *Store) afterCommit(sealed []*Segment) {
 
 // New creates a store with the given options.
 func New(opts Options) *Store {
-	opts = opts.normalized()
+	if opts.BlockCacheBytes == 0 {
+		opts.BlockCacheBytes = DefaultBlockCacheBytes
+	}
 	return &Store{
-		opts:       opts,
-		dict:       newDictionary(),
-		parts:      make(map[PartKey]*partState),
-		nextSeq:    make(map[uint32]uint64),
-		blockCache: NewBlockCache(opts.BlockCacheBytes),
+		dict:          newDictionary(),
+		sealEvents:    sealEvents,
+		compactTarget: compactTargetEvents,
+		parts:         make(map[PartKey]*partState),
+		nextSeq:       make(map[uint32]uint64),
+		blockCache:    NewBlockCache(opts.BlockCacheBytes),
 	}
 }
 
@@ -321,7 +329,7 @@ func (s *Store) commitLocked() ([]*Segment, error) {
 			sort.SliceStable(evs, func(i, j int) bool { return evs[i].StartTS < evs[j].StartTS })
 		}
 		p.mem.appendBatch(evs)
-		if len(p.mem.events) >= s.opts.SegmentEvents {
+		if len(p.mem.events) >= s.sealEvents {
 			sealed = append(sealed, s.sealPartLocked(p))
 		}
 	}
@@ -411,8 +419,9 @@ func (s *Store) Scan(ctx context.Context, f *EventFilter, fn func(*sysmon.Event)
 	return s.Snapshot().Scan(ctx, f, fn)
 }
 
-// Collect returns all events matching the filter.
-func (s *Store) Collect(f *EventFilter) []sysmon.Event {
+// Collect returns all events matching the filter over a fresh
+// snapshot; see Snapshot.Collect.
+func (s *Store) Collect(f *EventFilter) ([]sysmon.Event, error) {
 	return s.Snapshot().Collect(f)
 }
 

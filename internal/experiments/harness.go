@@ -51,7 +51,7 @@ func (o RunOptions) repeat() int {
 // BuildStore generates a dataset into a fully optimized store.
 func BuildStore(cfg datagen.Config) *eventstore.Store {
 	s := eventstore.New(eventstore.DefaultOptions())
-	datagen.GenerateInto(s, cfg)
+	_, _ = datagen.GenerateInto(s, cfg) // a fresh in-memory store has no write to fail
 	return s
 }
 

@@ -12,24 +12,22 @@ import (
 )
 
 // newSegmentedTestDB builds a database with many small sealed segments
-// and the segment scan cache enabled. Records arrive in batches of the
-// segment size, so memtables seal near 16 events each.
+// and the segment scan cache enabled. Records arrive in batches of 16,
+// each sealed on its own.
 func newSegmentedTestDB(t testing.TB, events int) *aiql.DB {
 	t.Helper()
-	const segEvents = 16
-	storage := aiql.DefaultStorage()
-	storage.SegmentEvents = segEvents
-	db := aiql.OpenWithOptions(storage, aiql.EngineConfig{})
+	const batch = 16
+	db := aiql.Open()
 	db.EnableSegmentScanCache(8 << 20)
-	recs := make([]aiql.Record, 0, segEvents)
+	recs := make([]aiql.Record, 0, batch)
 	for i := 0; i < events; i++ {
 		recs = append(recs, demoRecord(i))
-		if len(recs) == segEvents || i == events-1 {
+		if len(recs) == batch || i == events-1 {
 			db.AppendAll(recs)
+			db.Flush()
 			recs = recs[:0]
 		}
 	}
-	db.Flush() // seal everything loaded so far
 	return db
 }
 

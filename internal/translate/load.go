@@ -131,7 +131,7 @@ func LoadRelational(db *relational.DB, store *eventstore.Store) error {
 	}
 	// stream straight off the snapshot: no per-partition event copies
 	var insertErr error
-	store.Snapshot().Scan(context.Background(), &eventstore.EventFilter{}, func(ev *sysmon.Event) bool {
+	scanErr := store.Snapshot().Scan(context.Background(), &eventstore.EventFilter{}, func(ev *sysmon.Event) bool {
 		insertErr = events.Insert([]relational.Value{
 			relational.Int(int64(ev.ID)), relational.Int(int64(ev.AgentID)),
 			relational.Int(int64(ev.Subject)), relational.Str(ev.Op.String()),
@@ -143,6 +143,9 @@ func LoadRelational(db *relational.DB, store *eventstore.Store) error {
 	})
 	if insertErr != nil {
 		return insertErr
+	}
+	if scanErr != nil {
+		return fmt.Errorf("translate: read events: %w", scanErr)
 	}
 	if db.Optimized() {
 		for _, ix := range [][2]string{
@@ -221,7 +224,10 @@ func LoadGraph(g *graphdb.Graph, store *eventstore.Store) error {
 
 	// one collected copy is unavoidable here: graph edge ordinals need a
 	// global (start_ts, id) sort before insertion
-	events := store.Collect(&eventstore.EventFilter{})
+	events, err := store.Collect(&eventstore.EventFilter{})
+	if err != nil {
+		return fmt.Errorf("translate: read events: %w", err)
+	}
 	sort.Slice(events, func(i, j int) bool {
 		if events[i].StartTS != events[j].StartTS {
 			return events[i].StartTS < events[j].StartTS

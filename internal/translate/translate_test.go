@@ -2,6 +2,9 @@ package translate
 
 import (
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -9,6 +12,7 @@ import (
 	"time"
 
 	"github.com/aiql/aiql/internal/aiql/parser"
+	"github.com/aiql/aiql/internal/durable"
 	"github.com/aiql/aiql/internal/engine"
 	"github.com/aiql/aiql/internal/eventstore"
 	"github.com/aiql/aiql/internal/graphdb"
@@ -27,9 +31,15 @@ func proc(name string) sysmon.Process {
 func buildStore(t *testing.T) *eventstore.Store {
 	t.Helper()
 	s := eventstore.New(eventstore.DefaultOptions())
+	s.AppendAll(buildRecords())
+	s.Flush()
+	return s
+}
+
+func buildRecords() []eventstore.Record {
 	conn129 := sysmon.Netconn{SrcIP: "10.0.0.7", SrcPort: 31000, DstIP: "203.0.113.129", DstPort: 443, Protocol: "tcp"}
 	connWeb := sysmon.Netconn{SrcIP: "10.0.0.1", SrcPort: 40000, DstIP: "10.0.0.2", DstPort: 80, Protocol: "tcp"}
-	recs := []eventstore.Record{
+	return []eventstore.Record{
 		{AgentID: 7, Subject: proc("cmd.exe"), Op: sysmon.OpStart, ObjProc: proc("osql.exe"), StartTS: ts(1)},
 		{AgentID: 7, Subject: proc("sqlservr.exe"), Op: sysmon.OpWrite, ObjType: sysmon.EntityFile,
 			ObjFile: sysmon.File{Path: `C:\data\backup1.dmp`}, StartTS: ts(2), Amount: 9000},
@@ -53,9 +63,6 @@ func buildStore(t *testing.T) *eventstore.Store {
 		{AgentID: 3, Subject: proc("svchost.exe"), Op: sysmon.OpWrite, ObjType: sysmon.EntityFile,
 			ObjFile: sysmon.File{Path: `C:\Windows\log.txt`}, StartTS: ts(2), Amount: 64},
 	}
-	s.AppendAll(recs)
-	s.Flush()
-	return s
 }
 
 func sortedRows(rows [][]string) []string {
@@ -276,5 +283,48 @@ func TestLoadGraphCounts(t *testing.T) {
 	wantNodes := dict.Count(sysmon.EntityProcess) + dict.Count(sysmon.EntityFile) + dict.Count(sysmon.EntityNetconn)
 	if g.NumNodes() != wantNodes {
 		t.Errorf("graph has %d nodes, want %d", g.NumNodes(), wantNodes)
+	}
+}
+
+// A baseline load over a store one of whose segment files is cut short
+// must fail with the read error, not load the rows it could read and
+// report success.
+func TestLoadersReportUnreadableSegment(t *testing.T) {
+	opts := eventstore.DefaultOptions()
+	opts.Dir = filepath.Join(t.TempDir(), "store")
+	w, err := eventstore.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendAll(buildRecords()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(opts.Dir, "seg-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment files (%v)", err)
+	}
+	buf, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segs[0], buf[:len(buf)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := eventstore.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := LoadRelational(relational.Open(false), store); !errors.Is(err, durable.ErrStorage) {
+		t.Errorf("LoadRelational: error %v, want one wrapping durable.ErrStorage", err)
+	}
+	if err := LoadGraph(graphdb.New(), store); !errors.Is(err, durable.ErrStorage) {
+		t.Errorf("LoadGraph: error %v, want one wrapping durable.ErrStorage", err)
 	}
 }
